@@ -31,7 +31,7 @@ print("  shifted at x equals original at x+y:", a.E == b.E)
 
 print("\nspatial averages approach the ensemble mean (expect 1.5):")
 for L in (4, 8, 16, 32):
-    avg = ph.ergodic_average(omega, lambda m: m.E, L)
+    avg = ph.ergodic_average(omega, lambda params: params["E"], L)
     print(f"  box half-width {L:>2}: average E = {avg:.4f} "
           f"(error {abs(avg - 1.5):.4f})")
 

@@ -29,12 +29,9 @@ from .fem import (
     P1Space,
     SimplicialMesh,
     element_strain,
-    load_mesh,
     mesh_simplex,
     mesh_torus,
     mesh_unit_square,
-    riesz_project,
-    save_mesh,
     solve_elastic,
 )
 from .finescale import (

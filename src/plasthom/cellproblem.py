@@ -97,11 +97,6 @@ class SigmaResult:
     config: dict
 
 
-def build_rve_space(cfg):
-    mesh = mesh_torus(cfg.n_cells, cfg.refine)
-    return P1Space(mesh)
-
-
 def solve_cell(medium, xi_path, delta, time_grid, space=None,
                rule_kind=VON_MISES, newton_rtol=1e-10, cg_rtol=1e-12):
     """Advance one sample's cell problem along the whole strain path.
@@ -167,7 +162,7 @@ def sigma(cfg, xi_path, time_grid, threads=1):
     if cfg.law is None:
         raise ConfigurationError("RveConfig.law must be set")
     time_grid = np.asarray(time_grid, dtype=float)
-    space = build_rve_space(cfg)  # immutable after construction, shareable
+    space = P1Space(mesh_torus(cfg.n_cells, cfg.refine))  # immutable, shareable
     jobs = range(cfg.n_samples)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -30,6 +30,7 @@ from .media import ProbabilityLaw, sample_realization
 from .reporting import ReportTable, emit_report
 
 SQRT2 = np.sqrt(2.0)
+_SECTIONS = ("domain", "mesh", "time", "law", "rve", "bc", "averaging", "korn", "ergodic")
 
 
 def _load_config(path):
@@ -37,11 +38,29 @@ def _load_config(path):
         raise ConfigurationError("--config is required")
     try:
         with open(path, "r", encoding="utf8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config file {path} is not valid JSON: {err}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
+    for name in _SECTIONS:
+        if name in cfg and not isinstance(cfg[name], dict):
+            raise ConfigurationError(f"config section {name!r} must be a JSON object")
+    return cfg
+
+
+def _positive_int(value, name):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def _positive_number(value, name):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise ConfigurationError(f"{name} must be a positive number, got {value!r}")
+    return float(value)
 
 
 def _law(cfg):
@@ -53,8 +72,9 @@ def _law(cfg):
 
 def _time_grid(cfg):
     t = cfg.get("time", {})
-    T, steps = t.get("T", 1.0), t.get("steps", 8)
-    return np.linspace(0.0, float(T), int(steps) + 1)
+    T = _positive_number(t.get("T", 1.0), "time.T")
+    steps = _positive_int(t.get("steps", 8), "time.steps")
+    return np.linspace(0.0, T, steps + 1)
 
 
 def _xi_path(cfg, config_dir):
@@ -75,13 +95,17 @@ def _boundary(cfg, config_dir):
 
 def _domain_mesh(cfg):
     dom = cfg.get("domain", {"type": "unit_right_triangle"})
-    h = cfg.get("mesh", {}).get("h", 0.25)
+    h = _positive_number(cfg.get("mesh", {}).get("h", 0.25), "mesh.h")
     kind = dom.get("type", "unit_right_triangle")
     if kind == "unit_right_triangle":
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         return mesh_simplex(corners, h)
     if kind == "simplex":
-        return mesh_simplex(np.asarray(dom["vertices"], dtype=float), h)
+        try:
+            corners = np.asarray(dom["vertices"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise ConfigurationError("domain.vertices must list three 2-d points") from None
+        return mesh_simplex(corners, h)
     if kind == "unit_square":
         return mesh_unit_square(max(1, round(1.0 / h)))
     raise ConfigurationError(f"unknown domain type {kind!r}")
@@ -101,9 +125,10 @@ def _load_term(cfg):
 
 def _rve(cfg, law, delta, seed):
     r = cfg.get("rve", {})
-    return RveConfig(n_cells=r.get("N", 4), refine=r.get("r", 1),
-                     n_samples=r.get("M", 4), delta=delta, law=law,
-                     base_seed=seed)
+    return RveConfig(n_cells=_positive_int(r.get("N", 4), "rve.N"),
+                     refine=_positive_int(r.get("r", 1), "rve.r"),
+                     n_samples=_positive_int(r.get("M", 4), "rve.M"),
+                     delta=delta, law=law, base_seed=seed)
 
 
 def _stress_columns(prefix):
@@ -164,8 +189,6 @@ def cmd_cell(cfg, args):
     time_grid = _time_grid(cfg)
     rve = _rve(cfg, law, delta, args.seed)
     if args.N or args.r or args.M:
-        from .cellproblem import RveConfig
-
         rve = RveConfig(n_cells=args.N or rve.n_cells,
                         refine=args.r or rve.refine,
                         n_samples=args.M or rve.n_samples,
@@ -289,9 +312,9 @@ def build_parser():
         p.add_argument("--config", required=False, help="JSON run config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="base seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for Monte-Carlo sweeps")
         if name == "cell":
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads for Monte-Carlo sweeps")
             p.add_argument("--N", type=int, help="cells per side (overrides config)")
             p.add_argument("--r", type=int, help="refinements per cell")
             p.add_argument("--M", type=int, help="Monte-Carlo samples")

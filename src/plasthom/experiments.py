@@ -48,12 +48,6 @@ def run_experiment(spec):
 # -- averaging ---------------------------------------------------------
 
 
-def _aligned_simplex_mesh(corners, eps, h_factor):
-    """Refine so that elements are finer than h_factor*eps and, for
-    lattice-aligned right triangles with power-of-two eps, never cut cells."""
-    return mesh_simplex(corners, h_factor * eps)
-
-
 def run_averaging_experiment(spec):
     """Simplex-averaged stresses of oscillating solves against the cell
     operator, swept over eps and seeds.
@@ -90,7 +84,8 @@ def run_averaging_experiment(spec):
     ])
     d_mean = {}
     for eps in epsilons:
-        mesh = _aligned_simplex_mesh(corners, eps, h_factor)
+        # lattice-aligned right triangles with power-of-two eps never cut cells
+        mesh = mesh_simplex(corners, h_factor * eps)
         d_l2_values = []
         rows_this_eps = []
         for seed in seeds:
@@ -173,14 +168,6 @@ def run_korn_check(spec):
 # -- ergodic decay -------------------------------------------------------
 
 
-_STATS = {
-    "E": lambda mp: mp.E,
-    "nu": lambda mp: mp.nu,
-    "sigma_y": lambda mp: mp.yield_stress,
-    "H": lambda mp: mp.hardening_modulus,
-}
-
-
 def run_ergodic_check(spec):
     """Spatial-average error of a scalar statistic against the law mean,
     tabulated over box sizes, with a fitted decay exponent."""
@@ -190,9 +177,11 @@ def run_ergodic_check(spec):
     n_seeds = p.get("n_seeds", 50)
     base_seed = p.get("base_seed", 0)
     stat = p.get("statistic", "E")
-    g = _STATS[stat]
-    expected = {"E": law.E, "nu": law.nu, "sigma_y": law.sigma_y,
-                "H": law.hardening}[stat].mean()
+    marginals = {"E": law.E, "nu": law.nu, "sigma_y": law.sigma_y, "H": law.hardening}
+    if not isinstance(stat, str) or stat not in marginals:
+        raise ConfigurationError(f"unknown ergodic statistic {stat!r}; "
+                                 f"expected one of {sorted(marginals)}")
+    expected = marginals[stat].mean()
 
     table = ReportTable(columns=["L", "seed", "value", "abs_error", "expected"])
     mean_errors = []
@@ -200,7 +189,7 @@ def run_ergodic_check(spec):
         errs = []
         for i in range(n_seeds):
             omega = sample_realization(law, base_seed + i)
-            value = ergodic_average(omega, g, L)
+            value = ergodic_average(omega, lambda params: params[stat], L)
             err = abs(value - expected)
             errs.append(err)
             table.append(L, base_seed + i, value, err, expected)

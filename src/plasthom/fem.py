@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, NumericalError
-from .tensors import SQRT2, SymTensor, mandel_dim, pack
+from .tensors import SQRT2, SymTensor, mandel_dim
 
 DIM = 2
 KDIM = mandel_dim(DIM)
@@ -182,27 +182,6 @@ def mesh_torus(n_cells, refine):
                           periodic_pairs=pairs)
 
 
-def save_mesh(mesh, path):
-    """Plain-text mesh export: one header line, vertex lines, simplex lines."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{mesh.n_vertices} {mesh.n_elements} {len(mesh.boundary_vertices)}\n")
-        for v in mesh.vertices:
-            fh.write(f"{float(v[0])!r} {float(v[1])!r}\n")
-        for t in mesh.simplices:
-            fh.write(f"{t[0]} {t[1]} {t[2]}\n")
-        fh.write(" ".join(str(b) for b in mesh.boundary_vertices) + "\n")
-
-
-def load_mesh(path):
-    with open(path, "r", encoding="ascii") as fh:
-        nv, ne, nb = (int(tok) for tok in fh.readline().split())
-        verts = np.array([[float(t) for t in fh.readline().split()] for _ in range(nv)])
-        tris = np.array([[int(t) for t in fh.readline().split()] for _ in range(ne)])
-        tail = fh.readline().split()
-        boundary = np.array([int(t) for t in tail], dtype=np.int64) if nb else np.array([], dtype=np.int64)
-    return SimplicialMesh(verts, tris, boundary)
-
-
 class P1Space:
     """Vector-valued P1 space with Dirichlet and periodic constraints folded in.
 
@@ -314,20 +293,30 @@ class P1Space:
         return out
 
 
-def pcg(matvec, b, diag, rtol=1e-10, atol=0.0, maxiter=100000, x0=None):
+def pcg(matvec, b, diag, rtol=1e-10, atol=0.0, maxiter=None, x0=None):
     """Jacobi-preconditioned conjugate gradients; deterministic.
 
     ``matvec`` is a callable or a sparse matrix; ``diag`` the preconditioner
-    diagonal.  Raises NumericalError with the residual on non-convergence.
+    diagonal.  ``maxiter`` defaults to 10 times the system size.  Raises
+    NumericalError with the iteration and the residual on a non-finite
+    right-hand side or residual, on a breakdown (p^T A p <= 0, which an SPD
+    operator never shows) and on non-convergence.
     """
     if sp.issparse(matvec):
         A = matvec
         matvec = lambda v: A @ v
     b = np.asarray(b, dtype=float)
-    target = max(rtol * np.linalg.norm(b), atol)
+    if maxiter is None:
+        maxiter = 10 * b.size
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - matvec(x) if x.any() else b.copy()
-    if np.linalg.norm(r) <= target:
+    res = np.linalg.norm(r)
+    norm_b = np.linalg.norm(b)
+    if not np.isfinite(norm_b + res):
+        raise NumericalError("conjugate gradients got a non-finite right-hand side "
+                             "or start at iteration 0", residual=float(res))
+    target = max(rtol * norm_b, atol)
+    if res <= target:
         return x, 0
     inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
     z = inv_diag * r
@@ -335,10 +324,17 @@ def pcg(matvec, b, diag, rtol=1e-10, atol=0.0, maxiter=100000, x0=None):
     rz = r @ z
     for it in range(1, maxiter + 1):
         Ap = matvec(p)
-        alpha = rz / (p @ Ap)
+        pAp = p @ Ap
+        # a non-finite residual reaches p^T A p one iteration later
+        if not pAp > 0:
+            what = "broke down" if np.isfinite(pAp) else "hit a non-finite value"
+            raise NumericalError(f"conjugate gradients {what} at iteration {it}: "
+                                 f"p^T A p = {pAp:.3e}", residual=float(res))
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if np.linalg.norm(r) <= target:
+        res = np.linalg.norm(r)
+        if res <= target:
             return x, it
         z = inv_diag * r
         rz_new = r @ z
@@ -346,7 +342,7 @@ def pcg(matvec, b, diag, rtol=1e-10, atol=0.0, maxiter=100000, x0=None):
         rz = rz_new
     raise NumericalError(
         f"conjugate gradients did not converge in {maxiter} iterations",
-        residual=float(np.linalg.norm(r)),
+        residual=float(res),
     )
 
 
@@ -437,152 +433,3 @@ def element_strain(space, u, k):
     if not 0 <= k < space.mesh.n_elements:
         raise ConfigurationError(f"element index {k} out of range")
     return SymTensor(DIM, space.element_strains(u)[k])
-
-
-# -- H1 Riesz projection ----------------------------------------------
-
-
-def _scalar_h1_matrices(mesh):
-    """Exact P1 stiffness and mass matrices of the scalar H1 product."""
-    ne = mesh.n_elements
-    g = mesh.grads
-    vol = mesh.volumes
-    ke = np.einsum("e,eia,eja->eij", vol, g, g)
-    me = (vol[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-    tri = mesh.simplices
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    n = mesh.n_vertices
-    S = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return S, M
-
-
-def _edge_midpoints(mesh):
-    coords = mesh.vertices[mesh.simplices]          # (ne, 3, 2)
-    return np.stack([0.5 * (coords[:, a] + coords[:, b])
-                     for a, b in ((0, 1), (1, 2), (0, 2))], axis=1)  # (ne, 3, 2)
-
-
-def riesz_project(space, U, grad=None, rtol=1e-14):
-    """H1-orthogonal projection onto the P1 space; idempotent on P1 fields.
-
-    ``U`` is either a nodal array (nv, 2) on the same mesh, a callable
-    U(points) -> (n, 2), or a sequence of such (a time series, projected
-    entry by entry).  For callables the load integrals use the edge-midpoint
-    rule, exact for products of P1 functions; gradients are taken from the
-    optional ``grad`` callable or by central differences.
-    """
-    if isinstance(U, (list, tuple)):
-        return [riesz_project(space, u, grad=grad, rtol=rtol) for u in U]
-    mesh = space.mesh
-    S, M = _scalar_h1_matrices(mesh)
-    A = S + M
-    if callable(U):
-        mids = _edge_midpoints(mesh)                 # (ne, 3, 2)
-        vals = np.stack([np.asarray(U(mids[:, q])) for q in range(3)], axis=1)
-        if grad is not None:
-            gvals = np.stack([np.asarray(grad(mids[:, q])) for q in range(3)], axis=1)
-        else:
-            step = 1e-6
-            gvals = np.empty(vals.shape + (DIM,))
-            for a in range(DIM):
-                dx = np.zeros(DIM)
-                dx[a] = step
-                for q in range(3):
-                    gvals[:, q, :, a] = (np.asarray(U(mids[:, q] + dx))
-                                         - np.asarray(U(mids[:, q] - dx))) / (2 * step)
-        rhs = np.zeros((mesh.n_vertices, DIM))
-        vol = mesh.volumes
-        tri = mesh.simplices
-        # mass part: phi_a is 1/2 on its two adjacent edge midpoints
-        edge_pairs = ((0, 1), (1, 2), (0, 2))
-        for q, (a, b) in enumerate(edge_pairs):
-            w = (vol / 3.0)[:, None] * 0.5 * vals[:, q]
-            np.add.at(rhs, tri[:, a], w)
-            np.add.at(rhs, tri[:, b], w)
-        # stiffness part: mean gradient over midpoints against constant grad phi
-        gmean = gvals.mean(axis=1)                   # (ne, 2, 2)
-        for a in range(3):
-            w = vol[:, None] * np.einsum("ecb,eb->ec", gmean, mesh.grads[:, a])
-            np.add.at(rhs, tri[:, a], w)
-    else:
-        U = np.asarray(U, dtype=float)
-        rhs = A @ U
-    out = np.empty((mesh.n_vertices, DIM))
-    for comp in range(DIM):
-        x, _ = pcg(A, np.ascontiguousarray(rhs[:, comp]), A.diagonal(), rtol=rtol)
-        out[:, comp] = x
-    return out
-
-
-def mesh_covers_offset_interior(mesh, polygon, h, samples=400, seed=0):
-    """Check that points of the polygon at distance >= h from its boundary
-    all lie inside the mesh (grid-conformity of polygonal triangulations).
-
-    Returns True when every sampled interior point is contained in some
-    element, within a small geometric tolerance.
-    """
-    polygon = np.asarray(polygon, dtype=float)
-    rng = np.random.default_rng(seed)
-    lo, hi = polygon.min(axis=0), polygon.max(axis=0)
-    pts = lo + (hi - lo) * rng.random((samples * 4, 2))
-
-    edges = list(zip(polygon, np.roll(polygon, -1, axis=0)))
-
-    def inside_polygon(p):
-        sign = None
-        for a, b in edges:
-            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            if sign is None:
-                sign = cross >= 0
-            elif (cross >= 0) != sign:
-                return False
-        return True
-
-    def boundary_distance(p):
-        dist = np.inf
-        for a, b in edges:
-            ab = b - a
-            t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
-            dist = min(dist, np.linalg.norm(p - (a + t * ab)))
-        return dist
-
-    candidates = [p for p in pts if inside_polygon(p) and boundary_distance(p) >= h]
-    candidates = candidates[:samples]
-
-    coords = mesh.vertices[mesh.simplices]
-    for p in candidates:
-        d = p[None, :] - coords[:, 0, :]
-        e1 = coords[:, 1, :] - coords[:, 0, :]
-        e2 = coords[:, 2, :] - coords[:, 0, :]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        lam1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
-        lam2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
-        hit = (lam1 >= -1e-12) & (lam2 >= -1e-12) & (lam1 + lam2 <= 1 + 1e-12)
-        if not hit.any():
-            return False
-    return True
-
-
-def lanczos_smallest_ritz(A, steps=20, seed=0):
-    """Smallest Ritz value of a symmetric operator after a few Lanczos steps."""
-    rng = np.random.default_rng(seed)
-    n = A.shape[0]
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    alphas, betas = [], []
-    q_prev = np.zeros(n)
-    beta = 0.0
-    for _ in range(min(steps, n)):
-        w = A @ q - beta * q_prev
-        alpha = q @ w
-        w -= alpha * q
-        beta = np.linalg.norm(w)
-        alphas.append(alpha)
-        betas.append(beta)
-        if beta < 1e-14:
-            break
-        q_prev, q = q, w / beta
-    T = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-    return float(np.linalg.eigvalsh(T).min())

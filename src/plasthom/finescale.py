@@ -115,24 +115,20 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, kind,
 
     free = space.free_dofs
 
-    def evaluate(tangent):
+    def evaluate():
         strains = strain_offset + space.element_strains(space.unpack_field(u))
-        z, p_new, moduli = plastic_step(strains, p_old, mats, dt, delta, kind,
-                                        tangent=tangent)
+        z, p_new, moduli = plastic_step(strains, p_old, mats, dt, delta, kind)
         f_int = space.internal_forces(z)
         res = np.linalg.norm((f_ext - f_int)[free])
         return z, p_new, moduli, f_int, res
 
+    z, p_new, moduli, f_int, res_norm = evaluate()
     # roundoff floor: force scale assembled without cancellation
-    strains0 = strain_offset + space.element_strains(space.unpack_field(u))
-    z0, _, _ = plastic_step(strains0, p_old, mats, dt, delta, kind, tangent=False)
     contrib = np.einsum("e,eki,ek->ei", np.abs(space.mesh.volumes),
-                        np.abs(space.B), np.abs(z0))
+                        np.abs(space.B), np.abs(z))
     floor = 1e-14 * (np.linalg.norm(np.bincount(
         space.element_dofs.ravel(), weights=contrib.ravel(),
         minlength=space.n_packed)[free]) + np.linalg.norm(f_ext[free]))
-
-    z, p_new, moduli, f_int, res_norm = evaluate(tangent=True)
     denom = max(res_norm, np.linalg.norm(f_ext[free]))
     for it in range(maxiter):
         if res_norm <= rtol * denom + floor:
@@ -145,19 +141,13 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, kind,
             du, _ = pcg(Aff, (f_ext - f_int)[free], Aff.diagonal(), rtol=cg_rtol)
         alpha, reduced = 1.0, False
         for _ in range(11):
-            if periodic:
-                u += alpha * du
-            else:
-                u[free] += alpha * du
-            z_try, p_try, moduli_try, f_try, res_try = evaluate(tangent=True)
+            u[free] += alpha * du
+            z_try, p_try, moduli_try, f_try, res_try = evaluate()
             if res_try < res_norm or res_try <= rtol * denom + floor:
                 z, p_new, moduli, f_int, res_norm = z_try, p_try, moduli_try, f_try, res_try
                 reduced = True
                 break
-            if periodic:
-                u -= alpha * du
-            else:
-                u[free] -= alpha * du
+            u[free] -= alpha * du
             alpha *= 0.5
         if not reduced:
             raise NumericalError(

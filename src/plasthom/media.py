@@ -104,13 +104,18 @@ class Distribution:
         if not isinstance(spec, dict) or len(spec) != 1:
             raise ConfigurationError(f"bad distribution spec {spec!r}")
         (key, val), = spec.items()
-        if key == "point":
-            return cls.point(val)
-        if key == "uniform":
-            return cls.uniform(*val)
-        if key == "discrete":
+        if key not in ("point", "uniform", "discrete"):
+            raise ConfigurationError(f"unknown distribution kind {key!r}")
+        try:
+            if key == "point":
+                return cls.point(val)
+            if key == "uniform":
+                return cls.uniform(*val)
             return cls.discrete(val["values"], val.get("weights"))
-        raise ConfigurationError(f"unknown distribution kind {key!r}")
+        except ConfigurationError:
+            raise
+        except (TypeError, ValueError, KeyError, AttributeError):
+            raise ConfigurationError(f"bad {key} distribution spec {val!r}") from None
 
     def sample(self, u):
         """Map uniform [0,1) draws to values (inverse transform)."""
@@ -289,30 +294,20 @@ def shifted(omega, y):
     return replace(omega, translation=omega.translation + y)
 
 
-_material_cache = {}
-
-
-def _material_point(E, nu, sigma_y, H, dim):
-    key = (round(float(E), 14), round(float(nu), 14),
-           round(float(sigma_y), 14), round(float(H), 14), dim)
-    mp = _material_cache.get(key)
-    if mp is None:
-        mp = MaterialPoint.from_parameters(E, nu, sigma_y, H, dim=dim)
-        if len(_material_cache) < 4096:
-            _material_cache[key] = mp
-    return mp
-
-
 def evaluate(omega, x, eps=1.0):
     """MaterialPoint of the checkerboard cell containing x at scale eps."""
     params = omega.parameters_at(np.asarray(x, dtype=float)[None, :], eps)
-    return _material_point(params["E"][0], params["nu"][0],
-                           params["sigma_y"][0], params["H"][0], omega.dim)
+    return MaterialPoint.from_parameters(params["E"][0], params["nu"][0],
+                                         params["sigma_y"][0], params["H"][0],
+                                         dim=omega.dim)
 
 
 def ergodic_average(omega, g, L):
-    """Exact volume average of g(material) over the box [-L, L]^d at scale 1.
+    """Exact volume average of a cell statistic over the box [-L, L]^d at scale 1.
 
+    ``g`` receives the parameter dict of ``ProbabilityLaw.cell_parameters``
+    (arrays ``E``, ``nu``, ``sigma_y`` and ``H``, one entry per cell) and
+    returns the statistic per cell; a scalar is broadcast to every cell.
     The field is piecewise constant on shifted unit cells, so the integral
     is a finite sum over cells weighted by the overlap volume with the box
     (cut cells included exactly).
@@ -333,11 +328,7 @@ def ergodic_average(omega, g, L):
     wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
     weights = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
     params = omega.law.cell_parameters(omega.seed, cells)
-    values = np.array([
-        g(_material_point(params["E"][i], params["nu"][i],
-                          params["sigma_y"][i], params["H"][i], d))
-        for i in range(cells.shape[0])
-    ])
+    values = np.broadcast_to(np.asarray(g(params), dtype=float), weights.shape)
     return float(np.dot(weights, values) / (2.0 * L) ** d)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .flowrules import NORM_TYPE, VON_MISES
-from .tensors import deviatoric, dev_projector, mandel_dim
+from .tensors import deviatoric, dev_projector, lame_parameters, sph_projector
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class MaterialArrays:
     def from_parameters(cls, E, nu, sigma_y, hardening, dim=2):
         E = np.atleast_1d(np.asarray(E, dtype=float))
         nu = np.atleast_1d(np.asarray(nu, dtype=float))
-        lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-        mu = E / (2.0 * (1.0 + nu))
+        lam, mu = lame_parameters(E, nu)
         return cls(
             a_vol=dim * lam + 2.0 * mu,
             a_dev=2.0 * mu,
@@ -61,12 +60,8 @@ class MaterialArrays:
 
     def stiffness_moduli(self):
         """Dense Mandel stiffness matrices per element, shape (n, k, k)."""
-        k = mandel_dim(self.dim)
-        e = np.zeros(k)
-        e[: self.dim] = 1.0
-        sph = np.outer(e, e) / self.dim
-        dev = np.eye(k) - sph
-        return self.a_vol[:, None, None] * sph + self.a_dev[:, None, None] * dev
+        return (self.a_vol[:, None, None] * sph_projector(self.dim)
+                + self.a_dev[:, None, None] * dev_projector(self.dim))
 
     def apply_stiffness(self, comps):
         sph = np.zeros_like(comps)
@@ -79,12 +74,6 @@ class MaterialArrays:
         tr = comps[..., : self.dim].sum(axis=-1) / self.dim
         sph[..., : self.dim] = tr[..., None]
         return sph / self.a_vol[:, None] + (comps - sph) / self.a_dev[:, None]
-
-    @classmethod
-    def elastic_limit(cls, other, big=1e9):
-        """Same elasticity with an unreachable yield surface (elastic solve)."""
-        return cls(other.a_vol, other.a_dev, other.hardening,
-                   np.full_like(other.yield_stress, big), dim=other.dim)
 
 
 def _flow_increment(kind, s_trial, c_ratio, dt, delta, sigma_y):
@@ -141,10 +130,7 @@ def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES, tangent=True)
     if not tangent:
         return z, p_new, None
 
-    k = mandel_dim(d)
-    e = np.zeros(k)
-    e[:d] = 1.0
-    sph_proj = np.outer(e, e) / d
+    sph_proj = sph_projector(d)
     dev_proj = dev_projector(d)
     moduli = (mats.a_vol[:, None, None] * sph_proj
               + mats.a_dev[:, None, None] * dev_proj)

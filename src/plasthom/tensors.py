@@ -86,19 +86,6 @@ def deviatoric(comps, dim):
     return out
 
 
-def spherical(comps, dim):
-    """Spherical (hydrostatic) part, (tr s / d) * Id."""
-    comps = np.asarray(comps, dtype=float)
-    out = np.zeros_like(comps)
-    out[..., :dim] = trace_of(comps, dim)[..., None] / dim
-    return out
-
-
-def dev_norm(comps, dim):
-    """Frobenius norm of the deviatoric part."""
-    return np.linalg.norm(deviatoric(comps, dim), axis=-1)
-
-
 def sph_projector(dim):
     """Mandel matrix of the projector onto hydrostatic tensors."""
     e = identity_comps(dim)
@@ -234,10 +221,6 @@ class FourthOrderMap:
                 f"dimension mismatch: map is {self.dim}-d, tensor is {s.dim}-d"
             )
         return SymTensor(self.dim, self.matrix @ s.comps)
-
-    def apply_comps(self, comps):
-        """Apply to batched Mandel components (..., k)."""
-        return np.asarray(comps) @ self.matrix.T
 
     def eigenvalues(self):
         return np.linalg.eigvalsh(self.matrix)

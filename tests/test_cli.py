@@ -126,3 +126,36 @@ class TestExitCodes:
         path = out / "broken.json"
         path.write_text(json.dumps(broken))
         assert main(["eps", "--config", str(path), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("command, key, value", [
+        pytest.param("cell", "law.E", {"uniform": 5}, id="uniform-not-a-pair"),
+        pytest.param("cell", "time.steps", "x", id="steps-not-a-number"),
+        pytest.param("cell", "time.steps", 0, id="zero-steps"),
+        pytest.param("cell", "law", [1, 2], id="law-not-an-object"),
+        pytest.param("cell", "rve.N", "a", id="rve-N-not-a-number"),
+        pytest.param("ergodic", "ergodic.statistic", "foo", id="unknown-statistic"),
+        pytest.param("eps", "domain", "square", id="domain-not-an-object"),
+        pytest.param("cell", None, [1, 2], id="top-level-list"),
+    ])
+    def test_malformed_config_is_configuration_error(self, run_dir, capsys,
+                                                     command, key, value):
+        out, cfg = run_dir
+        bad = json.loads(cfg.read_text())
+        if key is None:
+            bad = value
+        else:
+            *parents, leaf = key.split(".")
+            section = bad
+            for name in parents:
+                section = section[name]
+            section[leaf] = value
+        path = out / "malformed.json"
+        path.write_text(json.dumps(bad))
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_threads_is_only_accepted_by_cell(self, run_dir):
+        out, cfg = run_dir
+        with pytest.raises(SystemExit) as exit_info:
+            main(["korn", "--config", str(cfg), "--out", str(out), "--threads", "2"])
+        assert exit_info.value.code == 2

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
-from plasthom.errors import ConfigurationError
+from plasthom.errors import ConfigurationError, NumericalError
 from plasthom.fem import (
     P1Space,
     element_strain,
-    lanczos_smallest_ritz,
-    load_mesh,
     mesh_simplex,
     mesh_torus,
     mesh_unit_square,
-    riesz_project,
-    save_mesh,
+    pcg,
     solve_elastic,
 )
 from plasthom.tensors import isotropic_stiffness, pack
@@ -172,7 +171,7 @@ class TestSolveElastic:
         A = isotropic_stiffness(1.0, 0.3, 2)
         op = space.assemble_operator(np.broadcast_to(A.matrix, (mesh.n_elements, 3, 3)))
         Aff = op[space.free_dofs][:, space.free_dofs]
-        assert lanczos_smallest_ritz(Aff, steps=20) > 0.0
+        assert eigsh(Aff.tocsc(), k=1, sigma=-1e-9, return_eigenvectors=False)[0] > 0.0
 
     def test_heterogeneous_stiffness_field_callable(self):
         mesh = mesh_unit_square(4)
@@ -192,82 +191,28 @@ class TestPeriodicAssembly:
         op = space.assemble_operator(np.broadcast_to(A.matrix, (mesh.n_elements, 3, 3)))
         for v in space.translation_vectors():
             assert np.abs(op @ v).max() < 1e-12
-        from scipy.sparse.linalg import eigsh
-
         vals = eigsh(op.tocsc(), k=3, sigma=-1e-9, return_eigenvectors=False)
         vals = np.sort(vals)
         assert np.abs(vals[:2]).max() < 1e-10  # two translation modes
         assert vals[2] > 1e-6                  # and nothing else
 
 
-class TestRieszProjection:
-    def test_idempotent_on_nodal_fields(self):
-        mesh = mesh_unit_square(6)
-        space = P1Space(mesh, dirichlet_vertices=[])
-        rng = np.random.default_rng(30)
-        u = rng.standard_normal((mesh.n_vertices, 2))
-        assert np.abs(riesz_project(space, u) - u).max() < 1e-12
+class TestPcgFailures:
+    def test_nan_rhs_raises(self):
+        with pytest.raises(NumericalError, match="iteration 0") as err:
+            pcg(sp.identity(3, format="csr"), np.array([1.0, np.nan, 0.0]), np.ones(3))
+        assert np.isnan(err.value.residual)
 
-    def test_affine_callable_reproduced(self):
-        mesh = mesh_unit_square(6)
-        space = P1Space(mesh, dirichlet_vertices=[])
-        xi = np.array([[0.3, 0.1], [0.1, -0.2]])
-        grad = lambda pts: np.broadcast_to(xi, (len(pts), 2, 2))
-        out = riesz_project(space, lambda pts: pts @ xi.T, grad=grad)
-        assert np.abs(out - mesh.vertices @ xi.T).max() < 1e-10
+    def test_indefinite_operator_breaks_down(self):
+        A = sp.diags([1.0, -1.0], format="csr")
+        with pytest.raises(NumericalError, match="iteration 1") as err:
+            pcg(A, np.ones(2), A.diagonal())
+        assert err.value.residual == pytest.approx(np.sqrt(2.0))
 
-    def test_h1_error_decreases_under_refinement(self):
-        target = lambda pts: np.stack([np.sin(np.pi * pts[:, 0]),
-                                       np.zeros(len(pts))], axis=-1)
-        errors = []
-        for n in (4, 8, 16):
-            mesh = mesh_unit_square(n)
-            space = P1Space(mesh, dirichlet_vertices=[])
-            out = riesz_project(space, target)
-            diff = out - target(mesh.vertices)
-            strains = space.element_strains(diff)
-            err = np.sqrt(np.einsum("e,ek,ek->", mesh.volumes, strains, strains)
-                          + np.einsum("e,ek->", mesh.volumes,
-                                      diff[mesh.simplices].mean(axis=1) ** 2))
-            errors.append(err)
-        assert errors[0] > errors[1] > errors[2]
-
-    def test_time_series_projection(self):
-        mesh = mesh_unit_square(3)
-        space = P1Space(mesh, dirichlet_vertices=[])
-        series = [np.zeros((mesh.n_vertices, 2)),
-                  0.1 * mesh.vertices, 0.2 * mesh.vertices]
-        out = riesz_project(space, series)
-        assert len(out) == 3
-        assert np.abs(out[2] - series[2]).max() < 1e-11
-
-
-class TestGridConformity:
-    def test_exactly_meshed_polygons_cover_their_interior(self):
-        from plasthom.fem import mesh_covers_offset_interior
-
-        tri = UNIT_TRIANGLE
-        mesh = mesh_simplex(tri, 0.3)
-        assert mesh_covers_offset_interior(mesh, tri, h=0.3)
-
-        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        assert mesh_covers_offset_interior(mesh_unit_square(4), square, h=0.25)
-
-    def test_detects_missing_coverage(self):
-        from plasthom.fem import mesh_covers_offset_interior
-
-        # a mesh of the left half cannot cover the full square's interior
-        half = mesh_simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 0.4)
-        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        assert not mesh_covers_offset_interior(half, square, h=0.05)
-
-
-class TestMeshIO:
-    def test_round_trip(self, tmp_path):
-        mesh = mesh_simplex(UNIT_TRIANGLE, 0.6)
-        path = tmp_path / "mesh.txt"
-        save_mesh(mesh, path)
-        back = load_mesh(path)
-        assert np.array_equal(back.vertices, mesh.vertices)
-        assert np.array_equal(back.simplices, mesh.simplices)
-        assert np.array_equal(back.boundary_vertices, mesh.boundary_vertices)
+    def test_exhausted_budget_raises(self):
+        n = 32
+        A = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1], format="csr")
+        with pytest.raises(NumericalError, match="in 4 iterations") as err:
+            pcg(A, np.ones(n), A.diagonal(), maxiter=4)
+        assert err.value.residual > 1e-10 * np.sqrt(n)

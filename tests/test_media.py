@@ -178,7 +178,7 @@ class TestErgodicAverage:
     def test_point_mass_law_is_exact(self):
         law = ProbabilityLaw.constant(2.0, 0.25, 0.7)
         for L in (1, 4, 16):
-            avg = ergodic_average(sample_realization(law, 3), lambda m: m.E, L)
+            avg = ergodic_average(sample_realization(law, 3), lambda params: params["E"], L)
             assert avg == pytest.approx(2.0, abs=1e-12)
 
     def test_binomial_concentration(self):
@@ -188,7 +188,8 @@ class TestErgodicAverage:
         bound = 3.0 * 0.5 / np.sqrt((2 * L) ** 2)
         hits = 0
         for seed in range(100):
-            avg = ergodic_average(sample_realization(law, seed), lambda m: m.E, L)
+            avg = ergodic_average(sample_realization(law, seed),
+                                  lambda params: params["E"], L)
             hits += abs(avg - 1.5) <= bound
         assert hits >= 99
 
@@ -197,7 +198,7 @@ class TestErgodicAverage:
         errors = []
         for L in (8, 16, 32):
             errs = [abs(ergodic_average(sample_realization(law, 500 + s),
-                                        lambda m: m.E, L) - 1.5)
+                                        lambda params: params["E"], L) - 1.5)
                     for s in range(40)]
             errors.append(np.mean(errs))
         # each doubling should divide the error by about 2^(d/2) = 2
@@ -208,12 +209,13 @@ class TestErgodicAverage:
         # averaging the constant 1 gives exactly 1 regardless of the shift
         law = two_point_law()
         for seed in range(5):
-            avg = ergodic_average(sample_realization(law, seed), lambda m: 1.0, 3)
+            avg = ergodic_average(sample_realization(law, seed), lambda params: 1.0, 3)
             assert avg == pytest.approx(1.0, abs=1e-13)
 
     def test_small_box_rejected(self):
         with pytest.raises(ConfigurationError):
-            ergodic_average(sample_realization(two_point_law(), 0), lambda m: 1.0, 0.5)
+            ergodic_average(sample_realization(two_point_law(), 0),
+                            lambda params: 1.0, 0.5)
 
 
 class TestMeasurePreservationProxy:
