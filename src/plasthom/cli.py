@@ -58,9 +58,15 @@ def _positive_int(value, name):
 
 
 def _positive_number(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-        raise ConfigurationError(f"{name} must be a positive number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value < np.inf:
+        raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
+
+
+def _delta(cfg, override=None):
+    return _positive_number(cfg.get("delta", 1e-2) if override is None else override,
+                            "delta")
 
 
 def _law(cfg):
@@ -123,8 +129,9 @@ def _load_term(cfg):
     return load
 
 
-def _rve(cfg, law, delta, seed):
-    r = cfg.get("rve", {})
+def _rve(cfg, law, delta, seed, overrides=None):
+    r = dict(cfg.get("rve", {}))
+    r.update({key: value for key, value in (overrides or {}).items() if value is not None})
     return RveConfig(n_cells=_positive_int(r.get("N", 4), "rve.N"),
                      refine=_positive_int(r.get("r", 1), "rve.r"),
                      n_samples=_positive_int(r.get("M", 4), "rve.M"),
@@ -149,13 +156,14 @@ def _write_series(out_dir, name, times, mandel_series, extra_cols=(), extra_vals
 
 def cmd_eps(cfg, args):
     law = _law(cfg)
-    delta = float(cfg.get("delta", 1e-2))
+    delta = _delta(cfg)
     boundary, _ = _boundary(cfg, os.path.dirname(os.path.abspath(args.config)))
     mesh = _domain_mesh(cfg)
     medium = sample_realization(law, args.seed,
                                 zero_shift=cfg.get("zero_shift", False))
     config = EpsProblemConfig(
-        mesh=mesh, medium=medium, epsilon=float(cfg.get("epsilon", 0.25)),
+        mesh=mesh, medium=medium,
+        epsilon=_positive_number(cfg.get("epsilon", 0.25), "epsilon"),
         delta=delta, time_grid=_time_grid(cfg), dirichlet=boundary,
         load=_load_term(cfg),
     )
@@ -184,15 +192,10 @@ def cmd_eps(cfg, args):
 
 def cmd_cell(cfg, args):
     law = _law(cfg)
-    delta = args.delta if args.delta is not None else float(cfg.get("delta", 1e-2))
+    delta = _delta(cfg, args.delta)
     boundary, xi = _boundary(cfg, os.path.dirname(os.path.abspath(args.config)))
     time_grid = _time_grid(cfg)
-    rve = _rve(cfg, law, delta, args.seed)
-    if args.N or args.r or args.M:
-        rve = RveConfig(n_cells=args.N or rve.n_cells,
-                        refine=args.r or rve.refine,
-                        n_samples=args.M or rve.n_samples,
-                        delta=delta, law=law, base_seed=args.seed)
+    rve = _rve(cfg, law, delta, args.seed, {"N": args.N, "r": args.r, "M": args.M})
     result = sigma(rve, xi, time_grid, threads=args.threads)
     table = ReportTable(
         columns=["t"] + _stress_columns("sigma") + _stress_columns("pi")
@@ -215,7 +218,7 @@ def cmd_cell(cfg, args):
 
 def cmd_macro(cfg, args):
     law = _law(cfg)
-    delta = float(cfg.get("delta", 1e-2))
+    delta = _delta(cfg)
     boundary, _ = _boundary(cfg, os.path.dirname(os.path.abspath(args.config)))
     mesh = _domain_mesh(cfg)
     rve = _rve(cfg, law, delta, args.seed)
@@ -234,7 +237,7 @@ def cmd_macro(cfg, args):
 
 def cmd_average(cfg, args):
     law = _law(cfg)
-    delta = float(cfg.get("delta", 1e-2))
+    delta = _delta(cfg)
     _, xi = _boundary(cfg, os.path.dirname(os.path.abspath(args.config)))
     avg = cfg.get("averaging", {})
     spec = ExperimentSpec(kind="averaging", params={

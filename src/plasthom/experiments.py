@@ -168,13 +168,25 @@ def run_korn_check(spec):
 # -- ergodic decay -------------------------------------------------------
 
 
+def _positive_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 def run_ergodic_check(spec):
     """Spatial-average error of a scalar statistic against the law mean,
     tabulated over box sizes, with a fitted decay exponent."""
     p = spec.params
     law = p["law"]
-    L_values = list(p.get("L_values", (8, 16, 32)))
+    L_values = p.get("L_values", (8, 16, 32))
     n_seeds = p.get("n_seeds", 50)
+    if not isinstance(L_values, (list, tuple)) or not L_values \
+            or not all(_positive_int(L) for L in L_values):
+        raise ConfigurationError(f"ergodic L_values must be a non-empty list of "
+                                 f"positive integers, got {L_values!r}")
+    if not _positive_int(n_seeds):
+        raise ConfigurationError(f"ergodic n_seeds must be a positive integer, "
+                                 f"got {n_seeds!r}")
+    L_values = list(L_values)
     base_seed = p.get("base_seed", 0)
     stat = p.get("statistic", "E")
     marginals = {"E": law.E, "nu": law.nu, "sigma_y": law.sigma_y, "H": law.hardening}

@@ -6,10 +6,17 @@ fields; strains are element-wise constant, so one-point (barycenter)
 quadrature is exact for stiffness and internal-force integrals with
 element-wise constant coefficients.
 
-Linear systems are solved with Jacobi-preconditioned conjugate gradients,
-which is deterministic and matrix-free friendly.  Periodic problems carry a
-d-dimensional translation kernel that is removed by a symmetric rank-d
-correction instead of pinning a vertex.
+Assembly scatters batched element stiffnesses into a CSR pattern that each
+space builds once.  Linear systems are solved with preconditioned conjugate
+gradients, which is deterministic: Dirichlet systems with the Jacobi
+preconditioner, periodic systems on the uniform torus grid with the exact
+inverse of the translation average of the operator itself, a
+block-circulant matrix diagonalized by the discrete Fourier transform
+(a reference medium in the sense of Moulinec and Suquet).  Its iteration
+count is bounded by the phase contrast and does not grow with the grid.
+The translation kernel of periodic problems is projected out of the
+right-hand side, and the preconditioner zeroes the k = 0 mode, so the
+solution is the zero-mean representative.
 """
 
 from dataclasses import dataclass, field
@@ -38,6 +45,7 @@ class SimplicialMesh:
     boundary_vertices: np.ndarray  # (nb,) int
     periodic_pairs: dict = field(default_factory=dict)
     h: float = 0.0
+    grid_size: int = 0            # m of an m x m torus grid from mesh_torus, else 0
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -165,7 +173,8 @@ def mesh_torus(n_cells, refine):
 
     Every element lies inside exactly one integer lattice cell.  Opposite
     faces are identified through ``periodic_pairs``; the duplicated boundary
-    vertices keep their geometric coordinates.
+    vertices keep their geometric coordinates.  The master of grid vertex
+    (i, j) is the (i * m + j)-th master, m = N * r being ``grid_size``.
     """
     if n_cells < 1 or refine < 1:
         raise ConfigurationError(f"need N >= 1 and r >= 1, got N={n_cells}, r={refine}")
@@ -179,7 +188,7 @@ def mesh_torus(n_cells, refine):
             if (wi, wj) != (i, j):
                 pairs[vid(i, j)] = vid(wi, wj)
     return SimplicialMesh(verts, tris, np.asarray([], dtype=np.int64),
-                          periodic_pairs=pairs)
+                          periodic_pairs=pairs, grid_size=m)
 
 
 class P1Space:
@@ -228,6 +237,34 @@ class P1Space:
         B[:, 2, 0::2] = g[:, :, 1] / SQRT2
         B[:, 2, 1::2] = g[:, :, 0] / SQRT2
         self.B = B
+        self._BtV = np.swapaxes(B, 1, 2) * mesh.volumes[:, None, None]
+
+        # CSR pattern of the stiffness: element entry -> nonzero, and the
+        # nonzero of each transposed entry; shared, read-only index arrays
+        n = self.n_packed
+        rows = np.repeat(self.element_dofs, 3 * DIM, axis=1).ravel()
+        cols = np.tile(self.element_dofs, (1, 3 * DIM)).ravel()
+        keys, self._scatter = np.unique(rows * n + cols, return_inverse=True)
+        key_rows, key_cols = np.divmod(keys, n)
+        self._transpose = np.searchsorted(keys, key_cols * n + key_rows)
+        idx = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
+        self._indices = key_cols.astype(idx)
+        self._indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(key_rows, minlength=n))]).astype(idx)
+        self._indices.flags.writeable = False
+        self._indptr.flags.writeable = False
+
+        # torus grid: lattice offset and dof components of every nonzero,
+        # and the DFT matrix F[k, x] = exp(-2 pi i k x / m)
+        m = mesh.grid_size
+        if m:
+            gi, gj = np.divmod(np.arange(n) // DIM, m)
+            di = (gi[key_cols] - gi[key_rows]) % m
+            dj = (gj[key_cols] - gj[key_rows]) % m
+            self._lattice_offset = ((di * m + dj) * DIM + key_rows % DIM) * DIM \
+                + key_cols % DIM
+            k = np.arange(m)
+            self._dft = np.exp(-2j * np.pi * (np.outer(k, k) % m) / m)
 
     # -- field packing -------------------------------------------------
 
@@ -258,17 +295,21 @@ class P1Space:
     # -- assembly ------------------------------------------------------
 
     def assemble_operator(self, moduli):
-        """Stiffness CSR over all packed dofs from (ne, 3, 3) Mandel moduli."""
-        vol = self.mesh.volumes
-        ke = np.einsum("e,eki,ekl,elj->eij", vol, self.B, moduli, self.B)
-        rows = np.repeat(self.element_dofs, 3 * DIM, axis=1).ravel()
-        cols = np.tile(self.element_dofs, (1, 3 * DIM)).ravel()
-        A = sp.coo_matrix((ke.ravel(), (rows, cols)),
-                          shape=(self.n_packed, self.n_packed)).tocsr()
-        scale = max(abs(A).max(), np.finfo(float).tiny)
-        if abs(A - A.T).max() > 1e-12 * scale:
-            raise NumericalError("assembled operator lost symmetry")
-        return A
+        """Stiffness CSR over all packed dofs from (ne, 3, 3) Mandel moduli.
+
+        The moduli must be symmetric; the operator is then symmetric bit for
+        bit, because each nonzero is averaged with its transposed partner.
+        """
+        moduli = np.asarray(moduli, dtype=float)
+        scale = max(np.abs(moduli).max(initial=0.0), np.finfo(float).tiny)
+        if np.abs(moduli - np.swapaxes(moduli, 1, 2)).max(initial=0.0) > 1e-12 * scale:
+            raise NumericalError("element moduli lost symmetry")
+        ke = self._BtV @ (moduli @ self.B)                        # (ne, 6, 6)
+        data = np.bincount(self._scatter, weights=ke.ravel(),
+                           minlength=self._indices.size)
+        data = 0.5 * (data + data[self._transpose])
+        return sp.csr_matrix((data, self._indices, self._indptr),
+                             shape=(self.n_packed, self.n_packed))
 
     def internal_forces(self, stresses):
         """Packed nodal forces of element stresses: sum_e vol_e B_e^T z_e."""
@@ -293,37 +334,76 @@ class P1Space:
         return out
 
 
-def pcg(matvec, b, diag, rtol=1e-10, atol=0.0, maxiter=None, x0=None):
-    """Jacobi-preconditioned conjugate gradients; deterministic.
+def jacobi(A):
+    """Jacobi preconditioner r -> r / diag(A); non-positive diagonal entries act as 1."""
+    diag = A.diagonal()
+    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
+    return lambda r: inv_diag * r
 
-    ``matvec`` is a callable or a sparse matrix; ``diag`` the preconditioner
-    diagonal.  ``maxiter`` defaults to 10 times the system size.  Raises
+
+def reference_preconditioner(space, A):
+    """Exact inverse of the translation average of a torus-grid operator.
+
+    ``A`` is assembled by ``space.assemble_operator`` on a ``mesh_torus``
+    grid of m x m vertices.  Averaging A over the m^2 lattice translations
+    gives a block-circulant operator, whose DFT is a Hermitian 2 x 2 symbol
+    per wavevector k.  The returned map r -> z inverts the symbol in closed
+    form and zeroes the k = 0 (translation) mode.  It applies the transforms
+    as dense m x m DFT matrices, which beats ``numpy.fft`` at the grid sizes
+    of cell problems.
+    """
+    m = space.mesh.grid_size
+    if not m:
+        raise ConfigurationError("the reference preconditioner needs a mesh_torus grid")
+    F = space._dft
+    Fc = F.conj()
+    kernel = np.bincount(space._lattice_offset, weights=A.data, minlength=m * m * DIM * DIM)
+    kernel = kernel.reshape(m, m, DIM, DIM).transpose(2, 3, 0, 1) / m**2
+    # symbol S(k) = sum_d K(d) exp(2 pi i k.d / m); its (1, 0) block is conj(S01)
+    s00 = (Fc @ kernel[0, 0] @ Fc).real
+    s11 = (Fc @ kernel[1, 1] @ Fc).real
+    s01 = Fc @ kernel[0, 1] @ Fc
+    det = s00 * s11 - np.abs(s01) ** 2
+    det[0, 0] = np.inf                       # zero the translation mode
+    det *= m**2                              # and fold in the inverse DFT's 1/m^2
+    i00, i11, i01 = s11 / det, s00 / det, -s01 / det
+    i10 = i01.conj()
+
+    def apply(r):
+        w = F @ r.reshape(m, m, DIM).transpose(2, 0, 1) @ F
+        z = np.stack([i00 * w[0] + i01 * w[1], i10 * w[0] + i11 * w[1]])
+        return (Fc @ z @ Fc).real.transpose(1, 2, 0).ravel()
+
+    return apply
+
+
+def pcg(A, b, precond, rtol=1e-10, maxiter=None):
+    """Preconditioned conjugate gradients from a zero start; deterministic.
+
+    ``A`` is a symmetric sparse matrix and ``precond`` a symmetric positive
+    (semi)definite map r -> z, e.g. ``jacobi(A)``.  ``maxiter`` defaults to
+    10 times the system size.  Returns (x, iterations).  Raises
     NumericalError with the iteration and the residual on a non-finite
     right-hand side or residual, on a breakdown (p^T A p <= 0, which an SPD
     operator never shows) and on non-convergence.
     """
-    if sp.issparse(matvec):
-        A = matvec
-        matvec = lambda v: A @ v
     b = np.asarray(b, dtype=float)
     if maxiter is None:
         maxiter = 10 * b.size
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - matvec(x) if x.any() else b.copy()
-    res = np.linalg.norm(r)
-    norm_b = np.linalg.norm(b)
-    if not np.isfinite(norm_b + res):
+    x = np.zeros_like(b)
+    r = b.copy()
+    res = norm_b = np.linalg.norm(b)
+    if not np.isfinite(norm_b):
         raise NumericalError("conjugate gradients got a non-finite right-hand side "
-                             "or start at iteration 0", residual=float(res))
-    target = max(rtol * norm_b, atol)
+                             "at iteration 0", residual=float(res))
+    target = rtol * norm_b
     if res <= target:
         return x, 0
-    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
-    z = inv_diag * r
+    z = precond(r)
     p = z.copy()
     rz = r @ z
     for it in range(1, maxiter + 1):
-        Ap = matvec(p)
+        Ap = A @ p
         pAp = p @ Ap
         # a non-finite residual reaches p^T A p one iteration later
         if not pAp > 0:
@@ -336,7 +416,7 @@ def pcg(matvec, b, diag, rtol=1e-10, atol=0.0, maxiter=None, x0=None):
         res = np.linalg.norm(r)
         if res <= target:
             return x, it
-        z = inv_diag * r
+        z = precond(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -346,7 +426,7 @@ def pcg(matvec, b, diag, rtol=1e-10, atol=0.0, maxiter=None, x0=None):
     )
 
 
-def solve_constrained(space, A, rhs, dirichlet_values, rtol=1e-10, x0=None):
+def solve_constrained(space, A, rhs, dirichlet_values, rtol=1e-10):
     """Solve A u = rhs with Dirichlet values imposed on constrained dofs.
 
     ``dirichlet_values`` is a full nodal field carrying the boundary data;
@@ -358,32 +438,25 @@ def solve_constrained(space, A, rhs, dirichlet_values, rtol=1e-10, x0=None):
     rows = A[free]
     b = rhs[free] - rows[:, fixed] @ u[fixed]
     Aff = rows[:, free]
-    x0_free = None if x0 is None else space.pack_field(x0)[free]
-    x, _ = pcg(Aff, b, Aff.diagonal(), rtol=rtol, x0=x0_free)
+    x, _ = pcg(Aff, b, jacobi(Aff), rtol=rtol)
     u[free] = x
     return u
 
 
-def solve_periodic(space, A, rhs, rtol=1e-10, x0=None):
-    """Solve a periodic (all-free) system with the translation kernel removed.
+def solve_periodic(space, A, rhs, rtol=1e-10):
+    """Solve a periodic (all-free) torus system; returns the zero-mean solution.
 
-    A symmetric rank-d correction rho * sum_k m_k m_k^T is added, which fixes
-    the mean displacement without breaking symmetry; the right-hand side of a
-    periodic problem is orthogonal to translations, so the corrected solve
-    returns the zero-mean representative.
+    ``A`` is assembled by ``space.assemble_operator``.  The right-hand side
+    is projected off the translation kernel (a periodic problem's load is
+    orthogonal to it up to roundoff, which CG could not remove), and CG runs
+    with ``reference_preconditioner``, whose range holds no translation.
     """
-    kernel = space.translation_vectors()
-    diag = A.diagonal()
-    rho = max(diag.mean(), np.finfo(float).tiny)
-
-    def matvec(v):
-        out = A @ v
-        for m in kernel:
-            out = out + rho * (m @ v) * m
-        return out
-
-    diag_corr = diag + rho * sum(m**2 for m in kernel)
-    x, _ = pcg(matvec, rhs, diag_corr, rtol=rtol, x0=x0)
+    b = np.asarray(rhs, dtype=float)
+    for t in space.translation_vectors():
+        b = b - (t @ b) * t
+    if space.n_packed == DIM:
+        return np.zeros_like(b)  # a one-vertex torus holds only translations
+    x, _ = pcg(A, b, reference_preconditioner(space, A), rtol=rtol)
     return x
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .fem import P1Space, pcg, solve_elastic
+from .fem import P1Space, jacobi, pcg, solve_elastic
 from .flowrules import VON_MISES
 from .loading import AffineBoundary
 from .returnmap import MaterialArrays, plastic_step
@@ -138,7 +138,7 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, kind,
             du = solve_periodic(space, A, f_ext - f_int, rtol=cg_rtol)
         else:
             Aff = A[free][:, free]
-            du, _ = pcg(Aff, (f_ext - f_int)[free], Aff.diagonal(), rtol=cg_rtol)
+            du, _ = pcg(Aff, (f_ext - f_int)[free], jacobi(Aff), rtol=cg_rtol)
         alpha, reduced = 1.0, False
         for _ in range(11):
             u[free] += alpha * du

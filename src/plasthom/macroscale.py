@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .fem import P1Space, mesh_torus, pcg
+from .fem import P1Space, jacobi, mesh_torus, pcg
 from .finescale import _boundary_values, _load_vector
 from .loading import AffineBoundary
 from .media import PeriodizedMedium
@@ -198,7 +198,7 @@ def solve_effective(config):
             moduli = 0.5 * (moduli + np.swapaxes(moduli, 1, 2))
             A = space.assemble_operator(moduli)
             Aff = A[free][:, free]
-            du, _ = pcg(Aff, residual, Aff.diagonal(), rtol=1e-12)
+            du, _ = pcg(Aff, residual, jacobi(Aff), rtol=1e-12)
             u[free] += du
         if not converged:
             worst = np.argsort(np.abs(f_ext - f_int))[-5:]

@@ -136,6 +136,15 @@ class TestExitCodes:
         pytest.param("ergodic", "ergodic.statistic", "foo", id="unknown-statistic"),
         pytest.param("eps", "domain", "square", id="domain-not-an-object"),
         pytest.param("cell", None, [1, 2], id="top-level-list"),
+        pytest.param("cell", "delta", "x", id="cell-delta-not-a-number"),
+        pytest.param("eps", "delta", 0.0, id="eps-zero-delta"),
+        pytest.param("eps", "epsilon", "x", id="epsilon-not-a-number"),
+        pytest.param("macro", "delta", -1.0, id="macro-negative-delta"),
+        pytest.param("average", "delta", [0.1], id="average-delta-a-list"),
+        pytest.param("ergodic", "ergodic.L_values", ["a"], id="L-values-not-integers"),
+        pytest.param("ergodic", "ergodic.L_values", [], id="L-values-empty"),
+        pytest.param("ergodic", "ergodic.L_values", 8, id="L-values-not-a-list"),
+        pytest.param("ergodic", "ergodic.n_seeds", 0, id="zero-seeds"),
     ])
     def test_malformed_config_is_configuration_error(self, run_dir, capsys,
                                                      command, key, value):
@@ -153,6 +162,13 @@ class TestExitCodes:
         path.write_text(json.dumps(bad))
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--N", "--r", "--M"])
+    def test_zero_override_is_configuration_error(self, run_dir, capsys, flag):
+        out, cfg = run_dir
+        assert main(["cell", "--config", str(cfg), "--out", str(out), flag, "0"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / "cell_sigma.csv").exists()
 
     def test_threads_is_only_accepted_by_cell(self, run_dir):
         out, cfg = run_dir

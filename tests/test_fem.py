@@ -1,21 +1,34 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import eigsh, spsolve
 
 from plasthom.errors import ConfigurationError, NumericalError
 from plasthom.fem import (
     P1Space,
     element_strain,
+    jacobi,
     mesh_simplex,
     mesh_torus,
     mesh_unit_square,
     pcg,
+    reference_preconditioner,
     solve_elastic,
+    solve_periodic,
 )
+from plasthom.media import PeriodizedMedium, ProbabilityLaw
+from plasthom.returnmap import MaterialArrays, plastic_step
 from plasthom.tensors import isotropic_stiffness, pack
 
 UNIT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+TWO_PHASE = ProbabilityLaw.from_config({
+    "E": {"discrete": {"values": [1.0, 2.0]}},
+    "nu": {"point": 0.3},
+    "sigma_y": {"point": 0.3},
+})
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 class TestMeshSimplex:
@@ -199,14 +212,15 @@ class TestPeriodicAssembly:
 
 class TestPcgFailures:
     def test_nan_rhs_raises(self):
+        A = sp.identity(3, format="csr")
         with pytest.raises(NumericalError, match="iteration 0") as err:
-            pcg(sp.identity(3, format="csr"), np.array([1.0, np.nan, 0.0]), np.ones(3))
+            pcg(A, np.array([1.0, np.nan, 0.0]), jacobi(A))
         assert np.isnan(err.value.residual)
 
     def test_indefinite_operator_breaks_down(self):
         A = sp.diags([1.0, -1.0], format="csr")
         with pytest.raises(NumericalError, match="iteration 1") as err:
-            pcg(A, np.ones(2), A.diagonal())
+            pcg(A, np.ones(2), jacobi(A))
         assert err.value.residual == pytest.approx(np.sqrt(2.0))
 
     def test_exhausted_budget_raises(self):
@@ -214,5 +228,145 @@ class TestPcgFailures:
         A = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1], format="csr")
         with pytest.raises(NumericalError, match="in 4 iterations") as err:
-            pcg(A, np.ones(n), A.diagonal(), maxiter=4)
+            pcg(A, np.ones(n), jacobi(A), maxiter=4)
         assert err.value.residual > 1e-10 * np.sqrt(n)
+
+
+@st.composite
+def torus_moduli(draw, max_cells=3, max_refine=3):
+    """A torus space and per-element SPD moduli, constant on each lattice cell."""
+    n_cells = draw(st.integers(1, max_cells))
+    refine = draw(st.integers(1, max_refine))
+    space = P1Space(mesh_torus(n_cells, refine))
+    seed = draw(st.integers(0, 2**32 - 1))
+    contrast = draw(st.floats(1.0, 100.0))
+    rng = np.random.default_rng(seed)
+    factors = rng.standard_normal((n_cells * n_cells, 3, 3))
+    cell_moduli = factors @ np.swapaxes(factors, 1, 2) + np.eye(3)
+    cell_moduli *= contrast ** rng.random(n_cells * n_cells)[:, None, None]
+    cells = np.floor(space.mesh.barycenters).astype(int) @ [n_cells, 1]
+    return space, cell_moduli[cells]
+
+
+def coo_assembly(space, moduli, magnitude=False):
+    """Element stiffnesses (or their absolute values) summed by scipy's COO -> CSR."""
+    ke = np.einsum("e,eki,ekl,elj->eij", space.mesh.volumes, space.B, moduli, space.B)
+    if magnitude:
+        ke = np.abs(ke)
+    rows = np.repeat(space.element_dofs, 6, axis=1).ravel()
+    cols = np.tile(space.element_dofs, (1, 6)).ravel()
+    return sp.coo_matrix((ke.ravel(), (rows, cols)),
+                         shape=(space.n_packed, space.n_packed)).tocsr()
+
+
+def zero_mean(space, v):
+    for t in space.translation_vectors():
+        v = v - (t @ v) * t
+    return v
+
+
+class TestFixedPatternAssembly:
+    @PROPERTY
+    @given(torus_moduli())
+    def test_operator_is_symmetric_bit_for_bit(self, case):
+        space, moduli = case
+        A = space.assemble_operator(moduli)
+        assert (A != A.T).nnz == 0
+
+    @PROPERTY
+    @given(torus_moduli())
+    def test_matches_coo_assembly(self, case):
+        space, moduli = case
+        A = space.assemble_operator(moduli)
+        # relative to the summed magnitudes: a one-vertex torus sums to roundoff
+        scale = coo_assembly(space, moduli, magnitude=True).max()
+        assert abs(A - coo_assembly(space, moduli)).max() <= 1e-14 * scale
+
+    def test_matches_coo_assembly_with_dirichlet_rows(self):
+        mesh = mesh_unit_square(5)
+        space = P1Space(mesh)
+        moduli = np.stack([isotropic_stiffness(1.0 + e % 3, 0.3, 2).matrix
+                           for e in range(mesh.n_elements)])
+        A = space.assemble_operator(moduli)
+        reference = coo_assembly(space, moduli)
+        assert (A != A.T).nnz == 0
+        assert abs(A - reference).max() <= 1e-14 * abs(reference).max()
+
+    @PROPERTY
+    @given(torus_moduli(max_cells=2, max_refine=3).filter(lambda c: c[0].mesh.grid_size > 1))
+    def test_psd_with_exactly_the_translation_kernel(self, case):
+        space, moduli = case
+        A = space.assemble_operator(moduli).toarray()
+        vals = np.linalg.eigvalsh(A)
+        scale = vals[-1]
+        assert np.abs(vals[:2]).max() <= 1e-12 * scale     # two translations
+        assert vals[2] > 1e-6 * scale                      # and nothing else
+        for t in space.translation_vectors():
+            assert np.abs(A @ t).max() <= 1e-12 * scale
+
+    def test_asymmetric_moduli_raise(self):
+        space = P1Space(mesh_torus(2, 1))
+        moduli = np.broadcast_to(isotropic_stiffness(1.0, 0.3, 2).matrix,
+                                 (space.mesh.n_elements, 3, 3)).copy()
+        moduli[3, 0, 2] += 1e-6
+        with pytest.raises(NumericalError, match="symmetry"):
+            space.assemble_operator(moduli)
+
+
+class TestReferencePreconditioner:
+    @pytest.mark.parametrize("n_cells, refine", [(2, 1), (3, 2), (8, 4)])
+    def test_homogeneous_torus_takes_one_iteration(self, n_cells, refine):
+        space = P1Space(mesh_torus(n_cells, refine))
+        A = space.assemble_operator(np.broadcast_to(
+            isotropic_stiffness(1.7, 0.3, 2).matrix, (space.mesh.n_elements, 3, 3)))
+        b = zero_mean(space, np.random.default_rng(0).standard_normal(space.n_packed))
+        x, iters = pcg(A, b, reference_preconditioner(space, A), rtol=1e-10)
+        assert iters == 1
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("amplitude", [0.2, 0.6])
+    def test_iterations_flat_under_refinement(self, amplitude):
+        # one 8 x 8 two-phase medium, resolved with N r = 8, 16, 32, 64
+        xi = pack(np.array([[0.0, amplitude], [amplitude, 0.0]]))
+        counts = []
+        for refine in (1, 2, 4, 8):
+            space = P1Space(mesh_torus(8, refine))
+            ne = space.mesh.n_elements
+            mats = MaterialArrays.from_medium(PeriodizedMedium(TWO_PHASE, 3, n_cells=8),
+                                              space.mesh.barycenters)
+            _, p, moduli = plastic_step(np.broadcast_to(xi, (ne, 3)), np.zeros((ne, 3)),
+                                        mats, 0.25, 0.003)
+            assert 0 < (p != 0).any(axis=1).sum()
+            A = space.assemble_operator(moduli)
+            b = zero_mean(space, np.random.default_rng(refine).standard_normal(space.n_packed))
+            _, iters = pcg(A, b, reference_preconditioner(space, A), rtol=1e-10)
+            counts.append(iters)
+        assert max(counts) <= counts[0] + 2, counts
+
+    @PROPERTY
+    @given(torus_moduli(max_cells=4).filter(lambda c: c[0].mesh.grid_size > 1),
+           st.integers(0, 2**32 - 1))
+    def test_solve_periodic_matches_pinned_direct_solve(self, case, seed):
+        space, moduli = case
+        A = space.assemble_operator(moduli)
+        rhs = zero_mean(space, np.random.default_rng(seed).standard_normal(space.n_packed))
+        x = solve_periodic(space, A, rhs, rtol=1e-13)
+        keep = np.arange(2, space.n_packed)   # pin the first vertex
+        pinned = np.zeros(space.n_packed)
+        pinned[keep] = spsolve(A[keep][:, keep].tocsc(), rhs[keep])
+        reference = zero_mean(space, pinned)
+        assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
+        assert max(abs(t @ x) for t in space.translation_vectors()) <= 1e-12 * np.linalg.norm(x)
+
+    def test_one_vertex_torus_returns_zero(self):
+        space = P1Space(mesh_torus(1, 1))
+        A = space.assemble_operator(np.broadcast_to(
+            isotropic_stiffness(1.0, 0.3, 2).matrix, (2, 3, 3)))
+        assert np.array_equal(solve_periodic(space, A, np.ones(2)), np.zeros(2))
+
+    def test_needs_a_torus_grid(self):
+        space = P1Space(mesh_unit_square(2))
+        A = space.assemble_operator(np.broadcast_to(
+            isotropic_stiffness(1.0, 0.3, 2).matrix, (space.mesh.n_elements, 3, 3)))
+        with pytest.raises(ConfigurationError, match="mesh_torus"):
+            reference_preconditioner(space, A)
