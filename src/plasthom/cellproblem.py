@@ -27,10 +27,12 @@ from .errors import ConfigurationError
 from .fem import P1Space, mesh_torus
 from .finescale import newton_solve
 from .flowrules import VON_MISES
-from .loading import StrainPath  # noqa: F401  (part of this module's surface)
+from .loading import StrainPath, checked_time_grid
 from .media import PeriodizedMedium
 from .returnmap import MaterialArrays
 from .tensors import mandel_dim, pack
+
+CG_RTOL = 1e-12  # relative CG tolerance of every periodic corrector solve
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,6 @@ class RveConfig:
     base_seed: int = 0
     rule_kind: str = VON_MISES
     newton_rtol: float = 1e-10
-    cg_rtol: float = 1e-12
 
     def __post_init__(self):
         if self.n_cells < 1 or self.n_samples < 1 or self.refine < 1:
@@ -97,19 +98,16 @@ class SigmaResult:
     config: dict
 
 
-def solve_cell(medium, xi_path, delta, time_grid, space=None,
-               rule_kind=VON_MISES, newton_rtol=1e-10, cg_rtol=1e-12):
+def solve_cell(medium, xi_path, delta, time_grid, space,
+               rule_kind=VON_MISES, newton_rtol=1e-10):
     """Advance one sample's cell problem along the whole strain path.
 
-    ``medium`` is a PeriodizedMedium whose cells align with the torus mesh.
-    The per-element plastic update and the periodic corrector solve are
-    nested in one Newton iteration per step.
+    ``medium`` is a PeriodizedMedium whose cells align with the torus mesh
+    of ``space`` (a P1Space on a ``mesh_torus``).  The per-element plastic
+    update and the periodic corrector solve are nested in one Newton
+    iteration per step.
     """
-    time_grid = np.asarray(time_grid, dtype=float)
-    if time_grid[0] != 0.0 or np.any(np.diff(time_grid) <= 0):
-        raise ConfigurationError("time grid must start at 0 and increase strictly")
-    if space is None:
-        space = P1Space(mesh_torus(medium.n_cells, 1))
+    time_grid = checked_time_grid(time_grid)
     mesh = space.mesh
     mats = MaterialArrays.from_medium(medium, mesh.barycenters)
     mats.validate_elliptic()
@@ -130,7 +128,7 @@ def solve_cell(medium, xi_path, delta, time_grid, space=None,
         dt = time_grid[m] - time_grid[m - 1]
         z, p, n_it, res = newton_solve(
             space, mats, xi_values[m][None, :], p, phi, dt, delta, rule_kind,
-            f_ext, newton_rtol, 50, cg_rtol, periodic=True, step=m,
+            f_ext, newton_rtol, CG_RTOL, step=m,
         )
         nodal = space.unpack_field(phi)
         p_hist[m] = p
@@ -147,9 +145,8 @@ def solve_cell(medium, xi_path, delta, time_grid, space=None,
 
 def _one_sample(cfg, xi_path, time_grid, space, j):
     medium = PeriodizedMedium(cfg.law, cfg.sample_seed(j), cfg.n_cells)
-    traj = solve_cell(medium, xi_path, cfg.delta, time_grid, space=space,
-                      rule_kind=cfg.rule_kind, newton_rtol=cfg.newton_rtol,
-                      cg_rtol=cfg.cg_rtol)
+    traj = solve_cell(medium, xi_path, cfg.delta, time_grid, space,
+                      rule_kind=cfg.rule_kind, newton_rtol=cfg.newton_rtol)
     return traj.volume_average_z(), traj.volume_average_p()
 
 

@@ -64,6 +64,36 @@ def _positive_number(value, name):
     return float(value)
 
 
+def _optional(cfg, key, check):
+    """``cfg[key]`` passed through ``check(value, key)``, or None when absent or null."""
+    value = cfg.get(key)
+    return None if value is None else check(value, key)
+
+
+def _positive_numbers(values, name):
+    """A non-empty list of positive finite numbers, returned unchanged."""
+    if not isinstance(values, list) or not values:
+        raise ConfigurationError(f"{name} must be a non-empty list of positive numbers, "
+                                 f"got {values!r}")
+    for value in values:
+        _positive_number(value, name)
+    return values
+
+
+def _integer(value, name):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _non_negative_seconds(value, name):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 <= value < np.inf:
+        raise ConfigurationError(f"{name} must be a non-negative finite number, "
+                                 f"got {value!r}")
+    return value
+
+
 def _delta(cfg, override=None):
     return _positive_number(cfg.get("delta", 1e-2) if override is None else override,
                             "delta")
@@ -136,6 +166,17 @@ def _rve(cfg, law, delta, seed, overrides=None):
                      refine=_positive_int(r.get("r", 1), "rve.r"),
                      n_samples=_positive_int(r.get("M", 4), "rve.M"),
                      delta=delta, law=law, base_seed=seed)
+
+
+def _averaging_rve(cfg):
+    """The RVE block of the averaging reference, checked; N and M are required."""
+    r = cfg.get("rve", {"N": 8, "r": 1, "M": 8})
+    rve = {"N": _positive_int(r.get("N"), "rve.N"),
+           "r": _positive_int(r.get("r", 1), "rve.r"),
+           "M": _positive_int(r.get("M"), "rve.M")}
+    if "base_seed" in r:
+        rve["base_seed"] = _integer(r["base_seed"], "rve.base_seed")
+    return rve
 
 
 def _stress_columns(prefix):
@@ -224,8 +265,9 @@ def cmd_macro(cfg, args):
     rve = _rve(cfg, law, delta, args.seed)
     config = MacroConfig(mesh=mesh, rve=rve, dirichlet=boundary,
                          time_grid=_time_grid(cfg), load=_load_term(cfg),
-                         max_seconds=cfg.get("budget_seconds"),
-                         max_elements=cfg.get("budget_elements"))
+                         max_seconds=_optional(cfg, "budget_seconds",
+                                               _non_negative_seconds),
+                         max_elements=_optional(cfg, "budget_elements", _positive_int))
     solution = solve_effective(config)
     avg = solution.average_stress()
     path = _write_series(args.out, "macro_run.csv", solution.times, avg,
@@ -240,14 +282,16 @@ def cmd_average(cfg, args):
     delta = _delta(cfg)
     _, xi = _boundary(cfg, os.path.dirname(os.path.abspath(args.config)))
     avg = cfg.get("averaging", {})
+    n_seeds = _positive_int(avg.get("n_seeds", 4), "averaging.n_seeds")
     spec = ExperimentSpec(kind="averaging", params={
         "law": law, "xi": xi, "delta": delta,
-        "epsilons": avg.get("epsilons", [0.25, 0.125]),
-        "seeds": [args.seed + i for i in range(avg.get("n_seeds", 4))],
+        "epsilons": _positive_numbers(avg.get("epsilons", [0.25, 0.125]),
+                                      "averaging.epsilons"),
+        "seeds": [args.seed + i for i in range(n_seeds)],
         "time_grid": _time_grid(cfg),
-        "rve": cfg.get("rve", {"N": 8, "r": 1, "M": 8}),
+        "rve": _averaging_rve(cfg),
         "offset": cfg.get("bc", {}).get("a"),
-        "h_factor": avg.get("h_factor", 0.5),
+        "h_factor": _positive_number(avg.get("h_factor", 0.5), "averaging.h_factor"),
     })
     table = run_averaging_experiment(spec)
     path = os.path.join(args.out, "averaging.csv")
@@ -262,9 +306,9 @@ def cmd_average(cfg, args):
 def cmd_korn(cfg, args):
     korn = cfg.get("korn", {})
     spec = ExperimentSpec(kind="korn", params={
-        "n_cells": korn.get("n_cells", 8),
-        "refine": korn.get("r", 1),
-        "n_samples": korn.get("n_samples", 1000),
+        "n_cells": _positive_int(korn.get("n_cells", 8), "korn.n_cells"),
+        "refine": _positive_int(korn.get("r", 1), "korn.r"),
+        "n_samples": _positive_int(korn.get("n_samples", 1000), "korn.n_samples"),
         "seed": args.seed,
     })
     table = run_korn_check(spec)

@@ -23,12 +23,10 @@ UNIT_RIGHT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 @dataclass
 class ExperimentSpec:
-    """Which experiment to run, its parameter sweep, and output paths."""
+    """Which experiment to run and its parameter sweep."""
 
     kind: str                      # averaging | korn | ergodic | convergence
     params: dict = field(default_factory=dict)
-    out_csv: str = None
-    out_svg: str = None
 
     def __post_init__(self):
         if self.kind not in ("averaging", "korn", "ergodic", "convergence"):

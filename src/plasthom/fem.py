@@ -96,7 +96,7 @@ class SimplicialMesh:
         return master
 
 
-def mesh_simplex(corners, h, shape_bound=None):
+def mesh_simplex(corners, h):
     """Uniformly refine one triangle into elements of diameter < h.
 
     Midpoint refinement is applied as a structured barycentric lattice, so
@@ -132,10 +132,7 @@ def mesh_simplex(corners, h, shape_bound=None):
             if i + j < n - 1:
                 tris.append([index[(i + 1, j)], index[(i + 1, j + 1)], index[(i, j + 1)]])
     boundary = [index[(i, j)] for (i, j) in index if i == 0 or j == 0 or i + j == n]
-    mesh = SimplicialMesh(np.asarray(verts), np.asarray(tris), np.asarray(sorted(boundary)))
-    if shape_bound is not None and mesh.shape_regularity() > shape_bound:
-        raise ConfigurationError("refined mesh violates the shape-regularity bound")
-    return mesh
+    return SimplicialMesh(np.asarray(verts), np.asarray(tris), np.asarray(sorted(boundary)))
 
 
 def _structured_grid(nx, ny, dx, dy):
@@ -194,19 +191,18 @@ def mesh_torus(n_cells, refine):
 class P1Space:
     """Vector-valued P1 space with Dirichlet and periodic constraints folded in.
 
-    Constrained (Dirichlet) degrees of freedom never appear in solve vectors;
-    periodic slave vertices share their master's degrees of freedom.
+    The mesh's boundary vertices carry Dirichlet constraints, which never
+    appear in solve vectors; periodic slave vertices share their master's
+    degrees of freedom.
     """
 
-    def __init__(self, mesh, dirichlet_vertices=None):
+    def __init__(self, mesh):
         self.mesh = mesh
         self.dim_range = DIM
         master = mesh.master_vertex()
         self.master = master
-        if dirichlet_vertices is None:
-            dirichlet_vertices = mesh.boundary_vertices
         constrained = np.zeros(mesh.n_vertices, dtype=bool)
-        constrained[master[np.asarray(dirichlet_vertices, dtype=np.int64)]] = True
+        constrained[master[mesh.boundary_vertices]] = True
         constrained = constrained[master]  # constraint lives on the master
         self.dirichlet_vertices = np.flatnonzero(
             constrained & (master == np.arange(mesh.n_vertices))

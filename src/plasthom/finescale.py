@@ -20,9 +20,11 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .fem import P1Space, jacobi, pcg, solve_elastic
 from .flowrules import VON_MISES
-from .loading import AffineBoundary
+from .loading import AffineBoundary, checked_time_grid
 from .returnmap import MaterialArrays, plastic_step
 from .tensors import deviatoric, mandel_dim
+
+NEWTON_MAXITER = 50
 
 
 @dataclass
@@ -43,15 +45,11 @@ class EpsProblemConfig:
     load: object = None
     rule_kind: str = VON_MISES
     newton_rtol: float = 1e-8
-    newton_maxiter: int = 50
     cg_rtol: float = 1e-12
     sigma_y_override: float = None
 
     def __post_init__(self):
-        self.time_grid = np.asarray(self.time_grid, dtype=float)
-        if self.time_grid.ndim != 1 or self.time_grid[0] != 0.0 \
-                or np.any(np.diff(self.time_grid) <= 0):
-            raise ConfigurationError("time grid must start at 0 and increase strictly")
+        self.time_grid = checked_time_grid(self.time_grid)
         if not self.epsilon > 0:
             raise ConfigurationError(f"scale eps must be positive, got {self.epsilon}")
         if not self.delta > 0:
@@ -83,6 +81,22 @@ def _boundary_values(config, t, points):
     return np.asarray(config.dirichlet(t, points), dtype=float)
 
 
+def _impose_dirichlet(space, config, t, u):
+    """Set the constrained rows of the packed vector ``u`` to the data at time t."""
+    bc_field = space.zero_field()
+    idx = space.dirichlet_vertices
+    bc_field[idx] = _boundary_values(config, t, space.mesh.vertices[idx])
+    packed_bc = space.pack_field(bc_field)
+    u[~space.free_mask] = packed_bc[~space.free_mask]
+
+
+def _add_boundary_offset(config, times, u_hist):
+    """Add the AffineBoundary constant a(t_m) to the displacements of steps m >= 1."""
+    if isinstance(config.dirichlet, AffineBoundary) and config.dirichlet.offset is not None:
+        for m in range(1, times.size):
+            u_hist[m] = u_hist[m] + config.dirichlet.offset_at(times[m])
+
+
 def _load_vector(space, config, t):
     if config.load is None:
         return np.zeros(space.n_packed)
@@ -102,17 +116,19 @@ def _materials(config):
 
 
 def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, kind,
-                 f_ext, rtol, maxiter, cg_rtol, periodic=False, step=None):
+                 f_ext, rtol, cg_rtol, step=None):
     """Global Newton iteration of one backward-Euler step.
 
     ``u`` enters with the Dirichlet rows already set (packed vector) and is
-    updated in place on the free dofs; for ``periodic`` solves all dofs are
-    free and the translation kernel is projected out of the updates.  If a
-    full tangent step fails to reduce the residual, the correction is damped
-    by halving.  Returns (z, p_new, iterations, final_residual).
+    updated in place on the free dofs.  On a ``mesh_torus`` space the solve
+    is periodic: all dofs are free and the translation kernel is projected
+    out of the updates.  If a full tangent step fails to reduce the
+    residual, the correction is damped by halving.  At most NEWTON_MAXITER
+    iterations run.  Returns (z, p_new, iterations, final_residual).
     """
     from .fem import solve_periodic
 
+    periodic = bool(space.mesh.grid_size)
     free = space.free_dofs
 
     def evaluate():
@@ -130,7 +146,7 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, kind,
         space.element_dofs.ravel(), weights=contrib.ravel(),
         minlength=space.n_packed)[free]) + np.linalg.norm(f_ext[free]))
     denom = max(res_norm, np.linalg.norm(f_ext[free]))
-    for it in range(maxiter):
+    for it in range(NEWTON_MAXITER):
         if res_norm <= rtol * denom + floor:
             return z, p_new, it, res_norm
         A = space.assemble_operator(moduli)
@@ -189,16 +205,11 @@ def solve_eps(config):
     p = np.zeros((mesh.n_elements, k))
     for m in range(1, steps + 1):
         t, dt = times[m], times[m] - times[m - 1]
-        bc_field = space.zero_field()
-        idx = space.dirichlet_vertices
-        bc_field[idx] = _boundary_values(config, t, mesh.vertices[idx])
-        packed_bc = space.pack_field(bc_field)
-        u[~space.free_mask] = packed_bc[~space.free_mask]
+        _impose_dirichlet(space, config, t, u)
         f_ext = _load_vector(space, config, t)
         z, p, n_it, res = newton_solve(
             space, mats, 0.0, p, u, dt, config.delta, config.rule_kind,
-            f_ext, config.newton_rtol, config.newton_maxiter, config.cg_rtol,
-            step=m,
+            f_ext, config.newton_rtol, config.cg_rtol, step=m,
         )
         u_hist[m] = space.unpack_field(u)
         sig_hist[m] = z
@@ -206,10 +217,7 @@ def solve_eps(config):
         iters.append(n_it)
         residuals.append(res)
 
-    if isinstance(config.dirichlet, AffineBoundary) and config.dirichlet.offset is not None:
-        for m in range(1, steps + 1):
-            u_hist[m] = u_hist[m] + config.dirichlet.offset_at(times[m])
-
+    _add_boundary_offset(config, times, u_hist)
     e_hist = np.stack([mats.apply_compliance(sig_hist[m]) for m in range(steps + 1)])
     return PlasticTrajectory(times=times, u=u_hist, sigma=sig_hist, e=e_hist,
                              p=p_hist, newton_iters=iters, residual_norms=residuals,

@@ -17,6 +17,15 @@ from .errors import ConfigurationError
 from .tensors import SQRT2, mandel_dim
 
 
+def checked_time_grid(time_grid):
+    """The time grid as a float array; it must start at 0 and increase strictly."""
+    time_grid = np.asarray(time_grid, dtype=float)
+    if time_grid.ndim != 1 or not time_grid.size or time_grid[0] != 0.0 \
+            or np.any(np.diff(time_grid) <= 0):
+        raise ConfigurationError("time grid must start at 0 and increase strictly")
+    return time_grid
+
+
 @dataclass(frozen=True)
 class StrainPath:
     """Piecewise-linear tensor path with value zero at time zero."""

@@ -16,13 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cellproblem import CG_RTOL
 from .errors import ConfigurationError, NumericalError
 from .fem import P1Space, jacobi, mesh_torus, pcg
-from .finescale import _boundary_values, _load_vector
-from .loading import AffineBoundary
+from .finescale import _add_boundary_offset, _impose_dirichlet, _load_vector
+from .loading import checked_time_grid
 from .media import PeriodizedMedium
 from .returnmap import MaterialArrays
 from .tensors import mandel_dim
+
+NEWTON_MAXITER = 40
+# step of the one-sided difference quotients of the macro tangent:
+# FD_REL * |element strain| + FD_ABS
+FD_REL = 1e-6
+FD_ABS = 1e-10
 
 
 @dataclass
@@ -35,42 +42,50 @@ class MacroConfig:
     time_grid: np.ndarray
     load: object = None
     newton_rtol: float = 1e-6
-    newton_maxiter: int = 40
-    fd_rel: float = 1e-6
-    fd_abs: float = 1e-10
     max_seconds: float = None
     max_elements: int = None
 
     def __post_init__(self):
-        self.time_grid = np.asarray(self.time_grid, dtype=float)
-        if self.time_grid[0] != 0.0 or np.any(np.diff(self.time_grid) <= 0):
-            raise ConfigurationError("time grid must start at 0 and increase strictly")
+        self.time_grid = checked_time_grid(self.time_grid)
         if self.max_elements is not None and self.mesh.n_elements > self.max_elements:
             raise ConfigurationError(
                 f"mesh has {self.mesh.n_elements} elements, budget allows {self.max_elements}"
             )
 
 
+def _sample_materials(rve_cfg, rve_space):
+    """The validated MaterialArrays of the M RVE samples, with read-only arrays.
+
+    Every macro element sees the same M samples, so FE2 builds them once and
+    all ElementCellStates share them.
+    """
+    samples = []
+    for j in range(rve_cfg.n_samples):
+        medium = PeriodizedMedium(rve_cfg.law, rve_cfg.sample_seed(j), rve_cfg.n_cells)
+        mats = MaterialArrays.from_medium(medium, rve_space.mesh.barycenters)
+        mats.validate_elliptic()
+        for values in (mats.a_vol, mats.a_dev, mats.hardening, mats.yield_stress):
+            values.flags.writeable = False
+        samples.append(mats)
+    return samples
+
+
 class ElementCellState:
     """Cell problems of one macro element: M samples sharing the RVE mesh.
 
-    ``advance`` performs one implicit step from the committed state at a
-    trial strain and returns the sample-averaged stress; ``commit`` makes the
-    last advance permanent.  Probing never touches committed arrays.
+    ``mats`` are the samples' materials from ``_sample_materials``, shared by
+    all elements.  ``advance`` performs one implicit step from the committed
+    state at a trial strain and returns the sample-averaged stress;
+    ``commit`` makes the last advance permanent.  Probing never touches
+    committed arrays.
     """
 
-    def __init__(self, rve_cfg, rve_space):
+    def __init__(self, rve_cfg, rve_space, mats):
         self.cfg = rve_cfg
         self.space = rve_space
+        self.mats = mats
         mesh = rve_space.mesh
         k = mandel_dim(2)
-        self.mats = []
-        for j in range(rve_cfg.n_samples):
-            medium = PeriodizedMedium(rve_cfg.law, rve_cfg.sample_seed(j),
-                                      rve_cfg.n_cells)
-            mats = MaterialArrays.from_medium(medium, mesh.barycenters)
-            mats.validate_elliptic()
-            self.mats.append(mats)
         self.p = np.zeros((rve_cfg.n_samples, mesh.n_elements, k))
         self.phi = np.zeros((rve_cfg.n_samples, rve_space.n_packed))
         self._trial = None
@@ -90,7 +105,7 @@ class ElementCellState:
             z, p_new, _, _ = newton_solve(
                 self.space, self.mats[j], np.asarray(strain)[None, :],
                 self.p[j], phi, dt, cfg.delta, cfg.rule_kind,
-                f_ext, cfg.newton_rtol, 50, cfg.cg_rtol, periodic=True,
+                f_ext, cfg.newton_rtol, CG_RTOL,
             )
             z_means.append(w @ z)
             trial_p.append(p_new)
@@ -137,7 +152,9 @@ def solve_effective(config):
     start = _time.monotonic()
 
     rve_space = P1Space(mesh_torus(config.rve.n_cells, config.rve.refine))
-    cells = [ElementCellState(config.rve, rve_space) for _ in range(mesh.n_elements)]
+    mats = _sample_materials(config.rve, rve_space)
+    cells = [ElementCellState(config.rve, rve_space, mats)
+             for _ in range(mesh.n_elements)]
 
     u_hist = np.zeros((steps + 1, mesh.n_vertices, 2))
     sig_hist = np.zeros((steps + 1, mesh.n_elements, k))
@@ -154,16 +171,12 @@ def solve_effective(config):
 
     for m in range(1, steps + 1):
         t, dt = times[m], times[m] - times[m - 1]
-        bc_field = space.zero_field()
-        idx = space.dirichlet_vertices
-        bc_field[idx] = _boundary_values(config, t, mesh.vertices[idx])
-        packed_bc = space.pack_field(bc_field)
-        u[~space.free_mask] = packed_bc[~space.free_mask]
+        _impose_dirichlet(space, config, t, u)
         f_ext = _load_vector(space, config, t)
 
         converged = False
         res_norm = np.inf
-        for it in range(config.newton_maxiter):
+        for it in range(NEWTON_MAXITER):
             if config.max_seconds is not None \
                     and _time.monotonic() - start > config.max_seconds:
                 raise NumericalError(
@@ -190,7 +203,7 @@ def solve_effective(config):
             moduli = np.empty((mesh.n_elements, k, k))
             for e in range(mesh.n_elements):
                 base = sig[e]
-                h = config.fd_rel * np.linalg.norm(strains[e]) + config.fd_abs
+                h = FD_REL * np.linalg.norm(strains[e]) + FD_ABS
                 for comp in range(k):
                     probe = strains[e].copy()
                     probe[comp] += h
@@ -208,9 +221,7 @@ def solve_effective(config):
             )
         u_hist[m] = space.unpack_field(u)
 
-    if isinstance(config.dirichlet, AffineBoundary) and config.dirichlet.offset is not None:
-        for m in range(1, steps + 1):
-            u_hist[m] = u_hist[m] + config.dirichlet.offset_at(times[m])
+    _add_boundary_offset(config, times, u_hist)
     return _package(times, u_hist, sig_hist, residual_history, iter_history,
                     space, cells=cells)
 

@@ -97,7 +97,7 @@ def _flow_increment(kind, s_trial, c_ratio, dt, delta, sigma_y):
     raise ConfigurationError(f"unknown flow rule kind {kind!r}")
 
 
-def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES, tangent=True):
+def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES):
     """One implicit flow-rule update for all elements at once.
 
     Parameters
@@ -106,11 +106,11 @@ def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES, tangent=True)
     p_old : (n, k) previous plastic strains (deviatoric).
     mats : MaterialArrays.
     dt, delta : time step and regularization.
-    tangent : also return the consistent algorithmic moduli (n, k, k).
 
     Returns
     -------
-    z, p_new, moduli (or None): stresses, updated plastic strains, tangents.
+    z, p_new, moduli: stresses, updated plastic strains, and the consistent
+    algorithmic moduli (n, k, k).
     """
     d = mats.dim
     dev_xi = deviatoric(xi_total, d)
@@ -126,9 +126,6 @@ def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES, tangent=True)
     p_new = p_old + lam[:, None] * n_dir
 
     z = mats.a_vol[:, None] * sph_xi + mats.a_dev[:, None] * (dev_xi - p_new)
-
-    if not tangent:
-        return z, p_new, None
 
     sph_proj = sph_projector(d)
     dev_proj = dev_projector(d)

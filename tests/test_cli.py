@@ -145,6 +145,26 @@ class TestExitCodes:
         pytest.param("ergodic", "ergodic.L_values", [], id="L-values-empty"),
         pytest.param("ergodic", "ergodic.L_values", 8, id="L-values-not-a-list"),
         pytest.param("ergodic", "ergodic.n_seeds", 0, id="zero-seeds"),
+        pytest.param("average", "averaging.n_seeds", "x", id="average-seeds-not-a-number"),
+        pytest.param("average", "averaging.n_seeds", 0, id="average-zero-seeds"),
+        pytest.param("average", "averaging.epsilons", [], id="epsilons-empty"),
+        pytest.param("average", "averaging.epsilons", 0.5, id="epsilons-not-a-list"),
+        pytest.param("average", "averaging.epsilons", [0.5, "x"], id="epsilons-not-numbers"),
+        pytest.param("average", "averaging.epsilons", [0.5, -0.25], id="epsilons-negative"),
+        pytest.param("average", "averaging.h_factor", "x", id="h-factor-not-a-number"),
+        pytest.param("average", "averaging.h_factor", 0.0, id="zero-h-factor"),
+        pytest.param("average", "rve", {"r": 1, "M": 2}, id="average-rve-without-N"),
+        pytest.param("average", "rve.M", "x", id="average-rve-M-not-a-number"),
+        pytest.param("average", "rve.r", 0, id="average-rve-zero-r"),
+        pytest.param("average", "rve.base_seed", "x", id="average-base-seed-not-an-integer"),
+        pytest.param("korn", "korn.n_cells", "x", id="korn-cells-not-a-number"),
+        pytest.param("korn", "korn.r", 0, id="korn-zero-r"),
+        pytest.param("korn", "korn.n_samples", 2.5, id="korn-samples-not-an-integer"),
+        pytest.param("macro", "budget_seconds", "x", id="budget-seconds-not-a-number"),
+        pytest.param("macro", "budget_seconds", -1.0, id="budget-seconds-negative"),
+        pytest.param("macro", "budget_seconds", float("inf"), id="budget-seconds-infinite"),
+        pytest.param("macro", "budget_elements", "x", id="budget-elements-not-a-number"),
+        pytest.param("macro", "budget_elements", 0, id="zero-budget-elements"),
     ])
     def test_malformed_config_is_configuration_error(self, run_dir, capsys,
                                                      command, key, value):

@@ -8,6 +8,7 @@ from plasthom.finescale import EpsProblemConfig, solve_eps
 from plasthom.loading import AffineBoundary, StrainPath
 from plasthom.macroscale import MacroConfig, solve_effective, weak_form_residual
 from plasthom.media import ProbabilityLaw, sample_realization
+from plasthom.returnmap import MaterialArrays
 from plasthom.tensors import isotropic_stiffness
 
 from helpers import shear_path
@@ -99,6 +100,27 @@ class TestSolveEffective:
                           time_grid=np.linspace(0, 1, steps + 1))
         sol = solve_effective(cfg)
         assert weak_form_residual(sol, cfg) <= 1e-6
+
+    def test_samples_are_built_once_and_shared(self, monkeypatch):
+        built = []
+        from_medium = MaterialArrays.from_medium.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(from_medium(cls, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(MaterialArrays, "from_medium", classmethod(counting))
+        law = ProbabilityLaw.from_config({"E": {"discrete": {"values": [1.0, 2.0]}},
+                                          "nu": {"point": 0.3}, "sigma_y": {"point": 0.3}})
+        rve = RveConfig(n_cells=2, refine=1, n_samples=2, delta=0.003, law=law)
+        cfg = MacroConfig(mesh=mesh_unit_square(2), rve=rve,
+                          dirichlet=AffineBoundary(shear_path(0.1, 1.0, 1)),
+                          time_grid=np.linspace(0, 1, 2))
+        sol = solve_effective(cfg)
+        assert len(built) == rve.n_samples
+        for cell in sol.cells:
+            assert len(cell.mats) == len(built)
+            assert all(shared is own for shared, own in zip(built, cell.mats))
 
 
 class TestBudgets:
