@@ -19,15 +19,16 @@ print("law-level ellipticity constants: gamma =", round(law.gamma, 4),
 
 omega = ph.sample_realization(law, seed=42)
 print("\nrealization 42 has shift", np.round(omega.shift, 4))
-for x in ([0.2, 0.7], [1.2, 0.7], [10.0, -3.5]):
-    mp = ph.evaluate(omega, np.asarray(x))
-    print(f"  material at {x}: E={mp.E}, sigma_y={mp.yield_stress:.3f}")
+points = np.array([[0.2, 0.7], [1.2, 0.7], [10.0, -3.5]])
+params = omega.parameters_at(points)
+for x, E, sigma_y in zip(points.tolist(), params["E"], params["sigma_y"]):
+    print(f"  material at {x}: E={E}, sigma_y={sigma_y:.3f}")
 
 print("\nshifting the medium relabels space consistently:")
 moved = ph.shifted(omega, np.array([1.5, -0.5]))
-a = ph.evaluate(moved, np.array([0.2, 0.7]))
-b = ph.evaluate(omega, np.array([1.7, 0.2]))
-print("  shifted at x equals original at x+y:", a.E == b.E)
+a = moved.parameters_at(np.array([0.2, 0.7]))
+b = omega.parameters_at(np.array([1.7, 0.2]))
+print("  shifted at x equals original at x+y:", a["E"][0] == b["E"][0])
 
 print("\nspatial averages approach the ensemble mean (expect 1.5):")
 for L in (4, 8, 16, 32):

@@ -28,7 +28,6 @@ from .experiments import (
 from .fem import (
     P1Space,
     SimplicialMesh,
-    element_strain,
     mesh_simplex,
     mesh_torus,
     mesh_unit_square,
@@ -50,21 +49,17 @@ from .media import (
     ProbabilityLaw,
     Realization,
     ergodic_average,
-    evaluate,
     sample_realization,
     shifted,
 )
 from .reporting import ReportTable, emit_report
 from .tensors import (
-    FourthOrderMap,
-    MaterialPoint,
-    SymTensor,
-    apply_map,
-    deviator,
+    deviatoric,
     ellipticity_check,
     isotropic_compliance,
     isotropic_stiffness,
-    symmetrize,
+    pack,
+    unpack,
 )
 
 __version__ = "0.1.0"

@@ -51,6 +51,11 @@ def _load_config(path):
     return cfg
 
 
+def _is_number(value):
+    """True for a JSON number: an int or float, but not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def _positive_int(value, name):
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
@@ -58,8 +63,7 @@ def _positive_int(value, name):
 
 
 def _positive_number(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not 0 < value < np.inf:
+    if not _is_number(value) or not 0 < value < np.inf:
         raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
 
@@ -87,8 +91,7 @@ def _integer(value, name):
 
 
 def _non_negative_seconds(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not 0 <= value < np.inf:
+    if not _is_number(value) or not 0 <= value < np.inf:
         raise ConfigurationError(f"{name} must be a non-negative finite number, "
                                  f"got {value!r}")
     return value
@@ -125,7 +128,7 @@ def _xi_path(cfg, config_dir):
 def _boundary(cfg, config_dir):
     xi = _xi_path(cfg, config_dir)
     a_rows = cfg.get("bc", {}).get("a")
-    offset = tabulated_offset(a_rows) if a_rows else None
+    offset = None if a_rows is None else tabulated_offset(a_rows)
     return AffineBoundary(xi, offset), xi
 
 
@@ -149,8 +152,11 @@ def _domain_mesh(cfg):
 
 def _load_term(cfg):
     f = cfg.get("load")
-    if not f:
+    if f is None:
         return None
+    if not isinstance(f, list) or len(f) != 2 \
+            or not all(_is_number(v) and np.isfinite(v) for v in f):
+        raise ConfigurationError(f"load must be a list of two finite numbers, got {f!r}")
     f = np.asarray(f, dtype=float)
 
     def load(t, points):
@@ -200,8 +206,10 @@ def cmd_eps(cfg, args):
     delta = _delta(cfg)
     boundary, _ = _boundary(cfg, os.path.dirname(os.path.abspath(args.config)))
     mesh = _domain_mesh(cfg)
-    medium = sample_realization(law, args.seed,
-                                zero_shift=cfg.get("zero_shift", False))
+    zero_shift = cfg.get("zero_shift", False)
+    if not isinstance(zero_shift, bool):
+        raise ConfigurationError(f"zero_shift must be true or false, got {zero_shift!r}")
+    medium = sample_realization(law, args.seed, zero_shift=zero_shift)
     config = EpsProblemConfig(
         mesh=mesh, medium=medium,
         epsilon=_positive_number(cfg.get("epsilon", 0.25), "epsilon"),

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, NumericalError
-from .tensors import SQRT2, SymTensor, mandel_dim
+from .tensors import SQRT2, mandel_dim
 
 DIM = 2
 KDIM = mandel_dim(DIM)
@@ -456,31 +456,23 @@ def solve_periodic(space, A, rhs, rtol=1e-10):
     return x
 
 
-def _moduli_array(space, stiffness_field):
-    ne = space.mesh.n_elements
-    if callable(stiffness_field):
-        moduli = np.stack([np.asarray(stiffness_field(e).matrix) for e in range(ne)])
-    elif hasattr(stiffness_field, "matrix"):
-        moduli = np.broadcast_to(stiffness_field.matrix, (ne, KDIM, KDIM))
-    else:
-        moduli = np.asarray(stiffness_field, dtype=float)
-        if moduli.shape == (KDIM, KDIM):
-            moduli = np.broadcast_to(moduli, (ne, KDIM, KDIM))
-    if moduli.shape != (ne, KDIM, KDIM):
-        raise ConfigurationError(f"stiffness field has shape {moduli.shape}")
-    return moduli
-
-
 def solve_elastic(space, stiffness_field, f=None, g=None, rtol=1e-10):
     """Galerkin solution of linear elasticity with Dirichlet data.
 
-    ``stiffness_field`` maps elements to elastic stiffness (FourthOrderMap,
-    callable, or (ne, 3, 3) array); ``f`` is a load callable f(x) -> (2,) or
-    per-element array; ``g`` assigns Dirichlet values, either a callable
-    g(x) -> (2,) or a full nodal array.  Returns the nodal displacement.
+    ``stiffness_field`` is one Mandel stiffness matrix (3, 3) for all
+    elements or one per element (ne, 3, 3); ``f`` is a load callable
+    f(x) -> (2,) or per-element array; ``g`` assigns Dirichlet values, either
+    a callable g(x) -> (2,) or a full nodal array.  Returns the nodal
+    displacement.
     """
     mesh = space.mesh
-    A = space.assemble_operator(_moduli_array(space, stiffness_field))
+    ne = mesh.n_elements
+    moduli = np.asarray(stiffness_field, dtype=float)
+    if moduli.shape == (KDIM, KDIM):
+        moduli = np.broadcast_to(moduli, (ne, KDIM, KDIM))
+    if moduli.shape != (ne, KDIM, KDIM):
+        raise ConfigurationError(f"stiffness field has shape {moduli.shape}")
+    A = space.assemble_operator(moduli)
     if f is None:
         rhs = np.zeros(space.n_packed)
     else:
@@ -496,9 +488,3 @@ def solve_elastic(space, stiffness_field, f=None, g=None, rtol=1e-10):
     packed = solve_constrained(space, A, rhs, bc, rtol=rtol)
     return space.unpack_field(packed)
 
-
-def element_strain(space, u, k):
-    """Constant symmetrized gradient of a nodal field on element k."""
-    if not 0 <= k < space.mesh.n_elements:
-        raise ConfigurationError(f"element index {k} out of range")
-    return SymTensor(DIM, space.element_strains(u)[k])

@@ -22,7 +22,7 @@ from .fem import P1Space, jacobi, pcg, solve_elastic
 from .flowrules import VON_MISES
 from .loading import AffineBoundary, checked_time_grid
 from .returnmap import MaterialArrays, plastic_step
-from .tensors import deviatoric, mandel_dim
+from .tensors import deviatoric, mandel_dim, unpack
 
 NEWTON_MAXITER = 50
 
@@ -74,8 +74,6 @@ class PlasticTrajectory:
 
 def _boundary_values(config, t, points):
     if isinstance(config.dirichlet, AffineBoundary):
-        from .tensors import unpack
-
         xi = unpack(config.dirichlet.strain_at(t), 2)
         return points @ xi.T
     return np.asarray(config.dirichlet(t, points), dtype=float)

@@ -15,10 +15,9 @@ the stress:
     regularization is a Huber-type envelope and its conjugate the indicator
     of the dual ball { p deviatoric : |p| <= sigma_y }.
 
-Everything here is vectorized over leading axes: inputs may be SymTensor
-instances or plain Mandel component arrays of shape (..., k).  +inf is used
-as an absorbing sentinel for the extended value; it never arises from
-floating-point overflow.
+Everything here is vectorized over leading axes: inputs are Mandel
+component arrays of shape (..., k).  +inf is used as an absorbing sentinel
+for the extended value; it never arises from floating-point overflow.
 """
 
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensors import SymTensor, deviatoric, mandel_dim, trace_of
+from .tensors import deviatoric, mandel_dim, trace_of
 
 VON_MISES = "von_mises"
 NORM_TYPE = "norm"
@@ -35,17 +34,6 @@ _KINDS = (VON_MISES, NORM_TYPE)
 
 # relative tolerance for the "deviatoric" constraint in conjugate values
 _TRACE_TOL = 1e-10
-
-
-def _comps_of(s):
-    """Accept a SymTensor or a raw component array; return (array, was_tensor)."""
-    if isinstance(s, SymTensor):
-        return s.comps, True
-    return np.asarray(s, dtype=float), False
-
-
-def _wrap(comps, dim, as_tensor):
-    return SymTensor(dim, comps) if as_tensor else comps
 
 
 @dataclass(frozen=True)
@@ -67,8 +55,7 @@ class FlowRule:
 
     def value(self, s):
         """Potential value; +inf outside the yield set for the indicator rule."""
-        comps, _ = _comps_of(s)
-        dev_n = np.linalg.norm(deviatoric(comps, self.dim), axis=-1)
+        dev_n = np.linalg.norm(deviatoric(s, self.dim), axis=-1)
         if self.kind == VON_MISES:
             val = np.where(dev_n <= self.yield_stress * (1.0 + 1e-14), 0.0, np.inf)
         else:
@@ -84,14 +71,12 @@ class FlowRule:
         """
         if self.kind != VON_MISES:
             raise ConfigurationError("projection is defined for the indicator rule only")
-        comps, as_tensor = _comps_of(s)
-        dev = deviatoric(comps, self.dim)
+        s = np.asarray(s, dtype=float)
+        dev = deviatoric(s, self.dim)
         dev_n = np.linalg.norm(dev, axis=-1)
-        scale = np.ones_like(dev_n)
         outside = dev_n > self.yield_stress
         scale = np.where(outside, self.yield_stress / np.where(outside, dev_n, 1.0), 1.0)
-        out = comps - dev + scale[..., None] * dev
-        return _wrap(out, self.dim, as_tensor)
+        return s - dev + scale[..., None] * dev
 
     def conjugate(self, p):
         """Legendre-Fenchel conjugate, +inf where the dual constraint fails.
@@ -100,11 +85,11 @@ class FlowRule:
         tensors with nonzero trace.  For the norm rule: the indicator of the
         dual ball { p deviatoric : |p| <= sigma_y }.
         """
-        comps, _ = _comps_of(p)
-        if not np.all(np.isfinite(comps)):
+        p = np.asarray(p, dtype=float)
+        if not np.all(np.isfinite(p)):
             raise ConfigurationError("conjugate argument has non-finite entries")
-        norm = np.linalg.norm(comps, axis=-1)
-        tr = np.abs(trace_of(comps, self.dim))
+        norm = np.linalg.norm(p, axis=-1)
+        tr = np.abs(trace_of(p, self.dim))
         dev_ok = tr <= _TRACE_TOL * (1.0 + norm)
         if self.kind == VON_MISES:
             val = np.where(dev_ok, self.yield_stress * norm, np.inf)
@@ -141,13 +126,12 @@ class RegularizedFlow:
         return self.rule.dim
 
     def _dev_split(self, s):
-        comps, as_tensor = _comps_of(s)
-        dev = deviatoric(comps, self.rule.dim)
-        return comps, dev, np.linalg.norm(dev, axis=-1), as_tensor
+        dev = deviatoric(s, self.rule.dim)
+        return dev, np.linalg.norm(dev, axis=-1)
 
     def value(self, s):
         """Envelope value Psi^delta(s) >= 0."""
-        _, _, dev_n, _ = self._dev_split(s)
+        _, dev_n = self._dev_split(s)
         sy, d = self.rule.yield_stress, self.delta
         if self.rule.kind == VON_MISES:
             excess = np.maximum(dev_n - sy, 0.0)
@@ -161,15 +145,14 @@ class RegularizedFlow:
 
     def gradient(self, s):
         """Gradient of the envelope, (s - prox(s))/delta; always deviatoric."""
-        comps, dev, dev_n, as_tensor = self._dev_split(s)
+        dev, dev_n = self._dev_split(s)
         sy, d = self.rule.yield_stress, self.delta
         safe = np.where(dev_n > 0.0, dev_n, 1.0)
         if self.rule.kind == VON_MISES:
             slope = np.maximum(dev_n - sy, 0.0) / (d * safe)
         else:
             slope = np.minimum(dev_n / d, sy) / safe
-        out = slope[..., None] * dev
-        return _wrap(out, self.rule.dim, as_tensor)
+        return slope[..., None] * dev
 
     def prox(self, s):
         """Minimizer realizing the envelope: s - delta * gradient(s).
@@ -177,15 +160,13 @@ class RegularizedFlow:
         For the indicator rule this is the projection onto the yield set;
         for the norm rule it shrinks the deviatoric norm by sigma_y * delta.
         """
-        comps, as_tensor = _comps_of(s)
-        grad, _ = _comps_of(self.gradient(comps))
-        return _wrap(comps - self.delta * grad, self.rule.dim, as_tensor)
+        s = np.asarray(s, dtype=float)
+        return s - self.delta * self.gradient(s)
 
     def conjugate(self, p):
         """Conjugate of the envelope: Psi*(p) + delta * |p|^2 / 2."""
-        comps, _ = _comps_of(p)
-        base = self.rule.conjugate(comps)
-        quad = self.delta * np.sum(np.asarray(comps) ** 2, axis=-1) / 2.0
+        base = self.rule.conjugate(p)
+        quad = self.delta * np.sum(np.asarray(p, dtype=float) ** 2, axis=-1) / 2.0
         val = np.asarray(base) + quad
         return float(val) if val.ndim == 0 else val
 
@@ -197,8 +178,8 @@ def fenchel_gap(flow, s, p):
     ``flow`` may be a FlowRule or a RegularizedFlow; +inf values propagate
     absorbingly.
     """
-    s_comps, _ = _comps_of(s)
-    p_comps, _ = _comps_of(p)
-    pairing = np.sum(s_comps * p_comps, axis=-1)
-    gap = np.asarray(flow.value(s_comps)) + np.asarray(flow.conjugate(p_comps)) - pairing
+    s = np.asarray(s, dtype=float)
+    p = np.asarray(p, dtype=float)
+    pairing = np.sum(s * p, axis=-1)
+    gap = np.asarray(flow.value(s)) + np.asarray(flow.conjugate(p)) - pairing
     return float(gap) if gap.ndim == 0 else gap

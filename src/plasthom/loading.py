@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensors import SQRT2, mandel_dim
+from .tensors import SQRT2, mandel_dim, unpack
 
 
 def checked_time_grid(time_grid):
@@ -94,18 +94,26 @@ def path_from_csv(path, dim=2):
     Off-diagonal columns hold the physical tensor entries; the Mandel sqrt(2)
     scaling is applied on read.
     """
+    columns = ("xi_11", "xi_22", "xi_12") if dim == 2 \
+        else ("xi_11", "xi_22", "xi_33", "xi_23", "xi_13", "xi_12")
     times, rows = [], []
-    with open(path, newline="", encoding="utf8") as fh:
-        for record in csv.DictReader(fh):
-            times.append(float(record["t"]))
-            if dim == 2:
-                rows.append([float(record["xi_11"]), float(record["xi_22"]),
-                             SQRT2 * float(record["xi_12"])])
-            else:
-                rows.append([float(record["xi_11"]), float(record["xi_22"]),
-                             float(record["xi_33"]), SQRT2 * float(record["xi_23"]),
-                             SQRT2 * float(record["xi_13"]), SQRT2 * float(record["xi_12"])])
-    return StrainPath(np.asarray(times), np.asarray(rows), dim=dim)
+    try:
+        with open(path, newline="", encoding="utf8") as fh:
+            for record in csv.DictReader(fh):
+                times.append(float(record["t"]))
+                rows.append([float(record[name]) for name in columns])
+    except OSError as err:
+        raise ConfigurationError(f"cannot read strain path {path}: {err.strerror}") from None
+    except KeyError as missing:
+        raise ConfigurationError(f"strain path {path} misses column {missing}") from None
+    except (TypeError, ValueError, csv.Error) as err:
+        raise ConfigurationError(f"strain path {path} has a missing or non-numeric "
+                                 f"entry: {err}") from None
+    if not rows:
+        raise ConfigurationError(f"strain path {path} has no rows")
+    values = np.asarray(rows, dtype=float)
+    values[:, dim:] *= SQRT2
+    return StrainPath(np.asarray(times), values, dim=dim)
 
 
 @dataclass(frozen=True)
@@ -134,15 +142,20 @@ class AffineBoundary:
         return np.asarray(self.offset(t), dtype=float)
 
     def __call__(self, t, points):
-        from .tensors import unpack
-
         xi = unpack(self.path.at(t), self.path.dim)
         return np.asarray(points) @ xi.T + self.offset_at(t)
 
 
 def tabulated_offset(rows):
-    """Piecewise-linear offset t -> a(t) from rows [t, a_1, a_2]."""
-    rows = np.asarray(rows, dtype=float)
+    """Piecewise-linear offset t -> a(t) from rows [t, a_1, a_2], t increasing."""
+    try:
+        rows = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != 3 \
+            or not np.all(np.isfinite(rows)) or np.any(np.diff(rows[:, 0]) <= 0):
+        raise ConfigurationError("offset table must hold rows [t, a_1, a_2] of finite "
+                                 "numbers with increasing t")
     times, vals = rows[:, 0], rows[:, 1:]
 
     def offset(t):

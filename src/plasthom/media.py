@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensors import MaterialPoint, isotropic_eigenvalues
+from .tensors import isotropic_eigenvalues
 
 # SplitMix64 constants; salts are premultiplied as an array so every uint64
 # product happens in array arithmetic (silent wrap mod 2^64)
@@ -292,14 +292,6 @@ def shifted(omega, y):
     """The translated realization; composing shifts adds displacements."""
     y = np.asarray(y, dtype=float)
     return replace(omega, translation=omega.translation + y)
-
-
-def evaluate(omega, x, eps=1.0):
-    """MaterialPoint of the checkerboard cell containing x at scale eps."""
-    params = omega.parameters_at(np.asarray(x, dtype=float)[None, :], eps)
-    return MaterialPoint.from_parameters(params["E"][0], params["nu"][0],
-                                         params["sigma_y"][0], params["H"][0],
-                                         dim=omega.dim)
 
 
 def ergodic_average(omega, g, L):

@@ -127,14 +127,15 @@ def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES):
 
     z = mats.a_vol[:, None] * sph_xi + mats.a_dev[:, None] * (dev_xi - p_new)
 
-    sph_proj = sph_projector(d)
-    dev_proj = dev_projector(d)
-    moduli = (mats.a_vol[:, None, None] * sph_proj
-              + mats.a_dev[:, None, None] * dev_proj)
-    active = lam > 0.0
+    moduli = mats.stiffness_moduli()
+    # the norm-type inner branch is linear in s_vec: at s_trial = 0 it has
+    # lam = 0 but slope dlam, which is also its hoop coefficient lam/s_trial
+    active = (lam > 0.0) | (dlam > 0.0)
     if np.any(active):
         nn = np.einsum("ei,ej->eij", n_dir, n_dir)
-        radial = (mats.a_dev**2 * dlam)[:, None, None] * nn
-        hoop = (mats.a_dev**2 * lam / safe)[:, None, None] * (dev_proj - nn)
+        a_dev2 = mats.a_dev**2
+        radial = (a_dev2 * dlam)[:, None, None] * nn
+        hoop_coef = np.where(s_trial > 0.0, a_dev2 * lam / safe, a_dev2 * dlam)
+        hoop = hoop_coef[:, None, None] * (dev_projector(d) - nn)
         moduli = moduli - np.where(active[:, None, None], radial + hoop, 0.0)
     return z, p_new, moduli

@@ -223,7 +223,7 @@ def test_c06_effective_stress_elastic_identity():
     grid = np.linspace(0, 1, 6)
     res = sigma(cfg, path, grid)
     A = isotropic_stiffness(1.0, 0.3, 2)
-    gap = np.abs(res.sigma - path.at(grid) @ A.matrix.T).max()
+    gap = np.abs(res.sigma - path.at(grid) @ A.T).max()
     report(6, gap <= 1e-10,
            f"effective stress equals the elastic law to {gap:.1e}")
 

@@ -141,7 +141,7 @@ class TestSigmaOperator:
         grid = np.linspace(0, 1, 5)
         res = sigma(cfg, path, grid)
         A = isotropic_stiffness(1.0, 0.3, 2)
-        expected = path.at(grid) @ A.matrix.T
+        expected = path.at(grid) @ A.T
         assert np.abs(res.sigma - expected).max() <= 1e-10
         assert np.abs(res.pi).max() == 0.0
 

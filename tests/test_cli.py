@@ -165,6 +165,12 @@ class TestExitCodes:
         pytest.param("macro", "budget_seconds", float("inf"), id="budget-seconds-infinite"),
         pytest.param("macro", "budget_elements", "x", id="budget-elements-not-a-number"),
         pytest.param("macro", "budget_elements", 0, id="zero-budget-elements"),
+        pytest.param("eps", "load", "x", id="load-not-a-list"),
+        pytest.param("eps", "load", [1, 2, 3], id="load-three-entries"),
+        pytest.param("eps", "bc.a", [["x"]], id="offset-not-numbers"),
+        pytest.param("eps", "bc.a", [[0, 0, 0], [1, 0.1]], id="offset-ragged"),
+        pytest.param("eps", "bc.a", [], id="offset-empty"),
+        pytest.param("eps", "zero_shift", "false", id="zero-shift-a-string"),
     ])
     def test_malformed_config_is_configuration_error(self, run_dir, capsys,
                                                      command, key, value):
@@ -182,6 +188,27 @@ class TestExitCodes:
         path.write_text(json.dumps(bad))
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, row", [
+        pytest.param(None, None, id="missing-file"),
+        pytest.param(["t", "xi_11", "xi_12"], [1.0, 0.0, 0.4], id="missing-column"),
+        pytest.param(["t", "xi_11", "xi_22", "xi_12"], [1.0, 0.0, "x", 0.4],
+                     id="non-numeric-entry"),
+    ])
+    def test_bad_strain_path_is_configuration_error(self, run_dir, capsys, header, row):
+        out, cfg = run_dir
+        xi_csv = out / "xi.csv"
+        if header is None:
+            xi_csv.unlink()
+        else:
+            with open(xi_csv, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerow([0.0] * len(header))
+                writer.writerow(row)
+        assert main(["cell", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(xi_csv) in err
 
     @pytest.mark.parametrize("flag", ["--N", "--r", "--M"])
     def test_zero_override_is_configuration_error(self, run_dir, capsys, flag):

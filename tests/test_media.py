@@ -8,7 +8,6 @@ from plasthom.media import (
     PeriodizedMedium,
     ProbabilityLaw,
     ergodic_average,
-    evaluate,
     sample_realization,
     sample_shifts,
     shifted,
@@ -86,10 +85,9 @@ class TestRealizations:
         rng = np.random.default_rng(20)
         for seed in (0, 1, 99):
             omega = sample_realization(law, seed)
-            for _ in range(10):
-                x = rng.uniform(-50, 50, size=2)
-                mp = evaluate(omega, x, eps=0.37)
-                assert (mp.E, mp.nu, mp.yield_stress) == (2.0, 0.25, 0.7)
+            params = omega.parameters_at(rng.uniform(-50, 50, size=(10, 2)), eps=0.37)
+            for key, value in (("E", 2.0), ("nu", 0.25), ("sigma_y", 0.7)):
+                assert np.all(params[key] == value)
 
     def test_same_seed_is_bit_identical(self):
         law = two_point_law()
@@ -121,9 +119,9 @@ class TestRealizations:
         for _ in range(1000):
             x = rng.uniform(-10, 10, size=2)
             y = rng.uniform(-10, 10, size=2)
-            lhs = evaluate(shifted(omega, y), x)
-            rhs = evaluate(omega, x + y)
-            assert lhs.E == rhs.E and lhs.yield_stress == rhs.yield_stress
+            lhs = shifted(omega, y).parameters_at(x)
+            rhs = omega.parameters_at(x + y)
+            assert lhs["E"] == rhs["E"] and lhs["sigma_y"] == rhs["sigma_y"]
 
     def test_shift_by_zero_is_identity(self):
         law = two_point_law()
@@ -147,8 +145,9 @@ class TestRealizations:
         law = two_point_law()
         omega = sample_realization(law, 9, zero_shift=True)
         moved = shifted(omega, np.array([1.0, 0.0]))
-        for x in np.random.default_rng(26).uniform(-5, 5, size=(50, 2)):
-            assert evaluate(moved, x).E == evaluate(omega, x + [1.0, 0.0]).E
+        pts = np.random.default_rng(26).uniform(-5, 5, size=(50, 2))
+        assert np.array_equal(moved.parameters_at(pts)["E"],
+                              omega.parameters_at(pts + [1.0, 0.0])["E"])
 
     def test_two_point_frequency(self):
         law = two_point_law()

@@ -11,11 +11,14 @@ above: saturated flow at rate sigma_y).
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plasthom.errors import ConfigurationError
 from plasthom.flowrules import NORM_TYPE, VON_MISES
 from plasthom.returnmap import MaterialArrays, plastic_step
+from plasthom.tensors import isotropic_stiffness, lame_parameters
 
 from helpers import reference_pointwise_response
 
@@ -47,6 +50,14 @@ class State:
 
     def step(self, xi):
         return plastic_step(xi, self.p_old, self.mats, self.dt, self.delta, self.kind)
+
+    def central_differences(self, h):
+        fd = np.empty((3, 3))
+        for j in range(3):
+            e_j = np.zeros(3)
+            e_j[j] = h
+            fd[:, j] = (self.step(self.xi + e_j)[0] - self.step(self.xi - e_j)[0])[0] / (2 * h)
+        return fd
 
 
 def unit_deviator(angle):
@@ -81,12 +92,22 @@ def states(draw, p_old_max=0.5):
 def test_tangent_matches_central_differences(state):
     _, p_new, moduli = state.step(state.xi)
     assert np.array_equal(p_new, state.p_old) == (state.regime == "elastic")
-    h = 1e-4 * state.threshold / state.mats.a_dev[0]
-    fd = np.empty((3, 3))
-    for j in range(3):
-        e_j = np.zeros(3)
-        e_j[j] = h
-        fd[:, j] = (state.step(state.xi + e_j)[0] - state.step(state.xi - e_j)[0])[0] / (2 * h)
+    fd = state.central_differences(1e-4 * state.threshold / state.mats.a_dev[0])
+    assert np.linalg.norm(moduli[0] - fd) <= 1e-6 * np.linalg.norm(moduli[0])
+
+
+def test_norm_tangent_at_zero_trial_stress():
+    # a purely hydrostatic strain from a zero plastic strain: the trial
+    # deviatoric stress vanishes and the update sits on the linear inner branch
+    E, nu, sigma_y, hardening, delta, dt = 1.0, 0.3, 0.3, 1.0, 0.003, 0.25
+    a_dev = E / (1.0 + nu)
+    state = State(NORM_TYPE, "plastic", E, nu, sigma_y, hardening, delta, dt,
+                  sigma_y * (delta + (a_dev + hardening) * dt),
+                  np.array([[0.1, 0.1, 0.0]]), np.zeros((1, 3)))
+    _, p_new, moduli = state.step(state.xi)
+    assert np.array_equal(p_new, state.p_old)
+    fd = state.central_differences(1e-4 * state.threshold / a_dev)
+    assert fd[2, 2] == pytest.approx(0.437, abs=1e-3)
     assert np.linalg.norm(moduli[0] - fd) <= 1e-6 * np.linalg.norm(moduli[0])
 
 
@@ -99,3 +120,24 @@ def test_one_step_matches_pointwise_reference(state):
         lambda t: state.xi[0], np.array([0.0, state.dt]), refine=1, kind=state.kind)
     assert np.abs(z[0] - ref_z[1]).max() <= 1e-12 * max(1.0, np.abs(ref_z[1]).max())
     assert np.abs(p_new[0] - ref_p[1]).max() <= 1e-12 * max(1.0, np.abs(ref_p[1]).max())
+
+
+class TestMaterialArrays:
+    def test_from_parameters(self):
+        mats = MaterialArrays.from_parameters(2.0, 0.3, 0.5, 1.5)
+        lam, mu = lame_parameters(2.0, 0.3)
+        assert mats.dim == 2
+        assert np.array_equal(mats.yield_stress, [0.5])
+        assert np.array_equal(mats.hardening, [1.5])
+        assert np.allclose(mats.a_vol, 2 * lam + 2 * mu, rtol=1e-15)
+        assert np.allclose(mats.a_dev, 2 * mu, rtol=1e-15)
+        assert np.allclose(mats.stiffness_moduli()[0], isotropic_stiffness(2.0, 0.3, 2),
+                           rtol=1e-15)
+
+    def test_rejects_nonpositive_yield(self):
+        with pytest.raises(ConfigurationError):
+            MaterialArrays.from_parameters(1.0, 0.3, 0.0, 1.0).validate_elliptic()
+
+    def test_rejects_nonpositive_hardening(self):
+        with pytest.raises(ConfigurationError):
+            MaterialArrays.from_parameters(1.0, 0.3, 1.0, -1.0).validate_elliptic()
