@@ -62,15 +62,11 @@ def run_averaging_experiment(spec):
     seeds = list(p["seeds"])
     delta = p["delta"]
     time_grid = np.asarray(p["time_grid"], dtype=float)
-    corners = np.asarray(p.get("simplex", UNIT_RIGHT_TRIANGLE), dtype=float)
     h_factor = p.get("h_factor", 0.5)
     offset = p.get("offset")
-    zero_shift = p.get("zero_shift", True)
-    rve = p["rve"]
-    if not isinstance(rve, RveConfig):
-        rve = RveConfig(n_cells=rve["N"], refine=rve.get("r", 1),
-                        n_samples=rve["M"], delta=delta, law=law,
-                        base_seed=rve.get("base_seed", 10_000))
+    rve = RveConfig(n_cells=p["rve"]["N"], refine=p["rve"].get("r", 1),
+                    n_samples=p["rve"]["M"], delta=delta, law=law,
+                    base_seed=p["rve"].get("base_seed", 10_000))
 
     reference = sigma(rve, xi, time_grid)
     dt = np.diff(time_grid)
@@ -83,11 +79,11 @@ def run_averaging_experiment(spec):
     d_mean = {}
     for eps in epsilons:
         # lattice-aligned right triangles with power-of-two eps never cut cells
-        mesh = mesh_simplex(corners, h_factor * eps)
+        mesh = mesh_simplex(UNIT_RIGHT_TRIANGLE, h_factor * eps)
         d_l2_values = []
         rows_this_eps = []
         for seed in seeds:
-            medium = sample_realization(law, seed, zero_shift=zero_shift)
+            medium = sample_realization(law, seed, zero_shift=True)
             config = EpsProblemConfig(
                 mesh=mesh, medium=medium, epsilon=eps, delta=delta,
                 time_grid=time_grid,
@@ -222,13 +218,19 @@ def run_convergence_check(spec):
 
     Solves the effective problem on a sequence of unit-square meshes and
     reports the L2 distance of each solution to the finest one, evaluated at
-    the common coarse vertices.
+    the common coarse vertices.  Every mesh size n must divide the finest
+    one, N, so that the meshes nest: coarse vertex (i, j) is fine vertex
+    (i N/n, j N/n).
     """
     p = spec.params
     rve = p["rve"]
     xi = p["xi"]
     time_grid = np.asarray(p["time_grid"], dtype=float)
     n_values = sorted(p.get("n_values", (2, 4, 8)))
+    finest_n = n_values[-1]
+    if not all(_positive_int(n) and finest_n % n == 0 for n in n_values):
+        raise ConfigurationError(f"convergence n_values must be positive integers that "
+                                 f"divide the largest one, got {n_values!r}")
 
     solutions = {}
     for n in n_values:
@@ -236,16 +238,15 @@ def run_convergence_check(spec):
                           dirichlet=AffineBoundary(xi), time_grid=time_grid)
         solutions[n] = solve_effective(cfg)
 
-    finest = solutions[n_values[-1]]
+    finest = solutions[finest_n]
     table = ReportTable(columns=["n", "h", "dist_to_finest"])
     dists = {}
     for n in n_values[:-1]:
         sol = solutions[n]
-        coarse_pts = sol.space.mesh.vertices
-        fine_pts = finest.space.mesh.vertices
-        # structured grids nest: match vertices by lookup
-        index = {tuple(np.round(v, 12)): i for i, v in enumerate(fine_pts)}
-        match = np.array([index[tuple(np.round(v, 12))] for v in coarse_pts])
+        # mesh_unit_square numbers vertex (i, j) as i (n + 1) + j
+        i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+        stride = finest_n // n
+        match = i * stride * (finest_n + 1) + j * stride
         diff = sol.u[-1] - finest.u[-1][match]
         dists[n] = float(np.sqrt((diff**2).sum(axis=1).mean()))
         table.append(n, sol.space.mesh.h, dists[n])

@@ -19,7 +19,7 @@ right-hand side, and the preconditioner zeroes the k = 0 mode, so the
 solution is the zero-mean representative.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,29 +35,31 @@ KDIM = mandel_dim(DIM)
 class SimplicialMesh:
     """Triangulation of a planar domain, possibly with periodic identification.
 
-    ``periodic_pairs`` maps duplicated (slave) vertex indices to their master
-    vertex; element geometry always uses the duplicated coordinates so that
-    affine element maps stay nondegenerate on the torus.
+    ``master`` maps every vertex to the vertex whose degrees of freedom it
+    shares: itself by default, a master vertex for the duplicated (slave)
+    vertices of a torus.  Element geometry always uses the duplicated
+    coordinates so that affine element maps stay nondegenerate on the torus.
+    ``h`` is the largest element edge.
     """
 
     vertices: np.ndarray          # (nv, 2)
     simplices: np.ndarray         # (ne, 3) int
     boundary_vertices: np.ndarray  # (nb,) int
-    periodic_pairs: dict = field(default_factory=dict)
-    h: float = 0.0
+    master: np.ndarray = None     # (nv,) int
     grid_size: int = 0            # m of an m x m torus grid from mesh_torus, else 0
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.simplices = np.asarray(self.simplices, dtype=np.int64)
         self.boundary_vertices = np.asarray(self.boundary_vertices, dtype=np.int64)
+        self.master = np.arange(self.n_vertices) if self.master is None \
+            else np.asarray(self.master, dtype=np.int64)
         coords = self.vertices[self.simplices]          # (ne, 3, 2)
         e1 = coords[:, 1] - coords[:, 0]
         e2 = coords[:, 2] - coords[:, 0]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        if self.h <= 0.0:
-            edges = np.stack([e1, e2, coords[:, 2] - coords[:, 1]], axis=1)
-            self.h = float(np.linalg.norm(edges, axis=-1).max())
+        edges = np.stack([e1, e2, coords[:, 2] - coords[:, 1]], axis=1)
+        self.h = float(np.linalg.norm(edges, axis=-1).max())
         if np.any(det <= 1e-12 * self.h**DIM):
             raise ConfigurationError("mesh has degenerate or negatively oriented elements")
         self.volumes = 0.5 * det
@@ -86,14 +88,6 @@ class SimplicialMesh:
         inradius = self.volumes / s
         circum = a * b * c / (4.0 * self.volumes)
         return float((circum / inradius).max())
-
-    def master_vertex(self):
-        """Vertex index -> master vertex index after periodic identification."""
-        master = np.arange(self.n_vertices)
-        for slave, m in self.periodic_pairs.items():
-            master[slave] = m
-        # single pass suffices: pairs always point at true masters
-        return master
 
 
 def mesh_simplex(corners, h):
@@ -169,23 +163,20 @@ def mesh_torus(n_cells, refine):
     """Periodic structured triangulation of [0, N)^2, aligned with unit cells.
 
     Every element lies inside exactly one integer lattice cell.  Opposite
-    faces are identified through ``periodic_pairs``; the duplicated boundary
-    vertices keep their geometric coordinates.  The master of grid vertex
-    (i, j) is the (i * m + j)-th master, m = N * r being ``grid_size``.
+    faces are identified through ``master``: grid vertex (i, j) shares the
+    degrees of freedom of vertex (i mod m, j mod m), which is the
+    (i * m + j)-th master, m = N * r being ``grid_size``.  The duplicated
+    boundary vertices keep their geometric coordinates.
     """
     if n_cells < 1 or refine < 1:
         raise ConfigurationError(f"need N >= 1 and r >= 1, got N={n_cells}, r={refine}")
     m = n_cells * refine
     dx = 1.0 / refine
     verts, tris, vid = _structured_grid(m, m, dx, dx)
-    pairs = {}
-    for i in range(m + 1):
-        for j in range(m + 1):
-            wi, wj = i % m, j % m
-            if (wi, wj) != (i, j):
-                pairs[vid(i, j)] = vid(wi, wj)
+    wrapped = np.arange(m + 1) % m
+    master = vid(wrapped[:, None], wrapped[None, :]).ravel()
     return SimplicialMesh(verts, tris, np.asarray([], dtype=np.int64),
-                          periodic_pairs=pairs, grid_size=m)
+                          master=master, grid_size=m)
 
 
 class P1Space:
@@ -198,9 +189,7 @@ class P1Space:
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self.dim_range = DIM
-        master = mesh.master_vertex()
-        self.master = master
+        master = mesh.master
         constrained = np.zeros(mesh.n_vertices, dtype=bool)
         constrained[master[mesh.boundary_vertices]] = True
         constrained = constrained[master]  # constraint lives on the master
@@ -422,23 +411,6 @@ def pcg(A, b, precond, rtol=1e-10, maxiter=None):
     )
 
 
-def solve_constrained(space, A, rhs, dirichlet_values, rtol=1e-10):
-    """Solve A u = rhs with Dirichlet values imposed on constrained dofs.
-
-    ``dirichlet_values`` is a full nodal field carrying the boundary data;
-    returns the full packed solution vector.
-    """
-    u = space.pack_field(dirichlet_values)
-    free = space.free_dofs
-    fixed = np.flatnonzero(~space.free_mask)
-    rows = A[free]
-    b = rhs[free] - rows[:, fixed] @ u[fixed]
-    Aff = rows[:, free]
-    x, _ = pcg(Aff, b, jacobi(Aff), rtol=rtol)
-    u[free] = x
-    return u
-
-
 def solve_periodic(space, A, rhs, rtol=1e-10):
     """Solve a periodic (all-free) torus system; returns the zero-mean solution.
 
@@ -461,9 +433,9 @@ def solve_elastic(space, stiffness_field, f=None, g=None, rtol=1e-10):
 
     ``stiffness_field`` is one Mandel stiffness matrix (3, 3) for all
     elements or one per element (ne, 3, 3); ``f`` is a load callable
-    f(x) -> (2,) or per-element array; ``g`` assigns Dirichlet values, either
-    a callable g(x) -> (2,) or a full nodal array.  Returns the nodal
-    displacement.
+    f(x) -> (2,), evaluated at the barycenters, and ``g`` a callable
+    g(x) -> (2,) of Dirichlet values, evaluated at the constrained vertices;
+    either may be None for zero data.  Returns the nodal displacement.
     """
     mesh = space.mesh
     ne = mesh.n_elements
@@ -476,15 +448,17 @@ def solve_elastic(space, stiffness_field, f=None, g=None, rtol=1e-10):
     if f is None:
         rhs = np.zeros(space.n_packed)
     else:
-        fvals = f(mesh.barycenters) if callable(f) else np.asarray(f)
-        rhs = space.load_vector(fvals)
+        rhs = space.load_vector(f(mesh.barycenters))
     bc = space.zero_field()
     if g is not None:
-        if callable(g):
-            idx = space.dirichlet_vertices
-            bc[idx] = g(mesh.vertices[idx])
-        else:
-            bc = np.asarray(g, dtype=float).copy()
-    packed = solve_constrained(space, A, rhs, bc, rtol=rtol)
-    return space.unpack_field(packed)
+        idx = space.dirichlet_vertices
+        bc[idx] = g(mesh.vertices[idx])
+    u = space.pack_field(bc)
+    free = space.free_dofs
+    fixed = np.flatnonzero(~space.free_mask)
+    rows = A[free]
+    b = rhs[free] - rows[:, fixed] @ u[fixed]
+    Aff = rows[:, free]
+    u[free], _ = pcg(Aff, b, jacobi(Aff), rtol=rtol)
+    return space.unpack_field(u)
 

@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .fem import P1Space, jacobi, pcg, solve_elastic
-from .flowrules import VON_MISES
-from .loading import AffineBoundary, checked_time_grid
+from .flowrules import VON_MISES, FlowRule
+from .loading import checked_boundary, checked_time_grid
 from .returnmap import MaterialArrays, plastic_step
-from .tensors import deviatoric, mandel_dim, unpack
+from .tensors import mandel_dim, unpack
 
 NEWTON_MAXITER = 50
 
@@ -31,9 +31,9 @@ NEWTON_MAXITER = 50
 class EpsProblemConfig:
     """Problem data for one heterogeneous solve.
 
-    ``dirichlet`` is an AffineBoundary or a callable U(t, points) -> (n, d)
-    with U(0, .) = 0.  ``load`` is a callable f(t, points) -> (n, d) with
-    f(0, .) = 0, or None.  The initial plastic strain is zero.
+    ``dirichlet`` is an AffineBoundary.  ``load`` is a callable
+    f(t, points) -> (n, d) with f(0, .) = 0, or None.  The initial plastic
+    strain is zero.
     """
 
     mesh: object
@@ -46,10 +46,10 @@ class EpsProblemConfig:
     rule_kind: str = VON_MISES
     newton_rtol: float = 1e-8
     cg_rtol: float = 1e-12
-    sigma_y_override: float = None
 
     def __post_init__(self):
         self.time_grid = checked_time_grid(self.time_grid)
+        self.dirichlet = checked_boundary(self.dirichlet)
         if not self.epsilon > 0:
             raise ConfigurationError(f"scale eps must be positive, got {self.epsilon}")
         if not self.delta > 0:
@@ -69,14 +69,11 @@ class PlasticTrajectory:
     residual_norms: list
     space: object = field(repr=False, default=None)
     mats: object = field(repr=False, default=None)
-    config: object = field(repr=False, default=None)
 
 
 def _boundary_values(config, t, points):
-    if isinstance(config.dirichlet, AffineBoundary):
-        xi = unpack(config.dirichlet.strain_at(t), 2)
-        return points @ xi.T
-    return np.asarray(config.dirichlet(t, points), dtype=float)
+    """The strain part xi(t) x of the Dirichlet data at the given points."""
+    return points @ unpack(config.dirichlet.path.at(t), 2).T
 
 
 def _impose_dirichlet(space, config, t, u):
@@ -90,7 +87,7 @@ def _impose_dirichlet(space, config, t, u):
 
 def _add_boundary_offset(config, times, u_hist):
     """Add the AffineBoundary constant a(t_m) to the displacements of steps m >= 1."""
-    if isinstance(config.dirichlet, AffineBoundary) and config.dirichlet.offset is not None:
+    if config.dirichlet.offset is not None:
         for m in range(1, times.size):
             u_hist[m] = u_hist[m] + config.dirichlet.offset_at(times[m])
 
@@ -100,17 +97,6 @@ def _load_vector(space, config, t):
         return np.zeros(space.n_packed)
     values = np.asarray(config.load(t, space.mesh.barycenters), dtype=float)
     return space.load_vector(values)
-
-
-def _materials(config):
-    mats = MaterialArrays.from_medium(config.medium, config.mesh.barycenters,
-                                      config.epsilon)
-    if config.sigma_y_override is not None:
-        mats = MaterialArrays(mats.a_vol, mats.a_dev, mats.hardening,
-                              np.full_like(mats.yield_stress, config.sigma_y_override),
-                              dim=mats.dim)
-    mats.validate_elliptic()
-    return mats
 
 
 def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, kind,
@@ -181,14 +167,11 @@ def solve_eps(config):
     """
     mesh = config.mesh
     space = P1Space(mesh)
-    mats = _materials(config)
+    mats = MaterialArrays.from_medium(config.medium, mesh.barycenters, config.epsilon)
     times = config.time_grid
     steps = times.size - 1
     k = mandel_dim(2)
 
-    bc0 = _boundary_values(config, 0.0, mesh.vertices[space.dirichlet_vertices])
-    if bc0.size and np.abs(bc0).max() > 1e-12:
-        raise ConfigurationError("boundary data must vanish at t=0")
     if config.load is not None:
         f0 = np.asarray(config.load(0.0, mesh.barycenters))
         if np.abs(f0).max() > 1e-12:
@@ -219,7 +202,7 @@ def solve_eps(config):
     e_hist = np.stack([mats.apply_compliance(sig_hist[m]) for m in range(steps + 1)])
     return PlasticTrajectory(times=times, u=u_hist, sigma=sig_hist, e=e_hist,
                              p=p_hist, newton_iters=iters, residual_norms=residuals,
-                             space=space, mats=mats, config=config)
+                             space=space, mats=mats)
 
 
 def average_stress(traj, region=None):
@@ -238,7 +221,7 @@ def elastic_reference(config):
     """Per-step linear-elastic displacements with the same data (oracle hook)."""
     mesh = config.mesh
     space = P1Space(mesh)
-    mats = _materials(config)
+    mats = MaterialArrays.from_medium(config.medium, mesh.barycenters, config.epsilon)
     moduli = mats.stiffness_moduli()
     out = [np.zeros((mesh.n_vertices, 2))]
     for t in config.time_grid[1:]:
@@ -287,7 +270,7 @@ def residual_report(traj, config):
     times = traj.times
 
     u_eff = traj.u
-    if isinstance(config.dirichlet, AffineBoundary) and config.dirichlet.offset is not None:
+    if config.dirichlet.offset is not None:
         u_eff = traj.u - np.stack([np.tile(config.dirichlet.offset_at(t),
                                            (mesh.n_vertices, 1)) for t in times])
 
@@ -300,18 +283,12 @@ def residual_report(traj, config):
                                       for m in range(times.size)])).max()
 
     tau = traj.sigma - mats.hardening[None, :, None] * traj.p
+    flow = FlowRule(config.rule_kind, mats.yield_stress).regularized(config.delta)
     flow_res = 0.0
     for m in range(1, times.size):
         dt = times[m] - times[m - 1]
         rates = (traj.p[m] - traj.p[m - 1]) / dt
-        dev_tau = deviatoric(tau[m], 2)
-        s = np.linalg.norm(dev_tau, axis=-1)
-        if config.rule_kind == VON_MISES:
-            mag = np.maximum(s - mats.yield_stress, 0.0) / config.delta
-        else:
-            mag = np.minimum(s / config.delta, mats.yield_stress)
-        safe = np.where(s > 0, s, 1.0)
-        grads = mag[:, None] * dev_tau / safe[:, None]
+        grads = flow.gradient(tau[m])
         flow_res = max(flow_res, float(np.abs(rates - grads).max()
                                        / (1.0 + float(np.abs(grads).max()))))
 
@@ -324,14 +301,7 @@ def residual_report(traj, config):
         "sigma": _h1_time_l2_norm(times, traj.sigma, vol),
     }
 
-    if isinstance(config.dirichlet, AffineBoundary):
-        data_norm = config.dirichlet.path.h1_norm()
-    else:
-        series = np.stack([
-            np.asarray(config.dirichlet(t, mesh.vertices))[mesh.simplices].mean(axis=1)
-            for t in times
-        ])
-        data_norm = _h1_time_l2_norm(times, series, vol)
+    data_norm = config.dirichlet.path.h1_norm()
     if config.load is not None:
         loads = np.stack([np.asarray(config.load(t, mesh.barycenters)) for t in times])
         data_norm += _h1_time_l2_norm(times, loads, vol)

@@ -38,16 +38,19 @@ _TRACE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FlowRule:
-    """Unregularized convex potential of the plastic flow rule."""
+    """Unregularized convex potential of the plastic flow rule.
+
+    ``yield_stress`` may be an array with one entry per leading index.
+    """
 
     kind: str
-    yield_stress: float
+    yield_stress: object
     dim: int = 2
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown flow rule kind {self.kind!r}")
-        if not self.yield_stress > 0.0:
+        if not np.all(np.asarray(self.yield_stress) > 0.0):
             raise ConfigurationError(
                 f"yield stress must be positive, got {self.yield_stress}"
             )

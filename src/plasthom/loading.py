@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensors import SQRT2, mandel_dim, unpack
+from .tensors import SQRT2, mandel_dim
 
 
 def checked_time_grid(time_grid):
@@ -37,8 +37,8 @@ class StrainPath:
     def __post_init__(self):
         knots = np.array(self.knots, dtype=float)
         values = np.array(self.values, dtype=float)
-        if knots.ndim != 1 or np.any(np.diff(knots) <= 0):
-            raise ConfigurationError("knots must be strictly increasing")
+        if knots.ndim != 1 or not knots.size or np.any(np.diff(knots) <= 0):
+            raise ConfigurationError("knots must be non-empty and strictly increasing")
         k = mandel_dim(self.dim)
         if values.shape != (knots.size, k):
             raise ConfigurationError(
@@ -133,17 +133,18 @@ class AffineBoundary:
             if np.linalg.norm(a0) > 1e-14:
                 raise ConfigurationError("additive boundary constant must vanish at t=0")
 
-    def strain_at(self, t):
-        return self.path.at(t)
-
     def offset_at(self, t):
         if self.offset is None:
             return np.zeros(self.path.dim)
         return np.asarray(self.offset(t), dtype=float)
 
-    def __call__(self, t, points):
-        xi = unpack(self.path.at(t), self.path.dim)
-        return np.asarray(points) @ xi.T + self.offset_at(t)
+
+def checked_boundary(boundary):
+    """The Dirichlet data of a solve; it must be an AffineBoundary."""
+    if not isinstance(boundary, AffineBoundary):
+        raise ConfigurationError(f"Dirichlet data must be an AffineBoundary, "
+                                 f"got {type(boundary).__name__}")
+    return boundary
 
 
 def tabulated_offset(rows):

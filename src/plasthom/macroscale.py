@@ -20,7 +20,7 @@ from .cellproblem import CG_RTOL
 from .errors import ConfigurationError, NumericalError
 from .fem import P1Space, jacobi, mesh_torus, pcg
 from .finescale import _add_boundary_offset, _impose_dirichlet, _load_vector
-from .loading import checked_time_grid
+from .loading import checked_boundary, checked_time_grid
 from .media import PeriodizedMedium
 from .returnmap import MaterialArrays
 from .tensors import mandel_dim
@@ -38,7 +38,7 @@ class MacroConfig:
 
     mesh: object
     rve: object                   # RveConfig
-    dirichlet: object             # AffineBoundary or callable U(t, pts)
+    dirichlet: object             # AffineBoundary
     time_grid: np.ndarray
     load: object = None
     newton_rtol: float = 1e-6
@@ -47,6 +47,7 @@ class MacroConfig:
 
     def __post_init__(self):
         self.time_grid = checked_time_grid(self.time_grid)
+        self.dirichlet = checked_boundary(self.dirichlet)
         if self.max_elements is not None and self.mesh.n_elements > self.max_elements:
             raise ConfigurationError(
                 f"mesh has {self.mesh.n_elements} elements, budget allows {self.max_elements}"
@@ -54,7 +55,7 @@ class MacroConfig:
 
 
 def _sample_materials(rve_cfg, rve_space):
-    """The validated MaterialArrays of the M RVE samples, with read-only arrays.
+    """The MaterialArrays of the M RVE samples, with read-only arrays.
 
     Every macro element sees the same M samples, so FE2 builds them once and
     all ElementCellStates share them.
@@ -63,7 +64,6 @@ def _sample_materials(rve_cfg, rve_space):
     for j in range(rve_cfg.n_samples):
         medium = PeriodizedMedium(rve_cfg.law, rve_cfg.sample_seed(j), rve_cfg.n_cells)
         mats = MaterialArrays.from_medium(medium, rve_space.mesh.barycenters)
-        mats.validate_elliptic()
         for values in (mats.a_vol, mats.a_dev, mats.hardening, mats.yield_stress):
             values.flags.writeable = False
         samples.append(mats)

@@ -12,6 +12,8 @@ Shifting a realization by y yields the realization of the translated medium,
 and composing shifts adds displacements.
 """
 
+import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +68,14 @@ def sample_shifts(seeds, dim):
     return out
 
 
+def _finite(value, name):
+    """``value`` as a float; it must be a finite real number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A scalar distribution: point mass, uniform interval, or finite discrete."""
@@ -75,31 +85,35 @@ class Distribution:
 
     @classmethod
     def point(cls, value):
-        return cls("point", (float(value),))
+        return cls("point", (_finite(value, "point value"),))
 
     @classmethod
     def uniform(cls, lo, hi):
+        lo, hi = _finite(lo, "uniform bound"), _finite(hi, "uniform bound")
         if not hi > lo:
             raise ConfigurationError(f"uniform interval needs hi > lo, got [{lo}, {hi}]")
-        return cls("uniform", (float(lo), float(hi)))
+        return cls("uniform", (lo, hi))
 
     @classmethod
     def discrete(cls, values, weights=None):
-        values = [float(v) for v in values]
+        values = [_finite(v, "discrete value") for v in values]
         if not values:
             raise ConfigurationError("discrete distribution with empty support")
         if weights is None:
             weights = [1.0] * len(values)
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(values),) or np.any(weights < 0) or weights.sum() <= 0:
-            raise ConfigurationError("discrete weights must be nonnegative with positive sum")
+        weights = np.array([_finite(w, "discrete weight") for w in weights])
+        if weights.shape != (len(values),) or np.any(weights < 0) \
+                or not 0 < weights.sum() < np.inf:
+            raise ConfigurationError("discrete weights must be nonnegative with a positive, "
+                                     "finite sum")
         return cls("discrete", (tuple(values), tuple(weights / weights.sum())))
 
     @classmethod
     def from_config(cls, spec):
         """Parse ``{"point": v}``, ``{"uniform": [lo, hi]}`` or
-        ``{"discrete": {"values": [...], "weights": [...]}}``."""
-        if isinstance(spec, (int, float)):
+        ``{"discrete": {"values": [...], "weights": [...]}}``; every value
+        and weight must be a finite number."""
+        if isinstance(spec, numbers.Real):
             return cls.point(spec)
         if not isinstance(spec, dict) or len(spec) != 1:
             raise ConfigurationError(f"bad distribution spec {spec!r}")

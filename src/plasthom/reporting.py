@@ -79,8 +79,9 @@ def emit_report(table, csv_path, svg_path=None, x=None, y=None, series_by=None):
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def render_svg(table, x, y, series_by=None, width=640, height=420):
+def render_svg(table, x, y, series_by=None):
     """Minimal deterministic SVG line plot of column y against column x."""
+    width, height = 640, 420
     xs = np.asarray([float(v) for v in table.column(x)])
     ys = np.asarray([float(v) for v in table.column(y)])
     if xs.size == 0:

@@ -25,13 +25,22 @@ from .tensors import deviatoric, dev_projector, lame_parameters, sph_projector
 
 @dataclass(frozen=True)
 class MaterialArrays:
-    """Per-element isotropic material data for the vectorized update."""
+    """Per-element isotropic material data for the vectorized update.
+
+    Construction checks that all entries are positive (NaN fails).
+    """
 
     a_vol: np.ndarray    # volumetric stiffness eigenvalue, d*lam + 2*mu
     a_dev: np.ndarray    # deviatoric stiffness eigenvalue, 2*mu
     hardening: np.ndarray
     yield_stress: np.ndarray
     dim: int = 2
+
+    def __post_init__(self):
+        if not (np.all(self.a_vol > 0) and np.all(self.a_dev > 0)):
+            raise ConfigurationError("material field violates ellipticity")
+        if not (np.all(self.hardening > 0) and np.all(self.yield_stress > 0)):
+            raise ConfigurationError("hardening and yield stress must be positive")
 
     @classmethod
     def from_parameters(cls, E, nu, sigma_y, hardening, dim=2):
@@ -51,12 +60,6 @@ class MaterialArrays:
         params = medium.parameters_at(points, eps)
         return cls.from_parameters(params["E"], params["nu"], params["sigma_y"],
                                    params["H"], dim=medium.dim)
-
-    def validate_elliptic(self):
-        if np.any(self.a_vol <= 0) or np.any(self.a_dev <= 0):
-            raise ConfigurationError("material field violates ellipticity")
-        if np.any(self.hardening <= 0) or np.any(self.yield_stress <= 0):
-            raise ConfigurationError("hardening and yield stress must be positive")
 
     def stiffness_moduli(self):
         """Dense Mandel stiffness matrices per element, shape (n, k, k)."""

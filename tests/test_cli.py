@@ -171,6 +171,14 @@ class TestExitCodes:
         pytest.param("eps", "bc.a", [[0, 0, 0], [1, 0.1]], id="offset-ragged"),
         pytest.param("eps", "bc.a", [], id="offset-empty"),
         pytest.param("eps", "zero_shift", "false", id="zero-shift-a-string"),
+        pytest.param("cell", "law.E", True, id="law-E-a-boolean"),
+        pytest.param("cell", "law.E", {"discrete": {"values": [1, True]}},
+                     id="law-discrete-value-a-boolean"),
+        pytest.param("cell", "law.E", {"point": float("inf")}, id="law-point-infinite"),
+        pytest.param("cell", "law.sigma_y", float("nan"), id="law-sigma-y-nan"),
+        pytest.param("cell", "law.E",
+                     {"discrete": {"values": [1.0, 2.0], "weights": [float("nan"), 1]}},
+                     id="law-weight-nan"),
     ])
     def test_malformed_config_is_configuration_error(self, run_dir, capsys,
                                                      command, key, value):

@@ -120,6 +120,15 @@ class TestConvergenceCheck:
         assert set(table.meta["distances"]) == {2, 4}
         assert all(d >= 0 for d in table.meta["distances"].values())
 
+    def test_rejects_meshes_that_do_not_nest(self):
+        rve = RveConfig(n_cells=1, refine=1, n_samples=1, delta=0.003,
+                        law=CONSTANT, base_seed=0)
+        spec = ExperimentSpec(kind="convergence", params={
+            "rve": rve, "xi": shear_path(0.4, 1.0, 2),
+            "time_grid": np.linspace(0, 1, 3), "n_values": [2, 3]})
+        with pytest.raises(ConfigurationError):
+            run_convergence_check(spec)
+
 
 class TestDispatchAndSpec:
     def test_unknown_kind_rejected(self):

@@ -19,6 +19,12 @@ TWO_PHASE = ProbabilityLaw.from_config({
     "nu": {"point": 0.3},
     "sigma_y": {"point": 0.3},
 })
+# the two-phase elastic moduli with a yield stress that is never reached
+TWO_PHASE_ELASTIC = ProbabilityLaw.from_config({
+    "E": {"discrete": {"values": [1.0, 2.0]}},
+    "nu": {"point": 0.3},
+    "sigma_y": {"point": 1e9},
+})
 CONSTANT = ProbabilityLaw.constant(1.0, 0.3, 0.3, 1.0)
 
 
@@ -49,8 +55,8 @@ class TestZeroData:
 
 class TestElasticLimit:
     def test_matches_linear_solves_per_step(self):
-        cfg = make_config(law=TWO_PHASE, n=16, steps=3, amplitude=0.3,
-                          sigma_y_override=1e9, cg_rtol=1e-13)
+        cfg = make_config(law=TWO_PHASE_ELASTIC, n=16, steps=3, amplitude=0.3,
+                          cg_rtol=1e-13)
         traj = solve_eps(cfg)
         linear = elastic_reference(cfg)
         for m in range(1, 4):
@@ -234,15 +240,13 @@ class TestBoundaryOffset:
 
 
 class TestValidation:
-    def test_rejects_nonvanishing_initial_boundary_data(self):
-        path = shear_path(0.5, 1.0, 4)
-        bad = lambda t, pts: np.ones_like(pts)
-        cfg = EpsProblemConfig(
-            mesh=mesh_unit_square(2), medium=sample_realization(CONSTANT, 0),
-            epsilon=0.5, delta=0.01, time_grid=np.linspace(0, 1, 5), dirichlet=bad,
-        )
+    def test_rejects_dirichlet_data_that_is_not_affine(self):
         with pytest.raises(ConfigurationError):
-            solve_eps(cfg)
+            EpsProblemConfig(
+                mesh=mesh_unit_square(2), medium=sample_realization(CONSTANT, 0),
+                epsilon=0.5, delta=0.01, time_grid=np.linspace(0, 1, 5),
+                dirichlet=lambda t, pts: t * pts,
+            )
 
     def test_rejects_bad_time_grid(self):
         path = shear_path(0.5, 1.0, 4)
@@ -266,3 +270,7 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             StrainPath(np.array([0.0, 1.0]), np.array([[0.1, 0.0, 0.0],
                                                        [0.2, 0.0, 0.0]]))
+
+    def test_path_needs_a_knot(self):
+        with pytest.raises(ConfigurationError):
+            StrainPath(np.array([]), np.zeros((0, 3)))

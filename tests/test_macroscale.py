@@ -139,3 +139,11 @@ class TestBudgets:
             MacroConfig(mesh=mesh_unit_square(4), rve=single_cell_rve(),
                         dirichlet=AffineBoundary(path),
                         time_grid=np.linspace(0, 1, 3), max_elements=8)
+
+
+class TestConfigValidation:
+    def test_rejects_dirichlet_data_that_is_not_affine(self):
+        with pytest.raises(ConfigurationError):
+            MacroConfig(mesh=mesh_unit_square(2), rve=single_cell_rve(),
+                        dirichlet=lambda t, pts: t * pts,
+                        time_grid=np.linspace(0, 1, 3))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from plasthom.errors import ConfigurationError
@@ -77,6 +79,55 @@ class TestLawValidation:
     def test_from_config_missing_key(self):
         with pytest.raises(ConfigurationError):
             ProbabilityLaw.from_config({"E": {"point": 1.0}, "nu": {"point": 0.3}})
+
+
+# JSON scalars: half are values that every parameter admits, so that a spec
+# with one bad leaf is often otherwise valid; the rest are numbers of every
+# kind, NaN and +-inf included, and the non-numbers a config file can hold
+ANY_LEAF = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(),
+                     st.text(max_size=3))
+JSON_LEAVES = st.one_of(st.sampled_from([0.3, 1, 2.0]), ANY_LEAF)
+LEAF_LISTS = st.lists(JSON_LEAVES, max_size=3)
+SPECS = st.one_of(
+    JSON_LEAVES,
+    st.builds(lambda v: {"point": v}, JSON_LEAVES),
+    st.builds(lambda lo, hi: {"uniform": [lo, hi]}, JSON_LEAVES, JSON_LEAVES),
+    st.builds(lambda v: {"discrete": {"values": v}}, LEAF_LISTS),
+    st.builds(lambda v, w: {"discrete": {"values": v, "weights": w}}, LEAF_LISTS, LEAF_LISTS),
+)
+
+
+def _leaves(spec):
+    if isinstance(spec, dict):
+        return [leaf for value in spec.values() for leaf in _leaves(value)]
+    if isinstance(spec, list):
+        return [leaf for item in spec for leaf in _leaves(item)]
+    return [spec]
+
+
+def _finite_number(leaf):
+    return isinstance(leaf, int) and not isinstance(leaf, bool) \
+        or isinstance(leaf, float) and np.isfinite(leaf)
+
+
+class TestLawSpecProperty:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.fixed_dictionaries({"E": SPECS, "nu": SPECS, "sigma_y": SPECS},
+                                 optional={"H": SPECS}))
+    def test_law_is_rejected_or_valid_on_every_cell(self, cfg):
+        """A law spec is rejected or yields finite, admissible cell parameters;
+        a spec with a leaf that is not a finite number is always rejected."""
+        try:
+            law = ProbabilityLaw.from_config(cfg)
+        except ConfigurationError:
+            return
+        assert all(_finite_number(leaf) for leaf in _leaves(cfg)), cfg
+        cells = np.stack(np.meshgrid(np.arange(16), np.arange(16)), axis=-1).reshape(-1, 2)
+        params = law.cell_parameters(7, cells)
+        assert all(np.all(np.isfinite(v)) for v in params.values()), cfg
+        assert np.all(params["E"] > 0) and np.all(params["sigma_y"] > 0), cfg
+        assert np.all(params["H"] > 0), cfg
+        assert np.all((-1.0 < params["nu"]) & (params["nu"] < 0.5)), cfg
 
 
 class TestRealizations:

@@ -136,8 +136,12 @@ class TestMaterialArrays:
 
     def test_rejects_nonpositive_yield(self):
         with pytest.raises(ConfigurationError):
-            MaterialArrays.from_parameters(1.0, 0.3, 0.0, 1.0).validate_elliptic()
+            MaterialArrays.from_parameters(1.0, 0.3, 0.0, 1.0)
 
     def test_rejects_nonpositive_hardening(self):
         with pytest.raises(ConfigurationError):
-            MaterialArrays.from_parameters(1.0, 0.3, 1.0, -1.0).validate_elliptic()
+            MaterialArrays.from_parameters(1.0, 0.3, 1.0, -1.0)
+
+    def test_rejects_nan_yield(self):
+        with pytest.raises(ConfigurationError):
+            MaterialArrays.from_parameters(1.0, 0.3, np.nan, 1.0)
