@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, positive_int, positive_number, valid_seed
 from .fem import P1Space, mesh_torus
 from .finescale import newton_solve
 from .flowrules import VON_MISES
@@ -49,10 +49,12 @@ class RveConfig:
     newton_rtol: float = 1e-10
 
     def __post_init__(self):
-        if self.n_cells < 1 or self.n_samples < 1 or self.refine < 1:
-            raise ConfigurationError("RVE needs N >= 1, r >= 1 and M >= 1")
-        if not self.delta > 0:
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
+        positive_int(self.n_cells, "RVE cells per side N")
+        positive_int(self.refine, "RVE refinements r")
+        positive_int(self.n_samples, "RVE sample count M")
+        positive_number(self.delta, "delta")
+        valid_seed(self.base_seed, "RVE base_seed")
+        valid_seed(self.sample_seed(self.n_samples - 1), "RVE last sample seed")
 
     def sample_seed(self, j):
         return self.base_seed + j

@@ -15,7 +15,13 @@ import sys
 import numpy as np
 
 from .cellproblem import RveConfig, sigma
-from .errors import ConfigurationError, NumericalError
+from .errors import (
+    ConfigurationError,
+    NumericalError,
+    finite_number,
+    positive_int,
+    positive_number,
+)
 from .experiments import (
     ExperimentSpec,
     run_averaging_experiment,
@@ -39,8 +45,10 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}") from None
+    except OSError as err:
+        raise ConfigurationError(f"cannot read config file {path}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text") from None
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config file {path} is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
@@ -51,55 +59,8 @@ def _load_config(path):
     return cfg
 
 
-def _is_number(value):
-    """True for a JSON number: an int or float, but not a bool."""
-    return not isinstance(value, bool) and isinstance(value, (int, float))
-
-
-def _positive_int(value, name):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def _positive_number(value, name):
-    if not _is_number(value) or not 0 < value < np.inf:
-        raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
-
-
-def _optional(cfg, key, check):
-    """``cfg[key]`` passed through ``check(value, key)``, or None when absent or null."""
-    value = cfg.get(key)
-    return None if value is None else check(value, key)
-
-
-def _positive_numbers(values, name):
-    """A non-empty list of positive finite numbers, returned unchanged."""
-    if not isinstance(values, list) or not values:
-        raise ConfigurationError(f"{name} must be a non-empty list of positive numbers, "
-                                 f"got {values!r}")
-    for value in values:
-        _positive_number(value, name)
-    return values
-
-
-def _integer(value, name):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _non_negative_seconds(value, name):
-    if not _is_number(value) or not 0 <= value < np.inf:
-        raise ConfigurationError(f"{name} must be a non-negative finite number, "
-                                 f"got {value!r}")
-    return value
-
-
 def _delta(cfg, override=None):
-    return _positive_number(cfg.get("delta", 1e-2) if override is None else override,
-                            "delta")
+    return cfg.get("delta", 1e-2) if override is None else override
 
 
 def _law(cfg):
@@ -111,30 +72,23 @@ def _law(cfg):
 
 def _time_grid(cfg):
     t = cfg.get("time", {})
-    T = _positive_number(t.get("T", 1.0), "time.T")
-    steps = _positive_int(t.get("steps", 8), "time.steps")
+    T = positive_number(t.get("T", 1.0), "time.T")
+    steps = positive_int(t.get("steps", 8), "time.steps")
     return np.linspace(0.0, T, steps + 1)
 
 
-def _xi_path(cfg, config_dir):
-    bc = cfg.get("bc", {})
-    ref = bc.get("xi")
-    if ref is None:
-        raise ConfigurationError("config misses bc.xi (strain path CSV)")
-    path = ref if os.path.isabs(ref) else os.path.join(config_dir, ref)
-    return path_from_csv(path)
-
-
 def _boundary(cfg, config_dir):
-    xi = _xi_path(cfg, config_dir)
-    a_rows = cfg.get("bc", {}).get("a")
-    offset = None if a_rows is None else tabulated_offset(a_rows)
+    bc = cfg.get("bc", {})
+    if not isinstance(bc.get("xi"), str):
+        raise ConfigurationError(f"bc.xi must name a strain path CSV, got {bc.get('xi')!r}")
+    xi = path_from_csv(os.path.join(config_dir, bc["xi"]))  # an absolute bc.xi wins
+    offset = None if bc.get("a") is None else tabulated_offset(bc["a"])
     return AffineBoundary(xi, offset), xi
 
 
 def _domain_mesh(cfg):
     dom = cfg.get("domain", {"type": "unit_right_triangle"})
-    h = _positive_number(cfg.get("mesh", {}).get("h", 0.25), "mesh.h")
+    h = cfg.get("mesh", {}).get("h", 0.25)
     kind = dom.get("type", "unit_right_triangle")
     if kind == "unit_right_triangle":
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -146,7 +100,7 @@ def _domain_mesh(cfg):
             raise ConfigurationError("domain.vertices must list three 2-d points") from None
         return mesh_simplex(corners, h)
     if kind == "unit_square":
-        return mesh_unit_square(max(1, round(1.0 / h)))
+        return mesh_unit_square(max(1, round(1.0 / positive_number(h, "mesh.h"))))
     raise ConfigurationError(f"unknown domain type {kind!r}")
 
 
@@ -154,10 +108,9 @@ def _load_term(cfg):
     f = cfg.get("load")
     if f is None:
         return None
-    if not isinstance(f, list) or len(f) != 2 \
-            or not all(_is_number(v) and np.isfinite(v) for v in f):
+    if not isinstance(f, list) or len(f) != 2:
         raise ConfigurationError(f"load must be a list of two finite numbers, got {f!r}")
-    f = np.asarray(f, dtype=float)
+    f = np.asarray([finite_number(v, "load entry") for v in f], dtype=float)
 
     def load(t, points):
         return t * np.tile(f, (len(points), 1))
@@ -168,21 +121,8 @@ def _load_term(cfg):
 def _rve(cfg, law, delta, seed, overrides=None):
     r = dict(cfg.get("rve", {}))
     r.update({key: value for key, value in (overrides or {}).items() if value is not None})
-    return RveConfig(n_cells=_positive_int(r.get("N", 4), "rve.N"),
-                     refine=_positive_int(r.get("r", 1), "rve.r"),
-                     n_samples=_positive_int(r.get("M", 4), "rve.M"),
+    return RveConfig(n_cells=r.get("N", 4), refine=r.get("r", 1), n_samples=r.get("M", 4),
                      delta=delta, law=law, base_seed=seed)
-
-
-def _averaging_rve(cfg):
-    """The RVE block of the averaging reference, checked; N and M are required."""
-    r = cfg.get("rve", {"N": 8, "r": 1, "M": 8})
-    rve = {"N": _positive_int(r.get("N"), "rve.N"),
-           "r": _positive_int(r.get("r", 1), "rve.r"),
-           "M": _positive_int(r.get("M"), "rve.M")}
-    if "base_seed" in r:
-        rve["base_seed"] = _integer(r["base_seed"], "rve.base_seed")
-    return rve
 
 
 def _stress_columns(prefix):
@@ -211,8 +151,7 @@ def cmd_eps(cfg, args):
         raise ConfigurationError(f"zero_shift must be true or false, got {zero_shift!r}")
     medium = sample_realization(law, args.seed, zero_shift=zero_shift)
     config = EpsProblemConfig(
-        mesh=mesh, medium=medium,
-        epsilon=_positive_number(cfg.get("epsilon", 0.25), "epsilon"),
+        mesh=mesh, medium=medium, epsilon=cfg.get("epsilon", 0.25),
         delta=delta, time_grid=_time_grid(cfg), dirichlet=boundary,
         load=_load_term(cfg),
     )
@@ -273,9 +212,8 @@ def cmd_macro(cfg, args):
     rve = _rve(cfg, law, delta, args.seed)
     config = MacroConfig(mesh=mesh, rve=rve, dirichlet=boundary,
                          time_grid=_time_grid(cfg), load=_load_term(cfg),
-                         max_seconds=_optional(cfg, "budget_seconds",
-                                               _non_negative_seconds),
-                         max_elements=_optional(cfg, "budget_elements", _positive_int))
+                         max_seconds=cfg.get("budget_seconds"),
+                         max_elements=cfg.get("budget_elements"))
     solution = solve_effective(config)
     avg = solution.average_stress()
     path = _write_series(args.out, "macro_run.csv", solution.times, avg,
@@ -290,17 +228,17 @@ def cmd_average(cfg, args):
     delta = _delta(cfg)
     _, xi = _boundary(cfg, os.path.dirname(os.path.abspath(args.config)))
     avg = cfg.get("averaging", {})
-    n_seeds = _positive_int(avg.get("n_seeds", 4), "averaging.n_seeds")
+    n_seeds = positive_int(avg.get("n_seeds", 4), "averaging.n_seeds")
     spec = ExperimentSpec(kind="averaging", params={
         "law": law, "xi": xi, "delta": delta,
-        "epsilons": _positive_numbers(avg.get("epsilons", [0.25, 0.125]),
-                                      "averaging.epsilons"),
+        "epsilons": avg.get("epsilons", [0.25, 0.125]),
         "seeds": [args.seed + i for i in range(n_seeds)],
         "time_grid": _time_grid(cfg),
-        "rve": _averaging_rve(cfg),
+        "rve": cfg.get("rve", {"N": 8, "M": 8}),
         "offset": cfg.get("bc", {}).get("a"),
-        "h_factor": _positive_number(avg.get("h_factor", 0.5), "averaging.h_factor"),
     })
+    if "h_factor" in avg:
+        spec.params["h_factor"] = avg["h_factor"]
     table = run_averaging_experiment(spec)
     path = os.path.join(args.out, "averaging.csv")
     emit_report(table, path, svg_path=os.path.join(args.out, "averaging.svg"),
@@ -313,12 +251,9 @@ def cmd_average(cfg, args):
 
 def cmd_korn(cfg, args):
     korn = cfg.get("korn", {})
-    spec = ExperimentSpec(kind="korn", params={
-        "n_cells": _positive_int(korn.get("n_cells", 8), "korn.n_cells"),
-        "refine": _positive_int(korn.get("r", 1), "korn.r"),
-        "n_samples": _positive_int(korn.get("n_samples", 1000), "korn.n_samples"),
-        "seed": args.seed,
-    })
+    names = {"n_cells": "n_cells", "r": "refine", "n_samples": "n_samples"}
+    params = {names[key]: value for key, value in korn.items() if key in names}
+    spec = ExperimentSpec(kind="korn", params={**params, "seed": args.seed})
     table = run_korn_check(spec)
     path = os.path.join(args.out, "korn.csv")
     emit_report(table, path)
@@ -330,13 +265,8 @@ def cmd_korn(cfg, args):
 def cmd_ergodic(cfg, args):
     law = _law(cfg)
     erg = cfg.get("ergodic", {})
-    spec = ExperimentSpec(kind="ergodic", params={
-        "law": law,
-        "L_values": erg.get("L_values", [8, 16, 32]),
-        "n_seeds": erg.get("n_seeds", 50),
-        "base_seed": args.seed,
-        "statistic": erg.get("statistic", "E"),
-    })
+    params = {key: erg[key] for key in ("L_values", "n_seeds", "statistic") if key in erg}
+    spec = ExperimentSpec(kind="ergodic", params={**params, "law": law, "base_seed": args.seed})
     table = run_ergodic_check(spec)
     path = os.path.join(args.out, "ergodic.csv")
     emit_report(table, path, svg_path=os.path.join(args.out, "ergodic.svg"),
@@ -381,7 +311,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:
+            raise ConfigurationError(f"cannot create output directory {args.out}: "
+                                     f"{err.strerror}") from None
         return _COMMANDS[args.command](cfg, args)
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cellproblem import RveConfig, sigma
-from .errors import ConfigurationError
+from .errors import ConfigurationError, positive_int, positive_number, valid_seed
 from .fem import P1Space, mesh_simplex, mesh_torus, mesh_unit_square
 from .finescale import EpsProblemConfig, average_stress, solve_eps
 from .loading import AffineBoundary, tabulated_offset
@@ -58,12 +58,21 @@ def run_averaging_experiment(spec):
     p = spec.params
     law = p["law"]
     xi = p["xi"]
-    epsilons = sorted(p["epsilons"], reverse=True)
-    seeds = list(p["seeds"])
+    epsilons, seeds = p["epsilons"], p["seeds"]
+    for name, values in (("epsilons", epsilons), ("seeds", seeds)):
+        if not isinstance(values, (list, tuple, range)) or not values:
+            raise ConfigurationError(f"averaging {name} must be a non-empty list, "
+                                     f"got {values!r}")
+    epsilons = sorted((positive_number(eps, "averaging epsilon") for eps in epsilons),
+                      reverse=True)
+    seeds = [valid_seed(seed, "averaging seed") for seed in seeds]
     delta = p["delta"]
     time_grid = np.asarray(p["time_grid"], dtype=float)
-    h_factor = p.get("h_factor", 0.5)
+    h_factor = positive_number(p.get("h_factor", 0.5), "averaging h_factor")
     offset = p.get("offset")
+    boundary = AffineBoundary(xi, None if offset is None else tabulated_offset(offset))
+    if "N" not in p["rve"] or "M" not in p["rve"]:
+        raise ConfigurationError(f"averaging rve needs N and M, got {p['rve']!r}")
     rve = RveConfig(n_cells=p["rve"]["N"], refine=p["rve"].get("r", 1),
                     n_samples=p["rve"]["M"], delta=delta, law=law,
                     base_seed=p["rve"].get("base_seed", 10_000))
@@ -86,9 +95,7 @@ def run_averaging_experiment(spec):
             medium = sample_realization(law, seed, zero_shift=True)
             config = EpsProblemConfig(
                 mesh=mesh, medium=medium, epsilon=eps, delta=delta,
-                time_grid=time_grid,
-                dirichlet=AffineBoundary(xi, tabulated_offset(offset)
-                                         if offset is not None else None),
+                time_grid=time_grid, dirichlet=boundary,
             )
             traj = solve_eps(config)
             avg = average_stress(traj)
@@ -101,7 +108,7 @@ def run_averaging_experiment(spec):
                     eps, seed, t, avg[i, 0], avg[i, 1], avg[i, 2] / np.sqrt(2.0),
                     reference.sigma[i, 0], reference.sigma[i, 1],
                     reference.sigma[i, 2] / np.sqrt(2.0),
-                    float(d_t[i]), d_l2, np.nan, delta, mesh.h,
+                    float(d_t[i]), d_l2, np.nan, float(delta), mesh.h,
                 ])
         d_mean[eps] = float(np.mean(d_l2_values))
         for row in rows_this_eps:
@@ -130,8 +137,8 @@ def run_korn_check(spec):
     p = spec.params
     n_cells = p.get("n_cells", 8)
     refine = p.get("refine", 1)
-    n_samples = p.get("n_samples", 1000)
-    seed = p.get("seed", 0)
+    n_samples = positive_int(p.get("n_samples", 1000), "korn n_samples")
+    seed = valid_seed(p.get("seed", 0), "korn seed")
 
     space = P1Space(mesh_torus(n_cells, refine))
     mesh = space.mesh
@@ -162,26 +169,19 @@ def run_korn_check(spec):
 # -- ergodic decay -------------------------------------------------------
 
 
-def _positive_int(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
-
-
 def run_ergodic_check(spec):
     """Spatial-average error of a scalar statistic against the law mean,
     tabulated over box sizes, with a fitted decay exponent."""
     p = spec.params
     law = p["law"]
     L_values = p.get("L_values", (8, 16, 32))
-    n_seeds = p.get("n_seeds", 50)
-    if not isinstance(L_values, (list, tuple)) or not L_values \
-            or not all(_positive_int(L) for L in L_values):
-        raise ConfigurationError(f"ergodic L_values must be a non-empty list of "
-                                 f"positive integers, got {L_values!r}")
-    if not _positive_int(n_seeds):
-        raise ConfigurationError(f"ergodic n_seeds must be a positive integer, "
-                                 f"got {n_seeds!r}")
-    L_values = list(L_values)
-    base_seed = p.get("base_seed", 0)
+    if not isinstance(L_values, (list, tuple)) or not L_values:
+        raise ConfigurationError(f"ergodic L_values must be a non-empty list, "
+                                 f"got {L_values!r}")
+    L_values = [positive_int(L, "ergodic L_values entry") for L in L_values]
+    n_seeds = positive_int(p.get("n_seeds", 50), "ergodic n_seeds")
+    base_seed = valid_seed(p.get("base_seed", 0), "ergodic base_seed")
+    valid_seed(base_seed + n_seeds - 1, "ergodic last seed")
     stat = p.get("statistic", "E")
     marginals = {"E": law.E, "nu": law.nu, "sigma_y": law.sigma_y, "H": law.hardening}
     if not isinstance(stat, str) or stat not in marginals:
@@ -226,11 +226,15 @@ def run_convergence_check(spec):
     rve = p["rve"]
     xi = p["xi"]
     time_grid = np.asarray(p["time_grid"], dtype=float)
-    n_values = sorted(p.get("n_values", (2, 4, 8)))
+    n_values = p.get("n_values", (2, 4, 8))
+    if not isinstance(n_values, (list, tuple)) or not n_values:
+        raise ConfigurationError(f"convergence n_values must be a non-empty list, "
+                                 f"got {n_values!r}")
+    n_values = sorted(positive_int(n, "convergence n_values entry") for n in n_values)
     finest_n = n_values[-1]
-    if not all(_positive_int(n) and finest_n % n == 0 for n in n_values):
-        raise ConfigurationError(f"convergence n_values must be positive integers that "
-                                 f"divide the largest one, got {n_values!r}")
+    if any(finest_n % n for n in n_values):
+        raise ConfigurationError(f"convergence n_values must divide the largest one, "
+                                 f"got {n_values!r}")
 
     solutions = {}
     for n in n_values:

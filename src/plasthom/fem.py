@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, positive_int, positive_number
 from .tensors import SQRT2, mandel_dim
 
 DIM = 2
@@ -100,8 +100,7 @@ def mesh_simplex(corners, h):
     corners = np.asarray(corners, dtype=float)
     if corners.shape != (3, 2):
         raise ConfigurationError(f"expected 3 corner points in 2-d, got {corners.shape}")
-    if h <= 0.0:
-        raise ConfigurationError(f"target size must be positive, got h={h}")
+    positive_number(h, "mesh size h")
     edges = [corners[1] - corners[0], corners[2] - corners[0], corners[2] - corners[1]]
     diam = max(np.linalg.norm(e) for e in edges)
     cross = edges[0][0] * edges[1][1] - edges[0][1] * edges[1][0]
@@ -151,8 +150,7 @@ def _structured_grid(nx, ny, dx, dy):
 
 def mesh_unit_square(n):
     """Structured triangulation of [0,1]^2 with n cells per side."""
-    if n < 1:
-        raise ConfigurationError(f"need n >= 1 cells per side, got {n}")
+    positive_int(n, "cells per side n")
     verts, tris, vid = _structured_grid(n, n, 1.0 / n, 1.0 / n)
     boundary = sorted({vid(i, j) for i in range(n + 1) for j in range(n + 1)
                        if i in (0, n) or j in (0, n)})
@@ -168,9 +166,7 @@ def mesh_torus(n_cells, refine):
     (i * m + j)-th master, m = N * r being ``grid_size``.  The duplicated
     boundary vertices keep their geometric coordinates.
     """
-    if n_cells < 1 or refine < 1:
-        raise ConfigurationError(f"need N >= 1 and r >= 1, got N={n_cells}, r={refine}")
-    m = n_cells * refine
+    m = positive_int(n_cells, "torus cells N") * positive_int(refine, "torus refinements r")
     dx = 1.0 / refine
     verts, tris, vid = _structured_grid(m, m, dx, dx)
     wrapped = np.arange(m + 1) % m

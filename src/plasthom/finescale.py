@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, positive_number
 from .fem import P1Space, jacobi, pcg, solve_elastic
 from .flowrules import VON_MISES, FlowRule
 from .loading import checked_boundary, checked_time_grid
@@ -50,10 +50,8 @@ class EpsProblemConfig:
     def __post_init__(self):
         self.time_grid = checked_time_grid(self.time_grid)
         self.dirichlet = checked_boundary(self.dirichlet)
-        if not self.epsilon > 0:
-            raise ConfigurationError(f"scale eps must be positive, got {self.epsilon}")
-        if not self.delta > 0:
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
+        positive_number(self.epsilon, "scale epsilon")
+        positive_number(self.delta, "delta")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cellproblem import CG_RTOL
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, finite_number, positive_int
 from .fem import P1Space, jacobi, mesh_torus, pcg
 from .finescale import _add_boundary_offset, _impose_dirichlet, _load_vector
 from .loading import checked_boundary, checked_time_grid
@@ -48,7 +48,10 @@ class MacroConfig:
     def __post_init__(self):
         self.time_grid = checked_time_grid(self.time_grid)
         self.dirichlet = checked_boundary(self.dirichlet)
-        if self.max_elements is not None and self.mesh.n_elements > self.max_elements:
+        if self.max_seconds is not None and finite_number(self.max_seconds, "max_seconds") < 0:
+            raise ConfigurationError(f"max_seconds must not be negative, got {self.max_seconds}")
+        if self.max_elements is not None \
+                and self.mesh.n_elements > positive_int(self.max_elements, "max_elements"):
             raise ConfigurationError(
                 f"mesh has {self.mesh.n_elements} elements, budget allows {self.max_elements}"
             )

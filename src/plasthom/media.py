@@ -13,12 +13,11 @@ and composing shifts adds displacements.
 """
 
 import numbers
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import INT64_LIMIT, ConfigurationError, finite_number, positive_int, valid_seed
 from .tensors import isotropic_eigenvalues
 
 # SplitMix64 constants; salts are premultiplied as an array so every uint64
@@ -68,14 +67,6 @@ def sample_shifts(seeds, dim):
     return out
 
 
-def _finite(value, name):
-    """``value`` as a float; it must be a finite real number, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not abs(value) <= sys.float_info.max:
-        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class Distribution:
     """A scalar distribution: point mass, uniform interval, or finite discrete."""
@@ -85,23 +76,23 @@ class Distribution:
 
     @classmethod
     def point(cls, value):
-        return cls("point", (_finite(value, "point value"),))
+        return cls("point", (float(finite_number(value, "point value")),))
 
     @classmethod
     def uniform(cls, lo, hi):
-        lo, hi = _finite(lo, "uniform bound"), _finite(hi, "uniform bound")
+        lo, hi = (float(finite_number(v, "uniform bound")) for v in (lo, hi))
         if not hi > lo:
             raise ConfigurationError(f"uniform interval needs hi > lo, got [{lo}, {hi}]")
         return cls("uniform", (lo, hi))
 
     @classmethod
     def discrete(cls, values, weights=None):
-        values = [_finite(v, "discrete value") for v in values]
+        values = [float(finite_number(v, "discrete value")) for v in values]
         if not values:
             raise ConfigurationError("discrete distribution with empty support")
         if weights is None:
             weights = [1.0] * len(values)
-        weights = np.array([_finite(w, "discrete weight") for w in weights])
+        weights = np.array([float(finite_number(w, "discrete weight")) for w in weights])
         if weights.shape != (len(values),) or np.any(weights < 0) \
                 or not 0 < weights.sum() < np.inf:
             raise ConfigurationError("discrete weights must be nonnegative with a positive, "
@@ -182,12 +173,8 @@ class ProbabilityLaw:
 
     def __post_init__(self):
         for E in self.E.support_extremes():
-            if E <= 0:
-                raise ConfigurationError(f"law admits non-positive Young modulus {E}")
             for nu in self.nu.support_extremes():
-                if not -1.0 < nu < 0.5:
-                    raise ConfigurationError(f"law admits Poisson ratio {nu} outside (-1, 1/2)")
-                isotropic_eigenvalues(E, nu, self.dim)
+                isotropic_eigenvalues(E, nu, self.dim)  # raises unless E > 0, -1 < nu < 1/2
         for sy in self.sigma_y.support_extremes():
             if sy <= 0:
                 raise ConfigurationError(f"law admits non-positive yield stress {sy}")
@@ -280,8 +267,10 @@ class Realization:
 
     def _cells_at(self, points, eps):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        offset = self.translation - self.shift
-        return np.floor(points / eps + offset).astype(np.int64)
+        cells = np.floor(points / eps + (self.translation - self.shift))
+        if not np.all(np.abs(cells) < INT64_LIMIT):  # NaN fails too
+            raise ConfigurationError(f"scale eps={eps} puts cell indices outside int64")
+        return cells.astype(np.int64)
 
     def parameters_at(self, points, eps=1.0):
         """Raw parameter arrays of the cells containing the given points."""
@@ -297,6 +286,7 @@ def sample_realization(law, seed, zero_shift=False):
     stay lattice-aligned; statistics on large boxes are unchanged, but meshes
     aligned with the lattice then resolve the medium exactly.
     """
+    valid_seed(seed, "seed")
     shift = np.zeros(law.dim) if zero_shift else sample_shifts([seed], law.dim)[0]
     return Realization(law=law, seed=int(seed), shift=shift,
                        translation=np.zeros(law.dim))
@@ -352,8 +342,8 @@ class PeriodizedMedium:
     n_cells: int
 
     def __post_init__(self):
-        if self.n_cells < 1:
-            raise ConfigurationError(f"RVE needs at least one cell, got {self.n_cells}")
+        positive_int(self.n_cells, "RVE cells per side N")
+        valid_seed(self.seed, "RVE sample seed")
 
     @property
     def dim(self):

@@ -179,6 +179,9 @@ class TestExitCodes:
         pytest.param("cell", "law.E",
                      {"discrete": {"values": [1.0, 2.0], "weights": [float("nan"), 1]}},
                      id="law-weight-nan"),
+        pytest.param("eps", "epsilon", 1e-300, id="epsilon-beyond-int64-cells"),
+        pytest.param("average", "rve.base_seed", -1, id="average-negative-base-seed"),
+        pytest.param("eps", "bc.xi", 5, id="xi-not-a-file-name"),
     ])
     def test_malformed_config_is_configuration_error(self, run_dir, capsys,
                                                      command, key, value):
@@ -224,6 +227,39 @@ class TestExitCodes:
         assert main(["cell", "--config", str(cfg), "--out", str(out), flag, "0"]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (out / "cell_sigma.csv").exists()
+
+    @pytest.mark.parametrize("command, seed", [
+        pytest.param("cell", "99999999999999999999", id="cell-seed-beyond-int64"),
+        pytest.param("eps", "99999999999999999999", id="eps-seed-beyond-int64"),
+        pytest.param("korn", "-1", id="korn-negative-seed"),
+        pytest.param("ergodic", str(2**63 - 1), id="ergodic-second-seed-beyond-int64"),
+        pytest.param("cell", "-1", id="cell-negative-seed"),
+        pytest.param("eps", "-1", id="eps-negative-seed"),
+        pytest.param("macro", "-1", id="macro-negative-seed"),
+        pytest.param("average", "-1", id="average-negative-seed"),
+        pytest.param("ergodic", "-1", id="ergodic-negative-seed"),
+    ])
+    def test_seed_outside_int64_range_is_configuration_error(self, run_dir, capsys,
+                                                            command, seed):
+        out, cfg = run_dir
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "seed" in err
+
+    def test_config_directory_is_configuration_error(self, tmp_path, capsys):
+        assert main(["cell", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_config_not_utf8_is_configuration_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"delta": "\u00e9"}'.encode("latin-1"))
+        assert main(["cell", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_out_naming_a_file_is_configuration_error(self, run_dir, capsys):
+        out, cfg = run_dir
+        assert main(["korn", "--config", str(cfg), "--out", str(cfg)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_threads_is_only_accepted_by_cell(self, run_dir):
         out, cfg = run_dir

@@ -129,6 +129,15 @@ class TestConvergenceCheck:
         with pytest.raises(ConfigurationError):
             run_convergence_check(spec)
 
+    def test_rejects_empty_mesh_list(self):
+        rve = RveConfig(n_cells=1, refine=1, n_samples=1, delta=0.003,
+                        law=CONSTANT, base_seed=0)
+        spec = ExperimentSpec(kind="convergence", params={
+            "rve": rve, "xi": shear_path(0.4, 1.0, 2),
+            "time_grid": np.linspace(0, 1, 3), "n_values": []})
+        with pytest.raises(ConfigurationError):
+            run_convergence_check(spec)
+
 
 class TestDispatchAndSpec:
     def test_unknown_kind_rejected(self):

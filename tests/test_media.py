@@ -223,6 +223,13 @@ class TestRealizations:
         with pytest.raises(ConfigurationError):
             omega.parameters_at(np.zeros((1, 2)), eps=0.0)
 
+    def test_eps_too_small_for_int64_cell_indices(self):
+        # x / eps = 1e300 has no int64 cell; the cast used to clamp every
+        # point into one cell and run a homogeneous medium
+        omega = sample_realization(two_point_law(), 0)
+        with pytest.raises(ConfigurationError, match="int64"):
+            omega.parameters_at(np.array([[0.5, 0.5]]), eps=1e-300)
+
 
 class TestErgodicAverage:
     def test_point_mass_law_is_exact(self):
