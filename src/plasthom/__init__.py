@@ -22,7 +22,6 @@ from .experiments import (
     run_averaging_experiment,
     run_convergence_check,
     run_ergodic_check,
-    run_experiment,
     run_korn_check,
 )
 from .fem import (

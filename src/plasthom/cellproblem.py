@@ -96,8 +96,6 @@ class SigmaResult:
     pi: np.ndarray         # (steps+1, k)
     mc_stderr: np.ndarray  # (steps+1, k)
     per_sample_sigma: np.ndarray
-    per_sample_pi: np.ndarray
-    config: dict
 
 
 def solve_cell(medium, xi_path, delta, time_grid, space,
@@ -177,13 +175,8 @@ def sigma(cfg, xi_path, time_grid, threads=1):
         stderr = z_samples.std(axis=0, ddof=1) / np.sqrt(cfg.n_samples)
     else:
         stderr = np.zeros_like(mean_z)
-    return SigmaResult(
-        times=time_grid, sigma=mean_z, pi=mean_p, mc_stderr=stderr,
-        per_sample_sigma=z_samples, per_sample_pi=p_samples,
-        config={"N": cfg.n_cells, "r": cfg.refine, "M": cfg.n_samples,
-                "delta": cfg.delta, "base_seed": cfg.base_seed,
-                "rule": cfg.rule_kind},
-    )
+    return SigmaResult(times=time_grid, sigma=mean_z, pi=mean_p, mc_stderr=stderr,
+                       per_sample_sigma=z_samples)
 
 
 def causality_check(cfg, xi1, xi2, t_star, time_grid):
@@ -199,11 +192,9 @@ def causality_check(cfg, xi1, xi2, t_star, time_grid):
     return float(np.abs(res1.sigma[mask] - res2.sigma[mask]).max())
 
 
-def default_probe_direction(dim=2):
+def default_probe_direction():
     """A fixed unit-norm pure-shear direction for continuity probes."""
-    mat = np.zeros((dim, dim))
-    mat[0, 1] = mat[1, 0] = 1.0
-    comps = pack(mat)
+    comps = pack(np.array([[0.0, 1.0], [1.0, 0.0]]))
     return comps / np.linalg.norm(comps)
 
 

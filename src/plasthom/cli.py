@@ -34,8 +34,8 @@ from .loading import AffineBoundary, path_from_csv, tabulated_offset
 from .macroscale import MacroConfig, solve_effective
 from .media import ProbabilityLaw, sample_realization
 from .reporting import ReportTable, emit_report
+from .tensors import SQRT2
 
-SQRT2 = np.sqrt(2.0)
 _SECTIONS = ("domain", "mesh", "time", "law", "rve", "bc", "averaging", "korn", "ergodic")
 
 
@@ -197,7 +197,6 @@ def cmd_cell(cfg, args):
             result.mc_stderr[i, 2] / SQRT2,
             args.seed,
         )
-    table.meta = result.config
     path = os.path.join(args.out, "cell_sigma.csv")
     emit_report(table, path)
     print(f"wrote {path}")

@@ -17,6 +17,7 @@ from .loading import AffineBoundary, tabulated_offset
 from .macroscale import MacroConfig, solve_effective
 from .media import ergodic_average, sample_realization
 from .reporting import ReportTable
+from .tensors import SQRT2
 
 UNIT_RIGHT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -31,16 +32,6 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in ("averaging", "korn", "ergodic", "convergence"):
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
-
-
-def run_experiment(spec):
-    runner = {
-        "averaging": run_averaging_experiment,
-        "korn": run_korn_check,
-        "ergodic": run_ergodic_check,
-        "convergence": run_convergence_check,
-    }[spec.kind]
-    return runner(spec)
 
 
 # -- averaging ---------------------------------------------------------
@@ -105,22 +96,16 @@ def run_averaging_experiment(spec):
             d_l2_values.append(d_l2)
             for i, t in enumerate(time_grid):
                 rows_this_eps.append([
-                    eps, seed, t, avg[i, 0], avg[i, 1], avg[i, 2] / np.sqrt(2.0),
+                    eps, seed, t, avg[i, 0], avg[i, 1], avg[i, 2] / SQRT2,
                     reference.sigma[i, 0], reference.sigma[i, 1],
-                    reference.sigma[i, 2] / np.sqrt(2.0),
+                    reference.sigma[i, 2] / SQRT2,
                     float(d_t[i]), d_l2, np.nan, float(delta), mesh.h,
                 ])
         d_mean[eps] = float(np.mean(d_l2_values))
         for row in rows_this_eps:
             row[11] = d_mean[eps]
             table.append(*row)
-    table.meta = {
-        "D_mean": d_mean,
-        "epsilons": epsilons,
-        "delta": delta,
-        "rve": reference.config,
-        "seeds": seeds,
-    }
+    table.meta = {"D_mean": d_mean}
     return table
 
 
@@ -132,7 +117,9 @@ def run_korn_check(spec):
 
     Samples nodal fields on a torus, removes nothing (periodic gradients are
     automatically mean-free), and reports max ||grad|| / ||sym grad||; the
-    contract is a bound of 2.  Samples with vanishing gradient are skipped.
+    contract is a bound of 2.  Samples with vanishing gradient are skipped;
+    a one-vertex torus (N r = 1), where every field is a translation, is
+    rejected.
     """
     p = spec.params
     n_cells = p.get("n_cells", 8)
@@ -140,8 +127,10 @@ def run_korn_check(spec):
     n_samples = positive_int(p.get("n_samples", 1000), "korn n_samples")
     seed = valid_seed(p.get("seed", 0), "korn seed")
 
-    space = P1Space(mesh_torus(n_cells, refine))
-    mesh = space.mesh
+    mesh = mesh_torus(n_cells, refine)
+    if mesh.grid_size == 1:
+        raise ConfigurationError("korn check needs a torus of more than one vertex, N * r > 1")
+    space = P1Space(mesh)
     rng = np.random.default_rng(seed)
     packed = rng.standard_normal((n_samples, space.n_packed))
     nodal = packed.reshape(n_samples, -1, 2)[:, space.packed_of_vertex, :]
@@ -161,8 +150,7 @@ def run_korn_check(spec):
         ratio = float(np.sqrt(full_sq[s] / sym_sq[s]))
         ratios.append(ratio)
         table.append(n_cells, seed, s, ratio, 2.0)
-    table.meta = {"max_ratio": max(ratios), "n_samples": len(ratios),
-                  "bound": 2.0, "tolerance": 1e-10}
+    table.meta = {"max_ratio": max(ratios), "n_samples": len(ratios)}
     return table
 
 
@@ -205,8 +193,8 @@ def run_ergodic_check(spec):
                            np.log(np.asarray(mean_errors)), 1)[0]
     else:
         slope = np.nan  # exact averages leave no decay to fit
-    table.meta = {"exponent": float(slope), "mean_errors": dict(zip(L_values, map(float, mean_errors))),
-                  "expected": float(expected), "statistic": stat}
+    table.meta = {"exponent": float(slope),
+                  "mean_errors": dict(zip(L_values, map(float, mean_errors)))}
     return table
 
 
@@ -254,5 +242,5 @@ def run_convergence_check(spec):
         diff = sol.u[-1] - finest.u[-1][match]
         dists[n] = float(np.sqrt((diff**2).sum(axis=1).mean()))
         table.append(n, sol.space.mesh.h, dists[n])
-    table.meta = {"distances": dists, "n_values": n_values}
+    table.meta = {"distances": dists}
     return table

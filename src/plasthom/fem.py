@@ -78,16 +78,26 @@ class SimplicialMesh:
     def n_elements(self):
         return self.simplices.shape[0]
 
-    def shape_regularity(self):
-        """Max ratio circumradius / inradius over all elements."""
-        coords = self.vertices[self.simplices]
-        a = np.linalg.norm(coords[:, 1] - coords[:, 2], axis=-1)
-        b = np.linalg.norm(coords[:, 0] - coords[:, 2], axis=-1)
-        c = np.linalg.norm(coords[:, 0] - coords[:, 1], axis=-1)
-        s = 0.5 * (a + b + c)
-        inradius = self.volumes / s
-        circum = a * b * c / (4.0 * self.volumes)
-        return float((circum / inradius).max())
+
+def _lattice(n, triangle=False):
+    """Lattice coordinates (i, j) of the vertices of an n x n grid, and its triangles.
+
+    Grid vertex (i, j) has id i (n + 1) + j, and lattice square (i, j) splits
+    into the triangles [v00, v10, v01] and [v10, v11, v01], squares in
+    row-major order.  With ``triangle`` only the part i + j <= n is kept,
+    vertices renumbered in the same order.
+    """
+    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    si, sj = np.divmod(np.arange(n * n), n)
+    v00 = si * (n + 1) + sj
+    v10, v01 = v00 + (n + 1), v00 + 1
+    tris = np.stack([np.stack([v00, v10, v01], axis=-1),
+                     np.stack([v10, v10 + 1, v01], axis=-1)], axis=1)
+    if not triangle:
+        return i, j, tris.reshape(-1, 3)
+    keep = i + j <= n
+    tris = tris[np.stack([si + sj < n, si + sj < n - 1], axis=-1)]
+    return i[keep], j[keep], (np.cumsum(keep) - 1)[tris]
 
 
 def mesh_simplex(corners, h):
@@ -111,50 +121,19 @@ def mesh_simplex(corners, h):
     n = 1
     while diam / n >= h:
         n *= 2
-
-    verts, index = [], {}
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            index[(i, j)] = len(verts)
-            verts.append(corners[0] + (i / n) * (corners[1] - corners[0])
-                         + (j / n) * (corners[2] - corners[0]))
-    tris = []
-    for i in range(n):
-        for j in range(n - i):
-            tris.append([index[(i, j)], index[(i + 1, j)], index[(i, j + 1)]])
-            if i + j < n - 1:
-                tris.append([index[(i + 1, j)], index[(i + 1, j + 1)], index[(i, j + 1)]])
-    boundary = [index[(i, j)] for (i, j) in index if i == 0 or j == 0 or i + j == n]
-    return SimplicialMesh(np.asarray(verts), np.asarray(tris), np.asarray(sorted(boundary)))
-
-
-def _structured_grid(nx, ny, dx, dy):
-    """Vertices and lower/upper triangles of an (nx x ny)-square grid."""
-    xs = np.arange(nx + 1) * dx
-    ys = np.arange(ny + 1) * dy
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append([v00, v10, v01])
-            tris.append([v10, v11, v01])
-    return verts, np.asarray(tris), vid
+    i, j, tris = _lattice(n, triangle=True)
+    verts = corners[0] + (i / n)[:, None] * (corners[1] - corners[0]) \
+        + (j / n)[:, None] * (corners[2] - corners[0])
+    boundary = np.flatnonzero((i == 0) | (j == 0) | (i + j == n))
+    return SimplicialMesh(verts, tris, boundary)
 
 
 def mesh_unit_square(n):
     """Structured triangulation of [0,1]^2 with n cells per side."""
     positive_int(n, "cells per side n")
-    verts, tris, vid = _structured_grid(n, n, 1.0 / n, 1.0 / n)
-    boundary = sorted({vid(i, j) for i in range(n + 1) for j in range(n + 1)
-                       if i in (0, n) or j in (0, n)})
-    return SimplicialMesh(verts, tris, np.asarray(boundary))
+    i, j, tris = _lattice(n)
+    boundary = np.flatnonzero((i == 0) | (i == n) | (j == 0) | (j == n))
+    return SimplicialMesh(np.stack([i, j], axis=-1) * (1.0 / n), tris, boundary)
 
 
 def mesh_torus(n_cells, refine):
@@ -167,12 +146,10 @@ def mesh_torus(n_cells, refine):
     boundary vertices keep their geometric coordinates.
     """
     m = positive_int(n_cells, "torus cells N") * positive_int(refine, "torus refinements r")
-    dx = 1.0 / refine
-    verts, tris, vid = _structured_grid(m, m, dx, dx)
-    wrapped = np.arange(m + 1) % m
-    master = vid(wrapped[:, None], wrapped[None, :]).ravel()
-    return SimplicialMesh(verts, tris, np.asarray([], dtype=np.int64),
-                          master=master, grid_size=m)
+    i, j, tris = _lattice(m)
+    return SimplicialMesh(np.stack([i, j], axis=-1) * (1.0 / refine), tris,
+                          np.asarray([], dtype=np.int64),
+                          master=(i % m) * (m + 1) + j % m, grid_size=m)
 
 
 class P1Space:
@@ -203,7 +180,6 @@ class P1Space:
         free = ~constrained[self.master_ids]
         self.free_mask = np.repeat(free, DIM)
         self.free_dofs = np.flatnonzero(self.free_mask)
-        self.n_free = self.free_dofs.size
 
         # per-element packed dof indices, (ne, 6)
         tri = mesh.simplices

@@ -1,11 +1,11 @@
 """Strain paths and boundary loading programs.
 
-A StrainPath is a time-discretized symmetric-tensor evolution with vanishing
-initial value, interpolated piecewise linearly between its knots.  Affine
-Dirichlet programs U(t, x) = xi(t) x + a(t) are represented structurally so
-that solvers can exploit that the additive constant a never influences
-strains: it is stripped before solving and added back to displacements,
-which makes stress outputs bitwise independent of a.
+A StrainPath is a time-discretized evolution of a planar (2 x 2) symmetric
+tensor with vanishing initial value, interpolated piecewise linearly between
+its knots.  Affine Dirichlet programs U(t, x) = xi(t) x + a(t) are
+represented structurally so that solvers can exploit that the additive
+constant a never influences strains: it is stripped before solving and added
+back to displacements, which makes stress outputs bitwise independent of a.
 """
 
 import csv
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensors import SQRT2, mandel_dim
+from .tensors import SQRT2
 
 
 def checked_time_grid(time_grid):
@@ -31,18 +31,16 @@ class StrainPath:
     """Piecewise-linear tensor path with value zero at time zero."""
 
     knots: np.ndarray      # (m,)
-    values: np.ndarray     # (m, k) Mandel components
-    dim: int = 2
+    values: np.ndarray     # (m, 3) Mandel components
 
     def __post_init__(self):
         knots = np.array(self.knots, dtype=float)
         values = np.array(self.values, dtype=float)
         if knots.ndim != 1 or not knots.size or np.any(np.diff(knots) <= 0):
             raise ConfigurationError("knots must be non-empty and strictly increasing")
-        k = mandel_dim(self.dim)
-        if values.shape != (knots.size, k):
+        if values.shape != (knots.size, 3):
             raise ConfigurationError(
-                f"values must have shape ({knots.size}, {k}), got {values.shape}"
+                f"values must have shape ({knots.size}, 3), got {values.shape}"
             )
         if knots[0] != 0.0 or np.any(values[0] != 0.0):
             raise ConfigurationError("strain paths must start at t=0 with value 0")
@@ -54,15 +52,15 @@ class StrainPath:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def ramp(cls, target, T, steps=1, dim=2):
+    def ramp(cls, target, T, steps=1):
         """Linear ramp from zero to ``target`` (Mandel components) over [0, T]."""
         target = np.asarray(target, dtype=float)
         times = np.linspace(0.0, T, steps + 1)
-        return cls(times, np.outer(times / T, target), dim=dim)
+        return cls(times, np.outer(times / T, target))
 
     @classmethod
-    def from_knots(cls, times, tensors, dim=2):
-        return cls(np.asarray(times, dtype=float), np.asarray(tensors, dtype=float), dim=dim)
+    def from_knots(cls, times, tensors):
+        return cls(np.asarray(times, dtype=float), np.asarray(tensors, dtype=float))
 
     def at(self, t):
         """Linear interpolation; clamped to the end values outside the knots."""
@@ -85,17 +83,16 @@ class StrainPath:
     def restricted(self, t_star):
         """The path truncated to knots <= t_star."""
         keep = self.knots <= t_star + 1e-15
-        return StrainPath(self.knots[keep], self.values[keep], dim=self.dim)
+        return StrainPath(self.knots[keep], self.values[keep])
 
 
-def path_from_csv(path, dim=2):
+def path_from_csv(path):
     """Read a strain path from CSV columns t, xi_11, xi_22, xi_12 (tensor entries).
 
     Off-diagonal columns hold the physical tensor entries; the Mandel sqrt(2)
     scaling is applied on read.
     """
-    columns = ("xi_11", "xi_22", "xi_12") if dim == 2 \
-        else ("xi_11", "xi_22", "xi_33", "xi_23", "xi_13", "xi_12")
+    columns = ("xi_11", "xi_22", "xi_12")
     times, rows = [], []
     try:
         with open(path, newline="", encoding="utf8") as fh:
@@ -112,8 +109,8 @@ def path_from_csv(path, dim=2):
     if not rows:
         raise ConfigurationError(f"strain path {path} has no rows")
     values = np.asarray(rows, dtype=float)
-    values[:, dim:] *= SQRT2
-    return StrainPath(np.asarray(times), values, dim=dim)
+    values[:, 2] *= SQRT2
+    return StrainPath(np.asarray(times), values)
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ class AffineBoundary:
 
     def offset_at(self, t):
         if self.offset is None:
-            return np.zeros(self.path.dim)
+            return np.zeros(2)
         return np.asarray(self.offset(t), dtype=float)
 
 

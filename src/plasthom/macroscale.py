@@ -126,12 +126,11 @@ class ElementCellState:
 
 @dataclass
 class EffectiveSolution:
-    """Displacements, per-element stress series and cell states, residuals."""
+    """Displacements, per-element stress series, Newton counts and cell states."""
 
     times: np.ndarray
     u: np.ndarray              # (steps+1, nv, d)
     sigma: np.ndarray          # (steps+1, ne, k)
-    residual_history: list
     newton_iters: list
     space: object = field(repr=False, default=None)
     cells: list = field(repr=False, default=None)  # final per-element states
@@ -161,7 +160,7 @@ def solve_effective(config):
 
     u_hist = np.zeros((steps + 1, mesh.n_vertices, 2))
     sig_hist = np.zeros((steps + 1, mesh.n_elements, k))
-    residual_history, iter_history = [], []
+    iter_history = []
 
     u = np.zeros(space.n_packed)
     free = space.free_dofs
@@ -184,8 +183,8 @@ def solve_effective(config):
                     and _time.monotonic() - start > config.max_seconds:
                 raise NumericalError(
                     "wall-clock budget exceeded", step=m,
-                    partial=_package(times, u_hist, sig_hist, residual_history,
-                                     iter_history, space, upto=m - 1),
+                    partial=_package(times, u_hist, sig_hist, iter_history, space,
+                                     upto=m - 1),
                 )
             strains = space.element_strains(space.unpack_field(u))
             sig = element_sigmas(strains, dt)
@@ -200,7 +199,6 @@ def solve_effective(config):
                 sig_hist[m] = sig
                 converged = True
                 iter_history.append(it)
-                residual_history.append(res_norm)
                 break
             # finite-difference macro tangent, probes restored afterwards
             moduli = np.empty((mesh.n_elements, k, k))
@@ -217,7 +215,7 @@ def solve_effective(config):
             du, _ = pcg(Aff, residual, jacobi(Aff), rtol=1e-12)
             u[free] += du
         if not converged:
-            worst = np.argsort(np.abs(f_ext - f_int))[-5:]
+            worst = free[np.argsort(np.abs(residual))[-5:]]
             raise NumericalError(
                 f"macro Newton did not converge (worst dofs {worst.tolist()})",
                 step=m, residual=float(res_norm),
@@ -225,19 +223,15 @@ def solve_effective(config):
         u_hist[m] = space.unpack_field(u)
 
     _add_boundary_offset(config, times, u_hist)
-    return _package(times, u_hist, sig_hist, residual_history, iter_history,
-                    space, cells=cells)
+    return _package(times, u_hist, sig_hist, iter_history, space, cells=cells)
 
 
-def _package(times, u_hist, sig_hist, residual_history, iter_history, space,
-             upto=None, cells=None):
+def _package(times, u_hist, sig_hist, iter_history, space, upto=None, cells=None):
     if upto is not None:
         times = times[: upto + 1]
         u_hist, sig_hist = u_hist[: upto + 1], sig_hist[: upto + 1]
     return EffectiveSolution(times=times, u=u_hist, sigma=sig_hist,
-                             residual_history=residual_history,
-                             newton_iters=iter_history, space=space,
-                             cells=cells)
+                             newton_iters=iter_history, space=space, cells=cells)
 
 
 def weak_form_residual(solution, config):

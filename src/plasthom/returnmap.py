@@ -25,16 +25,15 @@ from .tensors import deviatoric, dev_projector, lame_parameters, sph_projector
 
 @dataclass(frozen=True)
 class MaterialArrays:
-    """Per-element isotropic material data for the vectorized update.
+    """Per-element isotropic material data for the vectorized planar update.
 
     Construction checks that all entries are positive (NaN fails).
     """
 
-    a_vol: np.ndarray    # volumetric stiffness eigenvalue, d*lam + 2*mu
+    a_vol: np.ndarray    # volumetric stiffness eigenvalue, 2*lam + 2*mu
     a_dev: np.ndarray    # deviatoric stiffness eigenvalue, 2*mu
     hardening: np.ndarray
     yield_stress: np.ndarray
-    dim: int = 2
 
     def __post_init__(self):
         if not (np.all(self.a_vol > 0) and np.all(self.a_dev > 0)):
@@ -43,39 +42,38 @@ class MaterialArrays:
             raise ConfigurationError("hardening and yield stress must be positive")
 
     @classmethod
-    def from_parameters(cls, E, nu, sigma_y, hardening, dim=2):
+    def from_parameters(cls, E, nu, sigma_y, hardening):
         E = np.atleast_1d(np.asarray(E, dtype=float))
         nu = np.atleast_1d(np.asarray(nu, dtype=float))
         lam, mu = lame_parameters(E, nu)
         return cls(
-            a_vol=dim * lam + 2.0 * mu,
+            a_vol=2.0 * lam + 2.0 * mu,
             a_dev=2.0 * mu,
             hardening=np.broadcast_to(np.asarray(hardening, dtype=float), E.shape).copy(),
             yield_stress=np.broadcast_to(np.asarray(sigma_y, dtype=float), E.shape).copy(),
-            dim=dim,
         )
 
     @classmethod
     def from_medium(cls, medium, points, eps=1.0):
         params = medium.parameters_at(points, eps)
         return cls.from_parameters(params["E"], params["nu"], params["sigma_y"],
-                                   params["H"], dim=medium.dim)
+                                   params["H"])
 
     def stiffness_moduli(self):
-        """Dense Mandel stiffness matrices per element, shape (n, k, k)."""
-        return (self.a_vol[:, None, None] * sph_projector(self.dim)
-                + self.a_dev[:, None, None] * dev_projector(self.dim))
+        """Dense Mandel stiffness matrices per element, shape (n, 3, 3)."""
+        return (self.a_vol[:, None, None] * sph_projector(2)
+                + self.a_dev[:, None, None] * dev_projector(2))
 
     def apply_stiffness(self, comps):
         sph = np.zeros_like(comps)
-        tr = comps[..., : self.dim].sum(axis=-1) / self.dim
-        sph[..., : self.dim] = tr[..., None]
+        tr = comps[..., :2].sum(axis=-1) / 2
+        sph[..., :2] = tr[..., None]
         return self.a_vol[:, None] * sph + self.a_dev[:, None] * (comps - sph)
 
     def apply_compliance(self, comps):
         sph = np.zeros_like(comps)
-        tr = comps[..., : self.dim].sum(axis=-1) / self.dim
-        sph[..., : self.dim] = tr[..., None]
+        tr = comps[..., :2].sum(axis=-1) / 2
+        sph[..., :2] = tr[..., None]
         return sph / self.a_vol[:, None] + (comps - sph) / self.a_dev[:, None]
 
 
@@ -115,8 +113,7 @@ def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES):
     z, p_new, moduli: stresses, updated plastic strains, and the consistent
     algorithmic moduli (n, k, k).
     """
-    d = mats.dim
-    dev_xi = deviatoric(xi_total, d)
+    dev_xi = deviatoric(xi_total, 2)
     sph_xi = xi_total - dev_xi
 
     hard = mats.a_dev + mats.hardening
@@ -139,6 +136,6 @@ def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES):
         a_dev2 = mats.a_dev**2
         radial = (a_dev2 * dlam)[:, None, None] * nn
         hoop_coef = np.where(s_trial > 0.0, a_dev2 * lam / safe, a_dev2 * dlam)
-        hoop = hoop_coef[:, None, None] * (dev_projector(d) - nn)
+        hoop = hoop_coef[:, None, None] * (dev_projector(2) - nn)
         moduli = moduli - np.where(active[:, None, None], radial + hoop, 0.0)
     return z, p_new, moduli

@@ -137,18 +137,16 @@ def h1_time_norm(times, fields, weights):
     return float(np.sqrt(np.sum(dt * (0.5 * (sq[1:] + sq[:-1]) + rate_sq))))
 
 
-def shear_path(amplitude, T, steps, dim=2, unload_to=None):
+def shear_path(amplitude, T, steps, unload_to=None):
     """Pure-shear ramp (optionally with partial unloading) as a StrainPath."""
     from plasthom.loading import StrainPath
     from plasthom.tensors import pack
 
-    mat = np.zeros((dim, dim))
-    mat[0, 1] = mat[1, 0] = 1.0
-    direction = pack(mat)
+    direction = pack(np.array([[0.0, 1.0], [1.0, 0.0]]))
     if unload_to is None:
-        return StrainPath.ramp(amplitude * direction, T, steps=steps, dim=dim)
+        return StrainPath.ramp(amplitude * direction, T, steps=steps)
     times = np.linspace(0.0, T, steps + 1)
     half = T / 2
     scale = np.where(times <= half, times / half,
                      1.0 + (unload_to - 1.0) * (times - half) / half)
-    return StrainPath(times, np.outer(scale * amplitude, direction), dim=dim)
+    return StrainPath(times, np.outer(scale * amplitude, direction))

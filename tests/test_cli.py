@@ -160,6 +160,7 @@ class TestExitCodes:
         pytest.param("korn", "korn.n_cells", "x", id="korn-cells-not-a-number"),
         pytest.param("korn", "korn.r", 0, id="korn-zero-r"),
         pytest.param("korn", "korn.n_samples", 2.5, id="korn-samples-not-an-integer"),
+        pytest.param("korn", "korn.n_cells", 1, id="korn-one-vertex-torus"),
         pytest.param("macro", "budget_seconds", "x", id="budget-seconds-not-a-number"),
         pytest.param("macro", "budget_seconds", -1.0, id="budget-seconds-negative"),
         pytest.param("macro", "budget_seconds", float("inf"), id="budget-seconds-infinite"),

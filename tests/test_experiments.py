@@ -8,7 +8,6 @@ from plasthom.experiments import (
     run_averaging_experiment,
     run_convergence_check,
     run_ergodic_check,
-    run_experiment,
     run_korn_check,
 )
 from plasthom.media import ProbabilityLaw
@@ -143,10 +142,6 @@ class TestDispatchAndSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentSpec(kind="percolation")
-
-    def test_dispatch_runs_korn(self):
-        spec = ExperimentSpec(kind="korn", params={"n_samples": 10})
-        assert run_experiment(spec).meta["max_ratio"] <= 2.0 + 1e-10
 
 
 class TestReporting:

@@ -122,24 +122,6 @@ class TestAverageStress:
         )
         assert np.abs(average_stress(solve_eps(cfg))).max() == 0.0
 
-    def test_union_additivity(self):
-        cfg = make_config(law=TWO_PHASE, n=4, steps=4)
-        traj = solve_eps(cfg)
-        ne = cfg.mesh.n_elements
-        part_a = np.arange(0, ne // 3)
-        part_b = np.arange(ne // 3, ne)
-        vol = cfg.mesh.volumes
-        wa, wb = vol[part_a].sum(), vol[part_b].sum()
-        combined = (wa * average_stress(traj, part_a)
-                    + wb * average_stress(traj, part_b)) / (wa + wb)
-        whole = average_stress(traj, np.arange(ne))
-        assert np.abs(combined - whole).max() <= 1e-14
-
-    def test_empty_region_rejected(self):
-        traj = solve_eps(make_config(steps=2, amplitude=0.1))
-        with pytest.raises(ConfigurationError):
-            average_stress(traj, np.array([], dtype=int))
-
 
 class TestDeterminismAndCausality:
     def test_identical_configs_bitwise_equal(self):

@@ -162,6 +162,27 @@ class TestEnvelopeGradient:
         assert np.all(num <= (1.0 + 1e-10) / delta * den)
 
 
+class TestProx:
+    @pytest.mark.parametrize("kind", [VON_MISES, NORM_TYPE])
+    def test_moreau_identity(self, kind):
+        """The envelope is attained at the prox: Psi(q) + |s - q|^2 / (2 delta), q = prox(s)."""
+        rng = np.random.default_rng(15)
+        delta = 0.03
+        rule = FlowRule(kind, 0.9, 2)
+        reg = rule.regularized(delta)
+        s = random_mandel(rng, n=10000, scale=2.0)
+        q = reg.prox(s)
+        attained = rule.value(q) + np.sum((s - q) ** 2, axis=-1) / (2 * delta)
+        value = reg.value(s)
+        assert np.all(np.abs(value - attained) <= 1e-14 * (1.0 + value))
+
+    def test_von_mises_prox_is_projection(self):
+        rng = np.random.default_rng(16)
+        rule = FlowRule(VON_MISES, 0.9, 2)
+        s = random_mandel(rng, n=10000, scale=2.0)
+        assert np.abs(rule.regularized(0.03).prox(s) - rule.project(s)).max() <= 1e-13
+
+
 class TestConjugate:
     def test_zero_at_origin(self):
         for kind in (VON_MISES, NORM_TYPE):

@@ -1,5 +1,7 @@
-"""Every name a plasthom module imports is used in that module, and every
-private function or class is used somewhere in the package.
+"""Every name a plasthom module imports is used in that module, every
+private function or class is used somewhere in the package, and every public
+one is used by the package, a demo, the benchmark, the acceptance suite or
+the README.
 
 Stand-ins for a linter's unused-import and dead-code rules, written with the
 stdlib ``ast`` so they run wherever the tests do.  ``__init__`` is skipped by
@@ -7,11 +9,13 @@ the import check: its imports are the package's public exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "plasthom"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "plasthom"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -60,3 +64,26 @@ def test_every_private_definition_is_referenced():
     referenced = set().union(*map(referenced_names, trees))
     assert defined, "the package defines no private helpers; the check is vacuous"
     assert sorted(defined - referenced) == []
+
+
+def test_every_public_definition_is_used_outside_its_tests():
+    """A public top-level function or class is referenced somewhere other than
+    its own definition: in a package module other than ``__init__``, a demo,
+    a benchmark script, the acceptance suite or the README.  Unit tests do not
+    count, so a helper that only its own tests read fails."""
+    users = MODULES + sorted((ROOT / "demos").glob("*.py")) \
+        + sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    trees = {p: ast.parse(p.read_text(encoding="utf8"), filename=str(p)) for p in users}
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf8")))
+    statements = [node for tree in trees.values() for node in tree.body]
+    references = [referenced_names(node) for node in statements]
+    unused = []
+    for path in MODULES:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_") or node.name in readme:
+                continue
+            if not any(node.name in names for other, names in zip(statements, references)
+                       if other is not node):
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from plasthom import macroscale
 from plasthom.cellproblem import RveConfig, sigma
 from plasthom.errors import ConfigurationError, NumericalError
 from plasthom.fem import P1Space, mesh_simplex, mesh_unit_square, solve_elastic
@@ -139,6 +142,25 @@ class TestBudgets:
             MacroConfig(mesh=mesh_unit_square(4), rve=single_cell_rve(),
                         dirichlet=AffineBoundary(path),
                         time_grid=np.linspace(0, 1, 3), max_elements=8)
+
+
+class TestNewtonFailure:
+    def test_reported_worst_dofs_are_free(self, monkeypatch):
+        """The failure message ranks the free residual, never the reaction forces."""
+        monkeypatch.setattr(macroscale, "NEWTON_MAXITER", 1)
+        law = ProbabilityLaw.from_config({"E": {"discrete": {"values": [1.0, 2.0]}},
+                                          "nu": {"point": 0.3}, "sigma_y": {"point": 0.3}})
+        rve = RveConfig(n_cells=2, refine=1, n_samples=1, delta=0.003, law=law)
+        load = lambda t, pts: t * np.tile([0.2, -0.1], (len(pts), 1))
+        cfg = MacroConfig(mesh=mesh_unit_square(3), rve=rve,
+                          dirichlet=AffineBoundary(shear_path(0.6, 1.0, 2)), load=load,
+                          time_grid=np.linspace(0, 1, 3))
+        with pytest.raises(NumericalError, match="worst dofs") as err:
+            solve_effective(cfg)
+        worst = re.search(r"worst dofs \[([\d, ]+)\]", str(err.value)).group(1)
+        dofs = [int(d) for d in worst.split(",")]
+        assert len(dofs) == 5
+        assert set(dofs) <= set(P1Space(cfg.mesh).free_dofs.tolist())
 
 
 class TestConfigValidation:

@@ -126,7 +126,6 @@ class TestMaterialArrays:
     def test_from_parameters(self):
         mats = MaterialArrays.from_parameters(2.0, 0.3, 0.5, 1.5)
         lam, mu = lame_parameters(2.0, 0.3)
-        assert mats.dim == 2
         assert np.array_equal(mats.yield_stress, [0.5])
         assert np.array_equal(mats.hardening, [1.5])
         assert np.allclose(mats.a_vol, 2 * lam + 2 * mu, rtol=1e-15)
