@@ -238,6 +238,15 @@ class ProbabilityLaw:
         return out
 
 
+def _points_of(law, points):
+    """Points as rows of a float array; raises unless each has the law's d coordinates."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[-1] != law.dim:
+        raise ConfigurationError(f"points have {points.shape[-1]} coordinates, "
+                                 f"but the law is {law.dim}-dimensional")
+    return points
+
+
 @dataclass(frozen=True)
 class Realization:
     """One sampled medium: a shifted checkerboard, cell values keyed by seed.
@@ -266,8 +275,7 @@ class Realization:
         return self.law.dim
 
     def _cells_at(self, points, eps):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        cells = np.floor(points / eps + (self.translation - self.shift))
+        cells = np.floor(_points_of(self.law, points) / eps + (self.translation - self.shift))
         if not np.all(np.abs(cells) < INT64_LIMIT):  # NaN fails too
             raise ConfigurationError(f"scale eps={eps} puts cell indices outside int64")
         return cells.astype(np.int64)
@@ -350,6 +358,6 @@ class PeriodizedMedium:
         return self.law.dim
 
     def parameters_at(self, points, eps=1.0):
-        cells = np.floor(np.atleast_2d(np.asarray(points, dtype=float)) / eps)
+        cells = np.floor(_points_of(self.law, points) / eps)
         cells = np.mod(cells.astype(np.int64), self.n_cells)
         return self.law.cell_parameters(self.seed, cells)

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh, spsolve
 
+from plasthom import fem
 from plasthom.errors import ConfigurationError, NumericalError
 from plasthom.fem import (
     P1Space,
@@ -28,6 +31,7 @@ TWO_PHASE = ProbabilityLaw.from_config({
     "sigma_y": {"point": 0.3},
 })
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+DENSE_GRID = math.isqrt(fem.DENSE_PERIODIC_DOFS // 2)  # m of the largest dense m x m torus
 
 
 class TestMeshSimplex:
@@ -222,9 +226,12 @@ def torus_moduli(draw, max_cells=3, max_refine=3):
     """A torus space and per-element SPD moduli, constant on each lattice cell."""
     n_cells = draw(st.integers(1, max_cells))
     refine = draw(st.integers(1, max_refine))
+    return random_torus_moduli(n_cells, refine, draw(st.integers(0, 2**32 - 1)),
+                               draw(st.floats(1.0, 100.0)))
+
+
+def random_torus_moduli(n_cells, refine, seed, contrast):
     space = P1Space(mesh_torus(n_cells, refine))
-    seed = draw(st.integers(0, 2**32 - 1))
-    contrast = draw(st.floats(1.0, 100.0))
     rng = np.random.default_rng(seed)
     factors = rng.standard_normal((n_cells * n_cells, 3, 3))
     cell_moduli = factors @ np.swapaxes(factors, 1, 2) + np.eye(3)
@@ -331,6 +338,9 @@ class TestReferencePreconditioner:
     @PROPERTY
     @given(torus_moduli(max_cells=4).filter(lambda c: c[0].mesh.grid_size > 1),
            st.integers(0, 2**32 - 1))
+    # the largest grid that solve_periodic inverts densely, and the smallest above
+    @example(random_torus_moduli(DENSE_GRID, 1, 5, 100.0), 0)
+    @example(random_torus_moduli(DENSE_GRID + 1, 1, 6, 100.0), 1)
     def test_solve_periodic_matches_pinned_direct_solve(self, case, seed):
         space, moduli = case
         A = space.assemble_operator(moduli)
@@ -342,6 +352,35 @@ class TestReferencePreconditioner:
         reference = zero_mean(space, pinned)
         assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
         assert max(abs(t @ x) for t in space.translation_vectors()) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n_cells, refine, dense", [(4, 1, True), (16, 2, False)])
+    def test_size_selects_the_preconditioner(self, n_cells, refine, dense, monkeypatch):
+        # fe2_macro's cells (32 dofs) and cell_mc's (2,048 dofs), two-phase and plastic
+        space = P1Space(mesh_torus(n_cells, refine))
+        ne = space.mesh.n_elements
+        mats = MaterialArrays.from_medium(PeriodizedMedium(TWO_PHASE, 3, n_cells=n_cells),
+                                          space.mesh.barycenters)
+        xi = pack(np.array([[0.0, 0.6], [0.6, 0.0]]))
+        _, p, moduli = plastic_step(np.broadcast_to(xi, (ne, 3)), np.zeros((ne, 3)),
+                                    mats, 0.25, 0.003)
+        assert (p != 0).any()
+        A = space.assemble_operator(moduli)
+        b = zero_mean(space, np.random.default_rng(n_cells).standard_normal(space.n_packed))
+        counts = []
+
+        def counting_pcg(*args, **kwargs):
+            x, iters = pcg(*args, **kwargs)
+            counts.append(iters)
+            return x, iters
+
+        monkeypatch.setattr(fem, "pcg", counting_pcg)
+        solve_periodic(space, A, b, rtol=1e-12)
+        assert (space.n_packed <= fem.DENSE_PERIODIC_DOFS) == dense
+        if dense:
+            assert counts == [1]
+        else:
+            _, reference_iters = pcg(A, b, reference_preconditioner(space, A), rtol=1e-12)
+            assert counts == [reference_iters] and reference_iters > 2
 
     def test_one_vertex_torus_returns_zero(self):
         space = P1Space(mesh_torus(1, 1))

@@ -1,7 +1,8 @@
 """Every name a plasthom module imports is used in that module, every
-private function or class is used somewhere in the package, and every public
+private function or class is used somewhere in the package, every public
 one is used by the package, a demo, the benchmark, the acceptance suite or
-the README.
+the README, and the only third-party modules the package imports are numpy
+and scipy.sparse.
 
 Stand-ins for a linter's unused-import and dead-code rules, written with the
 stdlib ``ast`` so they run wherever the tests do.  ``__init__`` is skipped by
@@ -10,6 +11,7 @@ the import check: its imports are the package's public exports.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "plasthom"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# scipy.sparse.linalg alone adds about 9 MB of resident memory
+THIRD_PARTY = {"numpy", "scipy.sparse"}
 
 
 def imported_names(tree):
@@ -87,3 +91,27 @@ def test_every_public_definition_is_used_outside_its_tests():
                        if other is not node):
                 unused.append(f"{path.stem}.{node.name}")
     assert unused == []
+
+
+def absolute_imports(tree):
+    """Dotted names of the modules that absolute imports may load.  ``from a
+    import b`` counts as ``a.b``, since b may be a submodule of a."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.extend(f"{node.module}.{a.name}" for a in node.names)
+    return names
+
+
+def test_third_party_imports_are_numpy_and_scipy_sparse():
+    """No module imports scipy.sparse.linalg, scipy.linalg or any other
+    third-party module, each of which adds megabytes to every run's peak
+    memory."""
+    found = {name for path in sorted(PACKAGE.glob("*.py"))
+             for name in absolute_imports(ast.parse(path.read_text(encoding="utf8")))}
+    assert "scipy.sparse" in found, "the check is vacuous"
+    third_party = {name for name in found
+                   if name.split(".")[0] not in sys.stdlib_module_names}
+    assert sorted(third_party - THIRD_PARTY) == []

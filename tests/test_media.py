@@ -230,6 +230,12 @@ class TestRealizations:
         with pytest.raises(ConfigurationError, match="int64"):
             omega.parameters_at(np.array([[0.5, 0.5]]), eps=1e-300)
 
+    def test_points_must_match_the_law_dimension(self):
+        # planar mesh points cannot locate cells of a 3-d medium
+        omega = sample_realization(ProbabilityLaw.constant(1.0, 0.3, 0.3, dim=3), 0)
+        with pytest.raises(ConfigurationError, match="2 coordinates"):
+            omega.parameters_at(np.zeros((4, 2)))
+
 
 class TestErgodicAverage:
     def test_point_mass_law_is_exact(self):
@@ -301,6 +307,12 @@ class TestPeriodizedMedium:
         a = med.parameters_at(np.array([[0.5, 0.5]]))["E"]
         b = med.parameters_at(np.array([[4.5, 8.5]]))["E"]
         assert a == b
+
+    def test_points_must_match_the_law_dimension(self):
+        # hashing 2-column cell indices under a 3-d law gives plausible values
+        med = PeriodizedMedium(ProbabilityLaw.constant(1.0, 0.3, 0.3, dim=3), 0, n_cells=2)
+        with pytest.raises(ConfigurationError, match="3-dimensional"):
+            med.parameters_at(np.zeros((4, 2)))
 
     def test_needs_positive_block(self):
         with pytest.raises(ConfigurationError):
