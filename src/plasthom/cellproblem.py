@@ -125,7 +125,7 @@ def solve_cell(medium, xi_path, delta, time_grid, space,
     f_ext = np.zeros(space.n_packed)
     for m in range(1, steps + 1):
         dt = time_grid[m] - time_grid[m - 1]
-        z, p, n_it, res = newton_solve(
+        z, p, n_it, res, _ = newton_solve(
             space, mats, xi_values[m][None, :], p, phi, dt, delta, rule_kind,
             f_ext, newton_rtol, CG_RTOL, step=m,
         )
@@ -157,6 +157,7 @@ def sigma(cfg, xi_path, time_grid, threads=1):
     """
     if cfg.law is None:
         raise ConfigurationError("RveConfig.law must be set")
+    positive_int(threads, "threads")
     time_grid = np.asarray(time_grid, dtype=float)
     space = P1Space(mesh_torus(cfg.n_cells, cfg.refine))  # immutable, shareable
     jobs = range(cfg.n_samples)

@@ -106,7 +106,9 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, kind,
     is periodic: all dofs are free and the translation kernel is projected
     out of the updates.  If a full tangent step fails to reduce the
     residual, the correction is damped by halving.  At most NEWTON_MAXITER
-    iterations run.  Returns (z, p_new, iterations, final_residual).
+    iterations run.  Returns (z, p_new, iterations, final_residual,
+    moduli), where ``moduli`` (ne, 3, 3) are the algorithmic moduli of the
+    last accepted evaluation, i.e. of the converged state.
     """
     from .fem import solve_periodic
 
@@ -130,7 +132,7 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, kind,
     denom = max(res_norm, np.linalg.norm(f_ext[free]))
     for it in range(NEWTON_MAXITER):
         if res_norm <= rtol * denom + floor:
-            return z, p_new, it, res_norm
+            return z, p_new, it, res_norm, moduli
         A = space.assemble_operator(moduli)
         if periodic:
             du = solve_periodic(space, A, f_ext - f_int, rtol=cg_rtol)
@@ -186,7 +188,7 @@ def solve_eps(config):
         t, dt = times[m], times[m] - times[m - 1]
         _impose_dirichlet(space, config, t, u)
         f_ext = _load_vector(space, config, t)
-        z, p, n_it, res = newton_solve(
+        z, p, n_it, res, _ = newton_solve(
             space, mats, 0.0, p, u, dt, config.delta, config.rule_kind,
             f_ext, config.newton_rtol, config.cg_rtol, step=m,
         )

@@ -5,10 +5,12 @@ P1 mesh, where Sigma is the effective hysteretic stress operator evaluated
 through per-element cell problems: every macro element owns one persistent
 cell state per Monte-Carlo sample.  Per time step, a macro Newton iteration
 updates the nodal displacements; stress increments come from advancing the
-element cell problems at the element strain, and the macro tangent is built
-from one-sided finite differences of those increments.  Cell states are
-snapshotted around tangent probes, so probes have no side effects, and each
-element's state is committed exactly once per accepted step.
+element cell problems at the element strain, and the macro tangent is the
+condensed tangent of the converged cells,
+C_hom = <C> - G^T K^+ G / |Y| (Miehe 2002; Kouznetsova, Brekelmans &
+Baaijens 2001), with C the cells' algorithmic moduli, K their periodic
+operator and G the nodal forces of unit macro strains.  Each element's state
+is committed exactly once per accepted step.
 """
 
 import time as _time
@@ -26,10 +28,6 @@ from .returnmap import MaterialArrays
 from .tensors import mandel_dim
 
 NEWTON_MAXITER = 40
-# step of the one-sided difference quotients of the macro tangent:
-# FD_REL * |element strain| + FD_ABS
-FD_REL = 1e-6
-FD_ABS = 1e-10
 
 
 @dataclass
@@ -79,8 +77,9 @@ class ElementCellState:
     ``mats`` are the samples' materials from ``_sample_materials``, shared by
     all elements.  ``advance`` performs one implicit step from the committed
     state at a trial strain and returns the sample-averaged stress;
-    ``commit`` makes the last advance permanent.  Probing never touches
-    committed arrays.
+    ``tangent`` is the condensed tangent at that trial state and ``commit``
+    makes the last advance permanent.  Neither ``advance`` nor ``tangent``
+    touches committed arrays.
     """
 
     def __init__(self, rve_cfg, rve_space, mats):
@@ -101,11 +100,11 @@ class ElementCellState:
         mesh = self.space.mesh
         w = mesh.volumes / mesh.volumes.sum()
         z_means = []
-        trial_p, trial_phi = [], []
+        trial_p, trial_phi, trial_moduli = [], [], []
         f_ext = np.zeros(self.space.n_packed)
         for j in range(cfg.n_samples):
             phi = self.phi[j].copy()
-            z, p_new, _, _ = newton_solve(
+            z, p_new, _, _, moduli = newton_solve(
                 self.space, self.mats[j], np.asarray(strain)[None, :],
                 self.p[j], phi, dt, cfg.delta, cfg.rule_kind,
                 f_ext, cfg.newton_rtol, CG_RTOL,
@@ -113,11 +112,37 @@ class ElementCellState:
             z_means.append(w @ z)
             trial_p.append(p_new)
             trial_phi.append(phi)
-        self._trial = (trial_p, trial_phi)
+            trial_moduli.append(moduli)
+        self._trial = (trial_p, trial_phi, trial_moduli)
         return np.mean(z_means, axis=0)
 
+    def tangent(self):
+        """The condensed tangent dSigma/dxi at the last advance, (3, 3).
+
+        Per sample, with C the converged algorithmic moduli, K the periodic
+        operator assembled from them and G[:, j] the nodal forces of the
+        stresses C e_j, a macro strain increment d moves the fluctuation by
+        -K^+ G d, so the mean stress moves by (<C> - G^T K^+ G / |Y|) d.
+        Returns the symmetrized mean over the samples.
+        """
+        from . import fem
+
+        _, _, trial_moduli = self._trial
+        space = self.space
+        volumes = space.mesh.volumes
+        k = mandel_dim(2)
+        total = np.zeros((k, k))
+        for moduli in trial_moduli:
+            K = space.assemble_operator(moduli)
+            G = np.stack([space.internal_forces(moduli[:, :, j]) for j in range(k)], axis=1)
+            KG = np.stack([fem.solve_periodic(space, K, G[:, j], rtol=CG_RTOL)
+                           for j in range(k)], axis=1)
+            total += np.einsum("e,eij->ij", volumes, moduli) - G.T @ KG
+        total /= volumes.sum() * len(trial_moduli)
+        return 0.5 * (total + total.T)
+
     def commit(self):
-        trial_p, trial_phi = self._trial
+        trial_p, trial_phi, _ = self._trial
         for j in range(self.cfg.n_samples):
             self.p[j] = trial_p[j]
             self.phi[j] = trial_phi[j]
@@ -200,16 +225,7 @@ def solve_effective(config):
                 converged = True
                 iter_history.append(it)
                 break
-            # finite-difference macro tangent, probes restored afterwards
-            moduli = np.empty((mesh.n_elements, k, k))
-            for e in range(mesh.n_elements):
-                base = sig[e]
-                h = FD_REL * np.linalg.norm(strains[e]) + FD_ABS
-                for comp in range(k):
-                    probe = strains[e].copy()
-                    probe[comp] += h
-                    moduli[e][:, comp] = (cells[e].advance(probe, dt) - base) / h
-            moduli = 0.5 * (moduli + np.swapaxes(moduli, 1, 2))
+            moduli = np.stack([cell.tangent() for cell in cells])
             A = space.assemble_operator(moduli)
             Aff = A[free][:, free]
             du, _ = pcg(Aff, residual, jacobi(Aff), rtol=1e-12)

@@ -229,6 +229,14 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not (out / "cell_sigma.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_is_configuration_error(self, run_dir, capsys, threads):
+        out, cfg = run_dir
+        assert main(["cell", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / "cell_sigma.csv").exists()
+
     @pytest.mark.parametrize("command, seed", [
         pytest.param("cell", "99999999999999999999", id="cell-seed-beyond-int64"),
         pytest.param("eps", "99999999999999999999", id="eps-seed-beyond-int64"),

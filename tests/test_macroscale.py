@@ -6,10 +6,16 @@ import pytest
 from plasthom import macroscale
 from plasthom.cellproblem import RveConfig, sigma
 from plasthom.errors import ConfigurationError, NumericalError
-from plasthom.fem import P1Space, mesh_simplex, mesh_unit_square, solve_elastic
+from plasthom.fem import P1Space, mesh_simplex, mesh_torus, mesh_unit_square, solve_elastic
 from plasthom.finescale import EpsProblemConfig, solve_eps
 from plasthom.loading import AffineBoundary, StrainPath
-from plasthom.macroscale import MacroConfig, solve_effective, weak_form_residual
+from plasthom.macroscale import (
+    ElementCellState,
+    MacroConfig,
+    _sample_materials,
+    solve_effective,
+    weak_form_residual,
+)
 from plasthom.media import ProbabilityLaw, sample_realization
 from plasthom.returnmap import MaterialArrays
 from plasthom.tensors import isotropic_stiffness
@@ -17,6 +23,8 @@ from plasthom.tensors import isotropic_stiffness
 from helpers import shear_path
 
 CONSTANT = ProbabilityLaw.constant(1.0, 0.3, 0.3, 1.0)
+TWO_PHASE = ProbabilityLaw.from_config({"E": {"discrete": {"values": [1.0, 2.0]}},
+                                        "nu": {"point": 0.3}, "sigma_y": {"point": 0.3}})
 
 
 def single_cell_rve(delta=0.003, rtol=1e-11):
@@ -124,6 +132,55 @@ class TestSolveEffective:
         for cell in sol.cells:
             assert len(cell.mats) == len(built)
             assert all(shared is own for shared, own in zip(built, cell.mats))
+
+
+def cell_state(rve):
+    space = P1Space(mesh_torus(rve.n_cells, rve.refine))
+    return ElementCellState(rve, space, _sample_materials(rve, space))
+
+
+class TestCondensedTangent:
+    def test_matches_central_differences_and_keeps_committed_state(self):
+        rve = RveConfig(n_cells=4, refine=1, n_samples=2, delta=0.003,
+                        law=TWO_PHASE, base_seed=0)
+        cell = cell_state(rve)
+        dt = 0.25
+        cell.advance(np.array([0.004, -0.002, 0.01]), dt)
+        cell.commit()
+        p, phi = cell.p.copy(), cell.phi.copy()
+        for xi, plastic in ((np.array([0.01, -0.005, 0.003]), False),
+                            (np.array([0.1, -0.05, 0.5]), True)):
+            cell.advance(xi, dt)
+            assert any((trial != p[j]).any()
+                       for j, trial in enumerate(cell._trial[0])) == plastic
+            tangent = cell.tangent()
+            h = 1e-4 * np.linalg.norm(xi)
+            fd = np.empty((3, 3))
+            for comp in range(3):
+                step = h * np.eye(3)[comp]
+                fd[:, comp] = (cell.advance(xi + step, dt)
+                               - cell.advance(xi - step, dt)) / (2 * h)
+            assert np.abs(tangent - fd).max() <= 1e-6 * np.abs(fd).max()
+            assert np.array_equal(cell.p, p) and np.array_equal(cell.phi, phi)
+
+    def test_elastic_limit_is_the_constant_stiffness(self):
+        rve = RveConfig(n_cells=2, refine=1, n_samples=2, delta=0.003,
+                        law=CONSTANT, base_seed=0)
+        cell = cell_state(rve)
+        cell.advance(np.array([0.01, -0.004, 0.02]), 0.25)
+        stiffness = isotropic_stiffness(1.0, 0.3, 2)
+        assert np.abs(cell.tangent() - stiffness).max() <= 1e-10 * np.abs(stiffness).max()
+
+    def test_one_vertex_torus_gives_the_mean_moduli(self):
+        rve = RveConfig(n_cells=1, refine=1, n_samples=1, delta=0.003,
+                        law=TWO_PHASE, base_seed=3)
+        cell = cell_state(rve)
+        assert cell.space.n_packed == 2
+        cell.advance(np.array([0.1, -0.05, 0.5]), 0.25)
+        moduli = cell._trial[2][0]
+        volumes = cell.space.mesh.volumes
+        mean = np.einsum("e,eij->ij", volumes, moduli) / volumes.sum()
+        assert np.abs(cell.tangent() - 0.5 * (mean + mean.T)).max() <= 1e-14
 
 
 class TestBudgets:
