@@ -11,21 +11,21 @@ import plasthom as ph
 
 print("== Mandel vectors ==")
 shear = ph.pack([[0.0, 1.0], [1.0, 0.0]])
-print("pure shear as a matrix:\n", ph.unpack(shear, 2))
+print("pure shear as a matrix:\n", ph.unpack(shear))
 print("as a Mandel vector (off-diagonals carry sqrt 2):", shear)
 other = ph.pack([[2.0, 0.3], [0.3, -1.0]])
 print("Frobenius product equals the dot product:",
-      float(np.sum(ph.unpack(shear, 2) * ph.unpack(other, 2))), "=", float(shear @ other))
-print("deviatoric part of", other, "is", ph.deviatoric(other, 2))
+      float(np.sum(ph.unpack(shear) * ph.unpack(other))), "=", float(shear @ other))
+print("deviatoric part of", other, "is", ph.deviatoric(other))
 
 print("\n== Isotropic maps (plane strain) ==")
-C = ph.isotropic_compliance(E=1.0, nu=0.3, dim=2)
+C = ph.isotropic_compliance(E=1.0, nu=0.3)
 print("compliance eigenvalues:", np.round(np.linalg.eigvalsh(C), 4))
 print("compliance on pure shear = (1+nu)/E times it:", (C @ shear)[2] / shear[2])
 print("two-sided ellipticity at gamma=0.3:", ph.ellipticity_check(C, 0.3))
 
 print("\n== Flow rule and its regularization ==")
-rule = ph.FlowRule(ph.VON_MISES, yield_stress=1.0, dim=2)
+rule = ph.FlowRule(ph.VON_MISES, yield_stress=1.0)
 reg = rule.regularized(delta=0.05)
 outside = 1.4 * shear / np.linalg.norm(shear)
 print("a stress 40% beyond yield:", np.round(outside, 3))

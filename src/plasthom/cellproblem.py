@@ -28,9 +28,9 @@ from .fem import P1Space, mesh_torus
 from .finescale import newton_solve
 from .flowrules import VON_MISES
 from .loading import StrainPath, checked_time_grid
-from .media import PeriodizedMedium
+from .media import PeriodizedMedium, ProbabilityLaw
 from .returnmap import MaterialArrays
-from .tensors import mandel_dim, pack
+from .tensors import KDIM, pack
 
 CG_RTOL = 1e-12  # relative CG tolerance of every periodic corrector solve
 
@@ -49,6 +49,8 @@ class RveConfig:
     newton_rtol: float = 1e-10
 
     def __post_init__(self):
+        if not isinstance(self.law, ProbabilityLaw):
+            raise ConfigurationError(f"RveConfig.law must be a ProbabilityLaw, got {self.law!r}")
         positive_int(self.n_cells, "RVE cells per side N")
         positive_int(self.refine, "RVE refinements r")
         positive_int(self.n_samples, "RVE sample count M")
@@ -112,16 +114,15 @@ def solve_cell(medium, xi_path, delta, time_grid, space,
     mats = MaterialArrays.from_medium(medium, mesh.barycenters)
 
     steps = time_grid.size - 1
-    k = mandel_dim(2)
-    p_hist = np.zeros((steps + 1, mesh.n_elements, k))
-    z_hist = np.zeros((steps + 1, mesh.n_elements, k))
+    p_hist = np.zeros((steps + 1, mesh.n_elements, KDIM))
+    z_hist = np.zeros((steps + 1, mesh.n_elements, KDIM))
     v_hist = np.zeros((steps + 1, mesh.n_elements, 2, 2))
     phi_hist = np.zeros((steps + 1, mesh.n_vertices, 2))
     iters, residuals = [], []
 
     xi_values = xi_path.at(time_grid)
     phi = np.zeros(space.n_packed)
-    p = np.zeros((mesh.n_elements, k))
+    p = np.zeros((mesh.n_elements, KDIM))
     f_ext = np.zeros(space.n_packed)
     for m in range(1, steps + 1):
         dt = time_grid[m] - time_grid[m - 1]
@@ -155,8 +156,6 @@ def sigma(cfg, xi_path, time_grid, threads=1):
     Deterministic given the base seed: sample seeds are consecutive and the
     reduction runs in fixed seed order regardless of the thread count.
     """
-    if cfg.law is None:
-        raise ConfigurationError("RveConfig.law must be set")
     positive_int(threads, "threads")
     time_grid = np.asarray(time_grid, dtype=float)
     space = P1Space(mesh_torus(cfg.n_cells, cfg.refine))  # immutable, shareable

@@ -18,6 +18,7 @@ from .cellproblem import RveConfig, sigma
 from .errors import (
     ConfigurationError,
     NumericalError,
+    array_size,
     finite_number,
     positive_int,
     positive_number,
@@ -74,7 +75,7 @@ def _time_grid(cfg):
     t = cfg.get("time", {})
     T = positive_number(t.get("T", 1.0), "time.T")
     steps = positive_int(t.get("steps", 8), "time.steps")
-    return np.linspace(0.0, T, steps + 1)
+    return np.linspace(0.0, T, array_size(steps + 1, "time.steps"))
 
 
 def _boundary(cfg, config_dir):
@@ -100,7 +101,8 @@ def _domain_mesh(cfg):
             raise ConfigurationError("domain.vertices must list three 2-d points") from None
         return mesh_simplex(corners, h)
     if kind == "unit_square":
-        return mesh_unit_square(max(1, round(1.0 / positive_number(h, "mesh.h"))))
+        cells = array_size(1.0 / positive_number(h, "mesh.h"), "mesh.h")
+        return mesh_unit_square(max(1, round(cells)))
     raise ConfigurationError(f"unknown domain type {kind!r}")
 
 
@@ -228,6 +230,7 @@ def cmd_average(cfg, args):
     _, xi = _boundary(cfg, os.path.dirname(os.path.abspath(args.config)))
     avg = cfg.get("averaging", {})
     n_seeds = positive_int(avg.get("n_seeds", 4), "averaging.n_seeds")
+    array_size(n_seeds, "averaging.n_seeds")  # the length of the seed list below
     spec = ExperimentSpec(kind="averaging", params={
         "law": law, "xi": xi, "delta": delta,
         "epsilons": avg.get("epsilons", [0.25, 0.125]),

@@ -55,6 +55,14 @@ def positive_int(value, name):
     return value
 
 
+def array_size(count, name):
+    """An array entry count below 2^63, which numpy can index; checked before
+    the allocation, which numpy would refuse with a bare ValueError."""
+    if not count < INT64_LIMIT:  # NaN fails too
+        raise ConfigurationError(f"{name} asks for 2**63 or more array entries")
+    return count
+
+
 def valid_seed(value, name):
     """An integer in [0, 2^63): the range of numpy's ``default_rng`` and of
     the int64 cast of the cell hash."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cellproblem import RveConfig, sigma
-from .errors import ConfigurationError, positive_int, positive_number, valid_seed
+from .errors import ConfigurationError, array_size, positive_int, positive_number, valid_seed
 from .fem import P1Space, mesh_simplex, mesh_torus, mesh_unit_square
 from .finescale import EpsProblemConfig, average_stress, solve_eps
 from .loading import AffineBoundary, tabulated_offset
@@ -132,6 +132,7 @@ def run_korn_check(spec):
         raise ConfigurationError("korn check needs a torus of more than one vertex, N * r > 1")
     space = P1Space(mesh)
     rng = np.random.default_rng(seed)
+    array_size(n_samples * space.n_packed, "korn n_samples")
     packed = rng.standard_normal((n_samples, space.n_packed))
     nodal = packed.reshape(n_samples, -1, 2)[:, space.packed_of_vertex, :]
 

@@ -27,11 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, NumericalError, positive_int, positive_number
-from .tensors import SQRT2, mandel_dim
+from .errors import (
+    INT64_LIMIT,
+    ConfigurationError,
+    NumericalError,
+    array_size,
+    positive_int,
+    positive_number,
+)
+from .tensors import KDIM, SQRT2
 
 DIM = 2
-KDIM = mandel_dim(DIM)
 # Largest periodic system solved with the dense pseudo-inverse.  Per solve of
 # a two-phase plastic tangent at rtol 1e-12 on 2 cores, dense against the DFT
 # reference: 0.09 against 0.57 ms at 32 dofs (m = 4), 0.25 against 0.68 at
@@ -89,15 +95,15 @@ class SimplicialMesh:
         return self.simplices.shape[0]
 
 
-def _lattice(n, triangle=False):
+def _lattice(n, name, triangle=False):
     """Lattice coordinates (i, j) of the vertices of an n x n grid, and its triangles.
 
     Grid vertex (i, j) has id i (n + 1) + j, and lattice square (i, j) splits
     into the triangles [v00, v10, v01] and [v10, v11, v01], squares in
     row-major order.  With ``triangle`` only the part i + j <= n is kept,
-    vertices renumbered in the same order.
+    vertices renumbered in the same order.  ``name`` is the input that sets n.
     """
-    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    i, j = np.divmod(np.arange(array_size((n + 1) ** 2, name)), n + 1)
     si, sj = np.divmod(np.arange(n * n), n)
     v00 = si * (n + 1) + sj
     v10, v01 = v00 + (n + 1), v00 + 1
@@ -129,9 +135,9 @@ def mesh_simplex(corners, h):
     if cross < 0:
         corners = corners[[0, 2, 1]]
     n = 1
-    while diam / n >= h:
+    while diam / n >= h and n < INT64_LIMIT:  # _lattice rejects n this large
         n *= 2
-    i, j, tris = _lattice(n, triangle=True)
+    i, j, tris = _lattice(n, "mesh size h", triangle=True)
     verts = corners[0] + (i / n)[:, None] * (corners[1] - corners[0]) \
         + (j / n)[:, None] * (corners[2] - corners[0])
     boundary = np.flatnonzero((i == 0) | (j == 0) | (i + j == n))
@@ -141,7 +147,7 @@ def mesh_simplex(corners, h):
 def mesh_unit_square(n):
     """Structured triangulation of [0,1]^2 with n cells per side."""
     positive_int(n, "cells per side n")
-    i, j, tris = _lattice(n)
+    i, j, tris = _lattice(n, "cells per side n")
     boundary = np.flatnonzero((i == 0) | (i == n) | (j == 0) | (j == n))
     return SimplicialMesh(np.stack([i, j], axis=-1) * (1.0 / n), tris, boundary)
 
@@ -156,7 +162,7 @@ def mesh_torus(n_cells, refine):
     boundary vertices keep their geometric coordinates.
     """
     m = positive_int(n_cells, "torus cells N") * positive_int(refine, "torus refinements r")
-    i, j, tris = _lattice(m)
+    i, j, tris = _lattice(m, "torus cells N times refinements r")
     return SimplicialMesh(np.stack([i, j], axis=-1) * (1.0 / refine), tris,
                           np.asarray([], dtype=np.int64),
                           master=(i % m) * (m + 1) + j % m, grid_size=m)

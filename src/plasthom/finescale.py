@@ -22,7 +22,7 @@ from .fem import P1Space, jacobi, pcg, solve_elastic
 from .flowrules import VON_MISES, FlowRule
 from .loading import checked_boundary, checked_time_grid
 from .returnmap import MaterialArrays, plastic_step
-from .tensors import mandel_dim, unpack
+from .tensors import KDIM, unpack
 
 NEWTON_MAXITER = 50
 
@@ -71,7 +71,7 @@ class PlasticTrajectory:
 
 def _boundary_values(config, t, points):
     """The strain part xi(t) x of the Dirichlet data at the given points."""
-    return points @ unpack(config.dirichlet.path.at(t), 2).T
+    return points @ unpack(config.dirichlet.path.at(t)).T
 
 
 def _impose_dirichlet(space, config, t, u):
@@ -170,7 +170,6 @@ def solve_eps(config):
     mats = MaterialArrays.from_medium(config.medium, mesh.barycenters, config.epsilon)
     times = config.time_grid
     steps = times.size - 1
-    k = mandel_dim(2)
 
     if config.load is not None:
         f0 = np.asarray(config.load(0.0, mesh.barycenters))
@@ -178,12 +177,12 @@ def solve_eps(config):
             raise ConfigurationError("load must vanish at t=0")
 
     u_hist = np.zeros((steps + 1, mesh.n_vertices, 2))
-    sig_hist = np.zeros((steps + 1, mesh.n_elements, k))
-    p_hist = np.zeros((steps + 1, mesh.n_elements, k))
+    sig_hist = np.zeros((steps + 1, mesh.n_elements, KDIM))
+    p_hist = np.zeros((steps + 1, mesh.n_elements, KDIM))
     iters, residuals = [], []
 
     u = np.zeros(space.n_packed)
-    p = np.zeros((mesh.n_elements, k))
+    p = np.zeros((mesh.n_elements, KDIM))
     for m in range(1, steps + 1):
         t, dt = times[m], times[m] - times[m - 1]
         _impose_dirichlet(space, config, t, u)

@@ -16,7 +16,7 @@ the stress:
     of the dual ball { p deviatoric : |p| <= sigma_y }.
 
 Everything here is vectorized over leading axes: inputs are Mandel
-component arrays of shape (..., k).  +inf is used as an absorbing sentinel
+component arrays of shape (..., 3).  +inf is used as an absorbing sentinel
 for the extended value; it never arises from floating-point overflow.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensors import deviatoric, mandel_dim, trace_of
+from .tensors import deviatoric, trace_of
 
 VON_MISES = "von_mises"
 NORM_TYPE = "norm"
@@ -45,7 +45,6 @@ class FlowRule:
 
     kind: str
     yield_stress: object
-    dim: int = 2
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -54,11 +53,10 @@ class FlowRule:
             raise ConfigurationError(
                 f"yield stress must be positive, got {self.yield_stress}"
             )
-        mandel_dim(self.dim)
 
     def value(self, s):
         """Potential value; +inf outside the yield set for the indicator rule."""
-        dev_n = np.linalg.norm(deviatoric(s, self.dim), axis=-1)
+        dev_n = np.linalg.norm(deviatoric(s), axis=-1)
         if self.kind == VON_MISES:
             val = np.where(dev_n <= self.yield_stress * (1.0 + 1e-14), 0.0, np.inf)
         else:
@@ -75,7 +73,7 @@ class FlowRule:
         if self.kind != VON_MISES:
             raise ConfigurationError("projection is defined for the indicator rule only")
         s = np.asarray(s, dtype=float)
-        dev = deviatoric(s, self.dim)
+        dev = deviatoric(s)
         dev_n = np.linalg.norm(dev, axis=-1)
         outside = dev_n > self.yield_stress
         scale = np.where(outside, self.yield_stress / np.where(outside, dev_n, 1.0), 1.0)
@@ -92,7 +90,7 @@ class FlowRule:
         if not np.all(np.isfinite(p)):
             raise ConfigurationError("conjugate argument has non-finite entries")
         norm = np.linalg.norm(p, axis=-1)
-        tr = np.abs(trace_of(p, self.dim))
+        tr = np.abs(trace_of(p))
         dev_ok = tr <= _TRACE_TOL * (1.0 + norm)
         if self.kind == VON_MISES:
             val = np.where(dev_ok, self.yield_stress * norm, np.inf)
@@ -124,12 +122,8 @@ class RegularizedFlow:
         if not self.delta > 0.0:
             raise ConfigurationError(f"delta must be positive, got {self.delta}")
 
-    @property
-    def dim(self):
-        return self.rule.dim
-
     def _dev_split(self, s):
-        dev = deviatoric(s, self.rule.dim)
+        dev = deviatoric(s)
         return dev, np.linalg.norm(dev, axis=-1)
 
     def value(self, s):

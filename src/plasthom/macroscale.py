@@ -25,7 +25,7 @@ from .finescale import _add_boundary_offset, _impose_dirichlet, _load_vector
 from .loading import checked_boundary, checked_time_grid
 from .media import PeriodizedMedium
 from .returnmap import MaterialArrays
-from .tensors import mandel_dim
+from .tensors import KDIM
 
 NEWTON_MAXITER = 40
 
@@ -87,8 +87,7 @@ class ElementCellState:
         self.space = rve_space
         self.mats = mats
         mesh = rve_space.mesh
-        k = mandel_dim(2)
-        self.p = np.zeros((rve_cfg.n_samples, mesh.n_elements, k))
+        self.p = np.zeros((rve_cfg.n_samples, mesh.n_elements, KDIM))
         self.phi = np.zeros((rve_cfg.n_samples, rve_space.n_packed))
         self._trial = None
 
@@ -130,13 +129,12 @@ class ElementCellState:
         _, _, trial_moduli = self._trial
         space = self.space
         volumes = space.mesh.volumes
-        k = mandel_dim(2)
-        total = np.zeros((k, k))
+        total = np.zeros((KDIM, KDIM))
         for moduli in trial_moduli:
             K = space.assemble_operator(moduli)
-            G = np.stack([space.internal_forces(moduli[:, :, j]) for j in range(k)], axis=1)
+            G = np.stack([space.internal_forces(moduli[:, :, j]) for j in range(KDIM)], axis=1)
             KG = np.stack([fem.solve_periodic(space, K, G[:, j], rtol=CG_RTOL)
-                           for j in range(k)], axis=1)
+                           for j in range(KDIM)], axis=1)
             total += np.einsum("e,eij->ij", volumes, moduli) - G.T @ KG
         total /= volumes.sum() * len(trial_moduli)
         return 0.5 * (total + total.T)
@@ -175,7 +173,6 @@ def solve_effective(config):
     space = P1Space(mesh)
     times = config.time_grid
     steps = times.size - 1
-    k = mandel_dim(2)
     start = _time.monotonic()
 
     rve_space = P1Space(mesh_torus(config.rve.n_cells, config.rve.refine))
@@ -184,14 +181,14 @@ def solve_effective(config):
              for _ in range(mesh.n_elements)]
 
     u_hist = np.zeros((steps + 1, mesh.n_vertices, 2))
-    sig_hist = np.zeros((steps + 1, mesh.n_elements, k))
+    sig_hist = np.zeros((steps + 1, mesh.n_elements, KDIM))
     iter_history = []
 
     u = np.zeros(space.n_packed)
     free = space.free_dofs
 
     def element_sigmas(strains, dt):
-        out = np.empty((mesh.n_elements, k))
+        out = np.empty((mesh.n_elements, KDIM))
         for e in range(mesh.n_elements):
             out[e] = cells[e].advance(strains[e], dt)
         return out

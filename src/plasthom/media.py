@@ -1,11 +1,11 @@
 """Seeded random checkerboard media and ergodic-averaging diagnostics.
 
-A medium is an i.i.d. field of material parameters on the unit-cube lattice,
+A medium is an i.i.d. field of material parameters on the unit-square lattice,
 translated by a uniform random shift so that the ensemble is stationary
 under all spatial shifts, not only integer ones.  Cell values are pure
 functions of (seed, cell index): they are produced by a counter-based
-integer hash, so the field is defined on all of R^d with O(1) memory and
-re-evaluation is bit-identical.
+integer hash, so the field is defined on the whole plane with O(1) memory
+and re-evaluation is bit-identical.
 
 Scaled coefficient fields are realized by reading the medium at x/eps.
 Shifting a realization by y yields the realization of the translated medium,
@@ -17,7 +17,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import INT64_LIMIT, ConfigurationError, finite_number, positive_int, valid_seed
+from .errors import (
+    INT64_LIMIT,
+    ConfigurationError,
+    array_size,
+    finite_number,
+    positive_int,
+    valid_seed,
+)
 from .tensors import isotropic_eigenvalues
 
 # SplitMix64 constants; salts are premultiplied as an array so every uint64
@@ -58,11 +65,11 @@ def _uniform01(seed, cells, channel):
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def sample_shifts(seeds, dim):
-    """The uniform [0,1)^d shift attached to each seed, vectorized."""
+def sample_shifts(seeds):
+    """The uniform [0,1)^2 shift attached to each seed, vectorized."""
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    out = np.empty((seeds.size, dim))
-    for axis in range(dim):
+    out = np.empty((seeds.size, 2))
+    for axis in range(2):
         out[:, axis] = _uniform01(0, seeds[:, None], _SHIFT_CHANNEL + axis)
     return out
 
@@ -169,12 +176,11 @@ class ProbabilityLaw:
     nu: Distribution
     sigma_y: Distribution
     hardening: Distribution = field(default_factory=lambda: Distribution.point(1.0))
-    dim: int = 2
 
     def __post_init__(self):
         for E in self.E.support_extremes():
             for nu in self.nu.support_extremes():
-                isotropic_eigenvalues(E, nu, self.dim)  # raises unless E > 0, -1 < nu < 1/2
+                isotropic_eigenvalues(E, nu)  # raises unless E > 0, -1 < nu < 1/2
         for sy in self.sigma_y.support_extremes():
             if sy <= 0:
                 raise ConfigurationError(f"law admits non-positive yield stress {sy}")
@@ -183,7 +189,7 @@ class ProbabilityLaw:
                 raise ConfigurationError(f"law admits non-positive hardening modulus {h}")
 
     @classmethod
-    def from_config(cls, cfg, dim=2):
+    def from_config(cls, cfg):
         """Build from JSON-style keys ``E``, ``nu``, ``sigma_y`` and optional ``H``."""
         try:
             return cls(
@@ -191,20 +197,18 @@ class ProbabilityLaw:
                 nu=Distribution.from_config(cfg["nu"]),
                 sigma_y=Distribution.from_config(cfg["sigma_y"]),
                 hardening=Distribution.from_config(cfg.get("H", 1.0)),
-                dim=dim,
             )
         except KeyError as missing:
             raise ConfigurationError(f"law config misses key {missing}") from None
 
     @classmethod
-    def constant(cls, E, nu, sigma_y, hardening=1.0, dim=2):
+    def constant(cls, E, nu, sigma_y, hardening=1.0):
         """Point-mass law: a homogeneous medium."""
         return cls(
             Distribution.point(E),
             Distribution.point(nu),
             Distribution.point(sigma_y),
             Distribution.point(hardening),
-            dim=dim,
         )
 
     @property
@@ -213,7 +217,7 @@ class ProbabilityLaw:
         bound = np.inf
         for E in self.E.support_extremes():
             for nu in self.nu.support_extremes():
-                a_vol, a_dev = isotropic_eigenvalues(E, nu, self.dim)
+                a_vol, a_dev = isotropic_eigenvalues(E, nu)
                 for a in (a_vol, a_dev):
                     bound = min(bound, a, 1.0 / a)
         return bound
@@ -226,7 +230,7 @@ class ProbabilityLaw:
         return bound
 
     def cell_parameters(self, seed, cells):
-        """Parameter arrays for integer cells (n, d): dict with E, nu, sigma_y, H."""
+        """Parameter arrays for integer cells (n, 2): dict with E, nu, sigma_y, H."""
         cells = np.atleast_2d(np.asarray(cells, dtype=np.int64))
         out = {}
         for name, dist in (("E", self.E), ("nu", self.nu),
@@ -238,12 +242,12 @@ class ProbabilityLaw:
         return out
 
 
-def _points_of(law, points):
-    """Points as rows of a float array; raises unless each has the law's d coordinates."""
+def _points_of(points):
+    """Points as rows of a float array; raises unless each has 2 coordinates."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[-1] != law.dim:
+    if points.shape[-1] != 2:
         raise ConfigurationError(f"points have {points.shape[-1]} coordinates, "
-                                 f"but the law is {law.dim}-dimensional")
+                                 "but the medium is planar")
     return points
 
 
@@ -251,7 +255,7 @@ def _points_of(law, points):
 class Realization:
     """One sampled medium: a shifted checkerboard, cell values keyed by seed.
 
-    ``shift`` is the uniform [0,1)^d translation drawn from the seed;
+    ``shift`` is the uniform [0,1)^2 translation drawn from the seed;
     ``translation`` accumulates explicit shifts applied afterwards.  The
     material at x on scale eps is the cell value at floor(x/eps + translation
     - shift).
@@ -265,17 +269,13 @@ class Realization:
     def __post_init__(self):
         for name in ("shift", "translation"):
             v = np.array(getattr(self, name), dtype=float)
-            if v.shape != (self.law.dim,):
-                raise ConfigurationError(f"{name} must have shape ({self.law.dim},)")
+            if v.shape != (2,):
+                raise ConfigurationError(f"{name} must have shape (2,)")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
 
-    @property
-    def dim(self):
-        return self.law.dim
-
     def _cells_at(self, points, eps):
-        cells = np.floor(_points_of(self.law, points) / eps + (self.translation - self.shift))
+        cells = np.floor(_points_of(points) / eps + (self.translation - self.shift))
         if not np.all(np.abs(cells) < INT64_LIMIT):  # NaN fails too
             raise ConfigurationError(f"scale eps={eps} puts cell indices outside int64")
         return cells.astype(np.int64)
@@ -295,9 +295,8 @@ def sample_realization(law, seed, zero_shift=False):
     aligned with the lattice then resolve the medium exactly.
     """
     valid_seed(seed, "seed")
-    shift = np.zeros(law.dim) if zero_shift else sample_shifts([seed], law.dim)[0]
-    return Realization(law=law, seed=int(seed), shift=shift,
-                       translation=np.zeros(law.dim))
+    shift = np.zeros(2) if zero_shift else sample_shifts([seed])[0]
+    return Realization(law=law, seed=int(seed), shift=shift, translation=np.zeros(2))
 
 
 def shifted(omega, y):
@@ -307,7 +306,7 @@ def shifted(omega, y):
 
 
 def ergodic_average(omega, g, L):
-    """Exact volume average of a cell statistic over the box [-L, L]^d at scale 1.
+    """Exact volume average of a cell statistic over the box [-L, L]^2 at scale 1.
 
     ``g`` receives the parameter dict of ``ProbabilityLaw.cell_parameters``
     (arrays ``E``, ``nu``, ``sigma_y`` and ``H``, one entry per cell) and
@@ -318,10 +317,10 @@ def ergodic_average(omega, g, L):
     """
     if L < 1:
         raise ConfigurationError(f"box half-width must be >= 1, got {L}")
-    d = omega.dim
+    array_size((2 * L + 2) ** 2, "box half-width L")  # the most cells the box can cut
     offset = omega.translation - omega.shift
     axes = []
-    for i in range(d):
+    for i in range(2):
         lo, hi = -L + offset[i], L + offset[i]
         cells = np.arange(int(np.floor(lo)), int(np.floor(hi)) + 1)
         weights = np.minimum(cells + 1.0, hi) - np.maximum(cells.astype(float), lo)
@@ -333,12 +332,12 @@ def ergodic_average(omega, g, L):
     weights = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
     params = omega.law.cell_parameters(omega.seed, cells)
     values = np.broadcast_to(np.asarray(g(params), dtype=float), weights.shape)
-    return float(np.dot(weights, values) / (2.0 * L) ** d)
+    return float(np.dot(weights, values) / (2.0 * L) ** 2)
 
 
 @dataclass(frozen=True)
 class PeriodizedMedium:
-    """An N^d block of i.i.d. cells wrapped periodically: the RVE medium.
+    """An N x N block of i.i.d. cells wrapped periodically: the RVE medium.
 
     This is the computable surrogate for the abstract stationary medium used
     by the cell problems; it converges to it as the block size and the
@@ -353,11 +352,7 @@ class PeriodizedMedium:
         positive_int(self.n_cells, "RVE cells per side N")
         valid_seed(self.seed, "RVE sample seed")
 
-    @property
-    def dim(self):
-        return self.law.dim
-
     def parameters_at(self, points, eps=1.0):
-        cells = np.floor(_points_of(self.law, points) / eps)
+        cells = np.floor(_points_of(points) / eps)
         cells = np.mod(cells.astype(np.int64), self.n_cells)
         return self.law.cell_parameters(self.seed, cells)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .flowrules import NORM_TYPE, VON_MISES
-from .tensors import deviatoric, dev_projector, lame_parameters, sph_projector
+from .tensors import DEV_PROJECTOR, SPH_PROJECTOR, deviatoric, lame_parameters
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class MaterialArrays:
 
     def stiffness_moduli(self):
         """Dense Mandel stiffness matrices per element, shape (n, 3, 3)."""
-        return (self.a_vol[:, None, None] * sph_projector(2)
-                + self.a_dev[:, None, None] * dev_projector(2))
+        return (self.a_vol[:, None, None] * SPH_PROJECTOR
+                + self.a_dev[:, None, None] * DEV_PROJECTOR)
 
     def apply_stiffness(self, comps):
         sph = np.zeros_like(comps)
@@ -113,7 +113,7 @@ def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES):
     z, p_new, moduli: stresses, updated plastic strains, and the consistent
     algorithmic moduli (n, k, k).
     """
-    dev_xi = deviatoric(xi_total, 2)
+    dev_xi = deviatoric(xi_total)
     sph_xi = xi_total - dev_xi
 
     hard = mats.a_dev + mats.hardening
@@ -136,6 +136,6 @@ def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES):
         a_dev2 = mats.a_dev**2
         radial = (a_dev2 * dlam)[:, None, None] * nn
         hoop_coef = np.where(s_trial > 0.0, a_dev2 * lam / safe, a_dev2 * dlam)
-        hoop = hoop_coef[:, None, None] * (dev_projector(2) - nn)
+        hoop = hoop_coef[:, None, None] * (DEV_PROJECTOR - nn)
         moduli = moduli - np.where(active[:, None, None], radial + hoop, 0.0)
     return z, p_new, moduli

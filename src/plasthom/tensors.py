@@ -1,109 +1,76 @@
-"""Symmetric-tensor algebra in Mandel vector form.
+"""Symmetric-tensor algebra in Mandel vector form, in the plane.
 
-A symmetric d x d tensor (d in {2, 3}) is stored as a vector of length
-k = d(d+1)/2 with the off-diagonal entries scaled by sqrt(2):
+A symmetric 2 x 2 tensor is stored as a vector of length KDIM = 3 with the
+off-diagonal entry scaled by sqrt(2):
 
-    d=2:  [a11, a22, sqrt(2)*a12]
-    d=3:  [a11, a22, a33, sqrt(2)*a23, sqrt(2)*a13, sqrt(2)*a12]
+    [a11, a22, sqrt(2)*a12]
 
 With this scaling the Frobenius inner product of two tensors equals the dot
 product of their component vectors, and a symmetric fourth-order map acting
-on symmetric tensors is an ordinary symmetric k x k matrix.  Tensors are
-plain arrays with the component axis last, shape (..., k), and maps are
-plain (k, k) matrices.
+on symmetric tensors is an ordinary symmetric 3 x 3 matrix.  Tensors are
+plain arrays with the component axis last, shape (..., 3), and maps are
+plain (3, 3) matrices.
 
-The 2-d isotropic law is interpreted as plane strain with the 3-d Lame
+The isotropic law is interpreted as plane strain with the 3-d Lame
 constants, which keeps it elliptic with the three-dimensional moduli.
 """
-
-import functools
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 SQRT2 = np.sqrt(2.0)
-
-# index pairs of the off-diagonal Mandel slots, per dimension
-_OFFDIAG = {2: [(0, 1)], 3: [(1, 2), (0, 2), (0, 1)]}
-
-
-def mandel_dim(dim):
-    """Length of the Mandel component vector, k = d(d+1)/2."""
-    _check_dim(dim)
-    return dim * (dim + 1) // 2
-
-
-def _check_dim(dim):
-    if dim not in (2, 3):
-        raise ConfigurationError(f"spatial dimension must be 2 or 3, got {dim}")
+KDIM = 3  # length of the Mandel component vector
 
 
 def pack(mat):
-    """Pack symmetric matrices (..., d, d) into Mandel components (..., k).
+    """Pack symmetric matrices (..., 2, 2) into Mandel components (..., 3).
 
     The input is symmetrized, so antisymmetric parts are discarded.
     """
     mat = np.asarray(mat, dtype=float)
-    d = mat.shape[-1]
-    _check_dim(d)
+    if mat.shape[-2:] != (2, 2):
+        raise ConfigurationError(f"expected 2 x 2 matrices, got shape {mat.shape}")
     sym = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-    diag = [sym[..., i, i] for i in range(d)]
-    off = [SQRT2 * sym[..., i, j] for i, j in _OFFDIAG[d]]
-    return np.stack(diag + off, axis=-1)
+    return np.stack([sym[..., 0, 0], sym[..., 1, 1], SQRT2 * sym[..., 0, 1]], axis=-1)
 
 
-def unpack(comps, dim):
-    """Expand Mandel components (..., k) into dense matrices (..., d, d)."""
+def unpack(comps):
+    """Expand Mandel components (..., 3) into dense matrices (..., 2, 2)."""
     comps = np.asarray(comps, dtype=float)
-    _check_dim(dim)
-    mat = np.zeros(comps.shape[:-1] + (dim, dim))
-    for i in range(dim):
-        mat[..., i, i] = comps[..., i]
-    for slot, (i, j) in enumerate(_OFFDIAG[dim]):
-        mat[..., i, j] = comps[..., dim + slot] / SQRT2
-        mat[..., j, i] = mat[..., i, j]
+    mat = np.zeros(comps.shape[:-1] + (2, 2))
+    mat[..., 0, 0] = comps[..., 0]
+    mat[..., 1, 1] = comps[..., 1]
+    mat[..., 0, 1] = comps[..., 2] / SQRT2
+    mat[..., 1, 0] = mat[..., 0, 1]
     return mat
 
 
-def trace_of(comps, dim):
+def trace_of(comps):
     """Trace of tensors given as Mandel components."""
-    return np.asarray(comps)[..., :dim].sum(axis=-1)
+    return np.asarray(comps)[..., :2].sum(axis=-1)
 
 
-def identity_comps(dim):
+def identity_comps():
     """Mandel components of the identity tensor."""
-    k = mandel_dim(dim)
-    e = np.zeros(k)
-    e[:dim] = 1.0
-    return e
+    return np.array([1.0, 1.0, 0.0])
 
 
-def deviatoric(comps, dim):
-    """Deviatoric part, s - (tr s / d) * Id, in Mandel components."""
+def deviatoric(comps):
+    """Deviatoric part, s - (tr s / 2) * Id, in Mandel components."""
     comps = np.asarray(comps, dtype=float)
     out = comps.copy()
-    out[..., :dim] -= trace_of(comps, dim)[..., None] / dim
+    out[..., :2] -= trace_of(comps)[..., None] / 2
     return out
 
 
-# The projectors are read-only constants per dimension, built once: the
-# return map assembles its moduli from them on every call.
-@functools.cache
-def sph_projector(dim):
-    """Mandel matrix of the projector onto hydrostatic tensors."""
-    e = identity_comps(dim)
-    m = np.outer(e, e) / dim
-    m.flags.writeable = False
-    return m
-
-
-@functools.cache
-def dev_projector(dim):
-    """Mandel matrix of the projector onto deviatoric tensors."""
-    m = np.eye(mandel_dim(dim)) - sph_projector(dim)
-    m.flags.writeable = False
-    return m
+# Read-only Mandel matrices of the projectors onto hydrostatic and onto
+# deviatoric tensors: the return map assembles its moduli from them on every
+# call.
+SPH_PROJECTOR = np.outer(identity_comps(), identity_comps()) / 2
+SPH_PROJECTOR.flags.writeable = False
+DEV_PROJECTOR = np.eye(KDIM) - SPH_PROJECTOR
+DEV_PROJECTOR.flags.writeable = False
 
 
 def ellipticity_check(matrix, gamma):
@@ -111,8 +78,8 @@ def ellipticity_check(matrix, gamma):
     if not 0.0 < gamma <= 1.0:
         raise ConfigurationError(f"gamma must be in (0, 1], got {gamma}")
     m = np.asarray(matrix, dtype=float)
-    if m.shape not in ((3, 3), (6, 6)):
-        raise ConfigurationError(f"expected a 3x3 or 6x6 Mandel matrix, got shape {m.shape}")
+    if m.shape != (KDIM, KDIM):
+        raise ConfigurationError(f"expected a 3x3 Mandel matrix, got shape {m.shape}")
     if np.abs(m - m.T).max() > 1e-14 * max(np.abs(m).max(), np.finfo(float).tiny):
         raise ConfigurationError("Mandel matrix is not symmetric")
     eigs = np.linalg.eigvalsh(m)
@@ -133,33 +100,29 @@ def _validate_isotropic(E, nu):
         raise ConfigurationError(f"Poisson ratio must lie in (-1, 1/2), got {nu}")
 
 
-def isotropic_eigenvalues(E, nu, dim):
-    """(volumetric, deviatoric) eigenvalues of the isotropic stiffness.
+def isotropic_eigenvalues(E, nu):
+    """(volumetric, deviatoric) eigenvalues of the plane-strain isotropic stiffness.
 
     In Mandel space the isotropic stiffness has the hydrostatic eigenvalue
-    d*lam + 2*mu (multiplicity 1) and the deviatoric eigenvalue 2*mu
-    (multiplicity k-1).  For d=2 this is the plane-strain restriction.
+    2*lam + 2*mu (multiplicity 1) and the deviatoric eigenvalue 2*mu
+    (multiplicity 2).
     """
     _validate_isotropic(E, nu)
-    _check_dim(dim)
     lam, mu = lame_parameters(E, nu)
-    return dim * lam + 2.0 * mu, 2.0 * mu
+    return 2 * lam + 2.0 * mu, 2.0 * mu
 
 
-def isotropic_stiffness(E, nu, dim):
-    """Mandel (k, k) matrix of the isotropic stiffness (strain -> stress).
-
-    Plane strain for d=2.
-    """
-    a_vol, a_dev = isotropic_eigenvalues(E, nu, dim)
-    return a_vol * sph_projector(dim) + a_dev * dev_projector(dim)
+def isotropic_stiffness(E, nu):
+    """Mandel (3, 3) matrix of the plane-strain isotropic stiffness (strain -> stress)."""
+    a_vol, a_dev = isotropic_eigenvalues(E, nu)
+    return a_vol * SPH_PROJECTOR + a_dev * DEV_PROJECTOR
 
 
-def isotropic_compliance(E, nu, dim):
-    """Mandel (k, k) matrix of the isotropic compliance, the stiffness inverse.
+def isotropic_compliance(E, nu):
+    """Mandel (3, 3) matrix of the isotropic compliance, the stiffness inverse.
 
-    Closed form: 1/(d*lam + 2*mu) on hydrostatic tensors and 1/(2*mu) on
+    Closed form: 1/(2*lam + 2*mu) on hydrostatic tensors and 1/(2*mu) on
     deviatoric ones.
     """
-    a_vol, a_dev = isotropic_eigenvalues(E, nu, dim)
-    return sph_projector(dim) / a_vol + dev_projector(dim) / a_dev
+    a_vol, a_dev = isotropic_eigenvalues(E, nu)
+    return SPH_PROJECTOR / a_vol + DEV_PROJECTOR / a_dev

@@ -5,8 +5,9 @@ equations, without touching the package's return-map or assembly code, so a
 bug in the production path cannot hide in its own oracle.
 """
 
+import math
+
 import numpy as np
-from scipy.optimize import root
 
 SQRT2 = np.sqrt(2.0)
 
@@ -36,46 +37,72 @@ def reference_pointwise_response(E, nu, sigma_y, hardening, delta, path_fn,
     """Fine-step implicit integration of the single-point evolution.
 
     Each refined backward-Euler step solves the full three-component implicit
-    equation with a generic vector root finder (no radial reduction), so this
-    is an independent reference for homogeneous-medium trajectories.
-    Returns (stresses, plastic strains) sampled on the coarse grid.
+    equation with a generic Newton iteration (forward-difference Jacobian,
+    backtracking on the residual norm, no radial reduction), so this is an
+    independent reference for homogeneous-medium trajectories.  The
+    arithmetic runs on Python floats, which is far cheaper than numpy on
+    3-vectors.  Returns (stresses, plastic strains) sampled on the coarse grid.
     """
     lam = E * nu / ((1 + nu) * (1 - 2 * nu))
     mu = E / (2 * (1 + nu))
 
     def stiff(c):
-        d = dev2(c)
+        """Plane-strain stress lam tr(c) I + 2 mu c, Mandel components."""
         tr = c[0] + c[1]
-        return (2 * lam + 2 * mu) * np.array([tr / 2, tr / 2, 0.0]) + 2 * mu * d
+        return [lam * tr + 2 * mu * c[0], lam * tr + 2 * mu * c[1], 2 * mu * c[2]]
 
     def flow_gradient(tau):
-        d = dev2(tau)
-        n = np.linalg.norm(d)
+        half_tr = (tau[0] + tau[1]) / 2
+        d = [tau[0] - half_tr, tau[1] - half_tr, tau[2]]
+        n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
         if n == 0.0:
-            return np.zeros(3)
+            return [0.0, 0.0, 0.0]
         if kind == "von_mises":
             mag = max(n - sigma_y, 0.0) / delta
         else:
             mag = min(n / delta, sigma_y)
-        return (mag / n) * d
+        return [mag / n * di for di in d]
 
-    p = np.zeros(3)
-    out_s, out_p = [np.zeros(3)], [np.zeros(3)]
+    def norm(v):
+        return math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
+
+    def newton(residual, x):
+        """Root of ``residual`` from ``x``; stops once a step is below 1e-14 relative."""
+        r = residual(x)
+        for _ in range(100):
+            h = 1e-8 * max(1.0, *map(abs, x))
+            cols = [residual([x[i] + h * (i == j) for i in range(3)]) for j in range(3)]
+            jac = [[(cols[j][i] - r[i]) / h for j in range(3)] for i in range(3)]
+            step = np.linalg.solve(jac, r).tolist()
+            if norm(step) <= 1e-14 * norm(x):
+                return [xi - si for xi, si in zip(x, step)]
+            # the flow gradient has kinks, across which full steps can cycle
+            t = 1.0
+            while norm(trial := residual([xi - t * si for xi, si in zip(x, step)])) \
+                    >= norm(r) and t > 1e-6:
+                t /= 2
+            x, r = [xi - t * si for xi, si in zip(x, step)], trial
+        return x
+
+    p = [0.0, 0.0, 0.0]
+    out_s, out_p = [p], [p]
     for m in range(len(times) - 1):
         sub = np.linspace(times[m], times[m + 1], refine + 1)
         for t1 in sub[1:]:
             dt = sub[1] - sub[0]
-            xi = path_fn(t1)
+            xi = path_fn(t1).tolist()
 
             def implicit(pn):
-                return pn - p - dt * flow_gradient(stiff(xi - pn) - hardening * pn)
+                tau = [s - hardening * q for s, q in
+                       zip(stiff([a - q for a, q in zip(xi, pn)]), pn)]
+                return [q - p0 - dt * g for q, p0, g in zip(pn, p, flow_gradient(tau))]
 
-            sol = root(implicit, p, tol=1e-14)
-            if np.linalg.norm(implicit(sol.x)) > 1e-11:
-                raise RuntimeError(f"oracle root find failed at t={t1}")
-            p = sol.x
-        out_p.append(p.copy())
-        out_s.append(stiff(path_fn(times[m + 1]) - p))
+            p_new = newton(implicit, p)
+            if norm(implicit(p_new)) > 1e-11:
+                raise RuntimeError(f"oracle Newton iteration failed at t={t1}")
+            p = p_new
+        out_p.append(p)
+        out_s.append(stiff([a - q for a, q in zip(path_fn(times[m + 1]).tolist(), p)]))
     return np.array(out_s), np.array(out_p)
 
 

@@ -55,7 +55,7 @@ def test_c01_convex_duality_suite():
     n = 100_000
     checks = []
     for kind in (VON_MISES, NORM_TYPE):
-        rule = FlowRule(kind, 1.0, 2)
+        rule = FlowRule(kind, 1.0)
         delta = 0.01
         reg = rule.regularized(delta)
 
@@ -98,7 +98,7 @@ def test_c02_moreau_yosida_convergence():
     deltas = (1e-1, 1e-2, 1e-3, 1e-4)
     ok_monotone, ok_limit = True, True
     for kind in (VON_MISES, NORM_TYPE):
-        rule = FlowRule(kind, sigma_y, 2)
+        rule = FlowRule(kind, sigma_y)
         points = rng.standard_normal((100, 3))
         if kind == VON_MISES:
             points = rule.project(points)  # keep the potential finite
@@ -120,7 +120,7 @@ def test_c03_fem_patch_and_convergence():
     start = time.monotonic()
     mesh = mesh_unit_square(16)
     space = P1Space(mesh)
-    A = isotropic_stiffness(1.0, 0.3, 2)
+    A = isotropic_stiffness(1.0, 0.3)
     xi = np.array([[0.1, 0.05], [0.05, -0.2]])
     u = solve_elastic(space, A, g=lambda pts: pts @ xi.T, rtol=1e-14)
     patch_err = np.abs(u - mesh.vertices @ xi.T).max()
@@ -228,7 +228,7 @@ def test_c06_effective_stress_elastic_identity():
     path = shear_path(0.1, 1.0, 5)
     grid = np.linspace(0, 1, 6)
     res = sigma(cfg, path, grid)
-    A = isotropic_stiffness(1.0, 0.3, 2)
+    A = isotropic_stiffness(1.0, 0.3)
     gap = np.abs(res.sigma - path.at(grid) @ A.T).max()
     report(6, gap <= 1e-10,
            f"effective stress equals the elastic law to {gap:.1e}")

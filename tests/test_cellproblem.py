@@ -33,8 +33,6 @@ TWO_PHASE = ProbabilityLaw.from_config({
 class LaminateMedium:
     """Layered test medium: parameters depend on the x1 cell index only."""
 
-    dim = 2
-
     def __init__(self, layers, n_cells):
         self.layers = layers
         self.n_cells = n_cells
@@ -140,7 +138,7 @@ class TestSigmaOperator:
         path = shear_path(0.1, 1.0, 4)  # stays inside the yield set
         grid = np.linspace(0, 1, 5)
         res = sigma(cfg, path, grid)
-        A = isotropic_stiffness(1.0, 0.3, 2)
+        A = isotropic_stiffness(1.0, 0.3)
         expected = path.at(grid) @ A.T
         assert np.abs(res.sigma - expected).max() <= 1e-10
         assert np.abs(res.pi).max() == 0.0
@@ -181,9 +179,9 @@ class TestSigmaOperator:
             assert 1.0 <= measured <= 8.0  # 2 within a factor of 2
 
     def test_requires_law(self):
-        cfg = RveConfig(n_cells=2, refine=1, n_samples=1, delta=0.01)
-        with pytest.raises(ConfigurationError):
-            sigma(cfg, shear_path(0.1, 1.0, 2), np.linspace(0, 1, 3))
+        for law in (None, {"E": 1.0, "nu": 0.3, "sigma_y": 0.3}):
+            with pytest.raises(ConfigurationError, match="ProbabilityLaw"):
+                RveConfig(n_cells=2, refine=1, n_samples=1, delta=0.01, law=law)
 
     def test_threaded_reduction_matches_serial(self):
         cfg = RveConfig(n_cells=2, refine=1, n_samples=4, delta=0.003,
@@ -259,9 +257,9 @@ class TestContinuity:
 
 class TestRveConfigValidation:
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ConfigurationError):
-            RveConfig(n_cells=0)
-        with pytest.raises(ConfigurationError):
-            RveConfig(n_cells=2, n_samples=0)
-        with pytest.raises(ConfigurationError):
-            RveConfig(n_cells=2, delta=0.0)
+        with pytest.raises(ConfigurationError, match="cells per side"):
+            RveConfig(n_cells=0, law=CONSTANT)
+        with pytest.raises(ConfigurationError, match="sample count"):
+            RveConfig(n_cells=2, n_samples=0, law=CONSTANT)
+        with pytest.raises(ConfigurationError, match="delta"):
+            RveConfig(n_cells=2, delta=0.0, law=CONSTANT)

@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from plasthom.cli import main
 
@@ -41,6 +43,24 @@ def run_dir(tmp_path):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def write_variant(cfg, out, key, value, **sections):
+    """The run config with ``key`` (dotted, or None for the whole config) set
+    to ``value`` and the given top-level sections replaced, written next to it."""
+    bad = json.loads(cfg.read_text())
+    bad.update(sections)
+    if key is None:
+        bad = value
+    else:
+        *parents, leaf = key.split(".")
+        section = bad
+        for name in parents:
+            section = section[name]
+        section[leaf] = value
+    path = out / "malformed.json"
+    path.write_text(json.dumps(bad))
+    return path
 
 
 class TestSubcommands:
@@ -187,19 +207,37 @@ class TestExitCodes:
     def test_malformed_config_is_configuration_error(self, run_dir, capsys,
                                                      command, key, value):
         out, cfg = run_dir
-        bad = json.loads(cfg.read_text())
-        if key is None:
-            bad = value
-        else:
-            *parents, leaf = key.split(".")
-            section = bad
-            for name in parents:
-                section = section[name]
-            section[leaf] = value
-        path = out / "malformed.json"
-        path.write_text(json.dumps(bad))
+        path = write_variant(cfg, out, key, value)
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value, domain, named", [
+        pytest.param("eps", "mesh.h", 1e-300, "unit_right_triangle", "mesh size h",
+                     id="triangle-mesh-h"),
+        pytest.param("eps", "mesh.h", 5e-324, "unit_right_triangle", "mesh size h",
+                     id="triangle-mesh-h-subnormal"),
+        pytest.param("eps", "mesh.h", 1e-300, "unit_square", "mesh.h", id="square-mesh-h"),
+        pytest.param("eps", "time.steps", 10**30, "unit_square", "time.steps",
+                     id="time-steps"),
+        pytest.param("cell", "rve.N", 10**30, "unit_square", "torus cells N", id="cell-rve-N"),
+        pytest.param("macro", "rve.N", 10**30, "unit_square", "torus cells N",
+                     id="macro-rve-N"),
+        pytest.param("korn", "korn.n_cells", 10**30, "unit_square", "torus cells N",
+                     id="korn-n-cells"),
+        pytest.param("korn", "korn.n_samples", 10**30, "unit_square", "korn n_samples",
+                     id="korn-n-samples"),
+        pytest.param("ergodic", "ergodic.L_values", [10**30], "unit_square",
+                     "box half-width L", id="ergodic-L"),
+        pytest.param("average", "averaging.n_seeds", 2**63, "unit_square",
+                     "averaging.n_seeds", id="averaging-n-seeds"),
+    ])
+    def test_size_beyond_int64_is_configuration_error(self, run_dir, capsys, command, key,
+                                                      value, domain, named):
+        out, cfg = run_dir
+        path = write_variant(cfg, out, key, value, domain={"type": domain})
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
 
     @pytest.mark.parametrize("header, row", [
         pytest.param(None, None, id="missing-file"),
@@ -275,3 +313,57 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exit_info:
             main(["korn", "--config", str(cfg), "--out", str(out), "--threads", "2"])
         assert exit_info.value.code == 2
+
+
+# Malformed values of the keys that the CLI checks itself, and of the sizes
+# that it passes on to an allocation.  Only malformed values are drawn: a
+# valid large size would allocate or run for minutes.
+WRONG_TYPE = st.one_of(st.text(max_size=3), st.none(),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+NOT_SCALAR = st.one_of(WRONG_TYPE, st.lists(st.integers(0, 3), max_size=2))
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+BAD_NUMBER = st.one_of(NOT_SCALAR, st.booleans(), NON_FINITE, st.integers(max_value=0),
+                       st.floats(max_value=0.0))
+# floats are no counts, and 2**63 entries do not fit int64
+BAD_COUNT = st.one_of(NOT_SCALAR, st.booleans(), st.integers(max_value=0), st.floats(),
+                      st.integers(min_value=2**63))
+# mesh sizes whose 1/h cells per side do not fit int64
+BAD_MESH_SIZE = st.one_of(BAD_NUMBER, st.floats(0.0, 2.0**-63, exclude_min=True))
+BAD_LOAD_ENTRY = st.one_of(WRONG_TYPE, st.booleans(), NON_FINITE)
+BAD_LOAD = st.one_of(
+    WRONG_TYPE.filter(lambda v: v is not None), st.booleans(), st.floats(),
+    st.lists(st.floats(-1.0, 1.0), max_size=4).filter(lambda v: len(v) != 2),
+    st.tuples(BAD_LOAD_ENTRY, st.floats(-1.0, 1.0)).map(list),
+    st.tuples(st.floats(-1.0, 1.0), BAD_LOAD_ENTRY).map(list))
+NOT_BOOL = st.one_of(WRONG_TYPE, st.integers(), st.floats(), st.lists(st.booleans(),
+                                                                        max_size=2))
+BAD_L_VALUES = st.one_of(WRONG_TYPE, st.booleans(), st.integers(), st.just([]),
+                         st.lists(BAD_COUNT, min_size=1, max_size=3))
+
+FUZZED_KEYS = {
+    ("eps", "time.T", "unit_square"): BAD_NUMBER,
+    ("eps", "time.steps", "unit_square"): BAD_COUNT,
+    ("eps", "mesh.h", "unit_square"): BAD_MESH_SIZE,
+    ("eps", "mesh.h", "unit_right_triangle"): BAD_MESH_SIZE,
+    ("eps", "load", "unit_square"): BAD_LOAD,
+    ("eps", "zero_shift", "unit_square"): NOT_BOOL,
+    ("average", "averaging.n_seeds", "unit_square"): BAD_COUNT,
+    ("cell", "rve.N", "unit_square"): BAD_COUNT,
+    ("macro", "rve.N", "unit_square"): BAD_COUNT,
+    ("korn", "korn.n_cells", "unit_square"): BAD_COUNT,
+    ("korn", "korn.n_samples", "unit_square"): BAD_COUNT,
+    ("ergodic", "ergodic.L_values", "unit_square"): BAD_L_VALUES,
+}
+
+
+@pytest.mark.parametrize("command, key, domain", sorted(FUZZED_KEYS),
+                         ids=lambda v: str(v))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_value_exits_2(run_dir, capsys, command, key, domain, data):
+    out, cfg = run_dir
+    value = data.draw(FUZZED_KEYS[command, key, domain], label=key)
+    path = write_variant(cfg, out, key, value, domain={"type": domain})
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "configuration error: " in capsys.readouterr().err

@@ -119,7 +119,7 @@ class TestSolveElastic:
     def test_patch_test_affine_exact(self):
         mesh = mesh_unit_square(8)
         space = P1Space(mesh)
-        A = isotropic_stiffness(1.0, 0.3, 2)
+        A = isotropic_stiffness(1.0, 0.3)
         xi = np.array([[0.1, 0.05], [0.05, -0.2]])
         u = solve_elastic(space, A, g=lambda pts: pts @ xi.T, rtol=1e-14)
         assert np.abs(u - mesh.vertices @ xi.T).max() < 1e-12
@@ -127,14 +127,14 @@ class TestSolveElastic:
     def test_zero_data_zero_solution(self):
         mesh = mesh_unit_square(4)
         space = P1Space(mesh)
-        u = solve_elastic(space, isotropic_stiffness(1.0, 0.3, 2))
+        u = solve_elastic(space, isotropic_stiffness(1.0, 0.3))
         assert np.abs(u).max() == 0.0
 
     def test_manufactured_solution_rate(self):
         E, nu = 1.0, 0.3
         lam = E * nu / ((1 + nu) * (1 - 2 * nu))
         mu = E / (2 * (1 + nu))
-        A = isotropic_stiffness(E, nu, 2)
+        A = isotropic_stiffness(E, nu)
         pi = np.pi
 
         def exact(pts):
@@ -160,7 +160,7 @@ class TestSolveElastic:
     def test_galerkin_orthogonality(self):
         mesh = mesh_unit_square(8)
         space = P1Space(mesh)
-        A = isotropic_stiffness(2.0, 0.25, 2)
+        A = isotropic_stiffness(2.0, 0.25)
         load = lambda pts: np.stack([pts[:, 0], -pts[:, 1]], axis=-1)
         u = solve_elastic(space, A, f=load, rtol=1e-12)
         op = space.assemble_operator(np.broadcast_to(A, (mesh.n_elements, 3, 3)))
@@ -171,7 +171,7 @@ class TestSolveElastic:
     def test_stiffness_is_positive_definite_on_free_dofs(self):
         mesh = mesh_unit_square(6)
         space = P1Space(mesh)
-        A = isotropic_stiffness(1.0, 0.3, 2)
+        A = isotropic_stiffness(1.0, 0.3)
         op = space.assemble_operator(np.broadcast_to(A, (mesh.n_elements, 3, 3)))
         Aff = op[space.free_dofs][:, space.free_dofs]
         assert eigsh(Aff.tocsc(), k=1, sigma=-1e-9, return_eigenvectors=False)[0] > 0.0
@@ -179,7 +179,7 @@ class TestSolveElastic:
     def test_heterogeneous_stiffness_field(self):
         mesh = mesh_unit_square(4)
         space = P1Space(mesh)
-        moduli = np.stack([isotropic_stiffness(1.0 + (e % 2), 0.3, 2)
+        moduli = np.stack([isotropic_stiffness(1.0 + (e % 2), 0.3)
                            for e in range(mesh.n_elements)])
         u = solve_elastic(space, moduli, g=lambda pts: 0.01 * pts, rtol=1e-12)
         assert np.isfinite(u).all()
@@ -189,7 +189,7 @@ class TestPeriodicAssembly:
     def test_translations_span_the_kernel(self):
         mesh = mesh_torus(2, 2)
         space = P1Space(mesh)
-        A = isotropic_stiffness(1.0, 0.3, 2)
+        A = isotropic_stiffness(1.0, 0.3)
         op = space.assemble_operator(np.broadcast_to(A, (mesh.n_elements, 3, 3)))
         for v in space.translation_vectors():
             assert np.abs(op @ v).max() < 1e-12
@@ -277,7 +277,7 @@ class TestFixedPatternAssembly:
     def test_matches_coo_assembly_with_dirichlet_rows(self):
         mesh = mesh_unit_square(5)
         space = P1Space(mesh)
-        moduli = np.stack([isotropic_stiffness(1.0 + e % 3, 0.3, 2)
+        moduli = np.stack([isotropic_stiffness(1.0 + e % 3, 0.3)
                            for e in range(mesh.n_elements)])
         A = space.assemble_operator(moduli)
         reference = coo_assembly(space, moduli)
@@ -298,7 +298,7 @@ class TestFixedPatternAssembly:
 
     def test_asymmetric_moduli_raise(self):
         space = P1Space(mesh_torus(2, 1))
-        moduli = np.broadcast_to(isotropic_stiffness(1.0, 0.3, 2),
+        moduli = np.broadcast_to(isotropic_stiffness(1.0, 0.3),
                                  (space.mesh.n_elements, 3, 3)).copy()
         moduli[3, 0, 2] += 1e-6
         with pytest.raises(NumericalError, match="symmetry"):
@@ -310,7 +310,7 @@ class TestReferencePreconditioner:
     def test_homogeneous_torus_takes_one_iteration(self, n_cells, refine):
         space = P1Space(mesh_torus(n_cells, refine))
         A = space.assemble_operator(np.broadcast_to(
-            isotropic_stiffness(1.7, 0.3, 2), (space.mesh.n_elements, 3, 3)))
+            isotropic_stiffness(1.7, 0.3), (space.mesh.n_elements, 3, 3)))
         b = zero_mean(space, np.random.default_rng(0).standard_normal(space.n_packed))
         x, iters = pcg(A, b, reference_preconditioner(space, A), rtol=1e-10)
         assert iters == 1
@@ -385,12 +385,12 @@ class TestReferencePreconditioner:
     def test_one_vertex_torus_returns_zero(self):
         space = P1Space(mesh_torus(1, 1))
         A = space.assemble_operator(np.broadcast_to(
-            isotropic_stiffness(1.0, 0.3, 2), (2, 3, 3)))
+            isotropic_stiffness(1.0, 0.3), (2, 3, 3)))
         assert np.array_equal(solve_periodic(space, A, np.ones(2)), np.zeros(2))
 
     def test_needs_a_torus_grid(self):
         space = P1Space(mesh_unit_square(2))
         A = space.assemble_operator(np.broadcast_to(
-            isotropic_stiffness(1.0, 0.3, 2), (space.mesh.n_elements, 3, 3)))
+            isotropic_stiffness(1.0, 0.3), (space.mesh.n_elements, 3, 3)))
         with pytest.raises(ConfigurationError, match="mesh_torus"):
             reference_preconditioner(space, A)

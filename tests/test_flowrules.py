@@ -32,7 +32,7 @@ def envelope_infimum_oracle(rule, delta, sigma):
 
 class TestProjection:
     def setup_method(self):
-        self.rule = FlowRule(VON_MISES, 1.0, 2)
+        self.rule = FlowRule(VON_MISES, 1.0)
 
     def test_interior_point_unchanged(self):
         s = np.array([0.3, 0.3, 0.5])  # |dev| = 0.5 sigma_y
@@ -65,25 +65,25 @@ class TestProjection:
 
     def test_norm_rule_has_no_projection(self):
         with pytest.raises(ConfigurationError):
-            FlowRule(NORM_TYPE, 1.0, 2).project(np.zeros(3))
+            FlowRule(NORM_TYPE, 1.0).project(np.zeros(3))
 
 
 class TestEnvelopeValue:
     def test_zero_at_origin(self):
         for kind in (VON_MISES, NORM_TYPE):
-            rf = FlowRule(kind, 1.0, 2).regularized(0.05)
+            rf = FlowRule(kind, 1.0).regularized(0.05)
             assert rf.value(np.zeros(3)) == 0.0
 
     def test_quadratic_outside_yield_surface(self):
         delta = 0.05
-        rf = FlowRule(VON_MISES, 1.0, 2).regularized(delta)
+        rf = FlowRule(VON_MISES, 1.0).regularized(delta)
         s = (1.0 + delta) / np.sqrt(2.0) * np.array([1.0, -1.0, 0.0])
         assert rf.value(s) == pytest.approx(delta / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("kind", [VON_MISES, NORM_TYPE])
     def test_matches_numeric_infimum(self, kind):
         rng = np.random.default_rng(9)
-        rule = FlowRule(kind, 0.8, 2)
+        rule = FlowRule(kind, 0.8)
         delta = 0.07
         rf = rule.regularized(delta)
         for _ in range(12):
@@ -93,7 +93,7 @@ class TestEnvelopeValue:
 
     def test_monotone_in_delta(self):
         rng = np.random.default_rng(10)
-        rule = FlowRule(VON_MISES, 1.0, 2)
+        rule = FlowRule(VON_MISES, 1.0)
         sigmas = random_mandel(rng, n=100, scale=2.0)
         v_coarse = rule.regularized(0.1).value(sigmas)
         v_fine = rule.regularized(0.01).value(sigmas)
@@ -102,18 +102,18 @@ class TestEnvelopeValue:
 
 class TestEnvelopeGradient:
     def test_zero_at_origin(self):
-        rf = FlowRule(VON_MISES, 1.0, 2).regularized(0.05)
+        rf = FlowRule(VON_MISES, 1.0).regularized(0.05)
         assert np.linalg.norm(rf.gradient(np.zeros(3))) == 0.0
 
     def test_radial_formula_outside(self):
         delta, r = 0.02, 0.3
-        rf = FlowRule(VON_MISES, 1.0, 2).regularized(delta)
+        rf = FlowRule(VON_MISES, 1.0).regularized(delta)
         direction = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
         s = (1.0 + r) * direction
         assert np.allclose(rf.gradient(s), (r / delta) * direction, rtol=1e-12)
 
     def test_interior_gradient_vanishes(self):
-        rf = FlowRule(VON_MISES, 1.0, 2).regularized(0.05)
+        rf = FlowRule(VON_MISES, 1.0).regularized(0.05)
         s = np.array([0.2, 0.1, 0.3])
         assert np.linalg.norm(dev2(s)) < 1.0
         assert np.linalg.norm(rf.gradient(s)) == 0.0
@@ -121,7 +121,7 @@ class TestEnvelopeGradient:
     @pytest.mark.parametrize("kind", [VON_MISES, NORM_TYPE])
     def test_matches_finite_differences(self, kind):
         rng = np.random.default_rng(11)
-        rf = FlowRule(kind, 0.9, 2).regularized(0.03)
+        rf = FlowRule(kind, 0.9).regularized(0.03)
         step = 1e-6
         checked = 0
         for _ in range(1000):
@@ -139,13 +139,13 @@ class TestEnvelopeGradient:
 
     def test_gradient_is_deviatoric(self):
         rng = np.random.default_rng(12)
-        rf = FlowRule(VON_MISES, 0.5, 2).regularized(0.01)
+        rf = FlowRule(VON_MISES, 0.5).regularized(0.01)
         g = rf.gradient(random_mandel(rng, n=200, scale=3.0))
         assert np.abs(g[:, 0] + g[:, 1]).max() <= 1e-12
 
     def test_monotonicity(self):
         rng = np.random.default_rng(13)
-        rf = FlowRule(VON_MISES, 1.0, 2).regularized(0.02)
+        rf = FlowRule(VON_MISES, 1.0).regularized(0.02)
         a = random_mandel(rng, n=10000, scale=3.0)
         b = random_mandel(rng, n=10000, scale=3.0)
         slack = np.einsum("ij,ij->i", a - b, rf.gradient(a) - rf.gradient(b))
@@ -154,7 +154,7 @@ class TestEnvelopeGradient:
     def test_lipschitz_bound(self):
         rng = np.random.default_rng(14)
         delta = 0.04
-        rf = FlowRule(VON_MISES, 1.0, 2).regularized(delta)
+        rf = FlowRule(VON_MISES, 1.0).regularized(delta)
         a = random_mandel(rng, n=5000, scale=3.0)
         b = random_mandel(rng, n=5000, scale=3.0)
         num = np.linalg.norm(rf.gradient(a) - rf.gradient(b), axis=1)
@@ -168,7 +168,7 @@ class TestProx:
         """The envelope is attained at the prox: Psi(q) + |s - q|^2 / (2 delta), q = prox(s)."""
         rng = np.random.default_rng(15)
         delta = 0.03
-        rule = FlowRule(kind, 0.9, 2)
+        rule = FlowRule(kind, 0.9)
         reg = rule.regularized(delta)
         s = random_mandel(rng, n=10000, scale=2.0)
         q = reg.prox(s)
@@ -178,7 +178,7 @@ class TestProx:
 
     def test_von_mises_prox_is_projection(self):
         rng = np.random.default_rng(16)
-        rule = FlowRule(VON_MISES, 0.9, 2)
+        rule = FlowRule(VON_MISES, 0.9)
         s = random_mandel(rng, n=10000, scale=2.0)
         assert np.abs(rule.regularized(0.03).prox(s) - rule.project(s)).max() <= 1e-13
 
@@ -186,12 +186,12 @@ class TestProx:
 class TestConjugate:
     def test_zero_at_origin(self):
         for kind in (VON_MISES, NORM_TYPE):
-            assert FlowRule(kind, 1.0, 2).conjugate(np.zeros(3)) == 0.0
+            assert FlowRule(kind, 1.0).conjugate(np.zeros(3)) == 0.0
 
     def test_support_function_matches_pairing_oracle(self):
         # sup of <s, p> over a dense sample of the yield set
         rng = np.random.default_rng(15)
-        rule = FlowRule(VON_MISES, 2.0, 2)
+        rule = FlowRule(VON_MISES, 2.0)
         p = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)  # deviatoric, |p| = 1
         value = rule.conjugate(p)
         assert value == pytest.approx(2.0, rel=1e-12)
@@ -207,31 +207,31 @@ class TestConjugate:
         assert best >= value - 1e-2  # the sample comes close to the sup
 
     def test_nonzero_trace_gives_infinity(self):
-        rule = FlowRule(VON_MISES, 1.0, 2)
+        rule = FlowRule(VON_MISES, 1.0)
         p = np.array([0.5, 0.5, 0.0])  # trace 1
         assert rule.conjugate(p) == np.inf
 
     def test_norm_rule_dual_ball(self):
-        rule = FlowRule(NORM_TYPE, 1.0, 2)
+        rule = FlowRule(NORM_TYPE, 1.0)
         inside = 0.5 * np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
         outside = 2.0 * np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
         assert rule.conjugate(inside) == 0.0
         assert rule.conjugate(outside) == np.inf
 
     def test_nan_raises(self):
-        rule = FlowRule(VON_MISES, 1.0, 2)
+        rule = FlowRule(VON_MISES, 1.0)
         with pytest.raises(ConfigurationError):
             rule.conjugate(np.array([np.nan, 0.0, 0.0]))
 
 
 class TestFenchelGap:
     def test_zero_pair(self):
-        rf = FlowRule(VON_MISES, 1.0, 2).regularized(0.05)
+        rf = FlowRule(VON_MISES, 1.0).regularized(0.05)
         assert fenchel_gap(rf, np.zeros(3), np.zeros(3)) == 0.0
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(16)
-        rule = FlowRule(VON_MISES, 1.0, 2)
+        rule = FlowRule(VON_MISES, 1.0)
         for _ in range(500):
             s = rule.project(random_mandel(rng, scale=2.0)[0])  # feasible
             p = dev2(random_mandel(rng, scale=2.0)[0])
@@ -240,7 +240,7 @@ class TestFenchelGap:
 
     def test_equality_at_gradient_pairs(self):
         rng = np.random.default_rng(17)
-        rf = FlowRule(VON_MISES, 1.0, 2).regularized(0.03)
+        rf = FlowRule(VON_MISES, 1.0).regularized(0.03)
         for _ in range(500):
             s = random_mandel(rng, scale=3.0)[0]
             p = rf.gradient(s)
@@ -249,7 +249,7 @@ class TestFenchelGap:
     def test_envelope_conjugate_matches_numeric_sup(self):
         # maximize <s, p> - envelope(s) with a smooth unconstrained optimizer
         rng = np.random.default_rng(18)
-        rf = FlowRule(VON_MISES, 1.0, 2).regularized(0.08)
+        rf = FlowRule(VON_MISES, 1.0).regularized(0.08)
         for _ in range(8):
             p = dev2(rng.standard_normal(3))
             res = minimize(lambda s: -(s @ p) + rf.value(s),
@@ -257,7 +257,7 @@ class TestFenchelGap:
             assert rf.conjugate(p) == pytest.approx(-res.fun, rel=1e-6, abs=1e-8)
 
     def test_infinity_propagates(self):
-        rule = FlowRule(VON_MISES, 1.0, 2)
+        rule = FlowRule(VON_MISES, 1.0)
         p_bad = np.array([1.0, 1.0, 0.0])
         assert fenchel_gap(rule, np.zeros(3), p_bad) == np.inf
 
@@ -266,7 +266,7 @@ class TestPointwiseConvergence:
     def test_envelope_converges_to_potential(self):
         rng = np.random.default_rng(19)
         for kind in (VON_MISES, NORM_TYPE):
-            rule = FlowRule(kind, 0.1, 2)
+            rule = FlowRule(kind, 0.1)
             values = random_mandel(rng, n=100, scale=0.5)
             if kind == VON_MISES:
                 values = rule.project(values)  # finite potential only
@@ -284,16 +284,16 @@ class TestPointwiseConvergence:
 class TestValidation:
     def test_rejects_bad_kind(self):
         with pytest.raises(ConfigurationError):
-            FlowRule("plastic", 1.0, 2)
+            FlowRule("plastic", 1.0)
 
     def test_rejects_nonpositive_yield(self):
         with pytest.raises(ConfigurationError):
-            FlowRule(VON_MISES, 0.0, 2)
+            FlowRule(VON_MISES, 0.0)
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ConfigurationError):
-            RegularizedFlow(FlowRule(VON_MISES, 1.0, 2), 0.0)
+            RegularizedFlow(FlowRule(VON_MISES, 1.0), 0.0)
 
     def test_default_delta_scales_with_yield(self):
-        rf = FlowRule(VON_MISES, 0.5, 2).regularized()
+        rf = FlowRule(VON_MISES, 0.5).regularized()
         assert rf.delta == pytest.approx(0.005)

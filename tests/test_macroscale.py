@@ -53,12 +53,12 @@ class TestSolveEffective:
                           newton_rtol=1e-9)
         sol = solve_effective(cfg)
         space = P1Space(mesh)
-        A = isotropic_stiffness(1.0, 0.3, 2)
+        A = isotropic_stiffness(1.0, 0.3)
         from plasthom.tensors import unpack
 
         for m in range(1, steps + 1):
             t = cfg.time_grid[m]
-            xi = unpack(path.at(t), 2)
+            xi = unpack(path.at(t))
             ref = solve_elastic(space, A, f=lambda pts: load(t, pts),
                                 g=lambda pts: pts @ xi.T, rtol=1e-13)
             num = np.sqrt(((sol.u[m] - ref) ** 2).sum(axis=1).mean())
@@ -168,7 +168,7 @@ class TestCondensedTangent:
                         law=CONSTANT, base_seed=0)
         cell = cell_state(rve)
         cell.advance(np.array([0.01, -0.004, 0.02]), 0.25)
-        stiffness = isotropic_stiffness(1.0, 0.3, 2)
+        stiffness = isotropic_stiffness(1.0, 0.3)
         assert np.abs(cell.tangent() - stiffness).max() <= 1e-10 * np.abs(stiffness).max()
 
     def test_one_vertex_torus_gives_the_mean_moduli(self):
@@ -226,3 +226,9 @@ class TestConfigValidation:
             MacroConfig(mesh=mesh_unit_square(2), rve=single_cell_rve(),
                         dirichlet=lambda t, pts: t * pts,
                         time_grid=np.linspace(0, 1, 3))
+
+    def test_rve_without_law_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="ProbabilityLaw"):
+            solve_effective(MacroConfig(mesh=mesh_unit_square(2), rve=RveConfig(n_cells=2),
+                                        dirichlet=AffineBoundary(shear_path(0.1, 1.0, 2)),
+                                        time_grid=np.linspace(0, 1, 3)))

@@ -157,7 +157,7 @@ class TestRealizations:
         assert np.any(a["E"] != b["E"])
 
     def test_shift_uniformity_kolmogorov_smirnov(self):
-        shifts = sample_shifts(np.arange(10_000), 2)
+        shifts = sample_shifts(np.arange(10_000))
         critical_1pct = 1.6276 / np.sqrt(shifts.shape[0])
         for axis in range(2):
             stat = stats.kstest(shifts[:, axis], "uniform").statistic
@@ -230,11 +230,10 @@ class TestRealizations:
         with pytest.raises(ConfigurationError, match="int64"):
             omega.parameters_at(np.array([[0.5, 0.5]]), eps=1e-300)
 
-    def test_points_must_match_the_law_dimension(self):
-        # planar mesh points cannot locate cells of a 3-d medium
-        omega = sample_realization(ProbabilityLaw.constant(1.0, 0.3, 0.3, dim=3), 0)
-        with pytest.raises(ConfigurationError, match="2 coordinates"):
-            omega.parameters_at(np.zeros((4, 2)))
+    def test_points_must_be_planar(self):
+        omega = sample_realization(two_point_law(), 0)
+        with pytest.raises(ConfigurationError, match="3 coordinates"):
+            omega.parameters_at(np.zeros((4, 3)))
 
 
 class TestErgodicAverage:
@@ -308,11 +307,11 @@ class TestPeriodizedMedium:
         b = med.parameters_at(np.array([[4.5, 8.5]]))["E"]
         assert a == b
 
-    def test_points_must_match_the_law_dimension(self):
-        # hashing 2-column cell indices under a 3-d law gives plausible values
-        med = PeriodizedMedium(ProbabilityLaw.constant(1.0, 0.3, 0.3, dim=3), 0, n_cells=2)
-        with pytest.raises(ConfigurationError, match="3-dimensional"):
-            med.parameters_at(np.zeros((4, 2)))
+    def test_points_must_be_planar(self):
+        # hashing 3-column cell indices would give plausible values
+        med = PeriodizedMedium(two_point_law(), 0, n_cells=2)
+        with pytest.raises(ConfigurationError, match="3 coordinates"):
+            med.parameters_at(np.zeros((4, 3)))
 
     def test_needs_positive_block(self):
         with pytest.raises(ConfigurationError):

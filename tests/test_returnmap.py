@@ -130,7 +130,7 @@ class TestMaterialArrays:
         assert np.array_equal(mats.hardening, [1.5])
         assert np.allclose(mats.a_vol, 2 * lam + 2 * mu, rtol=1e-15)
         assert np.allclose(mats.a_dev, 2 * mu, rtol=1e-15)
-        assert np.allclose(mats.stiffness_moduli()[0], isotropic_stiffness(2.0, 0.3, 2),
+        assert np.allclose(mats.stiffness_moduli()[0], isotropic_stiffness(2.0, 0.3),
                            rtol=1e-15)
 
     def test_rejects_nonpositive_yield(self):
