@@ -123,20 +123,20 @@ def solve_cell(medium, xi_path, delta, time_grid, space,
     xi_values = xi_path.at(time_grid)
     phi = np.zeros(space.n_packed)
     p = np.zeros((mesh.n_elements, KDIM))
-    f_ext = np.zeros(space.n_packed)
     for m in range(1, steps + 1):
         dt = time_grid[m] - time_grid[m - 1]
         z, p, n_it, res, _ = newton_solve(
-            space, mats, xi_values[m][None, :], p, phi, dt, delta, rule_kind,
-            f_ext, newton_rtol, CG_RTOL, step=m,
+            space, mats, xi_values[m], p[None], phi[None], dt, delta, rule_kind,
+            0.0, newton_rtol, CG_RTOL, step=m,
         )
+        p = p[0]
         nodal = space.unpack_field(phi)
         p_hist[m] = p
-        z_hist[m] = z
+        z_hist[m] = z[0]
         v_hist[m] = space.element_gradients(nodal)
         phi_hist[m] = nodal
         iters.append(n_it)
-        residuals.append(res)
+        residuals.append(res[0])
 
     return CellTrajectory(times=time_grid, p=p_hist, z=z_hist, v=v_hist,
                           phi=phi_hist, newton_iters=iters,

@@ -56,10 +56,12 @@ def positive_int(value, name):
 
 
 def array_size(count, name):
-    """An array entry count below 2^63, which numpy can index; checked before
-    the allocation, which numpy would refuse with a bare ValueError."""
-    if not count < INT64_LIMIT:  # NaN fails too
-        raise ConfigurationError(f"{name} asks for 2**63 or more array entries")
+    """An entry count of an 8-byte array whose size in bytes is below 2^63,
+    which numpy can address; checked before the allocation, which numpy
+    would refuse with a bare ValueError."""
+    if not 8 * count < INT64_LIMIT:  # NaN fails too
+        raise ConfigurationError(f"{name} asks for 2**60 or more array entries "
+                                 "(2**63 or more bytes)")
     return count
 
 

@@ -6,20 +6,20 @@ fields; strains are element-wise constant, so one-point (barycenter)
 quadrature is exact for stiffness and internal-force integrals with
 element-wise constant coefficients.
 
-Assembly scatters batched element stiffnesses into a CSR pattern that each
-space builds once.  Linear systems are solved with preconditioned conjugate
-gradients, which is deterministic: Dirichlet systems with the Jacobi
-preconditioner, periodic systems on the uniform torus grid with one of two
-preconditioners chosen by the system size.  Up to ``DENSE_PERIODIC_DOFS``
-unknowns it is the dense pseudo-inverse of the operator itself, so CG
-converges in one iteration.  Above, it is the exact inverse of the
-translation average of the operator, a block-circulant matrix diagonalized
-by the discrete Fourier transform (a reference medium in the sense of
-Moulinec and Suquet), whose iteration count is bounded by the phase
+Assembly scatters batched element stiffnesses into a pattern that each
+space builds once: a CSR matrix per system, or a dense stack of matrices for
+a batch of small systems.  Dirichlet systems are solved with Jacobi-
+preconditioned conjugate gradients, which is deterministic.  Periodic
+systems on the uniform torus grid pick their solver by size.  Up to
+``DENSE_PERIODIC_DOFS`` unknowns a whole stack of systems is solved directly
+by one batched LU solve, and a system's right-hand sides share its
+factorization.  Above, CG runs with the exact inverse of the translation
+average of the operator as preconditioner, a block-circulant matrix
+diagonalized by the discrete Fourier transform (a reference medium in the
+sense of Moulinec and Suquet), whose iteration count is bounded by the phase
 contrast and does not grow with the grid.  The translation kernel of
-periodic problems is projected out of the right-hand side, and neither
-preconditioner has a translation in its range, so the solution is the
-zero-mean representative.
+periodic problems is projected out of the right-hand side and of the
+solution, which is the zero-mean representative.
 """
 
 from dataclasses import dataclass
@@ -38,13 +38,15 @@ from .errors import (
 from .tensors import KDIM, SQRT2
 
 DIM = 2
-# Largest periodic system solved with the dense pseudo-inverse.  Per solve of
-# a two-phase plastic tangent at rtol 1e-12 on 2 cores, dense against the DFT
-# reference: 0.09 against 0.57 ms at 32 dofs (m = 4), 0.25 against 0.68 at
-# 72 (m = 6), 0.41 against 0.79 at 98 (m = 7), 1.50 against 0.74 at 128
-# (m = 8) and 6.2 against 1.2 at 288 (m = 12): the crossover lies between
-# the 7 x 7 and the 8 x 8 torus grid.
-DENSE_PERIODIC_DOFS = 100
+# Largest periodic system solved directly.  Per system of a stack of 16
+# two-phase plastic tangents at rtol 1e-12 on 2 cores, in ms, the batched
+# direct solve against assembly plus DFT-preconditioned CG, for 1 and 3
+# right-hand sides: 0.05/1.2 and 0.06/3.5 at 32 dofs (m = 4), 0.30/1.3 and
+# 0.38/3.5 at 98 (m = 7), 0.95/1.4 and 1.2/3.8 at 162 (m = 9), 1.6/1.7 and
+# 1.6/3.7 at 200 (m = 10), 2.0/2.5 and 2.1/4.6 at 242 (m = 11), 2.9/1.8 and
+# 3.0/3.9 at 288 (m = 12).  The single right-hand sides of the Newton
+# solves cross over between the 10 x 10 and the 12 x 12 torus grid.
+DENSE_PERIODIC_DOFS = 200
 
 
 @dataclass
@@ -93,6 +95,19 @@ class SimplicialMesh:
     @property
     def n_elements(self):
         return self.simplices.shape[0]
+
+
+def _sum_into_bins(index, values, size):
+    """Sums of ``values`` into bins ``index``, per system: shape (S, size).
+
+    ``values`` holds S systems' entries, ``index.size`` each; every system
+    adds into its own ``size`` bins, in entry order as ``np.bincount`` does.
+    """
+    count = values.size // index.size
+    if count > 1:
+        index = index + size * np.arange(count)[:, None]
+    return np.bincount(index.ravel(), weights=values.ravel(),
+                       minlength=count * size).reshape(count, size)
 
 
 def _lattice(n, name, triangle=False):
@@ -222,6 +237,7 @@ class P1Space:
         rows = np.repeat(self.element_dofs, 3 * DIM, axis=1).ravel()
         cols = np.tile(self.element_dofs, (1, 3 * DIM)).ravel()
         keys, self._scatter = np.unique(rows * n + cols, return_inverse=True)
+        self._keys = keys                  # flat position of each nonzero in a dense matrix
         key_rows, key_cols = np.divmod(keys, n)
         self._transpose = np.searchsorted(keys, key_cols * n + key_rows)
         idx = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
@@ -250,9 +266,9 @@ class P1Space:
         return np.asarray(u)[self.master_ids].ravel()
 
     def unpack_field(self, packed):
-        """Packed vector -> nodal field (nv, 2), slaves mirroring masters."""
-        u = packed.reshape(-1, DIM)
-        return u[self.packed_of_vertex]
+        """Packed vectors (..., n) -> nodal fields (..., nv, 2), slaves mirroring masters."""
+        u = packed.reshape(packed.shape[:-1] + (-1, DIM))
+        return u[..., self.packed_of_vertex, :]
 
     def zero_field(self):
         return np.zeros((self.mesh.n_vertices, DIM))
@@ -260,9 +276,10 @@ class P1Space:
     # -- strains -------------------------------------------------------
 
     def element_strains(self, u):
-        """Element-wise Mandel strains of a nodal field, shape (ne, 3)."""
-        local = np.asarray(u)[self.mesh.simplices].reshape(-1, 3 * DIM)
-        return np.einsum("eki,ei->ek", self.B, local)
+        """Element-wise Mandel strains of nodal fields (..., nv, 2), shape (..., ne, 3)."""
+        u = np.asarray(u)
+        local = u[..., self.mesh.simplices, :].reshape(u.shape[:-2] + (-1, 3 * DIM))
+        return np.einsum("eki,...ei->...ek", self.B, local)
 
     def element_gradients(self, u):
         """Element-wise full displacement gradients, shape (ne, 2, 2)."""
@@ -271,35 +288,57 @@ class P1Space:
 
     # -- assembly ------------------------------------------------------
 
-    def assemble_operator(self, moduli):
-        """Stiffness CSR over all packed dofs from (ne, 3, 3) Mandel moduli.
+    def _stiffness_values(self, moduli):
+        """Nonzero values of the stiffness of each of S moduli stacks, (S, nnz).
 
-        The moduli must be symmetric; the operator is then symmetric bit for
-        bit, because each nonzero is averaged with its transposed partner.
+        ``moduli`` is (ne, 3, 3) for one system or (S, ne, 3, 3).  They must
+        be symmetric; each value is then averaged with its transposed
+        partner, so every operator is symmetric bit for bit.
         """
         moduli = np.asarray(moduli, dtype=float)
         scale = max(np.abs(moduli).max(initial=0.0), np.finfo(float).tiny)
-        if np.abs(moduli - np.swapaxes(moduli, 1, 2)).max(initial=0.0) > 1e-12 * scale:
+        if np.abs(moduli - np.swapaxes(moduli, -1, -2)).max(initial=0.0) > 1e-12 * scale:
             raise NumericalError("element moduli lost symmetry")
-        ke = self._BtV @ (moduli @ self.B)                        # (ne, 6, 6)
-        data = np.bincount(self._scatter, weights=ke.ravel(),
-                           minlength=self._indices.size)
-        data = 0.5 * (data + data[self._transpose])
-        return sp.csr_matrix((data, self._indices, self._indptr),
+        ke = self._BtV @ (moduli @ self.B)                        # (..., ne, 6, 6)
+        data = _sum_into_bins(self._scatter, ke, self._indices.size)
+        return 0.5 * (data + data.take(self._transpose, axis=1))
+
+    def assemble_operator(self, moduli):
+        """Stiffness CSR over all packed dofs from (ne, 3, 3) symmetric Mandel moduli."""
+        return sp.csr_matrix((self._stiffness_values(moduli)[0], self._indices, self._indptr),
                              shape=(self.n_packed, self.n_packed))
 
+    def assemble_dense(self, moduli):
+        """Dense stiffness stack (S, n, n) from (S, ne, 3, 3) symmetric Mandel moduli.
+
+        Each matrix equals ``assemble_operator`` of its moduli; meant for
+        small systems, whose dense storage is cheap.
+        """
+        data = self._stiffness_values(moduli)
+        A = np.zeros((data.shape[0], self.n_packed * self.n_packed))
+        A[:, self._keys] = data
+        return A.reshape(-1, self.n_packed, self.n_packed)
+
+    def _sum_into_dofs(self, contrib):
+        """Packed sums of per-element dof contributions (..., ne, 6) -> (..., n)."""
+        return _sum_into_bins(self.element_dofs.ravel(), contrib, self.n_packed) \
+            .reshape(contrib.shape[:-2] + (self.n_packed,))
+
     def internal_forces(self, stresses):
-        """Packed nodal forces of element stresses: sum_e vol_e B_e^T z_e."""
-        contrib = np.einsum("e,eki,ek->ei", self.mesh.volumes, self.B, stresses)
-        return np.bincount(self.element_dofs.ravel(), weights=contrib.ravel(),
-                           minlength=self.n_packed)
+        """Packed nodal forces of element stresses (..., ne, 3): sum_e vol_e B_e^T z_e."""
+        return self._sum_into_dofs(
+            np.einsum("e,eki,...ek->...ei", self.mesh.volumes, self.B, stresses))
+
+    def force_scale(self, stresses):
+        """The nodal forces of |z_e| through |B_e|: their size without cancellation."""
+        return self._sum_into_dofs(np.einsum("e,eki,...ek->...ei", np.abs(self.mesh.volumes),
+                                             np.abs(self.B), np.abs(stresses)))
 
     def load_vector(self, f_values):
         """Packed load vector by barycenter quadrature, f given per element (ne, 2)."""
         contrib = (self.mesh.volumes[:, None] / 3.0) * np.asarray(f_values)  # (ne, 2)
-        contrib = np.repeat(contrib[:, None, :], 3, axis=1).reshape(-1, 3 * DIM)
-        return np.bincount(self.element_dofs.ravel(), weights=contrib.ravel(),
-                           minlength=self.n_packed)
+        return self._sum_into_dofs(np.repeat(contrib[:, None, :], 3, axis=1)
+                                   .reshape(-1, 3 * DIM))
 
     def translation_vectors(self):
         """Packed unit translation fields, one row per component, shape (2, n_packed)."""
@@ -347,25 +386,6 @@ def reference_preconditioner(space, A):
         return (Fc @ z @ Fc).real.transpose(1, 2, 0).ravel()
 
     return apply
-
-
-def dense_pseudo_inverse(space, A):
-    """The pseudo-inverse of a small periodic operator, as a preconditioner.
-
-    ``A`` is assembled by ``space.assemble_operator`` on a torus, so its
-    kernel is exactly the two translations T (orthonormal columns).  With s
-    the mean diagonal entry, A + s T T^T is invertible and its inverse is
-    A^+ + T T^T / s, so subtracting T T^T / s leaves A^+.  The returned map
-    r -> A^+ r is one matrix product; CG preconditioned with it converges in
-    one iteration.  The dense inverse costs O(n^3), so this pays only for
-    small systems (see ``DENSE_PERIODIC_DOFS``).
-    """
-    T = space.translation_vectors()
-    TTt = T.T @ T
-    s = A.diagonal().mean()
-    P = np.linalg.inv(A.toarray() + s * TTt) - TTt / s
-    P = 0.5 * (P + P.T)
-    return lambda r: P @ r
 
 
 def pcg(A, b, precond, rtol=1e-10, maxiter=None):
@@ -420,24 +440,80 @@ def pcg(A, b, precond, rtol=1e-10, maxiter=None):
 def solve_periodic(space, A, rhs, rtol=1e-10):
     """Solve a periodic (all-free) torus system; returns the zero-mean solution.
 
-    ``A`` is assembled by ``space.assemble_operator``.  The right-hand side
-    is projected off the translation kernel (a periodic problem's load is
-    orthogonal to it up to roundoff, which CG could not remove).  CG runs
-    with ``dense_pseudo_inverse`` on systems of at most
-    ``DENSE_PERIODIC_DOFS`` unknowns and with ``reference_preconditioner``
-    on larger ones; the range of neither holds a translation.
+    ``A`` is a CSR matrix from ``space.assemble_operator``.  Systems of at
+    most ``DENSE_PERIODIC_DOFS`` unknowns go to ``solve_periodic_direct``.
+    Larger ones run CG with ``reference_preconditioner``, whose range holds
+    no translation, on the right-hand side projected off the translation
+    kernel (a periodic problem's load is orthogonal to it up to roundoff,
+    which CG could not remove).
     """
     b = np.asarray(rhs, dtype=float)
+    if space.n_packed <= DENSE_PERIODIC_DOFS:
+        return solve_periodic_direct(space, A.toarray()[None], b[None], rtol=rtol)[0]
     for t in space.translation_vectors():
         b = b - (t @ b) * t
+    x, _ = pcg(A, b, reference_preconditioner(space, A), rtol=rtol)
+    return x
+
+
+def solve_periodic_systems(space, moduli, rhs, rtol=1e-10, step=None):
+    """Solve the periodic systems of S moduli stacks (S, ne, 3, 3) at once.
+
+    ``rhs`` is (S, n), or (S, n, k) for k right-hand sides per system.
+    Systems of at most ``DENSE_PERIODIC_DOFS`` unknowns are assembled as one
+    dense stack and go to ``solve_periodic_direct``.  Larger ones are
+    assembled one at a time, and ``solve_periodic`` runs CG on each
+    right-hand side.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if space.n_packed <= DENSE_PERIODIC_DOFS:
+        return solve_periodic_direct(space, space.assemble_dense(moduli), rhs, rtol=rtol,
+                                     step=step)
+    columns = rhs.reshape(rhs.shape[0], rhs.shape[1], -1)
+    x = np.empty_like(columns)
+    for s, system_moduli in enumerate(moduli):
+        A = space.assemble_operator(system_moduli)
+        for j in range(columns.shape[2]):
+            x[s, :, j] = solve_periodic(space, A, columns[s, :, j], rtol=rtol)
+    return x.reshape(rhs.shape)
+
+
+def solve_periodic_direct(space, A, rhs, rtol=1e-10, step=None):
+    """Solve a stack of small periodic torus systems directly; zero-mean solutions.
+
+    ``A`` is (S, n, n) from ``space.assemble_dense`` and ``rhs`` is (S, n),
+    or (S, n, k) for k right-hand sides per system, which share one
+    factorization.  The kernel of each A is exactly the two translations T
+    (orthonormal rows), so with s the mean diagonal entry A + s T^T T is
+    invertible.  One batched LU solve with it on the right-hand sides
+    projected off T gives the solutions, which are then projected off T
+    too.  Every system's residual must lie within ``rtol`` of its
+    right-hand side; a singular matrix or a non-finite or larger residual
+    raises NumericalError with ``step`` and the worst residual.
+    """
+    b = np.asarray(rhs, dtype=float)
     if space.n_packed == DIM:
         return np.zeros_like(b)  # a one-vertex torus holds only translations
-    if space.n_packed <= DENSE_PERIODIC_DOFS:
-        precond = dense_pseudo_inverse(space, A)
-    else:
-        precond = reference_preconditioner(space, A)
-    x, _ = pcg(A, b, precond, rtol=rtol)
-    return x
+    T = space.translation_vectors()
+    single = b.ndim == 2
+    if single:
+        b = b[..., None]
+    b = b - T.T @ (T @ b)
+    shift = np.trace(A, axis1=1, axis2=2) / space.n_packed
+    try:
+        x = np.linalg.solve(A + shift[:, None, None] * (T.T @ T), b)
+    except np.linalg.LinAlgError:
+        raise NumericalError("direct periodic solve met a singular operator",
+                             step=step) from None
+    x = x - T.T @ (T @ x)
+    res = np.linalg.norm(b - A @ x, axis=1)
+    bound = rtol * np.linalg.norm(b, axis=1)
+    if not np.all(res <= bound):  # NaN fails
+        worst = float(np.max(np.where(res <= bound, 0.0, res)))
+        raise NumericalError(
+            f"direct periodic solve left a residual of {worst:.3e}, above rtol {rtol:.1e} "
+            "relative to its right-hand side", step=step, residual=worst)
+    return x[..., 0] if single else x
 
 
 def solve_elastic(space, stiffness_field, f=None, g=None, rtol=1e-10):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fem
 from .errors import ConfigurationError, NumericalError, positive_number
 from .fem import P1Space, jacobi, pcg, solve_elastic
 from .flowrules import VON_MISES, FlowRule
@@ -97,65 +98,111 @@ def _load_vector(space, config, t):
     return space.load_vector(values)
 
 
+def _norms(rows):
+    """Euclidean norm of each row, by the dot product ``np.linalg.norm`` takes of a vector."""
+    return np.sqrt([np.dot(row, row) for row in rows])
+
+
 def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, kind,
                  f_ext, rtol, cg_rtol, step=None):
-    """Global Newton iteration of one backward-Euler step.
+    """Global Newton iterations of one backward-Euler step for S systems at once.
 
-    ``u`` enters with the Dirichlet rows already set (packed vector) and is
-    updated in place on the free dofs.  On a ``mesh_torus`` space the solve
-    is periodic: all dofs are free and the translation kernel is projected
-    out of the updates.  If a full tangent step fails to reduce the
-    residual, the correction is damped by halving.  At most NEWTON_MAXITER
-    iterations run.  Returns (z, p_new, iterations, final_residual,
-    moduli), where ``moduli`` (ne, 3, 3) are the algorithmic moduli of the
-    last accepted evaluation, i.e. of the converged state.
+    The systems share ``space`` and differ in their data: ``u`` (S, n)
+    holds packed vectors with the Dirichlet rows already set and is updated
+    in place on the free dofs; ``p_old`` is (S, ne, 3), ``mats`` holds the
+    S * ne elements system after system, and ``strain_offset`` and
+    ``f_ext`` broadcast to (S, ne, 3) and (S, n).  On a ``mesh_torus``
+    space the solves are periodic: all dofs are free and the translation
+    kernel is projected out of the updates.
+
+    Every system runs its own Newton iteration in lock step with the others:
+    its own convergence test and roundoff floor, and, if a full tangent step
+    fails to reduce its residual, its own correction damped by halving.  A
+    converged system is frozen and no longer evaluated, so it runs the
+    iterate sequence it would run alone.  At most NEWTON_MAXITER iterations
+    run.  Returns (z, p_new, iterations, residuals, moduli): stresses and
+    plastic strains (S, ne, 3), the sum of the systems' iteration counts
+    (an int), the final residual norms (S,) and the algorithmic moduli
+    (S, ne, 3, 3) of the last accepted evaluation, i.e. of the converged
+    state.
     """
-    from .fem import solve_periodic
-
-    periodic = bool(space.mesh.grid_size)
+    n_systems = u.shape[0]
+    ne = space.mesh.n_elements
     free = space.free_dofs
+    periodic = bool(space.mesh.grid_size)
+    offset = np.broadcast_to(strain_offset, (n_systems, ne, KDIM))
+    f_ext = np.broadcast_to(f_ext, u.shape)
+    f_norm = _norms(f_ext[:, free])
 
-    def evaluate():
-        strains = strain_offset + space.element_strains(space.unpack_field(u))
-        z, p_new, moduli = plastic_step(strains, p_old, mats, dt, delta, kind)
+    # With every system taking part, the materials and the accepted state are
+    # used whole rather than copied: the copies cost about 9 % of the wall
+    # time of fe2_macro (16 cells of 32 elements) and 6 % of cell_mc's (one
+    # cell of 2,048 elements).
+    def evaluate(systems):
+        strains = offset[systems] + space.element_strains(space.unpack_field(u[systems]))
+        sub = mats if systems.size == n_systems \
+            else mats.take((systems[:, None] * ne + np.arange(ne)).ravel())
+        z, p_new, moduli = plastic_step(strains.reshape(-1, KDIM),
+                                        p_old[systems].reshape(-1, KDIM),
+                                        sub, dt, delta, kind)
+        z = z.reshape(-1, ne, KDIM)
         f_int = space.internal_forces(z)
-        res = np.linalg.norm((f_ext - f_int)[free])
-        return z, p_new, moduli, f_int, res
+        res = _norms((f_ext[systems] - f_int)[:, free])
+        return z, p_new.reshape(z.shape), moduli.reshape(-1, ne, KDIM, KDIM), f_int, res
 
-    z, p_new, moduli, f_int, res_norm = evaluate()
-    # roundoff floor: force scale assembled without cancellation
-    contrib = np.einsum("e,eki,ek->ei", np.abs(space.mesh.volumes),
-                        np.abs(space.B), np.abs(z))
-    floor = 1e-14 * (np.linalg.norm(np.bincount(
-        space.element_dofs.ravel(), weights=contrib.ravel(),
-        minlength=space.n_packed)[free]) + np.linalg.norm(f_ext[free]))
-    denom = max(res_norm, np.linalg.norm(f_ext[free]))
-    for it in range(NEWTON_MAXITER):
-        if res_norm <= rtol * denom + floor:
-            return z, p_new, it, res_norm, moduli
-        A = space.assemble_operator(moduli)
+    def solve(systems):
+        rhs = f_ext[systems] - f_int[systems]
         if periodic:
-            du = solve_periodic(space, A, f_ext - f_int, rtol=cg_rtol)
-        else:
+            return fem.solve_periodic_systems(space, moduli[systems], rhs, rtol=cg_rtol,
+                                              step=step)
+        updates = []
+        for s, b in zip(systems, rhs):  # Jacobi CG, one system at a time
+            A = space.assemble_operator(moduli[s])
             Aff = A[free][:, free]
-            du, _ = pcg(Aff, (f_ext - f_int)[free], jacobi(Aff), rtol=cg_rtol)
-        alpha, reduced = 1.0, False
+            updates.append(pcg(Aff, b[free], jacobi(Aff), rtol=cg_rtol)[0])
+        return np.stack(updates)
+
+    active = np.arange(n_systems)
+    z, p_new, moduli, f_int, res = evaluate(active)
+    if not np.all(np.isfinite(res)):
+        raise NumericalError("the equilibrium residual is not finite", step=step,
+                             residual=float(np.max(res)))
+    floor = 1e-14 * (_norms(space.force_scale(z)[:, free]) + f_norm)
+    tol = rtol * np.maximum(res, f_norm) + floor
+    iters = np.zeros(n_systems, dtype=int)
+    for _ in range(NEWTON_MAXITER):
+        active = active[res[active] > tol[active]]
+        iters[active] += 1
+        if active.size == 0:
+            return z, p_new, int(iters.sum()), res, moduli
+        du = solve(active)
+        alpha = np.ones(active.size)
+        trying = np.arange(active.size)       # positions in ``active`` still searching
         for _ in range(11):
-            u[free] += alpha * du
-            z_try, p_try, moduli_try, f_try, res_try = evaluate()
-            if res_try < res_norm or res_try <= rtol * denom + floor:
-                z, p_new, moduli, f_int, res_norm = z_try, p_try, moduli_try, f_try, res_try
-                reduced = True
+            systems = active[trying]
+            correction = alpha[trying, None] * du[trying]
+            u[np.ix_(systems, free)] += correction
+            z_try, p_try, moduli_try, f_try, res_try = evaluate(systems)
+            accept = (res_try < res[systems]) | (res_try <= tol[systems])
+            if accept.all() and systems.size == n_systems:
+                z, p_new, moduli, f_int, res = z_try, p_try, moduli_try, f_try, res_try
+            else:
+                done = systems[accept]
+                z[done], p_new[done], moduli[done] = \
+                    z_try[accept], p_try[accept], moduli_try[accept]
+                f_int[done], res[done] = f_try[accept], res_try[accept]
+                u[np.ix_(systems[~accept], free)] -= correction[~accept]
+            trying = trying[~accept]
+            alpha[trying] *= 0.5
+            if trying.size == 0:
                 break
-            u[free] -= alpha * du
-            alpha *= 0.5
-        if not reduced:
+        else:
             raise NumericalError(
                 "Newton step failed to reduce the equilibrium residual",
-                step=step, residual=float(res_norm),
+                step=step, residual=float(np.max(res[active[trying]])),
             )
     raise NumericalError("Newton did not converge", step=step,
-                         residual=float(res_norm))
+                         residual=float(np.max(res[active])))
 
 
 def solve_eps(config):
@@ -188,14 +235,15 @@ def solve_eps(config):
         _impose_dirichlet(space, config, t, u)
         f_ext = _load_vector(space, config, t)
         z, p, n_it, res, _ = newton_solve(
-            space, mats, 0.0, p, u, dt, config.delta, config.rule_kind,
+            space, mats, 0.0, p[None], u[None], dt, config.delta, config.rule_kind,
             f_ext, config.newton_rtol, config.cg_rtol, step=m,
         )
+        p = p[0]
         u_hist[m] = space.unpack_field(u)
-        sig_hist[m] = z
+        sig_hist[m] = z[0]
         p_hist[m] = p
         iters.append(n_it)
-        residuals.append(res)
+        residuals.append(res[0])
 
     _add_boundary_offset(config, times, u_hist)
     e_hist = np.stack([mats.apply_compliance(sig_hist[m]) for m in range(steps + 1)])

@@ -4,13 +4,14 @@ The macroscopic displacement solves -div(Sigma(sym grad u)) = f weakly on a
 P1 mesh, where Sigma is the effective hysteretic stress operator evaluated
 through per-element cell problems: every macro element owns one persistent
 cell state per Monte-Carlo sample.  Per time step, a macro Newton iteration
-updates the nodal displacements; stress increments come from advancing the
-element cell problems at the element strain, and the macro tangent is the
-condensed tangent of the converged cells,
+updates the nodal displacements; stress increments come from advancing all
+E * M cell problems in lock step at the element strains, and the macro
+tangent is the condensed tangent of the converged cells,
 C_hom = <C> - G^T K^+ G / |Y| (Miehe 2002; Kouznetsova, Brekelmans &
 Baaijens 2001), with C the cells' algorithmic moduli, K their periodic
-operator and G the nodal forces of unit macro strains.  Each element's state
-is committed exactly once per accepted step.
+operator and G the nodal forces of unit macro strains.  Small cells solve
+the three columns of K^+ G with one factorization of K each.  The cell
+states are committed exactly once per accepted step.
 """
 
 import time as _time
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fem, finescale
 from .cellproblem import CG_RTOL
 from .errors import ConfigurationError, NumericalError, finite_number, positive_int
 from .fem import P1Space, jacobi, mesh_torus, pcg
@@ -58,8 +60,7 @@ class MacroConfig:
 def _sample_materials(rve_cfg, rve_space):
     """The MaterialArrays of the M RVE samples, with read-only arrays.
 
-    Every macro element sees the same M samples, so FE2 builds them once and
-    all ElementCellStates share them.
+    Every macro element sees the same M samples, so FE2 builds them once.
     """
     samples = []
     for j in range(rve_cfg.n_samples):
@@ -72,78 +73,70 @@ def _sample_materials(rve_cfg, rve_space):
 
 
 class ElementCellState:
-    """Cell problems of one macro element: M samples sharing the RVE mesh.
+    """The cell problems of all E macro elements, M samples each, in lock step.
 
-    ``mats`` are the samples' materials from ``_sample_materials``, shared by
-    all elements.  ``advance`` performs one implicit step from the committed
-    state at a trial strain and returns the sample-averaged stress;
-    ``tangent`` is the condensed tangent at that trial state and ``commit``
-    makes the last advance permanent.  Neither ``advance`` nor ``tangent``
-    touches committed arrays.
+    ``mats`` are the M samples' materials from ``_sample_materials``.  Cell
+    problem s = e * M + j is sample j of macro element e; ``p`` (E * M, ne,
+    3) and ``phi`` (E * M, n) are their committed plastic strains and
+    correctors.  ``advance`` performs one implicit step of every cell from
+    the committed state at trial macro strains and returns the
+    sample-averaged stresses; ``tangent`` gives the condensed tangents at
+    that trial state and ``commit`` makes the last advance permanent.
+    Neither ``advance`` nor ``tangent`` touches committed arrays.
     """
 
-    def __init__(self, rve_cfg, rve_space, mats):
+    def __init__(self, rve_cfg, rve_space, mats, n_elements):
         self.cfg = rve_cfg
         self.space = rve_space
         self.mats = mats
-        mesh = rve_space.mesh
-        self.p = np.zeros((rve_cfg.n_samples, mesh.n_elements, KDIM))
-        self.phi = np.zeros((rve_cfg.n_samples, rve_space.n_packed))
+        self.n_elements = n_elements
+        self._systems = MaterialArrays.concatenate(list(mats) * n_elements)
+        n_cells = n_elements * rve_cfg.n_samples
+        self.p = np.zeros((n_cells, rve_space.mesh.n_elements, KDIM))
+        self.phi = np.zeros((n_cells, rve_space.n_packed))
         self._trial = None
 
-    def advance(self, strain, dt):
-        """One backward-Euler cell step per sample; returns the mean stress."""
-        from .finescale import newton_solve
+    def _sample_mean(self, values):
+        """Per-element mean over the samples of per-cell values (E * M, ...)."""
+        shape = (self.n_elements, self.cfg.n_samples) + values.shape[1:]
+        return values.reshape(shape).mean(axis=1)
 
+    def advance(self, strains, dt):
+        """One backward-Euler step of every cell at the macro strains (E, 3).
+
+        Returns the sample-averaged mean stresses, (E, 3).
+        """
         cfg = self.cfg
-        mesh = self.space.mesh
-        w = mesh.volumes / mesh.volumes.sum()
-        z_means = []
-        trial_p, trial_phi, trial_moduli = [], [], []
-        f_ext = np.zeros(self.space.n_packed)
-        for j in range(cfg.n_samples):
-            phi = self.phi[j].copy()
-            z, p_new, _, _, moduli = newton_solve(
-                self.space, self.mats[j], np.asarray(strain)[None, :],
-                self.p[j], phi, dt, cfg.delta, cfg.rule_kind,
-                f_ext, cfg.newton_rtol, CG_RTOL,
-            )
-            z_means.append(w @ z)
-            trial_p.append(p_new)
-            trial_phi.append(phi)
-            trial_moduli.append(moduli)
-        self._trial = (trial_p, trial_phi, trial_moduli)
-        return np.mean(z_means, axis=0)
+        w = self.space.mesh.volumes / self.space.mesh.volumes.sum()
+        phi = self.phi.copy()
+        offset = np.repeat(np.asarray(strains, dtype=float), cfg.n_samples, axis=0)
+        z, p_new, _, _, moduli = finescale.newton_solve(
+            self.space, self._systems, offset[:, None, :], self.p, phi, dt,
+            cfg.delta, cfg.rule_kind, 0.0, cfg.newton_rtol, CG_RTOL,
+        )
+        self._trial = (p_new, phi, moduli)
+        return self._sample_mean(w @ z)
 
     def tangent(self):
-        """The condensed tangent dSigma/dxi at the last advance, (3, 3).
+        """The condensed tangents dSigma/dxi at the last advance, (E, 3, 3).
 
-        Per sample, with C the converged algorithmic moduli, K the periodic
+        Per cell, with C the converged algorithmic moduli, K the periodic
         operator assembled from them and G[:, j] the nodal forces of the
         stresses C e_j, a macro strain increment d moves the fluctuation by
         -K^+ G d, so the mean stress moves by (<C> - G^T K^+ G / |Y|) d.
-        Returns the symmetrized mean over the samples.
+        Returns the symmetrized mean over each element's samples.
         """
-        from . import fem
-
-        _, _, trial_moduli = self._trial
         space = self.space
         volumes = space.mesh.volumes
-        total = np.zeros((KDIM, KDIM))
-        for moduli in trial_moduli:
-            K = space.assemble_operator(moduli)
-            G = np.stack([space.internal_forces(moduli[:, :, j]) for j in range(KDIM)], axis=1)
-            KG = np.stack([fem.solve_periodic(space, K, G[:, j], rtol=CG_RTOL)
-                           for j in range(KDIM)], axis=1)
-            total += np.einsum("e,eij->ij", volumes, moduli) - G.T @ KG
-        total /= volumes.sum() * len(trial_moduli)
-        return 0.5 * (total + total.T)
+        moduli = self._trial[2]
+        G = space.internal_forces(np.moveaxis(moduli, -1, 1))     # (E * M, 3, n)
+        KG = fem.solve_periodic_systems(space, moduli, np.swapaxes(G, 1, 2), rtol=CG_RTOL)
+        total = self._sample_mean(np.einsum("e,seij->sij", volumes, moduli) - G @ KG)
+        total /= volumes.sum()
+        return 0.5 * (total + np.swapaxes(total, 1, 2))
 
     def commit(self):
-        trial_p, trial_phi, _ = self._trial
-        for j in range(self.cfg.n_samples):
-            self.p[j] = trial_p[j]
-            self.phi[j] = trial_phi[j]
+        self.p, self.phi, _ = self._trial
         self._trial = None
 
 
@@ -156,7 +149,7 @@ class EffectiveSolution:
     sigma: np.ndarray          # (steps+1, ne, k)
     newton_iters: list
     space: object = field(repr=False, default=None)
-    cells: list = field(repr=False, default=None)  # final per-element states
+    cells: object = field(repr=False, default=None)  # final ElementCellState
 
     def average_stress(self):
         w = self.space.mesh.volumes
@@ -176,9 +169,8 @@ def solve_effective(config):
     start = _time.monotonic()
 
     rve_space = P1Space(mesh_torus(config.rve.n_cells, config.rve.refine))
-    mats = _sample_materials(config.rve, rve_space)
-    cells = [ElementCellState(config.rve, rve_space, mats)
-             for _ in range(mesh.n_elements)]
+    cells = ElementCellState(config.rve, rve_space, _sample_materials(config.rve, rve_space),
+                             mesh.n_elements)
 
     u_hist = np.zeros((steps + 1, mesh.n_vertices, 2))
     sig_hist = np.zeros((steps + 1, mesh.n_elements, KDIM))
@@ -186,12 +178,6 @@ def solve_effective(config):
 
     u = np.zeros(space.n_packed)
     free = space.free_dofs
-
-    def element_sigmas(strains, dt):
-        out = np.empty((mesh.n_elements, KDIM))
-        for e in range(mesh.n_elements):
-            out[e] = cells[e].advance(strains[e], dt)
-        return out
 
     for m in range(1, steps + 1):
         t, dt = times[m], times[m] - times[m - 1]
@@ -209,21 +195,19 @@ def solve_effective(config):
                                      upto=m - 1),
                 )
             strains = space.element_strains(space.unpack_field(u))
-            sig = element_sigmas(strains, dt)
+            sig = cells.advance(strains, dt)
             f_int = space.internal_forces(sig)
             residual = (f_ext - f_int)[free]
             res_norm = np.linalg.norm(residual)
             denom = max(np.linalg.norm(f_int[free]), np.linalg.norm(f_ext[free]),
                         1e-300)
             if res_norm <= config.newton_rtol * denom + 1e-14 * (1.0 + denom):
-                for cell in cells:
-                    cell.commit()
+                cells.commit()
                 sig_hist[m] = sig
                 converged = True
                 iter_history.append(it)
                 break
-            moduli = np.stack([cell.tangent() for cell in cells])
-            A = space.assemble_operator(moduli)
+            A = space.assemble_operator(cells.tangent())
             Aff = A[free][:, free]
             du, _ = pcg(Aff, residual, jacobi(Aff), rtol=1e-12)
             u[free] += du

@@ -14,7 +14,7 @@ where A has deviatoric eigenvalue a_dev = 2 mu and volumetric eigenvalue
 a_vol, and the regularized flow direction is radial in dev(z - H p).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,6 +58,16 @@ class MaterialArrays:
         params = medium.parameters_at(points, eps)
         return cls.from_parameters(params["E"], params["nu"], params["sigma_y"],
                                    params["H"])
+
+    @classmethod
+    def concatenate(cls, parts):
+        """The elements of ``parts``, one after the other."""
+        return cls(**{f.name: np.concatenate([getattr(part, f.name) for part in parts])
+                      for f in fields(cls)})
+
+    def take(self, elements):
+        """The data of the given elements, in their order."""
+        return type(self)(**{f.name: getattr(self, f.name)[elements] for f in fields(self)})
 
     def stiffness_moduli(self):
         """Dense Mandel stiffness matrices per element, shape (n, 3, 3)."""

@@ -177,3 +177,14 @@ def shear_path(amplitude, T, steps, unload_to=None):
     scale = np.where(times <= half, times / half,
                      1.0 + (unload_to - 1.0) * (times - half) / half)
     return StrainPath(times, np.outer(scale * amplitude, direction))
+
+
+def central_differences(cells, strains, dt, h):
+    """dSigma_e/dxi_e of every element of an ElementCellState by central
+    differences of its advance at the strains (E, 3) with steps h (E,); (E, 3, 3)."""
+    fd = np.empty((len(strains), 3, 3))
+    for comp in range(3):
+        step = h[:, None] * np.eye(3)[comp]
+        fd[:, :, comp] = (cells.advance(strains + step, dt)
+                          - cells.advance(strains - step, dt)) / (2 * h[:, None])
+    return fd

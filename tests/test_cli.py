@@ -219,6 +219,9 @@ class TestExitCodes:
         pytest.param("eps", "mesh.h", 1e-300, "unit_square", "mesh.h", id="square-mesh-h"),
         pytest.param("eps", "time.steps", 10**30, "unit_square", "time.steps",
                      id="time-steps"),
+        # 2**62 entries fit int64, but not their 2**65 bytes
+        pytest.param("eps", "time.steps", 2**62, "unit_square", "time.steps",
+                     id="time-steps-2**62"),
         pytest.param("cell", "rve.N", 10**30, "unit_square", "torus cells N", id="cell-rve-N"),
         pytest.param("macro", "rve.N", 10**30, "unit_square", "torus cells N",
                      id="macro-rve-N"),
@@ -230,6 +233,10 @@ class TestExitCodes:
                      "box half-width L", id="ergodic-L"),
         pytest.param("average", "averaging.n_seeds", 2**63, "unit_square",
                      "averaging.n_seeds", id="averaging-n-seeds"),
+        pytest.param("average", "averaging.n_seeds", 2**62, "unit_square",
+                     "averaging.n_seeds", id="averaging-n-seeds-2**62"),
+        pytest.param("korn", "korn.n_samples", 2**62 // 32, "unit_square", "korn n_samples",
+                     id="korn-n-samples-2**62-entries"),
     ])
     def test_size_beyond_int64_is_configuration_error(self, run_dir, capsys, command, key,
                                                       value, domain, named):

@@ -1,8 +1,9 @@
 """Every name a plasthom module imports is used in that module, every
 private function or class is used somewhere in the package, every public
 one is used by the package, a demo, the benchmark, the acceptance suite or
-the README, and the only third-party modules the package imports are numpy
-and scipy.sparse.
+the README, the only third-party modules the package imports are numpy
+and scipy.sparse, and no numpy function younger than the oldest numpy that
+``pyproject.toml`` admits is called.
 
 Stand-ins for a linter's unused-import and dead-code rules, written with the
 stdlib ``ast`` so they run wherever the tests do.  ``__init__`` is skipped by
@@ -21,6 +22,17 @@ PACKAGE = ROOT / "src" / "plasthom"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # scipy.sparse.linalg alone adds about 9 MB of resident memory
 THIRD_PARTY = {"numpy", "scipy.sparse"}
+# numpy and numpy.linalg functions added in numpy 2.x; pyproject.toml admits numpy 1.24
+NUMPY_2_ONLY = {
+    "numpy": {"acos", "acosh", "asin", "asinh", "astype", "atan", "atan2", "atanh",
+              "bitwise_count", "bitwise_invert", "bitwise_left_shift",
+              "bitwise_right_shift", "concat", "cumulative_prod", "cumulative_sum",
+              "isdtype", "matrix_transpose", "matvec", "permute_dims", "pow", "trapezoid",
+              "unique_all", "unique_counts", "unique_inverse", "unique_values", "unstack",
+              "vecdot", "vecmat"},
+    "numpy.linalg": {"diagonal", "matrix_norm", "matrix_transpose", "outer", "svdvals",
+                     "tensordot", "trace", "vecdot", "vector_norm"},
+}
 
 
 def imported_names(tree):
@@ -115,3 +127,26 @@ def test_third_party_imports_are_numpy_and_scipy_sparse():
     third_party = {name for name in found
                    if name.split(".")[0] not in sys.stdlib_module_names}
     assert sorted(third_party - THIRD_PARTY) == []
+
+
+def numpy_calls(tree):
+    """Dotted names ``np.f`` and ``np.linalg.f`` read in the module, spelled ``numpy...``."""
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            head = dotted(node.value)
+            return head and f"{head}.{node.attr}"
+        return None
+    names = {dotted(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return {"numpy" + name[2:] for name in names if name and name.startswith("np.")}
+
+
+def test_numpy_functions_exist_in_the_oldest_admitted_numpy():
+    assert "numpy>=1.24" in (ROOT / "pyproject.toml").read_text(encoding="utf8")
+    called = {name for path in sorted(PACKAGE.glob("*.py"))
+              for name in numpy_calls(ast.parse(path.read_text(encoding="utf8")))}
+    assert "numpy.linalg.solve" in called, "the check is vacuous"
+    too_new = {name for name in called
+               if name.rpartition(".")[2] in NUMPY_2_ONLY.get(name.rpartition(".")[0], ())}
+    assert sorted(too_new) == []

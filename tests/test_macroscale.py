@@ -20,7 +20,7 @@ from plasthom.media import ProbabilityLaw, sample_realization
 from plasthom.returnmap import MaterialArrays
 from plasthom.tensors import isotropic_stiffness
 
-from helpers import shear_path
+from helpers import central_differences, shear_path
 
 CONSTANT = ProbabilityLaw.constant(1.0, 0.3, 0.3, 1.0)
 TWO_PHASE = ProbabilityLaw.from_config({"E": {"discrete": {"values": [1.0, 2.0]}},
@@ -98,9 +98,11 @@ class TestSolveEffective:
         for m in range(steps + 1):
             assert np.abs(sol.u[m] - traj.u[m]).max() <= 1e-8
             assert np.abs(sol.sigma[m] - traj.sigma[m]).max() <= 1e-8
-        # the committed per-element cell states ride along on the solution
-        assert len(sol.cells) == mesh.n_elements
-        assert np.abs(sol.cells[0].p[0] - traj.p[-1][0]).max() <= 1e-8
+        # the committed cell states ride along on the solution, one cell per
+        # element here (M = 1), uniform like the medium
+        assert sol.cells.p.shape[0] == mesh.n_elements
+        for element in range(sol.cells.p.shape[1]):
+            assert np.abs(sol.cells.p[:, element] - traj.p[-1]).max() <= 1e-8
 
     def test_weak_form_residual_bound(self):
         steps = 3
@@ -129,14 +131,18 @@ class TestSolveEffective:
                           time_grid=np.linspace(0, 1, 2))
         sol = solve_effective(cfg)
         assert len(built) == rve.n_samples
-        for cell in sol.cells:
-            assert len(cell.mats) == len(built)
-            assert all(shared is own for shared, own in zip(built, cell.mats))
+        cells = sol.cells
+        assert len(cells.mats) == len(built)
+        assert all(shared is own for shared, own in zip(built, cells.mats))
+        # cell e * M + j of the lock-step batch runs sample j of element e
+        a_dev = cells._systems.a_dev.reshape(cfg.mesh.n_elements, rve.n_samples, -1)
+        for j, sample in enumerate(built):
+            assert np.array_equal(a_dev[:, j], np.broadcast_to(sample.a_dev, a_dev[:, j].shape))
 
 
-def cell_state(rve):
+def cell_state(rve, n_elements=1):
     space = P1Space(mesh_torus(rve.n_cells, rve.refine))
-    return ElementCellState(rve, space, _sample_materials(rve, space))
+    return ElementCellState(rve, space, _sample_materials(rve, space), n_elements)
 
 
 class TestCondensedTangent:
@@ -145,42 +151,57 @@ class TestCondensedTangent:
                         law=TWO_PHASE, base_seed=0)
         cell = cell_state(rve)
         dt = 0.25
-        cell.advance(np.array([0.004, -0.002, 0.01]), dt)
+        cell.advance(np.array([[0.004, -0.002, 0.01]]), dt)
         cell.commit()
         p, phi = cell.p.copy(), cell.phi.copy()
-        for xi, plastic in ((np.array([0.01, -0.005, 0.003]), False),
-                            (np.array([0.1, -0.05, 0.5]), True)):
+        for xi, plastic in ((np.array([[0.01, -0.005, 0.003]]), False),
+                            (np.array([[0.1, -0.05, 0.5]]), True)):
             cell.advance(xi, dt)
             assert any((trial != p[j]).any()
                        for j, trial in enumerate(cell._trial[0])) == plastic
             tangent = cell.tangent()
-            h = 1e-4 * np.linalg.norm(xi)
-            fd = np.empty((3, 3))
-            for comp in range(3):
-                step = h * np.eye(3)[comp]
-                fd[:, comp] = (cell.advance(xi + step, dt)
-                               - cell.advance(xi - step, dt)) / (2 * h)
+            fd = central_differences(cell, xi, dt, 1e-4 * np.linalg.norm(xi, axis=1))
             assert np.abs(tangent - fd).max() <= 1e-6 * np.abs(fd).max()
             assert np.array_equal(cell.p, p) and np.array_equal(cell.phi, phi)
+
+    def test_elements_at_elastic_plastic_and_mixed_strains(self):
+        # element 0 stays elastic, element 1 flows in every cell, element 2
+        # flows in some elements of its cells only
+        rve = RveConfig(n_cells=4, refine=1, n_samples=2, delta=0.003,
+                        law=TWO_PHASE, base_seed=5)
+        cell = cell_state(rve, n_elements=3)
+        dt = 0.25
+        strains = np.array([[0.01, -0.005, 0.003],
+                            [0.1, -0.05, 0.5],
+                            [0.02, -0.01, 0.18]])
+        cell.advance(strains, dt)
+        flowing = (cell._trial[0] != 0).any(axis=-1).reshape(3, -1)
+        assert not flowing[0].any() and flowing[1].all()
+        assert flowing[2].any() and not flowing[2].all()
+        tangent = cell.tangent()
+        assert tangent.shape == (3, 3, 3)
+        fd = central_differences(cell, strains, dt, 1e-4 * np.linalg.norm(strains, axis=1))
+        for e in range(3):
+            assert np.abs(tangent[e] - fd[e]).max() <= 1e-6 * np.abs(fd[e]).max()
 
     def test_elastic_limit_is_the_constant_stiffness(self):
         rve = RveConfig(n_cells=2, refine=1, n_samples=2, delta=0.003,
                         law=CONSTANT, base_seed=0)
         cell = cell_state(rve)
-        cell.advance(np.array([0.01, -0.004, 0.02]), 0.25)
+        cell.advance(np.array([[0.01, -0.004, 0.02]]), 0.25)
         stiffness = isotropic_stiffness(1.0, 0.3)
-        assert np.abs(cell.tangent() - stiffness).max() <= 1e-10 * np.abs(stiffness).max()
+        assert np.abs(cell.tangent()[0] - stiffness).max() <= 1e-10 * np.abs(stiffness).max()
 
     def test_one_vertex_torus_gives_the_mean_moduli(self):
         rve = RveConfig(n_cells=1, refine=1, n_samples=1, delta=0.003,
                         law=TWO_PHASE, base_seed=3)
         cell = cell_state(rve)
         assert cell.space.n_packed == 2
-        cell.advance(np.array([0.1, -0.05, 0.5]), 0.25)
+        cell.advance(np.array([[0.1, -0.05, 0.5]]), 0.25)
         moduli = cell._trial[2][0]
         volumes = cell.space.mesh.volumes
         mean = np.einsum("e,eij->ij", volumes, moduli) / volumes.sum()
-        assert np.abs(cell.tangent() - 0.5 * (mean + mean.T)).max() <= 1e-14
+        assert np.abs(cell.tangent()[0] - 0.5 * (mean + mean.T)).max() <= 1e-14
 
 
 class TestBudgets:
