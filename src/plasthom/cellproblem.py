@@ -6,13 +6,14 @@ the gradient of a periodic corrector displacement.  Per backward-Euler step
 
     z = C^-1 (xi + v^s - p),   dp/dt = dPsi^delta(z - B p),
 
-with z discretely divergence-free: its weak divergence vanishes against all
-periodic P1 test fields.  The effective stress evolution is the expectation
-of the volume average of z over Monte-Carlo samples of the medium; the
-effective plastic strain comes from p the same way.  The probability-space
-problem is realized as a space problem on a periodized block of i.i.d.
-cells plus Monte-Carlo averaging, which is the single largest modeling
-approximation of the pipeline.
+where Psi^delta is the regularized von Mises rule of
+``returnmap.plastic_step``, and z is discretely divergence-free: its weak
+divergence vanishes against all periodic P1 test fields.  The effective
+stress evolution is the expectation of the volume average of z over
+Monte-Carlo samples of the medium; the effective plastic strain comes from
+p the same way.  The probability-space problem is realized as a space
+problem on a periodized block of i.i.d. cells plus Monte-Carlo averaging,
+which is the single largest modeling approximation of the pipeline.
 
 The scheme is causal: values on [0, t] never depend on the path after t,
 and re-running a truncated path reproduces the earlier steps bit-identically.
@@ -26,7 +27,6 @@ import numpy as np
 from .errors import ConfigurationError, positive_int, positive_number, valid_seed
 from .fem import P1Space, mesh_torus
 from .finescale import newton_solve
-from .flowrules import VON_MISES
 from .loading import StrainPath, checked_time_grid
 from .media import PeriodizedMedium, ProbabilityLaw
 from .returnmap import MaterialArrays
@@ -45,7 +45,6 @@ class RveConfig:
     delta: float = 1e-2
     law: object = None
     base_seed: int = 0
-    rule_kind: str = VON_MISES
     newton_rtol: float = 1e-10
 
     def __post_init__(self):
@@ -100,8 +99,7 @@ class SigmaResult:
     per_sample_sigma: np.ndarray
 
 
-def solve_cell(medium, xi_path, delta, time_grid, space,
-               rule_kind=VON_MISES, newton_rtol=1e-10):
+def solve_cell(medium, xi_path, delta, time_grid, space, newton_rtol=1e-10):
     """Advance one sample's cell problem along the whole strain path.
 
     ``medium`` is a PeriodizedMedium whose cells align with the torus mesh
@@ -126,7 +124,7 @@ def solve_cell(medium, xi_path, delta, time_grid, space,
     for m in range(1, steps + 1):
         dt = time_grid[m] - time_grid[m - 1]
         z, p, n_it, res, _ = newton_solve(
-            space, mats, xi_values[m], p[None], phi[None], dt, delta, rule_kind,
+            space, mats, xi_values[m], p[None], phi[None], dt, delta,
             0.0, newton_rtol, CG_RTOL, step=m,
         )
         p = p[0]
@@ -146,7 +144,7 @@ def solve_cell(medium, xi_path, delta, time_grid, space,
 def _one_sample(cfg, xi_path, time_grid, space, j):
     medium = PeriodizedMedium(cfg.law, cfg.sample_seed(j), cfg.n_cells)
     traj = solve_cell(medium, xi_path, cfg.delta, time_grid, space,
-                      rule_kind=cfg.rule_kind, newton_rtol=cfg.newton_rtol)
+                      newton_rtol=cfg.newton_rtol)
     return traj.volume_average_z(), traj.volume_average_p()
 
 

@@ -44,7 +44,7 @@ def _load_config(path):
     if path is None:
         raise ConfigurationError("--config is required")
     try:
-        with open(path, "r", encoding="utf8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except OSError as err:
         raise ConfigurationError(f"cannot read config file {path}: {err.strerror}") from None

@@ -440,16 +440,14 @@ def pcg(A, b, precond, rtol=1e-10, maxiter=None):
 def solve_periodic(space, A, rhs, rtol=1e-10):
     """Solve a periodic (all-free) torus system; returns the zero-mean solution.
 
-    ``A`` is a CSR matrix from ``space.assemble_operator``.  Systems of at
-    most ``DENSE_PERIODIC_DOFS`` unknowns go to ``solve_periodic_direct``.
-    Larger ones run CG with ``reference_preconditioner``, whose range holds
-    no translation, on the right-hand side projected off the translation
-    kernel (a periodic problem's load is orthogonal to it up to roundoff,
-    which CG could not remove).
+    ``A`` is a CSR matrix from ``space.assemble_operator``.  CG runs with
+    ``reference_preconditioner``, whose range holds no translation, on the
+    right-hand side projected off the translation kernel (a periodic
+    problem's load is orthogonal to it up to roundoff, which CG could not
+    remove).  ``solve_periodic_systems`` calls it above
+    ``DENSE_PERIODIC_DOFS`` unknowns only.
     """
     b = np.asarray(rhs, dtype=float)
-    if space.n_packed <= DENSE_PERIODIC_DOFS:
-        return solve_periodic_direct(space, A.toarray()[None], b[None], rtol=rtol)[0]
     for t in space.translation_vectors():
         b = b - (t @ b) * t
     x, _ = pcg(A, b, reference_preconditioner(space, A), rtol=rtol)

@@ -2,9 +2,9 @@
 
 The displacement satisfies the quasi-static balance -div(sigma) = f with
 Dirichlet data, Hooke's law sigma = C^-1 e, the additive split of the
-symmetrized gradient into e + p, and the regularized flow rule for p with
-kinematic hardening.  Oscillating coefficients are read from a sampled
-medium at the element barycenters at scale eps.
+symmetrized gradient into e + p, and the regularized von Mises flow rule
+for p with kinematic hardening.  Oscillating coefficients are read from a
+sampled medium at the element barycenters at scale eps.
 
 Time discretization is backward Euler; each step runs a global Newton
 iteration on the displacement with the element-level plastic update solved
@@ -44,7 +44,6 @@ class EpsProblemConfig:
     time_grid: np.ndarray
     dirichlet: object
     load: object = None
-    rule_kind: str = VON_MISES
     newton_rtol: float = 1e-8
     cg_rtol: float = 1e-12
 
@@ -103,7 +102,7 @@ def _norms(rows):
     return np.sqrt([np.dot(row, row) for row in rows])
 
 
-def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, kind,
+def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
                  f_ext, rtol, cg_rtol, step=None):
     """Global Newton iterations of one backward-Euler step for S systems at once.
 
@@ -144,7 +143,7 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, kind,
             else mats.take((systems[:, None] * ne + np.arange(ne)).ravel())
         z, p_new, moduli = plastic_step(strains.reshape(-1, KDIM),
                                         p_old[systems].reshape(-1, KDIM),
-                                        sub, dt, delta, kind)
+                                        sub, dt, delta)
         z = z.reshape(-1, ne, KDIM)
         f_int = space.internal_forces(z)
         res = _norms((f_ext[systems] - f_int)[:, free])
@@ -235,7 +234,7 @@ def solve_eps(config):
         _impose_dirichlet(space, config, t, u)
         f_ext = _load_vector(space, config, t)
         z, p, n_it, res, _ = newton_solve(
-            space, mats, 0.0, p[None], u[None], dt, config.delta, config.rule_kind,
+            space, mats, 0.0, p[None], u[None], dt, config.delta,
             f_ext, config.newton_rtol, config.cg_rtol, step=m,
         )
         p = p[0]
@@ -324,7 +323,7 @@ def residual_report(traj, config):
                                       for m in range(times.size)])).max()
 
     tau = traj.sigma - mats.hardening[None, :, None] * traj.p
-    flow = FlowRule(config.rule_kind, mats.yield_stress).regularized(config.delta)
+    flow = FlowRule(VON_MISES, mats.yield_stress).regularized(config.delta)
     flow_res = 0.0
     for m in range(1, times.size):
         dt = times[m] - times[m - 1]

@@ -90,12 +90,13 @@ def path_from_csv(path):
     """Read a strain path from CSV columns t, xi_11, xi_22, xi_12 (tensor entries).
 
     Off-diagonal columns hold the physical tensor entries; the Mandel sqrt(2)
-    scaling is applied on read.
+    scaling is applied on read.  The file is UTF-8 text; a leading byte-order
+    mark, as spreadsheet tools write it, is skipped.
     """
     columns = ("xi_11", "xi_22", "xi_12")
     times, rows = [], []
     try:
-        with open(path, newline="", encoding="utf8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for record in csv.DictReader(fh):
                 times.append(float(record["t"]))
                 rows.append([float(record[name]) for name in columns])
@@ -103,6 +104,8 @@ def path_from_csv(path):
         raise ConfigurationError(f"cannot read strain path {path}: {err.strerror}") from None
     except KeyError as missing:
         raise ConfigurationError(f"strain path {path} misses column {missing}") from None
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"strain path {path} is not UTF-8 text") from None
     except (TypeError, ValueError, csv.Error) as err:
         raise ConfigurationError(f"strain path {path} has a missing or non-numeric "
                                  f"entry: {err}") from None

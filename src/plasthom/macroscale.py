@@ -112,7 +112,7 @@ class ElementCellState:
         offset = np.repeat(np.asarray(strains, dtype=float), cfg.n_samples, axis=0)
         z, p_new, _, _, moduli = finescale.newton_solve(
             self.space, self._systems, offset[:, None, :], self.p, phi, dt,
-            cfg.delta, cfg.rule_kind, 0.0, cfg.newton_rtol, CG_RTOL,
+            cfg.delta, 0.0, cfg.newton_rtol, CG_RTOL,
         )
         self._trial = (p_new, phi, moduli)
         return self._sample_mean(w @ z)

@@ -11,7 +11,10 @@ plastic strain p_old:
     z = A (xi - p),    p = p_old + dt * dPsi^delta(z - H p),
 
 where A has deviatoric eigenvalue a_dev = 2 mu and volumetric eigenvalue
-a_vol, and the regularized flow direction is radial in dev(z - H p).
+a_vol, and the regularized flow direction is radial in dev(z - H p).  Psi
+is the von Mises rule, the indicator of the yield set { |dev s| <= sigma_y },
+whose regularized gradient has magnitude max(|dev s| - sigma_y, 0) / delta;
+it is the only flow rule the solvers run.
 """
 
 from dataclasses import dataclass, fields
@@ -19,7 +22,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError
-from .flowrules import NORM_TYPE, VON_MISES
 from .tensors import DEV_PROJECTOR, SPH_PROJECTOR, deviatoric, lame_parameters
 
 
@@ -87,29 +89,12 @@ class MaterialArrays:
         return sph / self.a_vol[:, None] + (comps - sph) / self.a_dev[:, None]
 
 
-def _flow_increment(kind, s_trial, c_ratio, dt, delta, sigma_y):
-    """Plastic multiplier lambda and its derivative w.r.t. |dev tau_trial|.
+def plastic_step(xi_total, p_old, mats, dt, delta):
+    """One implicit von Mises update for all elements at once.
 
-    Solves s = s_trial - (a_dev + H) * dt * g(s) in closed form, where g is
-    the regularized flow magnitude, and returns lambda = dt * g(s).
-    ``c_ratio`` is (a_dev + H) * dt.
-    """
-    if kind == VON_MISES:
-        denom = delta + c_ratio
-        lam = np.maximum(s_trial - sigma_y, 0.0) * (dt / denom)
-        dlam = np.where(s_trial > sigma_y, dt / denom, 0.0)
-        return lam, dlam
-    if kind == NORM_TYPE:
-        threshold = sigma_y * (delta + c_ratio)
-        inner = s_trial <= threshold
-        lam = np.where(inner, s_trial * (dt / (delta + c_ratio)), dt * sigma_y)
-        dlam = np.where(inner, dt / (delta + c_ratio), 0.0)
-        return lam, dlam
-    raise ConfigurationError(f"unknown flow rule kind {kind!r}")
-
-
-def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES):
-    """One implicit flow-rule update for all elements at once.
+    The plastic multiplier lambda = max(s_trial - sigma_y, 0) dt / (delta +
+    (a_dev + H) dt) is the closed-form root of the scalar equation for the
+    deviatoric magnitude, with s_trial = |a_dev dev(xi) - (a_dev + H) p_old|.
 
     Parameters
     ----------
@@ -130,7 +115,8 @@ def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES):
     s_vec = mats.a_dev[:, None] * dev_xi - hard[:, None] * p_old
     s_trial = np.linalg.norm(s_vec, axis=-1)
 
-    lam, dlam = _flow_increment(kind, s_trial, hard * dt, dt, delta, mats.yield_stress)
+    rate = dt / (delta + hard * dt)   # d lambda / d s_trial where the element flows
+    lam = np.maximum(s_trial - mats.yield_stress, 0.0) * rate
     safe = np.where(s_trial > 0.0, s_trial, 1.0)
     n_dir = s_vec / safe[:, None]
     p_new = p_old + lam[:, None] * n_dir
@@ -138,14 +124,11 @@ def plastic_step(xi_total, p_old, mats, dt, delta, kind=VON_MISES):
     z = mats.a_vol[:, None] * sph_xi + mats.a_dev[:, None] * (dev_xi - p_new)
 
     moduli = mats.stiffness_moduli()
-    # the norm-type inner branch is linear in s_vec: at s_trial = 0 it has
-    # lam = 0 but slope dlam, which is also its hoop coefficient lam/s_trial
-    active = (lam > 0.0) | (dlam > 0.0)
+    active = lam > 0.0
     if np.any(active):
         nn = np.einsum("ei,ej->eij", n_dir, n_dir)
         a_dev2 = mats.a_dev**2
-        radial = (a_dev2 * dlam)[:, None, None] * nn
-        hoop_coef = np.where(s_trial > 0.0, a_dev2 * lam / safe, a_dev2 * dlam)
-        hoop = hoop_coef[:, None, None] * (DEV_PROJECTOR - nn)
+        radial = (a_dev2 * rate)[:, None, None] * nn
+        hoop = (a_dev2 * lam / safe)[:, None, None] * (DEV_PROJECTOR - nn)
         moduli = moduli - np.where(active[:, None, None], radial + hoop, 0.0)
     return z, p_new, moduli

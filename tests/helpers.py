@@ -33,7 +33,7 @@ def plane_strain_stiffness_matrix(E, nu):
 
 
 def reference_pointwise_response(E, nu, sigma_y, hardening, delta, path_fn,
-                                 times, refine=100, kind="von_mises"):
+                                 times, refine=100):
     """Fine-step implicit integration of the single-point evolution.
 
     Each refined backward-Euler step solves the full three-component implicit
@@ -57,10 +57,7 @@ def reference_pointwise_response(E, nu, sigma_y, hardening, delta, path_fn,
         n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
         if n == 0.0:
             return [0.0, 0.0, 0.0]
-        if kind == "von_mises":
-            mag = max(n - sigma_y, 0.0) / delta
-        else:
-            mag = min(n / delta, sigma_y)
+        mag = max(n - sigma_y, 0.0) / delta
         return [mag / n * di for di in d]
 
     def norm(v):

@@ -13,7 +13,6 @@ from plasthom.cellproblem import CG_RTOL, RveConfig
 from plasthom.errors import NumericalError
 from plasthom.fem import P1Space, mesh_torus
 from plasthom.finescale import newton_solve
-from plasthom.flowrules import VON_MISES
 from plasthom.macroscale import ElementCellState, _sample_materials
 from plasthom.media import ProbabilityLaw
 from plasthom.returnmap import MaterialArrays
@@ -46,7 +45,7 @@ def newton_step(space, samples, systems, strains, p_old, phi):
     offset = np.repeat(strains, RVE.n_samples, axis=0)[systems][:, None, :]
     u = phi[systems].copy()
     z, p, iters, res, moduli = newton_solve(space, mats, offset, p_old[systems], u, DT,
-                                            RVE.delta, VON_MISES, 0.0, RVE.newton_rtol,
+                                            RVE.delta, 0.0, RVE.newton_rtol,
                                             CG_RTOL)
     assert isinstance(iters, int) and res.shape == (len(systems),)
     return {"z": z, "p": p, "u": u, "moduli": moduli, "iters": iters}

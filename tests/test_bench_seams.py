@@ -66,6 +66,16 @@ def test_traced_fe2_solve_gives_json_counts():
     assert counts["finescale.newton.iters"] > 0 and counts["macroscale.newton.iters"] > 0
 
 
+@pytest.mark.parametrize("name", ["cell_mc", "fe2_macro", "ergodic"])
+def test_workload_passes_the_reference(name):
+    """A gated workload's default-seed output passes every check of a benchmark run."""
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.setup(workloads.DEFAULT_SEED)
+    output = workload.call(inputs)
+    assert workloads.check_output(workload, inputs, output, workloads.DEFAULT_SEED, 0,
+                                  workloads.load_reference()) == []
+
+
 def test_fe2_cells_pass_the_reference_with_a_sparse_direct_solver(monkeypatch):
     """fe2_macro's cell solves, done by sparse LU instead, still pass its checks."""
     calls = []

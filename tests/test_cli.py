@@ -310,6 +310,30 @@ class TestExitCodes:
         assert main(["cell", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_strain_path_not_utf8_is_configuration_error(self, run_dir, capsys):
+        out, cfg = run_dir
+        xi_csv = out / "xi.csv"
+        xi_csv.write_bytes(xi_csv.read_text().encode("utf-16"))
+        assert main(["cell", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{xi_csv} is not UTF-8 text" in err
+
+    @pytest.mark.parametrize("marked", ["config", "strain-path", "both"])
+    def test_byte_order_mark_is_ignored(self, run_dir, marked):
+        # spreadsheet tools save UTF-8 text with a leading byte-order mark
+        out, cfg = run_dir
+        bom = "\ufeff".encode("utf8")
+        config = json.loads(cfg.read_text())
+        config["bc"]["xi"] = "marked.csv"
+        (out / "marked.csv").write_bytes(bom * (marked != "config")
+                                         + (out / "xi.csv").read_bytes())
+        marked_cfg = out / "marked.json"
+        marked_cfg.write_bytes(bom * (marked != "strain-path") + json.dumps(config).encode())
+        assert main(["cell", "--config", str(cfg), "--out", str(out / "plain")]) == 0
+        assert main(["cell", "--config", str(marked_cfg), "--out", str(out / "marked")]) == 0
+        assert (out / "marked" / "cell_sigma.csv").read_bytes() \
+            == (out / "plain" / "cell_sigma.csv").read_bytes()
+
     def test_out_naming_a_file_is_configuration_error(self, run_dir, capsys):
         out, cfg = run_dir
         assert main(["korn", "--config", str(cfg), "--out", str(cfg)]) == 2

@@ -19,6 +19,7 @@ from plasthom.fem import (
     reference_preconditioner,
     solve_elastic,
     solve_periodic,
+    solve_periodic_systems,
 )
 from plasthom.media import PeriodizedMedium, ProbabilityLaw
 from plasthom.returnmap import MaterialArrays, plastic_step
@@ -338,14 +339,14 @@ class TestReferencePreconditioner:
     @PROPERTY
     @given(torus_moduli(max_cells=4).filter(lambda c: c[0].mesh.grid_size > 1),
            st.integers(0, 2**32 - 1))
-    # the largest grid that solve_periodic inverts densely, and the smallest above
+    # the largest grid that solve_periodic_systems inverts densely, and the smallest above
     @example(random_torus_moduli(DENSE_GRID, 1, 5, 100.0), 0)
     @example(random_torus_moduli(DENSE_GRID + 1, 1, 6, 100.0), 1)
     def test_solve_periodic_matches_pinned_direct_solve(self, case, seed):
         space, moduli = case
         A = space.assemble_operator(moduli)
         rhs = zero_mean(space, np.random.default_rng(seed).standard_normal(space.n_packed))
-        x = solve_periodic(space, A, rhs, rtol=1e-13)
+        x = solve_periodic_systems(space, moduli[None], rhs[None], rtol=1e-13)[0]
         keep = np.arange(2, space.n_packed)   # pin the first vertex
         pinned = np.zeros(space.n_packed)
         pinned[keep] = spsolve(A[keep][:, keep].tocsc(), rhs[keep])
@@ -374,7 +375,7 @@ class TestReferencePreconditioner:
             return x, iters
 
         monkeypatch.setattr(fem, "pcg", counting_pcg)
-        solve_periodic(space, A, b, rtol=1e-12)
+        solve_periodic_systems(space, moduli[None], b[None], rtol=1e-12)
         assert (space.n_packed <= fem.DENSE_PERIODIC_DOFS) == dense
         if dense:
             assert counts == []  # solved directly

@@ -1,38 +1,30 @@
-"""Property tests of the element return map for both flow rules.
+"""Property tests of the element return map (von Mises flow rule).
 
 States are drawn per regime: the trial deviatoric stress magnitude is set
-to a fixed fraction or multiple of the regime threshold, so finite
-differences never straddle a kink.  For von Mises the threshold is the
-yield stress (below: elastic, above: plastic); for the norm-type rule it is
-sigma_y * (delta + (a_dev + H) dt) (below: the linear plastic branch,
-above: saturated flow at rate sigma_y).
+to a fixed fraction or multiple of the yield stress (below: elastic, above:
+plastic), so finite differences never straddle the kink.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plasthom.errors import ConfigurationError
-from plasthom.flowrules import NORM_TYPE, VON_MISES
 from plasthom.returnmap import MaterialArrays, plastic_step
 from plasthom.tensors import isotropic_stiffness, lame_parameters
 
 from helpers import reference_pointwise_response
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-BELOW, ABOVE = (0.2, 0.8), (1.25, 4.0)   # trial magnitude / threshold
-REGIMES = {
-    (VON_MISES, BELOW): "elastic", (VON_MISES, ABOVE): "plastic",
-    (NORM_TYPE, BELOW): "plastic", (NORM_TYPE, ABOVE): "saturated",
-}
+BELOW, ABOVE = (0.2, 0.8), (1.25, 4.0)   # trial magnitude / yield stress
+REGIMES = {BELOW: "elastic", ABOVE: "plastic"}
 
 
 @dataclass
 class State:
-    kind: str
     regime: str
     E: float
     nu: float
@@ -40,7 +32,6 @@ class State:
     hardening: float
     delta: float
     dt: float
-    threshold: float
     xi: np.ndarray       # (1, 3) total strain
     p_old: np.ndarray    # (1, 3) previous plastic strain
 
@@ -49,7 +40,7 @@ class State:
         return MaterialArrays.from_parameters(self.E, self.nu, self.sigma_y, self.hardening)
 
     def step(self, xi):
-        return plastic_step(xi, self.p_old, self.mats, self.dt, self.delta, self.kind)
+        return plastic_step(xi, self.p_old, self.mats, self.dt, self.delta)
 
     def central_differences(self, h):
         fd = np.empty((3, 3))
@@ -69,45 +60,32 @@ def unit_deviator(angle):
 @st.composite
 def states(draw, p_old_max=0.5):
     """A single-element state whose trial magnitude lies inside one regime."""
-    kind = draw(st.sampled_from([VON_MISES, NORM_TYPE]))
     band = draw(st.sampled_from([BELOW, ABOVE]))
     E, nu = draw(st.floats(0.5, 5.0)), draw(st.floats(0.0, 0.45))
     sigma_y, hardening = draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 2.0))
     delta, dt = draw(st.floats(1e-3, 1e-1)), draw(st.floats(0.01, 1.0))
     a_dev = E / (1.0 + nu)
-    threshold = sigma_y if kind == VON_MISES \
-        else sigma_y * (delta + (a_dev + hardening) * dt)
     p_old = draw(st.floats(0.0, p_old_max)) * unit_deviator(draw(st.floats(0.0, 2 * np.pi)))
     # trial s = a_dev dev(xi) - (a_dev + H) p_old, placed inside the band
-    s_trial = draw(st.floats(*band)) * threshold \
+    s_trial = draw(st.floats(*band)) * sigma_y \
         * unit_deviator(draw(st.floats(0.0, 2 * np.pi)))
     dev_xi = (s_trial + (a_dev + hardening) * p_old) / a_dev
     sph_xi = draw(st.floats(-1.0, 1.0)) * np.array([1.0, 1.0, 0.0])
-    return State(kind, REGIMES[kind, band], E, nu, sigma_y, hardening, delta, dt,
-                 threshold, (dev_xi + sph_xi)[None, :], p_old[None, :])
+    return State(REGIMES[band], E, nu, sigma_y, hardening, delta, dt,
+                 (dev_xi + sph_xi)[None, :], p_old[None, :])
 
 
 @PROPERTY
 @given(states())
+# a purely hydrostatic strain from a zero plastic strain: zero trial stress
+@example(State("elastic", 1.0, 0.3, 0.3, 1.0, 0.003, 0.25,
+               np.array([[0.1, 0.1, 0.0]]), np.zeros((1, 3))))
 def test_tangent_matches_central_differences(state):
     _, p_new, moduli = state.step(state.xi)
     assert np.array_equal(p_new, state.p_old) == (state.regime == "elastic")
-    fd = state.central_differences(1e-4 * state.threshold / state.mats.a_dev[0])
-    assert np.linalg.norm(moduli[0] - fd) <= 1e-6 * np.linalg.norm(moduli[0])
-
-
-def test_norm_tangent_at_zero_trial_stress():
-    # a purely hydrostatic strain from a zero plastic strain: the trial
-    # deviatoric stress vanishes and the update sits on the linear inner branch
-    E, nu, sigma_y, hardening, delta, dt = 1.0, 0.3, 0.3, 1.0, 0.003, 0.25
-    a_dev = E / (1.0 + nu)
-    state = State(NORM_TYPE, "plastic", E, nu, sigma_y, hardening, delta, dt,
-                  sigma_y * (delta + (a_dev + hardening) * dt),
-                  np.array([[0.1, 0.1, 0.0]]), np.zeros((1, 3)))
-    _, p_new, moduli = state.step(state.xi)
-    assert np.array_equal(p_new, state.p_old)
-    fd = state.central_differences(1e-4 * state.threshold / a_dev)
-    assert fd[2, 2] == pytest.approx(0.437, abs=1e-3)
+    if state.regime == "elastic":
+        assert np.array_equal(moduli, state.mats.stiffness_moduli())
+    fd = state.central_differences(1e-4 * state.sigma_y / state.mats.a_dev[0])
     assert np.linalg.norm(moduli[0] - fd) <= 1e-6 * np.linalg.norm(moduli[0])
 
 
@@ -117,7 +95,7 @@ def test_one_step_matches_pointwise_reference(state):
     z, p_new, _ = state.step(state.xi)
     ref_z, ref_p = reference_pointwise_response(
         state.E, state.nu, state.sigma_y, state.hardening, state.delta,
-        lambda t: state.xi[0], np.array([0.0, state.dt]), refine=1, kind=state.kind)
+        lambda t: state.xi[0], np.array([0.0, state.dt]), refine=1)
     assert np.abs(z[0] - ref_z[1]).max() <= 1e-12 * max(1.0, np.abs(ref_z[1]).max())
     assert np.abs(p_new[0] - ref_p[1]).max() <= 1e-12 * max(1.0, np.abs(ref_p[1]).max())
 
