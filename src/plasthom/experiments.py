@@ -178,16 +178,18 @@ def run_ergodic_check(spec):
                                  f"expected one of {sorted(marginals)}")
     expected = marginals[stat].mean()
 
+    realizations = [sample_realization(law, base_seed + i)
+                    for i in range(array_size(n_seeds, "ergodic n_seeds"))]
+
     table = ReportTable(columns=["L", "seed", "value", "abs_error", "expected"])
     mean_errors = []
     for L in L_values:
         errs = []
-        for i in range(n_seeds):
-            omega = sample_realization(law, base_seed + i)
+        for omega in realizations:
             value = ergodic_average(omega, lambda params: params[stat], L)
             err = abs(value - expected)
             errs.append(err)
-            table.append(L, base_seed + i, value, err, expected)
+            table.append(L, omega.seed, value, err, expected)
         mean_errors.append(np.mean(errs))
     if np.all(np.asarray(mean_errors) > 0):
         slope = np.polyfit(np.log(np.asarray(L_values, dtype=float)),

@@ -17,9 +17,9 @@ factorization.  Above, CG runs with the exact inverse of the translation
 average of the operator as preconditioner, a block-circulant matrix
 diagonalized by the discrete Fourier transform (a reference medium in the
 sense of Moulinec and Suquet), whose iteration count is bounded by the phase
-contrast and does not grow with the grid.  The translation kernel of
-periodic problems is projected out of the right-hand side and of the
-solution, which is the zero-mean representative.
+contrast and does not grow with the grid; a system's right-hand sides share
+it.  The translation kernel of periodic problems is projected out of the
+right-hand side and of the solution, which is the zero-mean representative.
 """
 
 from dataclasses import dataclass
@@ -440,18 +440,25 @@ def pcg(A, b, precond, rtol=1e-10, maxiter=None):
 def solve_periodic(space, A, rhs, rtol=1e-10):
     """Solve a periodic (all-free) torus system; returns the zero-mean solution.
 
-    ``A`` is a CSR matrix from ``space.assemble_operator``.  CG runs with
-    ``reference_preconditioner``, whose range holds no translation, on the
-    right-hand side projected off the translation kernel (a periodic
-    problem's load is orthogonal to it up to roundoff, which CG could not
-    remove).  ``solve_periodic_systems`` calls it above
-    ``DENSE_PERIODIC_DOFS`` unknowns only.
+    ``A`` is a CSR matrix from ``space.assemble_operator`` and ``rhs`` is
+    (n,), or (n, k) for k right-hand sides.  One
+    ``reference_preconditioner``, whose range holds no translation, is built
+    for all of them, and CG runs with it on each right-hand side projected
+    off the translation kernel (a periodic problem's load is orthogonal to
+    it up to roundoff, which CG could not remove).
+    ``solve_periodic_systems`` calls it above ``DENSE_PERIODIC_DOFS``
+    unknowns only.
     """
     b = np.asarray(rhs, dtype=float)
-    for t in space.translation_vectors():
-        b = b - (t @ b) * t
-    x, _ = pcg(A, b, reference_preconditioner(space, A), rtol=rtol)
-    return x
+    precond = reference_preconditioner(space, A)
+    columns = b.reshape(b.shape[0], -1)
+    x = np.empty_like(columns)
+    for j in range(columns.shape[1]):
+        column = columns[:, j]
+        for t in space.translation_vectors():
+            column = column - (t @ column) * t
+        x[:, j], _ = pcg(A, column, precond, rtol=rtol)
+    return x.reshape(b.shape)
 
 
 def solve_periodic_systems(space, moduli, rhs, rtol=1e-10, step=None):
@@ -460,20 +467,17 @@ def solve_periodic_systems(space, moduli, rhs, rtol=1e-10, step=None):
     ``rhs`` is (S, n), or (S, n, k) for k right-hand sides per system.
     Systems of at most ``DENSE_PERIODIC_DOFS`` unknowns are assembled as one
     dense stack and go to ``solve_periodic_direct``.  Larger ones are
-    assembled one at a time, and ``solve_periodic`` runs CG on each
-    right-hand side.
+    assembled one at a time and go to ``solve_periodic``, which builds one
+    preconditioner per system for all its right-hand sides.
     """
     rhs = np.asarray(rhs, dtype=float)
     if space.n_packed <= DENSE_PERIODIC_DOFS:
         return solve_periodic_direct(space, space.assemble_dense(moduli), rhs, rtol=rtol,
                                      step=step)
-    columns = rhs.reshape(rhs.shape[0], rhs.shape[1], -1)
-    x = np.empty_like(columns)
+    x = np.empty_like(rhs)
     for s, system_moduli in enumerate(moduli):
-        A = space.assemble_operator(system_moduli)
-        for j in range(columns.shape[2]):
-            x[s, :, j] = solve_periodic(space, A, columns[s, :, j], rtol=rtol)
-    return x.reshape(rhs.shape)
+        x[s] = solve_periodic(space, space.assemble_operator(system_moduli), rhs[s], rtol=rtol)
+    return x
 
 
 def solve_periodic_direct(space, A, rhs, rtol=1e-10, step=None):

@@ -5,7 +5,11 @@ translated by a uniform random shift so that the ensemble is stationary
 under all spatial shifts, not only integer ones.  Cell values are pure
 functions of (seed, cell index): they are produced by a counter-based
 integer hash, so the field is defined on the whole plane with O(1) memory
-and re-evaluation is bit-identical.
+and re-evaluation is bit-identical.  The hash takes one index array per
+axis: a list of cells passes two columns, and a box passes its rows and its
+columns, so the medium is evaluated on their product grid without listing
+its cells; either way the parameter arrays come back flat, one entry per
+cell in row-major order.
 
 Scaled coefficient fields are realized by reading the medium at x/eps.
 Shifting a realization by y yields the realization of the translated medium,
@@ -48,21 +52,26 @@ def _mix(x):
     return x ^ (x >> np.uint64(31))
 
 
-def _uniform01(seed, cells, channel):
-    """Uniform [0,1) draws, one per row of the integer array ``cells``.
+def _uniform01(seed, coords, channel):
+    """Uniform [0,1) draws, one per cell of the integer index arrays ``coords``.
 
-    Pure in (seed, cell, channel); distinct channels give independent draws.
-    Arithmetic runs on uint64 arrays, wrapping mod 2^64 by construction.
+    ``coords`` holds one index array per axis, and the arrays broadcast
+    together: two columns (n,) name n cells, a column of row indices
+    (r, 1) and a row of column indices (1, c) name the r x c grid.  The hash
+    mixes in one axis per round, so on a grid the first round runs once per
+    row and only the last once per cell.  Draws come back flat, in row-major
+    order of the broadcast shape.  Pure in (seed, cell, channel); distinct
+    channels give independent draws.  Arithmetic runs on uint64 arrays,
+    wrapping mod 2^64 by construction.
     """
-    cells = np.atleast_2d(np.asarray(cells, dtype=np.int64))
     start = np.array([np.int64(seed)], dtype=np.int64).astype(np.uint64)
     start += _SALTS[channel]
-    h = np.broadcast_to(_mix(start), (cells.shape[0],)).copy()
-    for axis in range(cells.shape[1]):
-        key = cells[:, axis].astype(np.uint64)
+    h = _mix(start)
+    for axis, index in enumerate(coords):
+        key = np.asarray(index, dtype=np.int64).astype(np.uint64)
         key = key + _SALTS[axis + 1]
         h = _mix(h ^ key)
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (h >> np.uint64(11)).astype(np.float64).ravel() * 2.0**-53
 
 
 def sample_shifts(seeds):
@@ -70,7 +79,7 @@ def sample_shifts(seeds):
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     out = np.empty((seeds.size, 2))
     for axis in range(2):
-        out[:, axis] = _uniform01(0, seeds[:, None], _SHIFT_CHANNEL + axis)
+        out[:, axis] = _uniform01(0, (seeds,), _SHIFT_CHANNEL + axis)
     return out
 
 
@@ -229,16 +238,22 @@ class ProbabilityLaw:
             bound = min(bound, h, 1.0 / h)
         return bound
 
-    def cell_parameters(self, seed, cells):
-        """Parameter arrays for integer cells (n, 2): dict with E, nu, sigma_y, H."""
-        cells = np.atleast_2d(np.asarray(cells, dtype=np.int64))
+    def cell_parameters(self, seed, coords):
+        """Parameter arrays of integer cells: dict with E, nu, sigma_y, H.
+
+        ``coords`` holds one int64 index array per axis, broadcast together
+        as in ``_uniform01``: the two columns of a list of cells, or a column
+        of row indices and a row of column indices for a box.  Every array
+        is flat, one entry per cell in row-major order.
+        """
+        n_cells = np.broadcast(*coords).size
         out = {}
         for name, dist in (("E", self.E), ("nu", self.nu),
                            ("sigma_y", self.sigma_y), ("H", self.hardening)):
             if dist.is_point:
-                out[name] = np.full(cells.shape[0], dist.params[0])
+                out[name] = np.full(n_cells, dist.params[0])
             else:
-                out[name] = dist.sample(_uniform01(seed, cells, _CHANNELS[name]))
+                out[name] = dist.sample(_uniform01(seed, coords, _CHANNELS[name]))
         return out
 
 
@@ -284,7 +299,8 @@ class Realization:
         """Raw parameter arrays of the cells containing the given points."""
         if not eps > 0:
             raise ConfigurationError(f"scale eps must be positive, got {eps}")
-        return self.law.cell_parameters(self.seed, self._cells_at(points, eps))
+        cells = self._cells_at(points, eps)
+        return self.law.cell_parameters(self.seed, (cells[:, 0], cells[:, 1]))
 
 
 def sample_realization(law, seed, zero_shift=False):
@@ -309,11 +325,14 @@ def ergodic_average(omega, g, L):
     """Exact volume average of a cell statistic over the box [-L, L]^2 at scale 1.
 
     ``g`` receives the parameter dict of ``ProbabilityLaw.cell_parameters``
-    (arrays ``E``, ``nu``, ``sigma_y`` and ``H``, one entry per cell) and
-    returns the statistic per cell; a scalar is broadcast to every cell.
-    The field is piecewise constant on shifted unit cells, so the integral
-    is a finite sum over cells weighted by the overlap volume with the box
-    (cut cells included exactly).
+    (flat arrays ``E``, ``nu``, ``sigma_y`` and ``H``, one entry per cell of
+    the box in row-major order) and returns the statistic per cell; a scalar
+    is broadcast to every cell.  The field is piecewise constant on shifted
+    unit cells, so the integral is a finite sum over cells weighted by the
+    overlap volume with the box (cut cells included exactly).  The box is a
+    product grid: its rows and columns are listed once, the medium is
+    evaluated on their grid and a cell's weight is its row overlap times its
+    column overlap.
     """
     if L < 1:
         raise ConfigurationError(f"box half-width must be >= 1, got {L}")
@@ -326,11 +345,9 @@ def ergodic_average(omega, g, L):
         weights = np.minimum(cells + 1.0, hi) - np.maximum(cells.astype(float), lo)
         keep = weights > 0
         axes.append((cells[keep], weights[keep]))
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    cells = np.stack([grid.ravel() for grid in grids], axis=-1)
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    weights = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
-    params = omega.law.cell_parameters(omega.seed, cells)
+    (rows, row_weights), (cols, col_weights) = axes
+    weights = np.outer(row_weights, col_weights).ravel()
+    params = omega.law.cell_parameters(omega.seed, (rows[:, None], cols[None, :]))
     values = np.broadcast_to(np.asarray(g(params), dtype=float), weights.shape)
     return float(np.dot(weights, values) / (2.0 * L) ** 2)
 
@@ -355,4 +372,4 @@ class PeriodizedMedium:
     def parameters_at(self, points, eps=1.0):
         cells = np.floor(_points_of(points) / eps)
         cells = np.mod(cells.astype(np.int64), self.n_cells)
-        return self.law.cell_parameters(self.seed, cells)
+        return self.law.cell_parameters(self.seed, (cells[:, 0], cells[:, 1]))

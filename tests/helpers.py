@@ -185,3 +185,28 @@ def central_differences(cells, strains, dt, h):
         fd[:, :, comp] = (cells.advance(strains + step, dt)
                           - cells.advance(strains - step, dt)) / (2 * h[:, None])
     return fd
+
+
+def cellwise_ergodic_average(omega, g, L):
+    """The box average of ``media.ergodic_average``, summed cell by cell.
+
+    Lists every cell of the box as one (n, 2) row of indices from a
+    ``meshgrid`` and takes its weight as the product of its two axis
+    overlaps, in that order, so the sum runs over the same products in the
+    same order as the grid evaluation and must agree with it bit for bit.
+    """
+    offset = omega.translation - omega.shift
+    axes = []
+    for i in range(2):
+        lo, hi = -L + offset[i], L + offset[i]
+        cells = np.arange(int(np.floor(lo)), int(np.floor(hi)) + 1)
+        weights = np.minimum(cells + 1.0, hi) - np.maximum(cells.astype(float), lo)
+        keep = weights > 0
+        axes.append((cells[keep], weights[keep]))
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    cells = np.stack([grid.ravel() for grid in grids], axis=-1)
+    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    weights = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
+    params = omega.law.cell_parameters(omega.seed, (cells[:, 0], cells[:, 1]))
+    values = np.broadcast_to(np.asarray(g(params), dtype=float), weights.shape)
+    return float(np.dot(weights, values) / (2.0 * L) ** 2)

@@ -158,6 +158,38 @@ class TestElementCellBatches:
             fd = central_differences(alone, strains[e:e + 1], DT, h)
             assert np.abs(tangents[e] - fd[0]).max() <= 1e-6 * np.abs(fd).max()
 
+    def test_tangent_builds_one_preconditioner_per_cell(self, monkeypatch):
+        # N = 16 cells: 512 unknowns, and 3 tangent right-hand sides per cell
+        rve = RveConfig(n_cells=16, refine=1, n_samples=2, delta=0.003, law=TWO_PHASE,
+                        base_seed=0)
+        space = P1Space(mesh_torus(rve.n_cells, rve.refine))
+        assert space.n_packed > fem.DENSE_PERIODIC_DOFS
+        cell = ElementCellState(rve, space, _sample_materials(rve, space), 1)
+        cell.advance(macro_strains(1.0)[[6]], DT)
+        builds = []
+        build = fem.reference_preconditioner
+
+        def counting_build(space, A):
+            builds.append(A)
+            return build(space, A)
+
+        monkeypatch.setattr(fem, "reference_preconditioner", counting_build)
+        tangent = cell.tangent()
+        assert len(builds) == rve.n_samples
+
+        def column_by_column(space, moduli, rhs, rtol=1e-10, step=None):
+            # one solve_periodic, and so one preconditioner, per right-hand side
+            x = np.empty_like(rhs)
+            for s, system_moduli in enumerate(moduli):
+                A = space.assemble_operator(system_moduli)
+                for j in range(rhs.shape[2]):
+                    x[s, :, j] = fem.solve_periodic(space, A, rhs[s, :, j], rtol=rtol)
+            return x
+
+        monkeypatch.setattr(fem, "solve_periodic_systems", column_by_column)
+        assert np.array_equal(cell.tangent(), tangent)
+        assert len(builds) == 4 * rve.n_samples
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_strain_of_one_element_raises(self, cells):
         space, samples = cells

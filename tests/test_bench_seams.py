@@ -23,10 +23,12 @@ sys.path.insert(0, BENCH_DIR)
 import tracing
 import workloads
 
-from plasthom import fem, macroscale
+from plasthom import experiments, fem, macroscale
 from plasthom.cellproblem import RveConfig
+from plasthom.experiments import ExperimentSpec
 from plasthom.fem import mesh_unit_square
 from plasthom.loading import AffineBoundary, StrainPath
+from plasthom.media import sample_realization
 
 
 @pytest.mark.parametrize("owner, attr", [
@@ -64,6 +66,25 @@ def test_traced_fe2_solve_gives_json_counts():
     counts = tracing.exact_counts(tracing.layer_metrics(tracer.spans))
     json.dumps(counts)
     assert counts["finescale.newton.iters"] > 0 and counts["macroscale.newton.iters"] > 0
+
+
+def test_traced_ergodic_check_counts_every_cell_of_every_box():
+    """media.cell_parameters.cells, read off the length of the flat parameter
+    arrays, is the number of cells that overlap each box, summed over boxes."""
+    L_values, seeds = [1, 2, 5], range(7, 10)
+    spec = ExperimentSpec(kind="ergodic", params={
+        "law": workloads.TWO_PHASE, "L_values": L_values, "n_seeds": len(seeds),
+        "base_seed": seeds[0]})
+    with tracing.traced() as tracer:
+        experiments.run_ergodic_check(spec)  # looked up here, where tracing wraps it
+    expected = 0
+    for L in L_values:
+        for seed in seeds:
+            # the box [-L, L]^2 at offset -shift overlaps ceil(hi) - floor(lo) cells per axis
+            lo = -L - sample_realization(workloads.TWO_PHASE, seed).shift
+            expected += int(np.prod(np.ceil(lo + 2 * L) - np.floor(lo)))
+    counts = tracing.exact_counts(tracing.layer_metrics(tracer.spans))
+    assert counts["media.cell_parameters.cells"] == expected
 
 
 @pytest.mark.parametrize("name", ["cell_mc", "fe2_macro", "ergodic"])

@@ -237,6 +237,10 @@ class TestExitCodes:
                      "averaging.n_seeds", id="averaging-n-seeds-2**62"),
         pytest.param("korn", "korn.n_samples", 2**62 // 32, "unit_square", "korn n_samples",
                      id="korn-n-samples-2**62-entries"),
+        pytest.param("ergodic", "ergodic.n_seeds", 2**63, "unit_square", "ergodic n_seeds",
+                     id="ergodic-n-seeds"),
+        pytest.param("ergodic", "ergodic.n_seeds", 2**62, "unit_square", "ergodic n_seeds",
+                     id="ergodic-n-seeds-2**62"),
     ])
     def test_size_beyond_int64_is_configuration_error(self, run_dir, capsys, command, key,
                                                       value, domain, named):
@@ -370,6 +374,10 @@ NOT_BOOL = st.one_of(WRONG_TYPE, st.integers(), st.floats(), st.lists(st.boolean
                                                                         max_size=2))
 BAD_L_VALUES = st.one_of(WRONG_TYPE, st.booleans(), st.integers(), st.just([]),
                          st.lists(BAD_COUNT, min_size=1, max_size=3))
+# anything but the name of a law parameter
+BAD_STATISTIC = st.one_of(WRONG_TYPE, st.booleans(), st.integers(), st.floats(),
+                          st.lists(st.text(max_size=2), max_size=2)).filter(
+    lambda v: v not in ("E", "nu", "sigma_y", "H"))
 
 FUZZED_KEYS = {
     ("eps", "time.T", "unit_square"): BAD_NUMBER,
@@ -384,6 +392,8 @@ FUZZED_KEYS = {
     ("korn", "korn.n_cells", "unit_square"): BAD_COUNT,
     ("korn", "korn.n_samples", "unit_square"): BAD_COUNT,
     ("ergodic", "ergodic.L_values", "unit_square"): BAD_L_VALUES,
+    ("ergodic", "ergodic.n_seeds", "unit_square"): BAD_COUNT,
+    ("ergodic", "ergodic.statistic", "unit_square"): BAD_STATISTIC,
 }
 
 

@@ -15,6 +15,8 @@ from plasthom.media import (
     shifted,
 )
 
+from helpers import cellwise_ergodic_average
+
 
 def two_point_law(p_high=None):
     weights = None if p_high is None else [1 - p_high, p_high]
@@ -122,8 +124,7 @@ class TestLawSpecProperty:
         except ConfigurationError:
             return
         assert all(_finite_number(leaf) for leaf in _leaves(cfg)), cfg
-        cells = np.stack(np.meshgrid(np.arange(16), np.arange(16)), axis=-1).reshape(-1, 2)
-        params = law.cell_parameters(7, cells)
+        params = law.cell_parameters(7, (np.arange(16)[:, None], np.arange(16)[None, :]))
         assert all(np.all(np.isfinite(v)) for v in params.values()), cfg
         assert np.all(params["E"] > 0) and np.all(params["sigma_y"] > 0), cfg
         assert np.all(params["H"] > 0), cfg
@@ -202,9 +203,7 @@ class TestRealizations:
 
     def test_two_point_frequency(self):
         law = two_point_law()
-        cells = np.stack(np.meshgrid(np.arange(100), np.arange(100)),
-                         axis=-1).reshape(-1, 2)
-        params = law.cell_parameters(31, cells)
+        params = law.cell_parameters(31, (np.arange(100)[:, None], np.arange(100)[None, :]))
         freq = np.mean(params["E"] == 2.0)
         assert 0.48 <= freq <= 0.52
 
@@ -278,6 +277,46 @@ class TestErgodicAverage:
         with pytest.raises(ConfigurationError):
             ergodic_average(sample_realization(two_point_law(), 0),
                             lambda params: 1.0, 0.5)
+
+
+# no point marginal, so every statistic is read from hashed cell draws
+HASHED_LAW = ProbabilityLaw(
+    E=Distribution.uniform(1.0, 3.0),
+    nu=Distribution.discrete([0.1, 0.25, 0.4], [1.0, 2.0, 1.0]),
+    sigma_y=Distribution.uniform(0.2, 0.6),
+    hardening=Distribution.discrete([0.5, 2.0]),
+)
+
+
+class TestGridEvaluation:
+    """A box is hashed as a row x column grid; it must name the same cells,
+    in row-major order, as the (n, 2) cell list it replaced."""
+
+    @pytest.mark.parametrize("L", [1, 2.5, 7])
+    @pytest.mark.parametrize("statistic", ["E", "nu", "sigma_y", "H", "scalar"])
+    def test_ergodic_average_matches_the_cellwise_sum(self, L, statistic):
+        if statistic == "scalar":
+            def g(params):
+                return 0.75
+        else:
+            def g(params):
+                return params[statistic]
+        for seed in (0, 5, 2**40 + 3):
+            omega = sample_realization(HASHED_LAW, seed)
+            for y in ([0.0, 0.0], [0.37, -1.91], [-3.5, 12.25]):
+                moved = shifted(omega, np.array(y))
+                assert ergodic_average(moved, g, L) == cellwise_ergodic_average(moved, g, L)
+
+    @pytest.mark.parametrize("law", [HASHED_LAW, two_point_law()], ids=["hashed", "two-point"])
+    def test_grid_equals_the_same_cells_as_points(self, law):
+        rows = np.array([-2**62, -7, -1, 0, 1, 40, 2**62])
+        cols = np.array([-3, 0, 2, 9, 2**63 - 1])
+        grid = law.cell_parameters(11, (rows[:, None], cols[None, :]))
+        row_of, col_of = np.meshgrid(rows, cols, indexing="ij")
+        points = law.cell_parameters(11, (row_of.ravel(), col_of.ravel()))
+        for key, values in points.items():
+            assert grid[key].shape == values.shape == (rows.size * cols.size,)
+            assert np.array_equal(grid[key], values)
 
 
 class TestMeasurePreservationProxy:
