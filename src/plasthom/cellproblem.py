@@ -32,7 +32,9 @@ from .media import PeriodizedMedium, ProbabilityLaw
 from .returnmap import MaterialArrays
 from .tensors import KDIM, pack
 
-CG_RTOL = 1e-12  # relative CG tolerance of every periodic corrector solve
+# Floor of the forcing term of the Newton corrector solves, and the relative
+# tolerance of the condensed-tangent solves of ``macroscale``
+CG_RTOL = 1e-12
 
 
 @dataclass(frozen=True)

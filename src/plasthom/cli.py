@@ -323,7 +323,11 @@ def main(argv=None):
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except NumericalError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
+        where = [f"step {err.step}"] if err.step is not None else []
+        if err.residual is not None:
+            where.append(f"residual {err.residual:.3e}")
+        detail = f" ({', '.join(where)})" if where else ""
+        print(f"numerical failure: {err}{detail}", file=sys.stderr)
         return 3
 
 

@@ -7,6 +7,7 @@ the input.  Booleans and strings always fail; numpy scalars pass.
 
 import math
 import numbers
+from contextlib import contextmanager
 
 INT64_LIMIT = 2**63  # seeds and cell indices are cast to int64
 
@@ -27,6 +28,21 @@ class NumericalError(RuntimeError):
         self.step = step
         self.residual = residual
         self.partial = partial
+
+
+@contextmanager
+def at_step(step):
+    """Give a NumericalError raised inside the time step ``step`` if it names none.
+
+    Lets a solver that knows nothing of time steps, such as ``fem.pcg``,
+    fail with the step of the Newton iteration that called it.
+    """
+    try:
+        yield
+    except NumericalError as err:
+        if err.step is None:
+            err.step = step
+        raise
 
 
 def finite_number(value, name):

@@ -20,6 +20,13 @@ sense of Moulinec and Suquet), whose iteration count is bounded by the phase
 contrast and does not grow with the grid; a system's right-hand sides share
 it.  The translation kernel of periodic problems is projected out of the
 right-hand side and of the solution, which is the zero-mean representative.
+
+Every solve stops at a relative residual tolerance ``rtol``, and a stack of
+periodic systems takes one per system: ``finescale.newton_solve`` solves
+each Newton correction only as tightly as its system's own residual needs
+(an inexact Newton forcing term), while the tangent and elastic solves keep
+a fixed tight tolerance.  On the direct path the tolerance only bounds the
+residual check.
 """
 
 from dataclasses import dataclass
@@ -32,6 +39,7 @@ from .errors import (
     ConfigurationError,
     NumericalError,
     array_size,
+    at_step,
     positive_int,
     positive_number,
 )
@@ -464,19 +472,24 @@ def solve_periodic(space, A, rhs, rtol=1e-10):
 def solve_periodic_systems(space, moduli, rhs, rtol=1e-10, step=None):
     """Solve the periodic systems of S moduli stacks (S, ne, 3, 3) at once.
 
-    ``rhs`` is (S, n), or (S, n, k) for k right-hand sides per system.
-    Systems of at most ``DENSE_PERIODIC_DOFS`` unknowns are assembled as one
-    dense stack and go to ``solve_periodic_direct``.  Larger ones are
-    assembled one at a time and go to ``solve_periodic``, which builds one
-    preconditioner per system for all its right-hand sides.
+    ``rhs`` is (S, n), or (S, n, k) for k right-hand sides per system, and
+    ``rtol`` is one relative tolerance for all systems or one per system
+    (S,).  Systems of at most ``DENSE_PERIODIC_DOFS`` unknowns are assembled
+    as one dense stack and go to ``solve_periodic_direct``.  Larger ones are
+    assembled one at a time and go to ``solve_periodic`` with their own
+    tolerance, which builds one preconditioner per system for all its
+    right-hand sides.  A failed solve raises NumericalError with ``step``.
     """
     rhs = np.asarray(rhs, dtype=float)
     if space.n_packed <= DENSE_PERIODIC_DOFS:
         return solve_periodic_direct(space, space.assemble_dense(moduli), rhs, rtol=rtol,
                                      step=step)
+    rtol = np.broadcast_to(rtol, (len(moduli),))
     x = np.empty_like(rhs)
-    for s, system_moduli in enumerate(moduli):
-        x[s] = solve_periodic(space, space.assemble_operator(system_moduli), rhs[s], rtol=rtol)
+    with at_step(step):
+        for s, system_moduli in enumerate(moduli):
+            x[s] = solve_periodic(space, space.assemble_operator(system_moduli), rhs[s],
+                                  rtol=rtol[s])
     return x
 
 
@@ -489,9 +502,10 @@ def solve_periodic_direct(space, A, rhs, rtol=1e-10, step=None):
     (orthonormal rows), so with s the mean diagonal entry A + s T^T T is
     invertible.  One batched LU solve with it on the right-hand sides
     projected off T gives the solutions, which are then projected off T
-    too.  Every system's residual must lie within ``rtol`` of its
-    right-hand side; a singular matrix or a non-finite or larger residual
-    raises NumericalError with ``step`` and the worst residual.
+    too.  Every system's residual must lie within ``rtol`` (a scalar, or
+    one per system (S,)) of its right-hand side; a singular matrix or a
+    non-finite or larger residual raises NumericalError with ``step`` and
+    the worst residual.
     """
     b = np.asarray(rhs, dtype=float)
     if space.n_packed == DIM:
@@ -508,13 +522,14 @@ def solve_periodic_direct(space, A, rhs, rtol=1e-10, step=None):
         raise NumericalError("direct periodic solve met a singular operator",
                              step=step) from None
     x = x - T.T @ (T @ x)
-    res = np.linalg.norm(b - A @ x, axis=1)
-    bound = rtol * np.linalg.norm(b, axis=1)
+    res = np.linalg.norm(b - A @ x, axis=1)                     # (S, k)
+    bound = np.asarray(rtol)[..., None] * np.linalg.norm(b, axis=1)
     if not np.all(res <= bound):  # NaN fails
-        worst = float(np.max(np.where(res <= bound, 0.0, res)))
+        worst = np.unravel_index(np.argmax(np.where(res <= bound, -1.0, res)), res.shape)
         raise NumericalError(
-            f"direct periodic solve left a residual of {worst:.3e}, above rtol {rtol:.1e} "
-            "relative to its right-hand side", step=step, residual=worst)
+            f"direct periodic solve left a residual of {res[worst]:.3e}, above rtol "
+            f"{np.broadcast_to(rtol, len(res))[worst[0]]:.1e} relative to its right-hand side",
+            step=step, residual=float(res[worst]))
     return x[..., 0] if single else x
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .errors import ConfigurationError, NumericalError, positive_number
+from .errors import ConfigurationError, NumericalError, at_step, positive_number
 from .fem import P1Space, jacobi, pcg, solve_elastic
 from .flowrules import VON_MISES, FlowRule
 from .loading import checked_boundary, checked_time_grid
@@ -26,6 +26,11 @@ from .returnmap import MaterialArrays, plastic_step
 from .tensors import KDIM, unpack
 
 NEWTON_MAXITER = 50
+# Forcing term of the inexact Newton iteration: a system's correction is
+# solved to the relative tolerance FORCING_GAMMA * res / scale, clipped to
+# [cg_rtol, FORCING_MAX] (see ``newton_solve``).
+FORCING_GAMMA = 1e-2
+FORCING_MAX = 1e-4
 
 
 @dataclass
@@ -45,7 +50,7 @@ class EpsProblemConfig:
     dirichlet: object
     load: object = None
     newton_rtol: float = 1e-8
-    cg_rtol: float = 1e-12
+    cg_rtol: float = 1e-12  # floor of the Newton forcing term; tolerance of elastic solves
 
     def __post_init__(self):
         self.time_grid = checked_time_grid(self.time_grid)
@@ -119,7 +124,21 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     fails to reduce its residual, its own correction damped by halving.  A
     converged system is frozen and no longer evaluated, so it runs the
     iterate sequence it would run alone.  At most NEWTON_MAXITER iterations
-    run.  Returns (z, p_new, iterations, residuals, moduli): stresses and
+    run.
+
+    The Newton iteration is inexact (Dembo, Eisenstat & Steihaug 1982):
+    system s solves its correction only to the relative CG tolerance
+    eta_s = clip(FORCING_GAMMA * res_s / scale_s, cg_rtol, FORCING_MAX),
+    with res_s its current residual norm and scale_s = max(res0_s,
+    |f_ext,s|) the scale of the convergence test.  The forcing term shrinks
+    with the residual, which keeps the local convergence fast (Eisenstat &
+    Walker 1996), and depends on the system's own residual only, so a
+    system runs the same iterates in any batch.  The convergence test, the
+    roundoff floor and the line search do not depend on eta, so the
+    converged state meets the same tolerance as with exact solves.  A
+    failed linear solve raises NumericalError with ``step``.
+
+    Returns (z, p_new, iterations, residuals, moduli): stresses and
     plastic strains (S, ne, 3), the sum of the systems' iteration counts
     (an int), the final residual norms (S,) and the algorithmic moduli
     (S, ne, 3, 3) of the last accepted evaluation, i.e. of the converged
@@ -151,14 +170,17 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
 
     def solve(systems):
         rhs = f_ext[systems] - f_int[systems]
+        eta = np.minimum(np.maximum(FORCING_GAMMA * res[systems] / scale[systems], cg_rtol),
+                         FORCING_MAX)
         if periodic:
-            return fem.solve_periodic_systems(space, moduli[systems], rhs, rtol=cg_rtol,
+            return fem.solve_periodic_systems(space, moduli[systems], rhs, rtol=eta,
                                               step=step)
         updates = []
-        for s, b in zip(systems, rhs):  # Jacobi CG, one system at a time
-            A = space.assemble_operator(moduli[s])
-            Aff = A[free][:, free]
-            updates.append(pcg(Aff, b[free], jacobi(Aff), rtol=cg_rtol)[0])
+        with at_step(step):
+            for s, b, eta_s in zip(systems, rhs, eta):  # Jacobi CG, one system at a time
+                A = space.assemble_operator(moduli[s])
+                Aff = A[free][:, free]
+                updates.append(pcg(Aff, b[free], jacobi(Aff), rtol=eta_s)[0])
         return np.stack(updates)
 
     active = np.arange(n_systems)
@@ -167,7 +189,8 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
         raise NumericalError("the equilibrium residual is not finite", step=step,
                              residual=float(np.max(res)))
     floor = 1e-14 * (_norms(space.force_scale(z)[:, free]) + f_norm)
-    tol = rtol * np.maximum(res, f_norm) + floor
+    scale = np.maximum(res, f_norm)
+    tol = rtol * scale + floor
     iters = np.zeros(n_systems, dtype=int)
     for _ in range(NEWTON_MAXITER):
         active = active[res[active] > tol[active]]

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from plasthom import finescale
 from plasthom.cli import main
+from plasthom.errors import NumericalError
 
 
 @pytest.fixture
@@ -138,6 +140,17 @@ class TestExitCodes:
         strict_path = out / "strict.json"
         strict_path.write_text(json.dumps(strict))
         assert main(["macro", "--config", str(strict_path), "--out", str(out)]) == 3
+
+    def test_numerical_error_prints_step_and_residual(self, run_dir, monkeypatch, capsys):
+        out, cfg = run_dir
+
+        def failing_pcg(*args, **kwargs):
+            raise NumericalError("conjugate gradients broke down", residual=0.25)
+
+        monkeypatch.setattr(finescale, "pcg", failing_pcg)
+        assert main(["eps", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.strip() == (
+            "numerical failure: conjugate gradients broke down (step 1, residual 2.500e-01)")
 
     def test_missing_xi_reference_is_configuration_error(self, run_dir):
         out, cfg = run_dir

@@ -5,6 +5,8 @@ import pytest
 
 from plasthom.errors import (
     ConfigurationError,
+    NumericalError,
+    at_step,
     finite_number,
     positive_int,
     positive_number,
@@ -35,3 +37,15 @@ class TestCheckers:
             valid_seed(2**63, "seed")
         with pytest.raises(ConfigurationError):
             valid_seed(-1, "seed")
+
+
+class TestAtStep:
+    def test_gives_the_step_to_an_error_without_one(self):
+        with pytest.raises(NumericalError) as err, at_step(4):
+            raise NumericalError("failed", residual=1.0)
+        assert (err.value.step, err.value.residual) == (4, 1.0)
+
+    def test_keeps_the_step_an_error_names(self):
+        with pytest.raises(NumericalError) as err, at_step(4):
+            raise NumericalError("failed", step=2)
+        assert err.value.step == 2

@@ -395,3 +395,55 @@ class TestReferencePreconditioner:
             isotropic_stiffness(1.0, 0.3), (space.mesh.n_elements, 3, 3)))
         with pytest.raises(ConfigurationError, match="mesh_torus"):
             reference_preconditioner(space, A)
+
+
+class TestPerSystemTolerance:
+    """``solve_periodic_systems`` with one relative tolerance per system."""
+
+    RTOL = np.array([1e-3, 1e-7, 1e-12])
+
+    @staticmethod
+    def stack(n_cells, refine):
+        systems = [random_torus_moduli(n_cells, refine, seed, 10.0) for seed in range(3)]
+        space = systems[0][0]
+        moduli = np.stack([m for _, m in systems])
+        rng = np.random.default_rng(4)
+        rhs = np.stack([zero_mean(space, rng.standard_normal(space.n_packed))
+                        for _ in range(3)])
+        return space, moduli, rhs
+
+    def test_each_cg_solve_stops_at_its_own_tolerance(self):
+        space, moduli, rhs = self.stack(8, 2)
+        assert space.n_packed > fem.DENSE_PERIODIC_DOFS
+        x = solve_periodic_systems(space, moduli, rhs, rtol=self.RTOL)
+        res = np.array([np.linalg.norm(space.assemble_operator(m) @ xs - b)
+                        for m, xs, b in zip(moduli, x, rhs)])
+        norm_b = np.linalg.norm(rhs, axis=1)
+        assert np.all(res <= self.RTOL * norm_b)
+        assert res[0] > self.RTOL[-1] * norm_b[0]  # not the tightest tolerance for all
+
+    def test_scalar_tolerance_for_several_right_hand_sides(self):
+        space, moduli, rhs = self.stack(8, 2)
+        columns = np.stack([rhs, rhs[::-1], 2.0 * rhs], axis=-1)   # (3, n, 3)
+        x = solve_periodic_systems(space, moduli, columns, rtol=1e-12)
+        for m, xs, b in zip(moduli, x, columns):
+            res = np.linalg.norm(space.assemble_operator(m) @ xs - b, axis=0)
+            assert np.all(res <= 1e-12 * np.linalg.norm(b, axis=0))
+
+    @pytest.mark.parametrize("n_cells, refine", [(DENSE_GRID, 1), (8, 2)],
+                             ids=["direct", "cg"])
+    def test_stack_equals_single_solves_bit_for_bit(self, n_cells, refine):
+        space, moduli, rhs = self.stack(n_cells, refine)
+        x = solve_periodic_systems(space, moduli, rhs, rtol=self.RTOL)
+        for s in range(3):
+            alone = solve_periodic_systems(space, moduli[s:s + 1], rhs[s:s + 1],
+                                           rtol=self.RTOL[s:s + 1])
+            assert np.array_equal(x[s], alone[0])
+
+    def test_direct_check_uses_each_systems_tolerance(self):
+        space, moduli, rhs = self.stack(DENSE_GRID, 1)
+        A = space.assemble_dense(moduli)
+        fem.solve_periodic_direct(space, A, rhs, rtol=self.RTOL)
+        with pytest.raises(NumericalError, match="above rtol 1.0e-30") as err:
+            fem.solve_periodic_direct(space, A, rhs, rtol=[1e-3, 1e-30, 1e-3], step=2)
+        assert err.value.step == 2
