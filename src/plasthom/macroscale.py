@@ -10,8 +10,12 @@ tangent is the condensed tangent of the converged cells,
 C_hom = <C> - G^T K^+ G / |Y| (Miehe 2002; Kouznetsova, Brekelmans &
 Baaijens 2001), with C the cells' algorithmic moduli, K their periodic
 operator and G the nodal forces of unit macro strains.  Small cells solve
-the three columns of K^+ G with one factorization of K each.  The cell
-states are committed exactly once per accepted step.
+the three columns of K^+ G with one factorization of K each.  Each macro
+iteration after a step's first starts the cells' Newton iterations from
+the condensed-tangent predictor phi_trial - K^+ G (xi - xi_trial), which
+reuses the tangent's solve; a step's first iteration starts from the
+committed correctors.  The cell states are committed exactly once per
+accepted step.
 """
 
 import time as _time
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import fem, finescale
 from .cellproblem import CG_RTOL
-from .errors import ConfigurationError, NumericalError, finite_number, positive_int
+from .errors import ConfigurationError, NumericalError, at_step, finite_number, positive_int
 from .fem import P1Space, jacobi, mesh_torus, pcg
 from .finescale import _add_boundary_offset, _impose_dirichlet, _load_vector
 from .loading import checked_boundary, checked_time_grid
@@ -83,6 +87,14 @@ class ElementCellState:
     sample-averaged stresses; ``tangent`` gives the condensed tangents at
     that trial state and ``commit`` makes the last advance permanent.
     Neither ``advance`` nor ``tangent`` touches committed arrays.
+
+    ``tangent`` keeps the trial correctors, their per-cell macro strains and
+    its K^+ G as the predictor of the next ``advance``, which starts each
+    cell's Newton iteration from phi_trial - K^+ G (xi - xi_trial) and
+    drops the predictor.  An advance without a tangent before it, such as a
+    step's first, starts from the committed correctors.  The plastic update
+    starts from the committed plastic strains either way, and ``commit``
+    drops the predictor, so no step sees another step's predictor.
     """
 
     def __init__(self, rve_cfg, rve_space, mats, n_elements):
@@ -95,6 +107,7 @@ class ElementCellState:
         self.p = np.zeros((n_cells, rve_space.mesh.n_elements, KDIM))
         self.phi = np.zeros((n_cells, rve_space.n_packed))
         self._trial = None
+        self._predictor = None
 
     def _sample_mean(self, values):
         """Per-element mean over the samples of per-cell values (E * M, ...)."""
@@ -108,13 +121,18 @@ class ElementCellState:
         """
         cfg = self.cfg
         w = self.space.mesh.volumes / self.space.mesh.volumes.sum()
-        phi = self.phi.copy()
         offset = np.repeat(np.asarray(strains, dtype=float), cfg.n_samples, axis=0)
+        if self._predictor is None:
+            phi = self.phi.copy()
+        else:
+            phi_trial, offset_trial, KG = self._predictor
+            phi = phi_trial - np.einsum("snj,sj->sn", KG, offset - offset_trial)
+        self._predictor = None
         z, p_new, _, _, moduli = finescale.newton_solve(
             self.space, self._systems, offset[:, None, :], self.p, phi, dt,
             cfg.delta, 0.0, cfg.newton_rtol, CG_RTOL,
         )
-        self._trial = (p_new, phi, moduli)
+        self._trial = (p_new, phi, moduli, offset)
         return self._sample_mean(w @ z)
 
     def tangent(self):
@@ -128,16 +146,18 @@ class ElementCellState:
         """
         space = self.space
         volumes = space.mesh.volumes
-        moduli = self._trial[2]
+        _, phi, moduli, offset = self._trial
         G = space.internal_forces(np.moveaxis(moduli, -1, 1))     # (E * M, 3, n)
         KG = fem.solve_periodic_systems(space, moduli, np.swapaxes(G, 1, 2), rtol=CG_RTOL)
+        self._predictor = (phi, offset, KG)
         total = self._sample_mean(np.einsum("e,seij->sij", volumes, moduli) - G @ KG)
         total /= volumes.sum()
         return 0.5 * (total + np.swapaxes(total, 1, 2))
 
     def commit(self):
-        self.p, self.phi, _ = self._trial
+        self.p, self.phi, _, _ = self._trial
         self._trial = None
+        self._predictor = None
 
 
 @dataclass
@@ -180,44 +200,45 @@ def solve_effective(config):
     free = space.free_dofs
 
     for m in range(1, steps + 1):
-        t, dt = times[m], times[m] - times[m - 1]
-        _impose_dirichlet(space, config, t, u)
-        f_ext = _load_vector(space, config, t)
+        with at_step(m):
+            t, dt = times[m], times[m] - times[m - 1]
+            _impose_dirichlet(space, config, t, u)
+            f_ext = _load_vector(space, config, t)
 
-        converged = False
-        res_norm = np.inf
-        for it in range(NEWTON_MAXITER):
-            if config.max_seconds is not None \
-                    and _time.monotonic() - start > config.max_seconds:
+            converged = False
+            res_norm = np.inf
+            for it in range(NEWTON_MAXITER):
+                if config.max_seconds is not None \
+                        and _time.monotonic() - start > config.max_seconds:
+                    raise NumericalError(
+                        "wall-clock budget exceeded",
+                        partial=_package(times, u_hist, sig_hist, iter_history, space,
+                                         upto=m - 1),
+                    )
+                strains = space.element_strains(space.unpack_field(u))
+                sig = cells.advance(strains, dt)
+                f_int = space.internal_forces(sig)
+                residual = (f_ext - f_int)[free]
+                res_norm = np.linalg.norm(residual)
+                denom = max(np.linalg.norm(f_int[free]), np.linalg.norm(f_ext[free]),
+                            1e-300)
+                if res_norm <= config.newton_rtol * denom + 1e-14 * (1.0 + denom):
+                    cells.commit()
+                    sig_hist[m] = sig
+                    converged = True
+                    iter_history.append(it)
+                    break
+                A = space.assemble_operator(cells.tangent())
+                Aff = A[free][:, free]
+                du, _ = pcg(Aff, residual, jacobi(Aff), rtol=1e-12)
+                u[free] += du
+            if not converged:
+                worst = free[np.argsort(np.abs(residual))[-5:]]
                 raise NumericalError(
-                    "wall-clock budget exceeded", step=m,
-                    partial=_package(times, u_hist, sig_hist, iter_history, space,
-                                     upto=m - 1),
+                    f"macro Newton did not converge (worst dofs {worst.tolist()})",
+                    residual=float(res_norm),
                 )
-            strains = space.element_strains(space.unpack_field(u))
-            sig = cells.advance(strains, dt)
-            f_int = space.internal_forces(sig)
-            residual = (f_ext - f_int)[free]
-            res_norm = np.linalg.norm(residual)
-            denom = max(np.linalg.norm(f_int[free]), np.linalg.norm(f_ext[free]),
-                        1e-300)
-            if res_norm <= config.newton_rtol * denom + 1e-14 * (1.0 + denom):
-                cells.commit()
-                sig_hist[m] = sig
-                converged = True
-                iter_history.append(it)
-                break
-            A = space.assemble_operator(cells.tangent())
-            Aff = A[free][:, free]
-            du, _ = pcg(Aff, residual, jacobi(Aff), rtol=1e-12)
-            u[free] += du
-        if not converged:
-            worst = free[np.argsort(np.abs(residual))[-5:]]
-            raise NumericalError(
-                f"macro Newton did not converge (worst dofs {worst.tolist()})",
-                step=m, residual=float(res_norm),
-            )
-        u_hist[m] = space.unpack_field(u)
+            u_hist[m] = space.unpack_field(u)
 
     _add_boundary_offset(config, times, u_hist)
     return _package(times, u_hist, sig_hist, iter_history, space, cells=cells)

@@ -8,7 +8,7 @@ unknowns), M = 2 samples, E = 8 macro strains from elastic to plastic.
 import numpy as np
 import pytest
 
-from plasthom import fem
+from plasthom import fem, finescale
 from plasthom.cellproblem import CG_RTOL, RveConfig
 from plasthom.errors import NumericalError
 from plasthom.fem import P1Space, mesh_torus
@@ -25,6 +25,7 @@ TWO_PHASE = ProbabilityLaw.from_config({"E": {"discrete": {"values": [1.0, 2.0]}
 RVE = RveConfig(n_cells=4, refine=1, n_samples=2, delta=0.003, law=TWO_PHASE, base_seed=0)
 E = 8
 DT = 0.25
+PERTURBATION = np.array([0.002, -0.001, 0.005])  # moves the elastic element 0 too
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,21 @@ class TestElementCellBatches:
             cell.commit()
         return np.stack(stresses), np.stack(tangents)
 
+    def predicted_twice(self, rve, space, samples, strains):
+        """Stresses and tangents of cells at the macro strains (E, 3) over two
+        steps of advance, tangent, advance at a perturbed strain, commit; the
+        second advance of each step starts from the predictor."""
+        cell = ElementCellState(rve, space, samples, len(strains))
+        stresses, tangents = [], []
+        for scale in (1.0, -0.6):
+            xi = scale * strains
+            stresses.append(cell.advance(xi, DT))
+            tangents.append(cell.tangent())
+            stresses.append(cell.advance(1.02 * xi + scale * PERTURBATION, DT))
+            tangents.append(cell.tangent())
+            cell.commit()
+        return np.stack(stresses), np.stack(tangents)
+
     @pytest.mark.parametrize("size", [1, 3])
     def test_smaller_containers_match_all_elements(self, cells, size):
         space, samples = cells
@@ -139,6 +155,87 @@ class TestElementCellBatches:
                  for start in range(0, E, size)]
         assert_close(np.concatenate([s for s, _ in parts], axis=1), stresses)
         assert_close(np.concatenate([t for _, t in parts], axis=1), tangents)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_predicted_advances_of_smaller_containers_match_all_elements(self, cells, size):
+        space, samples = cells
+        strains = macro_strains(1.0)
+        stresses, tangents = self.predicted_twice(RVE, space, samples, strains)
+        parts = [self.predicted_twice(RVE, space, samples, strains[start:start + size])
+                 for start in range(0, E, size)]
+        assert_close(np.concatenate([s for s, _ in parts], axis=1), stresses)
+        assert_close(np.concatenate([t for _, t in parts], axis=1), tangents)
+
+    def test_predicted_advances_above_the_dense_cap(self):
+        rve = RveConfig(n_cells=11, refine=1, n_samples=2, delta=0.003, law=TWO_PHASE,
+                        base_seed=0)
+        space = P1Space(mesh_torus(rve.n_cells, rve.refine))
+        assert space.n_packed > fem.DENSE_PERIODIC_DOFS
+        samples = _sample_materials(rve, space)
+        strains = macro_strains(1.0)[[1, 7]]
+        stresses, tangents = self.predicted_twice(rve, space, samples, strains)
+        for e in range(2):
+            alone = self.predicted_twice(rve, space, samples, strains[e:e + 1])
+            assert_close(alone[0], stresses[:, e:e + 1])
+            assert_close(alone[1], tangents[:, e:e + 1])
+
+    def test_elastic_cells_are_predicted_exactly(self, cells, monkeypatch):
+        """Cells that stay elastic respond linearly, so the condensed-tangent
+        predictor is their solution and the predicted advance runs no Newton
+        iteration; the cold first advance needs some."""
+        space, samples = cells
+        iterations = []
+        newton_solve = finescale.newton_solve
+
+        def counting_newton(*args, **kwargs):
+            out = newton_solve(*args, **kwargs)
+            iterations.append(out[2])
+            return out
+
+        monkeypatch.setattr(finescale, "newton_solve", counting_newton)
+        strains = macro_strains(1.0)[[1, 2]]     # elastic in every cell
+        cell = ElementCellState(RVE, space, samples, len(strains))
+        cell.advance(strains, DT)
+        cell.tangent()
+        cell.advance(1.02 * strains + PERTURBATION, DT)
+        assert iterations[0] > 0 and iterations[1] == 0
+        assert not cell._trial[0].any()
+
+    def test_predictor_never_outlives_commit(self, cells):
+        """After commit, and after an advance without a tangent before it,
+        cells advance bit for bit like fresh cells from the committed state."""
+        space, samples = cells
+        strains = macro_strains(1.0)
+        cell = ElementCellState(RVE, space, samples, E)
+        cell.advance(strains, DT)
+        cell.tangent()
+        cell.advance(1.02 * strains + PERTURBATION, DT)
+        cell.tangent()
+        cell.commit()
+        fresh = ElementCellState(RVE, space, samples, E)
+        fresh.p, fresh.phi = cell.p.copy(), cell.phi.copy()
+        reverse = macro_strains(-0.6)
+        assert np.array_equal(cell.advance(reverse, DT), fresh.advance(reverse, DT))
+        for kept, own in zip(cell._trial, fresh._trial):
+            assert np.array_equal(kept, own)
+        cell.tangent()
+        cell.advance(0.9 * reverse, DT)        # predicted
+        assert np.array_equal(cell.advance(reverse, DT), fresh.advance(reverse, DT))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_failed_predicted_advance_keeps_the_committed_state(self, cells):
+        space, samples = cells
+        cell = ElementCellState(RVE, space, samples, E)
+        cell.advance(macro_strains(1.0), DT)
+        cell.commit()
+        p, phi = cell.p.copy(), cell.phi.copy()
+        strains = macro_strains(-0.6)
+        cell.advance(strains, DT)
+        cell.tangent()
+        strains[3, 0] = np.inf
+        with pytest.raises(NumericalError):
+            cell.advance(strains, DT)
+        assert np.array_equal(cell.p, p) and np.array_equal(cell.phi, phi)
 
     def test_cells_above_the_dense_cap(self):
         # N = 11 cells: 242 unknowns, solved by DFT-preconditioned CG system by system

@@ -391,6 +391,24 @@ BAD_L_VALUES = st.one_of(WRONG_TYPE, st.booleans(), st.integers(), st.just([]),
 BAD_STATISTIC = st.one_of(WRONG_TYPE, st.booleans(), st.integers(), st.floats(),
                           st.lists(st.text(max_size=2), max_size=2)).filter(
     lambda v: v not in ("E", "nu", "sigma_y", "H"))
+# every list of positive numbers is a valid epsilon sweep, so each drawn list
+# holds at least one entry that is no positive number
+BAD_EPSILONS = st.one_of(
+    WRONG_TYPE, st.booleans(), st.integers(), st.floats(), st.just([]),
+    st.tuples(st.lists(st.floats(0.25, 0.5), max_size=2),
+              st.one_of(BAD_NUMBER, st.booleans())).map(lambda v: v[0] + [v[1]]))
+# names of missing files and of files that are no strain path, or no name at all
+BAD_XI = st.one_of(
+    NOT_SCALAR.filter(lambda v: not isinstance(v, str)), st.booleans(), st.floats(),
+    st.text(max_size=3).map(lambda name: "missing" + name), st.sampled_from(["", ".", "run.json"]))
+# every non-null value that is not rows [t, a_1, a_2] of finite numbers with
+# increasing t; null means no offset
+BAD_OFFSET = st.one_of(
+    WRONG_TYPE.filter(lambda v: v is not None), st.booleans(), st.floats(), st.just([]),
+    st.lists(st.lists(st.floats(-1.0, 1.0), max_size=4).filter(lambda row: len(row) != 3),
+             min_size=1, max_size=2),
+    st.tuples(NON_FINITE, st.floats(-1.0, 1.0)).map(lambda v: [[0.0, v[1], v[0]]]),
+    st.floats(0.0, 1.0).map(lambda t: [[t, 0.0, 0.0], [t, 0.1, 0.1]]))
 
 FUZZED_KEYS = {
     ("eps", "time.T", "unit_square"): BAD_NUMBER,
@@ -400,10 +418,15 @@ FUZZED_KEYS = {
     ("eps", "load", "unit_square"): BAD_LOAD,
     ("eps", "zero_shift", "unit_square"): NOT_BOOL,
     ("average", "averaging.n_seeds", "unit_square"): BAD_COUNT,
+    ("average", "averaging.epsilons", "unit_square"): BAD_EPSILONS,
+    ("average", "averaging.h_factor", "unit_square"): BAD_NUMBER,
     ("cell", "rve.N", "unit_square"): BAD_COUNT,
     ("macro", "rve.N", "unit_square"): BAD_COUNT,
     ("korn", "korn.n_cells", "unit_square"): BAD_COUNT,
     ("korn", "korn.n_samples", "unit_square"): BAD_COUNT,
+    ("korn", "korn.r", "unit_square"): BAD_COUNT,
+    ("cell", "bc.xi", "unit_square"): BAD_XI,
+    ("eps", "bc.a", "unit_square"): BAD_OFFSET,
     ("ergodic", "ergodic.L_values", "unit_square"): BAD_L_VALUES,
     ("ergodic", "ergodic.n_seeds", "unit_square"): BAD_COUNT,
     ("ergodic", "ergodic.statistic", "unit_square"): BAD_STATISTIC,

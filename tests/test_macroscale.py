@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from plasthom import macroscale
+from plasthom import fem, finescale, macroscale
 from plasthom.cellproblem import RveConfig, sigma
 from plasthom.errors import ConfigurationError, NumericalError
 from plasthom.fem import P1Space, mesh_simplex, mesh_torus, mesh_unit_square, solve_elastic
@@ -239,6 +239,74 @@ class TestNewtonFailure:
         dofs = [int(d) for d in worst.split(",")]
         assert len(dofs) == 5
         assert set(dofs) <= set(P1Space(cfg.mesh).free_dofs.tolist())
+
+
+    @pytest.mark.parametrize("site", ["cell-advance", "cell-linear-solve", "macro-cg"])
+    def test_failed_solve_names_its_step(self, monkeypatch, site):
+        """A step-less NumericalError from a cell or macro solve gets the macro step."""
+        commits = []
+        commit = ElementCellState.commit
+
+        def counting_commit(self):
+            commits.append(1)
+            commit(self)
+
+        def failing(original):
+            def fail_in_step_2(*args, **kwargs):
+                if commits:
+                    raise NumericalError("solve broke down", residual=1.0)
+                return original(*args, **kwargs)
+            return fail_in_step_2
+
+        monkeypatch.setattr(ElementCellState, "commit", counting_commit)
+        owner, name = {"cell-advance": (ElementCellState, "advance"),
+                       "cell-linear-solve": (fem, "solve_periodic_systems"),
+                       "macro-cg": (macroscale, "pcg")}[site]
+        monkeypatch.setattr(owner, name, failing(getattr(owner, name)))
+        rve = RveConfig(n_cells=2, refine=1, n_samples=1, delta=0.003, law=TWO_PHASE)
+        cfg = MacroConfig(mesh=mesh_unit_square(2), rve=rve,
+                          dirichlet=AffineBoundary(shear_path(0.6, 1.0, 3)),
+                          time_grid=np.linspace(0, 1, 4))
+        with pytest.raises(NumericalError, match="broke down") as err:
+            solve_effective(cfg)
+        assert err.value.step == 2 and len(commits) == 1
+
+
+class TestCellPredictor:
+    def test_warm_start_saves_a_third_of_the_cell_iterations(self, monkeypatch):
+        """Cells started from the condensed-tangent predictor need at most two
+        thirds of the cell Newton iterations of cells started from the
+        committed corrector, for the same macro iterates and results."""
+        newton_solve = finescale.newton_solve
+        tangent = ElementCellState.tangent
+        iterations = []
+
+        def counting_newton(*args, **kwargs):
+            out = newton_solve(*args, **kwargs)
+            iterations[-1] += out[2]
+            return out
+
+        def cold_tangent(self):
+            kept = tangent(self)
+            self._predictor = None
+            return kept
+
+        monkeypatch.setattr(finescale, "newton_solve", counting_newton)
+        rve = RveConfig(n_cells=4, refine=1, n_samples=2, delta=0.003, law=TWO_PHASE)
+        load = lambda t, pts: t * np.tile([0.2, -0.1], (len(pts), 1))
+        cfg = MacroConfig(mesh=mesh_unit_square(2), rve=rve,
+                          dirichlet=AffineBoundary(shear_path(0.6, 1.0, 4, unload_to=-0.6)),
+                          load=load, time_grid=np.linspace(0, 1, 5))
+        iterations.append(0)
+        warm = solve_effective(cfg)
+        monkeypatch.setattr(ElementCellState, "tangent", cold_tangent)
+        iterations.append(0)
+        cold = solve_effective(cfg)
+        assert warm.newton_iters == cold.newton_iters and sum(cold.newton_iters) > 4
+        assert 3 * iterations[0] <= 2 * iterations[1]
+        for warm_field, cold_field in ((warm.u, cold.u), (warm.sigma, cold.sigma)):
+            assert np.abs(warm_field - cold_field).max() \
+                <= cfg.newton_rtol * np.abs(cold_field).max()
 
 
 class TestConfigValidation:
