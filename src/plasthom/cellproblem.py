@@ -42,10 +42,10 @@ class RveConfig:
     """Periodized-volume discretization: block size, mesh, sample budget."""
 
     n_cells: int
+    law: object
     refine: int = 1
     n_samples: int = 1
     delta: float = 1e-2
-    law: object = None
     base_seed: int = 0
     newton_rtol: float = 1e-10
 

@@ -278,9 +278,6 @@ class P1Space:
         u = packed.reshape(packed.shape[:-1] + (-1, DIM))
         return u[..., self.packed_of_vertex, :]
 
-    def zero_field(self):
-        return np.zeros((self.mesh.n_vertices, DIM))
-
     # -- strains -------------------------------------------------------
 
     def element_strains(self, u):
@@ -554,7 +551,7 @@ def solve_elastic(space, stiffness_field, f=None, g=None, rtol=1e-10):
         rhs = np.zeros(space.n_packed)
     else:
         rhs = space.load_vector(f(mesh.barycenters))
-    bc = space.zero_field()
+    bc = np.zeros((mesh.n_vertices, DIM))
     if g is not None:
         idx = space.dirichlet_vertices
         bc[idx] = g(mesh.vertices[idx])

@@ -79,12 +79,13 @@ def _boundary_values(config, t, points):
     return points @ unpack(config.dirichlet.path.at(t)).T
 
 
-def _impose_dirichlet(space, config, t, u):
-    """Set the constrained rows of the packed vector ``u`` to the data at time t."""
-    bc_field = space.zero_field()
-    idx = space.dirichlet_vertices
-    bc_field[idx] = _boundary_values(config, t, space.mesh.vertices[idx])
-    packed_bc = space.pack_field(bc_field)
+def _impose_dirichlet(space, config, t_prev, t, u):
+    """Move the packed vector ``u`` from time t_prev to t: every vertex by the affine
+    increment (xi(t) - xi(t_prev)) x of the Dirichlet data, a predictor exact for a
+    homogeneous response, then the constrained rows to the data at time t."""
+    vertices = space.mesh.vertices
+    packed_bc = space.pack_field(_boundary_values(config, t, vertices))
+    u += packed_bc - space.pack_field(_boundary_values(config, t_prev, vertices))
     u[~space.free_mask] = packed_bc[~space.free_mask]
 
 
@@ -103,8 +104,21 @@ def _load_vector(space, config, t):
 
 
 def _norms(rows):
-    """Euclidean norm of each row, by the dot product ``np.linalg.norm`` takes of a vector."""
-    return np.sqrt([np.dot(row, row) for row in rows])
+    """Euclidean norms over the last axis, by the dot product ``np.linalg.norm`` takes."""
+    flat = rows.reshape(np.prod(rows.shape[:-1], dtype=int), rows.shape[-1])
+    return np.sqrt([np.dot(row, row) for row in flat]).reshape(rows.shape[:-1])
+
+
+def newton_tolerance(space, z0, res0, f_norm, rtol):
+    """Newton's convergence test on ``space``: (scale, tol), from a step's first evaluation.
+
+    ``z0`` (..., ne, 3) are its stresses, ``res0`` its free residual norms and ``f_norm``
+    the free load norms.  A residual norm at most tol = rtol * scale + 1e-14
+    (|force_scale(z0)| + |f_ext|), scale = max(res0, |f_ext|), has converged: every term
+    is a force of the step's own data, so the test scales with the units."""
+    scale = np.maximum(res0, f_norm)
+    floor = 1e-14 * (_norms(space.force_scale(z0)[..., space.free_dofs]) + f_norm)
+    return scale, rtol * scale + floor
 
 
 def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
@@ -120,8 +134,8 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     kernel is projected out of the updates.
 
     Every system runs its own Newton iteration in lock step with the others:
-    its own convergence test and roundoff floor, and, if a full tangent step
-    fails to reduce its residual, its own correction damped by halving.  A
+    its own convergence test (``newton_tolerance``), and, if a full tangent
+    step fails to reduce its residual, its own correction damped by halving.  A
     converged system is frozen and no longer evaluated, so it runs the
     iterate sequence it would run alone.  At most NEWTON_MAXITER iterations
     run.
@@ -129,14 +143,13 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     The Newton iteration is inexact (Dembo, Eisenstat & Steihaug 1982):
     system s solves its correction only to the relative CG tolerance
     eta_s = clip(FORCING_GAMMA * res_s / scale_s, cg_rtol, FORCING_MAX),
-    with res_s its current residual norm and scale_s = max(res0_s,
-    |f_ext,s|) the scale of the convergence test.  The forcing term shrinks
-    with the residual, which keeps the local convergence fast (Eisenstat &
-    Walker 1996), and depends on the system's own residual only, so a
-    system runs the same iterates in any batch.  The convergence test, the
-    roundoff floor and the line search do not depend on eta, so the
-    converged state meets the same tolerance as with exact solves.  A
-    failed linear solve raises NumericalError with ``step``.
+    with res_s its current residual norm and scale_s the scale of the
+    convergence test.  The forcing term shrinks with the residual, which
+    keeps the local convergence fast (Eisenstat & Walker 1996), and depends
+    on the system's own residual only, so a system runs the same iterates in
+    any batch.  The convergence test and the line search do not depend on
+    eta, so the converged state meets the same tolerance as with exact
+    solves.  A failed linear solve raises NumericalError with ``step``.
 
     Returns (z, p_new, iterations, residuals, moduli): stresses and
     plastic strains (S, ne, 3), the sum of the systems' iteration counts
@@ -188,9 +201,7 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     if not np.all(np.isfinite(res)):
         raise NumericalError("the equilibrium residual is not finite", step=step,
                              residual=float(np.max(res)))
-    floor = 1e-14 * (_norms(space.force_scale(z)[:, free]) + f_norm)
-    scale = np.maximum(res, f_norm)
-    tol = rtol * scale + floor
+    scale, tol = newton_tolerance(space, z, res, f_norm, rtol)
     iters = np.zeros(n_systems, dtype=int)
     for _ in range(NEWTON_MAXITER):
         active = active[res[active] > tol[active]]
@@ -254,7 +265,7 @@ def solve_eps(config):
     p = np.zeros((mesh.n_elements, KDIM))
     for m in range(1, steps + 1):
         t, dt = times[m], times[m] - times[m - 1]
-        _impose_dirichlet(space, config, t, u)
+        _impose_dirichlet(space, config, times[m - 1], t, u)
         f_ext = _load_vector(space, config, t)
         z, p, n_it, res, _ = newton_solve(
             space, mats, 0.0, p[None], u[None], dt, config.delta,

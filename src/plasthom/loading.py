@@ -80,11 +80,6 @@ class StrainPath:
         rate_sq = np.sum(np.diff(self.values, axis=0) ** 2, axis=1) / dt**2
         return float(np.sqrt(np.sum(dt * (mid_sq + rate_sq))))
 
-    def restricted(self, t_star):
-        """The path truncated to knots <= t_star."""
-        keep = self.knots <= t_star + 1e-15
-        return StrainPath(self.knots[keep], self.values[keep])
-
 
 def path_from_csv(path):
     """Read a strain path from CSV columns t, xi_11, xi_22, xi_12 (tensor entries).
@@ -96,12 +91,15 @@ def path_from_csv(path):
     columns = ("xi_11", "xi_22", "xi_12")
     times, rows = [], []
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except (OSError, ValueError) as err:  # ValueError: the name holds a NUL byte
+        raise ConfigurationError(f"cannot read strain path {path!r}: "
+                                 f"{getattr(err, 'strerror', None) or err}") from None
+    try:
+        with fh:
             for record in csv.DictReader(fh):
                 times.append(float(record["t"]))
                 rows.append([float(record[name]) for name in columns])
-    except OSError as err:
-        raise ConfigurationError(f"cannot read strain path {path}: {err.strerror}") from None
     except KeyError as missing:
         raise ConfigurationError(f"strain path {path} misses column {missing}") from None
     except UnicodeDecodeError:

@@ -27,7 +27,7 @@ from . import fem, finescale
 from .cellproblem import CG_RTOL
 from .errors import ConfigurationError, NumericalError, at_step, finite_number, positive_int
 from .fem import P1Space, jacobi, mesh_torus, pcg
-from .finescale import _add_boundary_offset, _impose_dirichlet, _load_vector
+from .finescale import _add_boundary_offset, _impose_dirichlet, _load_vector, newton_tolerance
 from .loading import checked_boundary, checked_time_grid
 from .media import PeriodizedMedium
 from .returnmap import MaterialArrays
@@ -179,6 +179,11 @@ class EffectiveSolution:
 def solve_effective(config):
     """Time-incremental FE2 solve of the effective plasticity problem.
 
+    Each step starts from the affine Dirichlet predictor (``_impose_dirichlet``),
+    which is the solution when there is no load, since all elements share the
+    M samples.  Macro Newton stops by ``newton_tolerance``, as the cell
+    iterations do; each correction is solved by Jacobi CG to 1e-12.
+
     Raises NumericalError with partial results if the wall-clock budget is
     exceeded, and with element-wise residual diagnostics on Newton failure.
     """
@@ -202,37 +207,33 @@ def solve_effective(config):
     for m in range(1, steps + 1):
         with at_step(m):
             t, dt = times[m], times[m] - times[m - 1]
-            _impose_dirichlet(space, config, t, u)
+            _impose_dirichlet(space, config, times[m - 1], t, u)
             f_ext = _load_vector(space, config, t)
-
-            converged = False
-            res_norm = np.inf
+            f_norm = np.linalg.norm(f_ext[free])
             for it in range(NEWTON_MAXITER):
                 if config.max_seconds is not None \
                         and _time.monotonic() - start > config.max_seconds:
                     raise NumericalError(
                         "wall-clock budget exceeded",
-                        partial=_package(times, u_hist, sig_hist, iter_history, space,
-                                         upto=m - 1),
+                        partial=EffectiveSolution(times[:m], u_hist[:m], sig_hist[:m],
+                                                  iter_history, space),
                     )
                 strains = space.element_strains(space.unpack_field(u))
                 sig = cells.advance(strains, dt)
-                f_int = space.internal_forces(sig)
-                residual = (f_ext - f_int)[free]
+                residual = (f_ext - space.internal_forces(sig))[free]
                 res_norm = np.linalg.norm(residual)
-                denom = max(np.linalg.norm(f_int[free]), np.linalg.norm(f_ext[free]),
-                            1e-300)
-                if res_norm <= config.newton_rtol * denom + 1e-14 * (1.0 + denom):
+                if it == 0:
+                    _, tol = newton_tolerance(space, sig, res_norm, f_norm, config.newton_rtol)
+                if res_norm <= tol:
                     cells.commit()
                     sig_hist[m] = sig
-                    converged = True
                     iter_history.append(it)
                     break
                 A = space.assemble_operator(cells.tangent())
                 Aff = A[free][:, free]
                 du, _ = pcg(Aff, residual, jacobi(Aff), rtol=1e-12)
                 u[free] += du
-            if not converged:
+            else:
                 worst = free[np.argsort(np.abs(residual))[-5:]]
                 raise NumericalError(
                     f"macro Newton did not converge (worst dofs {worst.tolist()})",
@@ -241,15 +242,7 @@ def solve_effective(config):
             u_hist[m] = space.unpack_field(u)
 
     _add_boundary_offset(config, times, u_hist)
-    return _package(times, u_hist, sig_hist, iter_history, space, cells=cells)
-
-
-def _package(times, u_hist, sig_hist, iter_history, space, upto=None, cells=None):
-    if upto is not None:
-        times = times[: upto + 1]
-        u_hist, sig_hist = u_hist[: upto + 1], sig_hist[: upto + 1]
-    return EffectiveSolution(times=times, u=u_hist, sigma=sig_hist,
-                             newton_iters=iter_history, space=space, cells=cells)
+    return EffectiveSolution(times, u_hist, sig_hist, iter_history, space, cells)
 
 
 def weak_form_residual(solution, config):

@@ -68,6 +68,13 @@ def test_traced_fe2_solve_gives_json_counts():
     assert counts["finescale.newton.iters"] > 0 and counts["macroscale.newton.iters"] > 0
 
 
+def test_fe2_macro_needs_at_most_two_macro_iterations_per_step():
+    """The affine Dirichlet predictor starts each step of the fe2_macro
+    workload close enough that one tangent solve meets the convergence test."""
+    solution = workloads.macro_call(workloads.macro_setup(workloads.DEFAULT_SEED, 0))
+    assert max(solution.newton_iters) <= 2
+
+
 def test_traced_ergodic_check_counts_every_cell_of_every_box():
     """media.cell_parameters.cells, read off the length of the flat parameter
     arrays, is the number of cells that overlap each box, summed over boxes."""

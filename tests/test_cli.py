@@ -147,8 +147,12 @@ class TestExitCodes:
         def failing_pcg(*args, **kwargs):
             raise NumericalError("conjugate gradients broke down", residual=0.25)
 
+        loaded = json.loads(cfg.read_text())
+        loaded["load"] = [0.2, -0.1]   # the affine predictor alone solves the unloaded step
+        loaded_path = out / "loaded.json"
+        loaded_path.write_text(json.dumps(loaded))
         monkeypatch.setattr(finescale, "pcg", failing_pcg)
-        assert main(["eps", "--config", str(cfg), "--out", str(out)]) == 3
+        assert main(["eps", "--config", str(loaded_path), "--out", str(out)]) == 3
         assert capsys.readouterr().err.strip() == (
             "numerical failure: conjugate gradients broke down (step 1, residual 2.500e-01)")
 
@@ -283,6 +287,14 @@ class TestExitCodes:
         assert main(["cell", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and str(xi_csv) in err
+
+    def test_strain_path_name_with_nul_byte_cannot_be_read(self, run_dir, capsys):
+        out, cfg = run_dir
+        path = write_variant(cfg, out, "bc.xi", "x\u0000y")
+        assert main(["cell", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read strain path" in err and "null byte" in err
+        assert "non-numeric" not in err
 
     @pytest.mark.parametrize("flag", ["--N", "--r", "--M"])
     def test_zero_override_is_configuration_error(self, run_dir, capsys, flag):

@@ -80,6 +80,14 @@ class TestHomogeneousOracle:
         # every element sees the same affine history
         assert np.abs(traj.sigma[-1] - traj.sigma[-1][0]).max() < 1e-10
 
+    def test_affine_predictor_needs_no_newton_iteration(self):
+        """Each step starts from the last solution moved by the affine
+        increment of the Dirichlet data, the solution for a homogeneous
+        medium without load."""
+        traj = solve_eps(make_config(steps=6, amplitude=0.8))
+        assert traj.newton_iters == [0] * 6
+        assert np.abs(traj.p[-1]).max() > 0.0
+
     def test_backward_euler_order(self):
         # the reversal's viscous after-flow must be resolvable, so the order
         # study runs at a regularization comparable to the coarsest step
@@ -136,7 +144,7 @@ class TestDeterminismAndCausality:
         full = solve_eps(make_config(law=TWO_PHASE, seed=1, steps=steps))
         m_cut = 4
         path = shear_path(0.6, 1.0, steps)
-        cut_path = path.restricted(path.knots[m_cut])
+        cut_path = StrainPath(path.knots[: m_cut + 1], path.values[: m_cut + 1])
         cfg = EpsProblemConfig(
             mesh=mesh_unit_square(4), medium=sample_realization(TWO_PHASE, 1),
             epsilon=0.25, delta=0.003,

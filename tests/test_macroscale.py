@@ -264,8 +264,10 @@ class TestNewtonFailure:
                        "macro-cg": (macroscale, "pcg")}[site]
         monkeypatch.setattr(owner, name, failing(getattr(owner, name)))
         rve = RveConfig(n_cells=2, refine=1, n_samples=1, delta=0.003, law=TWO_PHASE)
+        # loaded, since the affine predictor alone solves an unloaded step
+        load = lambda t, pts: t * np.tile([0.2, -0.1], (len(pts), 1))
         cfg = MacroConfig(mesh=mesh_unit_square(2), rve=rve,
-                          dirichlet=AffineBoundary(shear_path(0.6, 1.0, 3)),
+                          dirichlet=AffineBoundary(shear_path(0.6, 1.0, 3)), load=load,
                           time_grid=np.linspace(0, 1, 4))
         with pytest.raises(NumericalError, match="broke down") as err:
             solve_effective(cfg)
@@ -309,6 +311,41 @@ class TestCellPredictor:
                 <= cfg.newton_rtol * np.abs(cold_field).max()
 
 
+class TestAffinePredictor:
+    """Each step starts from the last solution moved by the affine increment
+    of the Dirichlet data, which is exact for a homogeneous response."""
+
+    def test_unloaded_affine_solve_runs_no_macro_iteration(self):
+        """Every element shares the same samples, so an affine field is the
+        FE2 solution and the predictor meets the convergence test at once."""
+        rve = RveConfig(n_cells=4, refine=1, n_samples=2, delta=0.003, law=TWO_PHASE)
+        cfg = MacroConfig(mesh=mesh_unit_square(3), rve=rve,
+                          dirichlet=AffineBoundary(shear_path(0.6, 1.0, 4, unload_to=-0.6)),
+                          time_grid=np.linspace(0, 1, 5))
+        assert solve_effective(cfg).newton_iters == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["unloaded", "loaded"])
+    def test_convergence_test_scales_with_the_units(self, loaded):
+        """Stresses, hardening, yield stress, the regularization (stress times
+        time) and the load scaled by s give the stresses scaled by s: every
+        term of the convergence test is a force of the step's data."""
+        stresses = {}
+        for s in (1e-2, 1.0, 1e4):
+            law = ProbabilityLaw.from_config({
+                "E": {"discrete": {"values": [1e4 * s, 2e4 * s]}}, "nu": {"point": 0.3},
+                "sigma_y": {"point": 3e3 * s}, "H": {"point": 1e4 * s}})
+            rve = RveConfig(n_cells=4, refine=1, n_samples=2, delta=30.0 * s, law=law)
+            load = (lambda t, pts, s=s: s * t * np.tile([2e3, -1e3], (len(pts), 1))) \
+                if loaded else None
+            cfg = MacroConfig(mesh=mesh_unit_square(4), rve=rve, load=load,
+                              dirichlet=AffineBoundary(shear_path(0.5, 1.0, 4, unload_to=0.0)),
+                              time_grid=np.linspace(0, 1, 5))
+            stresses[s] = solve_effective(cfg).sigma / s
+        reference = stresses[1.0]
+        for scaled in stresses.values():
+            assert np.abs(scaled - reference).max() <= 1e-8 * np.abs(reference).max()
+
+
 class TestConfigValidation:
     def test_rejects_dirichlet_data_that_is_not_affine(self):
         with pytest.raises(ConfigurationError):
@@ -318,6 +355,7 @@ class TestConfigValidation:
 
     def test_rve_without_law_is_configuration_error(self):
         with pytest.raises(ConfigurationError, match="ProbabilityLaw"):
-            solve_effective(MacroConfig(mesh=mesh_unit_square(2), rve=RveConfig(n_cells=2),
+            solve_effective(MacroConfig(mesh=mesh_unit_square(2),
+                                        rve=RveConfig(n_cells=2, law=None),
                                         dirichlet=AffineBoundary(shear_path(0.1, 1.0, 2)),
                                         time_grid=np.linspace(0, 1, 3)))
