@@ -6,20 +6,25 @@ fields; strains are element-wise constant, so one-point (barycenter)
 quadrature is exact for stiffness and internal-force integrals with
 element-wise constant coefficients.
 
-Assembly scatters batched element stiffnesses into a pattern that each
-space builds once: a CSR matrix per system, or a dense stack of matrices for
-a batch of small systems.  Dirichlet systems are solved with Jacobi-
-preconditioned conjugate gradients, which is deterministic.  Periodic
-systems on the uniform torus grid pick their solver by size.  Up to
-``DENSE_PERIODIC_DOFS`` unknowns a whole stack of systems is solved directly
-by one batched LU solve, and a system's right-hand sides share its
+Element strains and nodal forces are products with two sparse operators
+that each space builds once: the strain operator D, which places the rows
+of every element's strain-displacement matrix B_e at the element's packed
+dofs, and its volume-weighted transpose (vol D)^T, stored as its own CSR
+matrix.  Assembly scatters batched element stiffnesses into a pattern that
+each space also builds once: a CSR matrix per system, or a dense stack of
+matrices for a batch of small systems.  Dirichlet systems are solved with
+Jacobi-preconditioned conjugate gradients, which is deterministic.
+Periodic systems on the uniform torus grid pick their solver by size.  Up
+to ``DENSE_PERIODIC_DOFS`` unknowns a whole stack of systems is solved
+directly by one batched LU solve, and a system's right-hand sides share its
 factorization.  Above, CG runs with the exact inverse of the translation
 average of the operator as preconditioner, a block-circulant matrix
 diagonalized by the discrete Fourier transform (a reference medium in the
 sense of Moulinec and Suquet), whose iteration count is bounded by the phase
 contrast and does not grow with the grid; a system's right-hand sides share
-it.  The translation kernel of periodic problems is projected out of the
-right-hand side and of the solution, which is the zero-mean representative.
+it, and its transforms run on the real half spectrum.  The translation
+kernel of periodic problems is projected out of the right-hand side and of
+the solution, which is the zero-mean representative.
 
 Every solve stops at a relative residual tolerance ``rtol``, and a stack of
 periodic systems takes one per system: ``finescale.newton_solve`` solves
@@ -47,13 +52,14 @@ from .tensors import KDIM, SQRT2
 
 DIM = 2
 # Largest periodic system solved directly.  Per system of a stack of 16
-# two-phase plastic tangents at rtol 1e-12 on 2 cores, in ms, the batched
-# direct solve against assembly plus DFT-preconditioned CG, for 1 and 3
-# right-hand sides: 0.05/1.2 and 0.06/3.5 at 32 dofs (m = 4), 0.30/1.3 and
-# 0.38/3.5 at 98 (m = 7), 0.95/1.4 and 1.2/3.8 at 162 (m = 9), 1.6/1.7 and
-# 1.6/3.7 at 200 (m = 10), 2.0/2.5 and 2.1/4.6 at 242 (m = 11), 2.9/1.8 and
-# 3.0/3.9 at 288 (m = 12).  The single right-hand sides of the Newton
-# solves cross over between the 10 x 10 and the 12 x 12 torus grid.
+# two-phase plastic tangents at rtol 1e-12 on a shared 2-core machine, in ms,
+# the batched direct solve against assembly plus DFT-preconditioned CG, for 1
+# and 3 right-hand sides (medians of 15 to 40 alternating runs): 0.05/0.8 and
+# 0.06/2.1 at 32 dofs (m = 4), 0.35/0.9 and 0.32/1.8 at 98 (m = 7), 1.1/1.4
+# and 1.1/3.4 at 162 (m = 9), 1.45/1.41 and 1.3/2.8 at 200 (m = 10), 2.0/1.3
+# and 1.9/2.7 at 242 (m = 11), 3.0/1.6 and 2.8/3.3 at 288 (m = 12).  The
+# single right-hand sides of the Newton solves cross over at the 10 x 10
+# torus grid, where both cost the same within the noise.
 DENSE_PERIODIC_DOFS = 200
 
 
@@ -116,6 +122,45 @@ def _sum_into_bins(index, values, size):
         index = index + size * np.arange(count)[:, None]
     return np.bincount(index.ravel(), weights=values.ravel(),
                        minlength=count * size).reshape(count, size)
+
+
+def _frozen_csr(rows, cols, data, shape):
+    """CSR matrix of the entries (rows, cols, data), given in row order, as they are.
+
+    The matrix holds its own read-only copies of the arrays.  Duplicate or
+    unsorted column indices within a row are kept, and no later
+    canonicalization can reorder them in place.
+    """
+    idx = np.int32 if len(cols) < np.iinfo(np.int32).max else np.int64
+    arrays = (np.array(data, dtype=float), np.array(cols, dtype=idx),
+              np.searchsorted(rows, np.arange(shape[0] + 1)).astype(idx))
+    for a in arrays:
+        a.flags.writeable = False
+    return sp.csr_matrix(arrays, shape=shape)
+
+
+def _strain_operators(B, element_dofs, volumes, n):
+    """The strain operator D (3 ne, n) and its volume-weighted transpose (vol D)^T.
+
+    Row 3 e + k of D holds the entries of B_e[k] that are not zero by
+    construction, at the element's dofs; repeated dofs of an element stay
+    separate entries.
+    """
+    pattern = np.ones((KDIM, 3 * DIM), dtype=bool)
+    pattern[0, 1::2] = pattern[1, 0::2] = False
+    keep = np.broadcast_to(pattern, B.shape).ravel()
+    rows = np.repeat(np.arange(B.shape[0] * KDIM), 3 * DIM)[keep]
+    dofs = np.repeat(element_dofs[:, None, :], KDIM, axis=1).ravel()[keep]
+    D = _frozen_csr(rows, dofs, B.ravel()[keep], (B.shape[0] * KDIM, n))
+    order = np.argsort(dofs, kind="stable")
+    weighted = (B * volumes[:, None, None]).ravel()[keep]
+    return D, _frozen_csr(dofs[order], rows[order], weighted[order], (n, B.shape[0] * KDIM))
+
+
+def _apply(op, x):
+    """The products op x of vectors x (..., op.shape[1]), shape (..., op.shape[0])."""
+    flat = x.reshape(-1, x.shape[-1])
+    return (op @ flat.T).T.reshape(x.shape[:-1] + (op.shape[0],))
 
 
 def _lattice(n, name, triangle=False):
@@ -239,6 +284,9 @@ class P1Space:
         self.B = B
         self._BtV = np.swapaxes(B, 1, 2) * mesh.volumes[:, None, None]
 
+        self._strain_op, self._force_op = _strain_operators(
+            B, self.element_dofs, mesh.volumes, self.n_packed)
+
         # CSR pattern of the stiffness: element entry -> nonzero, and the
         # nonzero of each transposed entry; shared, read-only index arrays
         n = self.n_packed
@@ -255,8 +303,13 @@ class P1Space:
         self._indices.flags.writeable = False
         self._indptr.flags.writeable = False
 
-        # torus grid: lattice offset and dof components of every nonzero,
-        # and the DFT matrix F[k, x] = exp(-2 pi i k x / m)
+        # torus grid: lattice offset and dof components of every nonzero, the
+        # DFT matrix F[k, x] = exp(-2 pi i k x / m), and the real half-spectrum
+        # transforms along the second grid axis, over k = 0 .. m // 2 and per
+        # dof component: forward, rows (x, c) to columns (c, k, [cos, -sin]),
+        # so that a real product viewed as complex is the DFT of each
+        # component; inverse, rows (c, k, [Re, Im]) to columns (x, c), with each
+        # k weighted by the number of wavevectors among k and -k it stands for
         m = mesh.grid_size
         if m:
             gi, gj = np.divmod(np.arange(n) // DIM, m)
@@ -266,6 +319,14 @@ class P1Space:
                 + key_cols % DIM
             k = np.arange(m)
             self._dft = np.exp(-2j * np.pi * (np.outer(k, k) % m) / m)
+            k_half = k[:m // 2 + 1]
+            half = self._dft[:, k_half]                             # (x, k)
+            weight = np.where((k_half == 0) | (2 * k_half == m), 1.0, 2.0)
+            parts = np.stack([half.real, half.imag], axis=-1)      # (x, k, 2)
+            eye = np.eye(DIM)
+            self._half_forward = np.einsum("xkp,cd->xcdkp", parts, eye).reshape(m * DIM, -1)
+            self._half_inverse = np.einsum("xkp,k,cd->ckpxd", parts, weight, eye) \
+                .reshape(-1, m * DIM)
 
     # -- field packing -------------------------------------------------
 
@@ -281,10 +342,9 @@ class P1Space:
     # -- strains -------------------------------------------------------
 
     def element_strains(self, u):
-        """Element-wise Mandel strains of nodal fields (..., nv, 2), shape (..., ne, 3)."""
-        u = np.asarray(u)
-        local = u[..., self.mesh.simplices, :].reshape(u.shape[:-2] + (-1, 3 * DIM))
-        return np.einsum("eki,...ei->...ek", self.B, local)
+        """Element-wise Mandel strains D u of packed vectors (..., n), shape (..., ne, 3)."""
+        u = np.asarray(u, dtype=float)
+        return _apply(self._strain_op, u).reshape(u.shape[:-1] + (-1, KDIM))
 
     def element_gradients(self, u):
         """Element-wise full displacement gradients, shape (ne, 2, 2)."""
@@ -324,26 +384,30 @@ class P1Space:
         A[:, self._keys] = data
         return A.reshape(-1, self.n_packed, self.n_packed)
 
-    def _sum_into_dofs(self, contrib):
-        """Packed sums of per-element dof contributions (..., ne, 6) -> (..., n)."""
-        return _sum_into_bins(self.element_dofs.ravel(), contrib, self.n_packed) \
-            .reshape(contrib.shape[:-2] + (self.n_packed,))
+    def _element_sums(self, op, stresses):
+        """Packed vectors op z of element stresses (..., ne, 3) -> (..., n)."""
+        z = np.asarray(stresses, dtype=float)
+        return _apply(op, z.reshape(z.shape[:-2] + (-1,)))
 
     def internal_forces(self, stresses):
         """Packed nodal forces of element stresses (..., ne, 3): sum_e vol_e B_e^T z_e."""
-        return self._sum_into_dofs(
-            np.einsum("e,eki,...ek->...ei", self.mesh.volumes, self.B, stresses))
+        return self._element_sums(self._force_op, stresses)
 
     def force_scale(self, stresses):
-        """The nodal forces of |z_e| through |B_e|: their size without cancellation."""
-        return self._sum_into_dofs(np.einsum("e,eki,...ek->...ei", np.abs(self.mesh.volumes),
-                                             np.abs(self.B), np.abs(stresses)))
+        """The nodal forces of |z_e| through |B_e|: their size without cancellation.
+
+        Every entry |vol_e| |B_e[k, i]| of the operator is taken apart, before
+        any entries that share a dof are summed.
+        """
+        op = self._force_op
+        magnitude = sp.csr_matrix((np.abs(op.data), op.indices, op.indptr), shape=op.shape)
+        return self._element_sums(magnitude, np.abs(stresses))
 
     def load_vector(self, f_values):
         """Packed load vector by barycenter quadrature, f given per element (ne, 2)."""
         contrib = (self.mesh.volumes[:, None] / 3.0) * np.asarray(f_values)  # (ne, 2)
-        return self._sum_into_dofs(np.repeat(contrib[:, None, :], 3, axis=1)
-                                   .reshape(-1, 3 * DIM))
+        return _sum_into_bins(self.element_dofs.ravel(),
+                              np.repeat(contrib[:, None, :], 3, axis=1), self.n_packed)[0]
 
     def translation_vectors(self):
         """Packed unit translation fields, one row per component, shape (2, n_packed)."""
@@ -364,21 +428,32 @@ def reference_preconditioner(space, A):
     grid of m x m vertices.  Averaging A over the m^2 lattice translations
     gives a block-circulant operator, whose DFT is a Hermitian 2 x 2 symbol
     per wavevector k.  The returned map r -> z inverts the symbol in closed
-    form and zeroes the k = 0 (translation) mode.  It applies the transforms
-    as dense m x m DFT matrices, which beats ``numpy.fft`` at the grid sizes
-    of cell problems.
+    form and zeroes the k = 0 (translation) mode.  Its input and output are
+    real, so it works on the half spectrum k2 = 0 .. m // 2: one real
+    product with the cosines and sines along the second grid axis, then one
+    complex m x m DFT product along the first, and the same back with each
+    k2 weighted by the number of wavevectors among k and -k it stands for.
+    At m = 32 on one thread one apply takes 58 us, against 105 us with full
+    complex m x m DFT products and 126 us with ``numpy.fft.rfft2`` and
+    ``irfft2``.
     """
     m = space.mesh.grid_size
     if not m:
         raise ConfigurationError("the reference preconditioner needs a mesh_torus grid")
     F = space._dft
     Fc = F.conj()
+
+    def half_spectrum(fields):
+        """DFT of real fields (m, m, 2): (k1, (c, k2)) for k2 = 0 .. m // 2, (m, 2 h)."""
+        return F @ (fields.reshape(m, -1) @ space._half_forward).view(complex)
+
     kernel = np.bincount(space._lattice_offset, weights=A.data, minlength=m * m * DIM * DIM)
-    kernel = kernel.reshape(m, m, DIM, DIM).transpose(2, 3, 0, 1) / m**2
-    # symbol S(k) = sum_d K(d) exp(2 pi i k.d / m); its (1, 0) block is conj(S01)
-    s00 = (Fc @ kernel[0, 0] @ Fc).real
-    s11 = (Fc @ kernel[1, 1] @ Fc).real
-    s01 = Fc @ kernel[0, 1] @ Fc
+    kernel = kernel.reshape(m, m, DIM, DIM) / m**2
+    # symbol S(k) = sum_d K(d) exp(2 pi i k.d / m), the conjugate DFT of the
+    # real kernel; its (1, 0) block is conj(S01)
+    h = m // 2 + 1
+    s0, s1 = (half_spectrum(kernel[:, :, a]).conj() for a in range(DIM))
+    s00, s01, s11 = s0[:, :h].real, s0[:, h:], s1[:, h:].real
     det = s00 * s11 - np.abs(s01) ** 2
     det[0, 0] = np.inf                       # zero the translation mode
     det *= m**2                              # and fold in the inverse DFT's 1/m^2
@@ -386,9 +461,10 @@ def reference_preconditioner(space, A):
     i10 = i01.conj()
 
     def apply(r):
-        w = F @ r.reshape(m, m, DIM).transpose(2, 0, 1) @ F
-        z = np.stack([i00 * w[0] + i01 * w[1], i10 * w[0] + i11 * w[1]])
-        return (Fc @ z @ Fc).real.transpose(1, 2, 0).ravel()
+        w = half_spectrum(r)
+        w0, w1 = w[:, :h], w[:, h:]
+        z = np.concatenate([i00 * w0 + i01 * w1, i10 * w0 + i11 * w1], axis=1)
+        return ((Fc @ z).view(float) @ space._half_inverse).ravel()
 
     return apply
 

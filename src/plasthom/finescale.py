@@ -170,7 +170,7 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     # time of fe2_macro (16 cells of 32 elements) and 6 % of cell_mc's (one
     # cell of 2,048 elements).
     def evaluate(systems):
-        strains = offset[systems] + space.element_strains(space.unpack_field(u[systems]))
+        strains = offset[systems] + space.element_strains(u[systems])
         sub = mats if systems.size == n_systems \
             else mats.take((systems[:, None] * ne + np.arange(ne)).ravel())
         z, p_new, moduli = plastic_step(strains.reshape(-1, KDIM),
@@ -348,7 +348,8 @@ def residual_report(traj, config):
         u_eff = traj.u - np.stack([np.tile(config.dirichlet.offset_at(t),
                                            (mesh.n_vertices, 1)) for t in times])
 
-    strains = np.stack([space.element_strains(u_eff[m]) for m in range(times.size)])
+    strains = np.stack([space.element_strains(space.pack_field(u_eff[m]))
+                        for m in range(times.size)])
     decomp = np.abs(strains - traj.e - traj.p).max(axis=-1)
     scale = 1.0 + np.abs(traj.e).max(axis=-1) + np.abs(traj.p).max(axis=-1)
     max_decomp = float((decomp / scale).max())
@@ -398,7 +399,7 @@ def residual_report(traj, config):
         dU = _boundary_values(config, times[m], mesh.vertices) \
             - _boundary_values(config, times[m - 1], mesh.vertices)
         work_bc = np.einsum("e,ek,ek->", vol, traj.sigma[m],
-                            space.element_strains(dU))
+                            space.element_strains(space.pack_field(dU)))
         f_ext = _load_vector(space, config, times[m])
         work_f = f_ext @ space.pack_field(du - dU)
         rhs = work_bc + work_f

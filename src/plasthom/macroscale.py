@@ -218,7 +218,7 @@ def solve_effective(config):
                         partial=EffectiveSolution(times[:m], u_hist[:m], sig_hist[:m],
                                                   iter_history, space),
                     )
-                strains = space.element_strains(space.unpack_field(u))
+                strains = space.element_strains(u)
                 sig = cells.advance(strains, dt)
                 residual = (f_ext - space.internal_forces(sig))[free]
                 res_norm = np.linalg.norm(residual)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensors import DEV_PROJECTOR, SPH_PROJECTOR, deviatoric, lame_parameters
+from .tensors import KDIM, lame_parameters
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ class MaterialArrays:
 
     def stiffness_moduli(self):
         """Dense Mandel stiffness matrices per element, shape (n, 3, 3)."""
-        return (self.a_vol[:, None, None] * SPH_PROJECTOR
-                + self.a_dev[:, None, None] * DEV_PROJECTOR)
+        return _moduli(self.a_vol, self.a_dev)
 
     def apply_stiffness(self, comps):
         sph = np.zeros_like(comps)
@@ -87,6 +86,34 @@ class MaterialArrays:
         tr = comps[..., :2].sum(axis=-1) / 2
         sph[..., :2] = tr[..., None]
         return sph / self.a_vol[:, None] + (comps - sph) / self.a_dev[:, None]
+
+
+_UPPER = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]  # in the order of _moduli's entries
+
+
+def _moduli(a_vol, a_dev, h=0.0, r=0.0, n_dir=None):
+    """Mandel matrices a_vol SPH + (a_dev - h) DEV - (r - h) n n^T, shape (n, 3, 3).
+
+    The coefficients are (n,) arrays or scalars, and ``n_dir`` holds the
+    three (n,) components of n, or is None for r = h.  The six distinct
+    entries are computed as flat arrays and each is written to both of its
+    places, so every matrix is symmetric bit for bit.
+    """
+    vol, dev = 0.5 * a_vol, a_dev - h
+    diagonal, off = vol + 0.5 * dev, vol - 0.5 * dev
+    if n_dir is None:
+        entries = [diagonal, off, 0.0, diagonal, 0.0, dev]
+    else:
+        n0, n1, n2 = n_dir
+        c0, c1, c2 = (r - h) * n0, (r - h) * n1, (r - h) * n2
+        entries = [diagonal - c0 * n0, off - c0 * n1, -(c0 * n2),
+                   diagonal - c1 * n1, -(c1 * n2), dev - c2 * n2]
+    out = np.empty((len(a_vol), KDIM, KDIM))
+    for (i, j), entry in zip(_UPPER, entries):
+        out[:, i, j] = entry
+        if i != j:
+            out[:, j, i] = entry
+    return out
 
 
 def plastic_step(xi_total, p_old, mats, dt, delta):
@@ -108,27 +135,33 @@ def plastic_step(xi_total, p_old, mats, dt, delta):
     z, p_new, moduli: stresses, updated plastic strains, and the consistent
     algorithmic moduli (n, k, k).
     """
-    dev_xi = deviatoric(xi_total)
-    sph_xi = xi_total - dev_xi
+    # every quantity is a list of flat (n,) component rows
+    xi = np.asarray(xi_total, dtype=float).T
+    p_old = np.asarray(p_old, dtype=float).T
+    a_vol, a_dev = mats.a_vol, mats.a_dev
+    half_trace = 0.5 * (xi[0] + xi[1])
+    dev_xi = (xi[0] - half_trace, xi[1] - half_trace, xi[2])
 
-    hard = mats.a_dev + mats.hardening
-    s_vec = mats.a_dev[:, None] * dev_xi - hard[:, None] * p_old
-    s_trial = np.linalg.norm(s_vec, axis=-1)
+    hard = a_dev + mats.hardening
+    s_vec = [a_dev * d - hard * q for d, q in zip(dev_xi, p_old)]
+    s_trial = np.sqrt(s_vec[0] * s_vec[0] + s_vec[1] * s_vec[1] + s_vec[2] * s_vec[2])
 
     rate = dt / (delta + hard * dt)   # d lambda / d s_trial where the element flows
     lam = np.maximum(s_trial - mats.yield_stress, 0.0) * rate
     safe = np.where(s_trial > 0.0, s_trial, 1.0)
-    n_dir = s_vec / safe[:, None]
-    p_new = p_old + lam[:, None] * n_dir
+    n_dir = [s / safe for s in s_vec]
+    p_new = [q + lam * n for q, n in zip(p_old, n_dir)]
+    z = [a_dev * (d - p) for d, p in zip(dev_xi, p_new)]
+    z[0] += a_vol * half_trace
+    z[1] += a_vol * half_trace
+    z, p_new = np.stack(z, axis=-1), np.stack(p_new, axis=-1)
 
-    z = mats.a_vol[:, None] * sph_xi + mats.a_dev[:, None] * (dev_xi - p_new)
-
-    moduli = mats.stiffness_moduli()
     active = lam > 0.0
-    if np.any(active):
-        nn = np.einsum("ei,ej->eij", n_dir, n_dir)
-        a_dev2 = mats.a_dev**2
-        radial = (a_dev2 * rate)[:, None, None] * nn
-        hoop = (a_dev2 * lam / safe)[:, None, None] * (DEV_PROJECTOR - nn)
-        moduli = moduli - np.where(active[:, None, None], radial + hoop, 0.0)
-    return z, p_new, moduli
+    if not np.any(active):
+        return z, p_new, mats.stiffness_moduli()
+    # a_dev^2 lambda / s_trial across and a_dev^2 rate radially, both 0 where
+    # the element stays elastic
+    a_dev2 = a_dev**2
+    hoop = a_dev2 * lam / safe
+    radial = np.where(active, a_dev2 * rate, 0.0)
+    return z, p_new, _moduli(a_vol, a_dev, hoop, radial, n_dir)

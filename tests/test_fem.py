@@ -98,7 +98,7 @@ class TestElementStrain:
         space = P1Space(mesh)
         xi = np.array([[0.2, 0.05], [0.05, -0.1]])
         u = mesh.vertices @ xi.T
-        strains = space.element_strains(u)
+        strains = space.element_strains(space.pack_field(u))
         expected = pack(xi)
         assert np.abs(strains - expected).max() < 1e-14
 
@@ -107,13 +107,68 @@ class TestElementStrain:
         space = P1Space(mesh)
         w = np.array([[0.0, 0.3], [-0.3, 0.0]])
         u = mesh.vertices @ w.T
-        assert np.abs(space.element_strains(u)).max() < 1e-14
+        assert np.abs(space.element_strains(space.pack_field(u))).max() < 1e-14
 
     def test_translation_has_zero_strain(self):
         mesh = mesh_unit_square(3)
         space = P1Space(mesh)
         u = np.tile([1.7, -2.5], (mesh.n_vertices, 1))
-        assert np.abs(space.element_strains(u)).max() < 1e-13
+        assert np.abs(space.element_strains(space.pack_field(u))).max() < 1e-13
+
+
+STRAIN_MESHES = {
+    "unit_square": lambda: mesh_unit_square(3),
+    "simplex": lambda: mesh_simplex(np.array([[0.2, -0.1], [1.3, 0.4], [0.1, 1.1]]), 0.3),
+    **{f"torus_m{m}": (lambda m=m: mesh_torus(m, 1)) for m in (1, 2, 3, 32)},
+}
+
+
+def per_element_sums(space, values):
+    """Packed sums of per-element dof values (..., ne, 6), one element at a time."""
+    out = np.zeros(values.shape[:-2] + (space.n_packed,))
+    for e, dofs in enumerate(space.element_dofs):
+        for i, dof in enumerate(dofs):
+            out[..., dof] += values[..., e, i]
+    return out
+
+
+class TestStrainOperators:
+    """The strain operator and its weighted transpose against the element definitions."""
+
+    @pytest.fixture(params=sorted(STRAIN_MESHES))
+    def space(self, request):
+        return P1Space(STRAIN_MESHES[request.param]())
+
+    @staticmethod
+    def assert_close(got, expected, magnitude):
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-14 * magnitude)
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_strains_are_B_e_u_e(self, space, lead):
+        u = np.random.default_rng(1).standard_normal(lead + (space.n_packed,))
+        local = u[..., space.element_dofs]                          # (..., ne, 6)
+        expected = np.einsum("eki,...ei->...ek", space.B, local)
+        magnitude = np.einsum("eki,...ei->...ek", np.abs(space.B), np.abs(local))
+        self.assert_close(space.element_strains(u), expected, magnitude)
+
+    # (S, ne, 3) as newton_solve passes them, (S, 3, ne, 3) as the FE2 tangent does
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_forces_and_their_scale_are_element_sums(self, space, lead):
+        ne, vol = space.mesh.n_elements, space.mesh.volumes
+        z = np.random.default_rng(2).standard_normal(lead + (ne, 3))
+        forces = per_element_sums(space, np.einsum("e,eki,...ek->...ei", vol, space.B, z))
+        scale = per_element_sums(space, np.einsum("e,eki,...ek->...ei", np.abs(vol),
+                                                  np.abs(space.B), np.abs(z)))
+        self.assert_close(space.internal_forces(z), forces, scale)
+        self.assert_close(space.force_scale(z), scale, scale)
+
+    def test_operator_arrays_are_private_and_read_only(self, space):
+        for op in (space._strain_op, space._force_op):
+            assert op.indices.dtype == op.indptr.dtype == np.int32
+            for a in (op.data, op.indices, op.indptr):
+                assert not a.flags.writeable
+                assert not np.shares_memory(a, space.B)
 
 
 class TestSolveElastic:
@@ -306,8 +361,33 @@ class TestFixedPatternAssembly:
             space.assemble_operator(moduli)
 
 
+def full_dft_preconditioner(space, A):
+    """The reference preconditioner by full complex m x m DFT products (test oracle)."""
+    m = space.mesh.grid_size
+    F = np.exp(-2j * np.pi * (np.outer(np.arange(m), np.arange(m)) % m) / m)
+    Fc = F.conj()
+    kernel = np.bincount(space._lattice_offset, weights=A.data, minlength=m * m * 4)
+    kernel = kernel.reshape(m, m, 2, 2).transpose(2, 3, 0, 1) / m**2
+    s00 = (Fc @ kernel[0, 0] @ Fc).real
+    s11 = (Fc @ kernel[1, 1] @ Fc).real
+    s01 = Fc @ kernel[0, 1] @ Fc
+    det = s00 * s11 - np.abs(s01) ** 2
+    det[0, 0] = np.inf
+    det *= m**2
+    i00, i11, i01 = s11 / det, s00 / det, -s01 / det
+
+    def apply(r):
+        w = F @ r.reshape(m, m, 2).transpose(2, 0, 1) @ F
+        z = np.stack([i00 * w[0] + i01 * w[1], i01.conj() * w[0] + i11 * w[1]])
+        return (Fc @ z @ Fc).real.transpose(1, 2, 0).ravel()
+
+    return apply
+
+
 class TestReferencePreconditioner:
-    @pytest.mark.parametrize("n_cells, refine", [(2, 1), (3, 2), (8, 4)])
+    # odd m has no Nyquist column in the half spectrum, even m has one
+    @pytest.mark.parametrize("n_cells, refine", [(2, 1), (3, 2), (8, 4), (3, 1), (5, 1),
+                                                 (11, 1)])
     def test_homogeneous_torus_takes_one_iteration(self, n_cells, refine):
         space = P1Space(mesh_torus(n_cells, refine))
         A = space.assemble_operator(np.broadcast_to(
@@ -316,6 +396,22 @@ class TestReferencePreconditioner:
         x, iters = pcg(A, b, reference_preconditioner(space, A), rtol=1e-10)
         assert iters == 1
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 11, 32])
+    def test_matches_the_full_dft_formula(self, m):
+        # a two-phase plastic tangent, as the cell problems assemble
+        space = P1Space(mesh_torus(m, 1))
+        ne = space.mesh.n_elements
+        mats = MaterialArrays.from_medium(PeriodizedMedium(TWO_PHASE, 3, n_cells=m),
+                                          space.mesh.barycenters)
+        xi = pack(np.array([[0.0, 0.6], [0.6, 0.0]]))
+        _, _, moduli = plastic_step(np.broadcast_to(xi, (ne, 3)), np.zeros((ne, 3)),
+                                    mats, 0.25, 0.003)
+        A = space.assemble_operator(moduli)
+        apply, oracle = reference_preconditioner(space, A), full_dft_preconditioner(space, A)
+        for r in np.random.default_rng(m).standard_normal((3, space.n_packed)):
+            expected = oracle(r)
+            assert np.abs(apply(r) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("amplitude", [0.2, 0.6])
     def test_iterations_flat_under_refinement(self, amplitude):

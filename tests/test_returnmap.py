@@ -100,6 +100,27 @@ def test_one_step_matches_pointwise_reference(state):
     assert np.abs(p_new[0] - ref_p[1]).max() <= 1e-12 * max(1.0, np.abs(ref_p[1]).max())
 
 
+def test_mixed_batch_moduli_are_symmetric_and_per_element():
+    """Elastic and flowing elements in one call, one of them at zero trial stress."""
+    rng = np.random.default_rng(3)
+    n = 12
+    mats = MaterialArrays.from_parameters(rng.uniform(0.5, 5.0, n), rng.uniform(0.0, 0.45, n),
+                                          0.3, rng.uniform(0.1, 2.0, n))
+    angles = rng.uniform(0.0, 2 * np.pi, n)
+    magnitude = np.where(np.arange(n) % 2 == 0, 0.5, 3.0) * 0.3   # elastic, flowing
+    magnitude[0] = 0.0
+    xi = np.stack([magnitude[e] / mats.a_dev[e] * unit_deviator(angles[e])
+                   for e in range(n)]) + rng.uniform(-1.0, 1.0, (n, 1)) * [1.0, 1.0, 0.0]
+    p_old = np.zeros((n, 3))
+    _, p_new, moduli = plastic_step(xi, p_old, mats, 0.25, 0.003)
+    assert np.array_equal(p_new[0], [0.0, 0.0, 0.0])
+    assert np.array_equal((p_new != 0).any(axis=1), magnitude > 0.3)
+    assert np.array_equal(moduli, np.swapaxes(moduli, 1, 2))
+    for e in range(n):
+        alone = plastic_step(xi[e:e + 1], p_old[e:e + 1], mats.take([e]), 0.25, 0.003)[2]
+        assert np.array_equal(moduli[e], alone[0])
+
+
 class TestMaterialArrays:
     def test_from_parameters(self):
         mats = MaterialArrays.from_parameters(2.0, 0.3, 0.5, 1.5)
