@@ -13,14 +13,16 @@ stress evolution is the expectation of the volume average of z over
 Monte-Carlo samples of the medium; the effective plastic strain comes from
 p the same way.  The probability-space problem is realized as a space
 problem on a periodized block of i.i.d. cells plus Monte-Carlo averaging,
-which is the single largest modeling approximation of the pipeline.
+which is the single largest modeling approximation of the pipeline.  The
+samples advance in lock step, one batched Newton solve per time step, and
+each gives bit for bit what it gives alone.
 
 The scheme is causal: values on [0, t] never depend on the path after t,
 and re-running a truncated path reproduces the earlier steps bit-identically.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,20 +72,22 @@ class CellTrajectory:
     times: np.ndarray
     p: np.ndarray        # (steps+1, ne, k)
     z: np.ndarray        # (steps+1, ne, k)
-    v: np.ndarray        # (steps+1, ne, d, d) corrector gradients
     phi: np.ndarray      # (steps+1, nv, d) corrector displacements
     newton_iters: list
     residual_norms: list
     space: object = field(repr=False, default=None)
     mats: object = field(repr=False, default=None)
 
+    @cached_property
+    def v(self):
+        """Corrector gradients (steps+1, ne, d, d), computed from ``phi`` on first read."""
+        return np.stack([self.space.element_gradients(nodal) for nodal in self.phi])
+
     def volume_average_z(self):
-        w = self.space.mesh.volumes
-        return np.einsum("e,mek->mk", w, self.z) / w.sum()
+        return _volume_average(self.space, self.z)
 
     def volume_average_p(self):
-        w = self.space.mesh.volumes
-        return np.einsum("e,mek->mk", w, self.p) / w.sum()
+        return _volume_average(self.space, self.p)
 
     def mean_corrector_gradient(self):
         w = self.space.mesh.volumes
@@ -101,6 +105,48 @@ class SigmaResult:
     per_sample_sigma: np.ndarray
 
 
+def _volume_average(space, fields):
+    """Volume averages (m, k) of element fields (m, ne, k)."""
+    w = space.mesh.volumes
+    return np.einsum("e,mek->mk", w, fields) / w.sum()
+
+
+def _sample_materials(rve_cfg, rve_space):
+    """The MaterialArrays of the M RVE samples, with read-only arrays.
+
+    Built once per run; FE2 shares them between all its macro elements.
+    """
+    samples = []
+    for j in range(rve_cfg.n_samples):
+        medium = PeriodizedMedium(rve_cfg.law, rve_cfg.sample_seed(j), rve_cfg.n_cells)
+        mats = MaterialArrays.from_medium(medium, rve_space.mesh.barycenters)
+        for values in (mats.a_vol, mats.a_dev, mats.hardening, mats.yield_stress):
+            values.flags.writeable = False
+        samples.append(mats)
+    return samples
+
+
+def _march(space, samples, xi_path, delta, time_grid, newton_rtol):
+    """Advance the cell problems of the S ``samples`` (MaterialArrays) in lock step.
+
+    Each step m >= 1 is one ``newton_solve`` call for all S, which freezes a
+    converged sample, so each runs the iterates it runs alone.  Yields (m, z,
+    p, phi, iterations, residuals): (S, ne, 3) stresses and plastic strains,
+    (S, n) correctors that the next step updates in place, the summed Newton
+    iterations and the (S,) residual norms.
+    """
+    mats = MaterialArrays.concatenate(samples)
+    xi_values = xi_path.at(time_grid)
+    phi = np.zeros((len(samples), space.n_packed))
+    p = np.zeros((len(samples), space.mesh.n_elements, KDIM))
+    for m in range(1, time_grid.size):
+        z, p, n_it, res = newton_solve(   # held through the next step, moduli cost M·ne·72 B
+            space, mats, xi_values[m], p, phi, time_grid[m] - time_grid[m - 1], delta,
+            0.0, newton_rtol, CG_RTOL, step=m,
+        )[:4]
+        yield m, z, p, phi, n_it, res
+
+
 def solve_cell(medium, xi_path, delta, time_grid, space, newton_rtol=1e-10):
     """Advance one sample's cell problem along the whole strain path.
 
@@ -112,71 +158,42 @@ def solve_cell(medium, xi_path, delta, time_grid, space, newton_rtol=1e-10):
     time_grid = checked_time_grid(time_grid)
     mesh = space.mesh
     mats = MaterialArrays.from_medium(medium, mesh.barycenters)
-
-    steps = time_grid.size - 1
-    p_hist = np.zeros((steps + 1, mesh.n_elements, KDIM))
-    z_hist = np.zeros((steps + 1, mesh.n_elements, KDIM))
-    v_hist = np.zeros((steps + 1, mesh.n_elements, 2, 2))
-    phi_hist = np.zeros((steps + 1, mesh.n_vertices, 2))
+    p_hist = np.zeros((time_grid.size, mesh.n_elements, KDIM))
+    z_hist = np.zeros_like(p_hist)
+    phi_hist = np.zeros((time_grid.size, mesh.n_vertices, 2))
     iters, residuals = [], []
-
-    xi_values = xi_path.at(time_grid)
-    phi = np.zeros(space.n_packed)
-    p = np.zeros((mesh.n_elements, KDIM))
-    for m in range(1, steps + 1):
-        dt = time_grid[m] - time_grid[m - 1]
-        z, p, n_it, res, _ = newton_solve(
-            space, mats, xi_values[m], p[None], phi[None], dt, delta,
-            0.0, newton_rtol, CG_RTOL, step=m,
-        )
-        p = p[0]
-        nodal = space.unpack_field(phi)
-        p_hist[m] = p
-        z_hist[m] = z[0]
-        v_hist[m] = space.element_gradients(nodal)
-        phi_hist[m] = nodal
+    for m, z, p, phi, n_it, res in _march(space, [mats], xi_path, delta, time_grid,
+                                          newton_rtol):
+        p_hist[m], z_hist[m], phi_hist[m] = p[0], z[0], space.unpack_field(phi[0])
         iters.append(n_it)
         residuals.append(res[0])
-
-    return CellTrajectory(times=time_grid, p=p_hist, z=z_hist, v=v_hist,
-                          phi=phi_hist, newton_iters=iters,
-                          residual_norms=residuals, space=space, mats=mats)
-
-
-def _one_sample(cfg, xi_path, time_grid, space, j):
-    medium = PeriodizedMedium(cfg.law, cfg.sample_seed(j), cfg.n_cells)
-    traj = solve_cell(medium, xi_path, cfg.delta, time_grid, space,
-                      newton_rtol=cfg.newton_rtol)
-    return traj.volume_average_z(), traj.volume_average_p()
+    return CellTrajectory(times=time_grid, p=p_hist, z=z_hist, phi=phi_hist,
+                          newton_iters=iters, residual_norms=residuals, space=space,
+                          mats=mats)
 
 
 def sigma(cfg, xi_path, time_grid, threads=1):
     """Monte-Carlo estimate of the effective operators along a strain path.
 
-    Deterministic given the base seed: sample seeds are consecutive and the
-    reduction runs in fixed seed order regardless of the thread count.
+    All M samples advance as one batch (see ``_march``), and only their
+    per-step volume averages are kept.  Deterministic given the base seed:
+    sample seeds are consecutive, and every sample gives, bit for bit, what
+    it gives alone, so the result is the same for any batch size.
+    ``threads`` must be a positive int and has no other effect.
     """
     positive_int(threads, "threads")
-    time_grid = np.asarray(time_grid, dtype=float)
-    space = P1Space(mesh_torus(cfg.n_cells, cfg.refine))  # immutable, shareable
-    jobs = range(cfg.n_samples)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda j: _one_sample(cfg, xi_path, time_grid, space, j), jobs))
-    else:
-        results = [_one_sample(cfg, xi_path, time_grid, space, j) for j in jobs]
-
-    z_samples = np.stack([r[0] for r in results])   # (M, steps+1, k)
-    p_samples = np.stack([r[1] for r in results])
-    mean_z = z_samples.mean(axis=0)
-    mean_p = p_samples.mean(axis=0)
-    if cfg.n_samples > 1:
-        stderr = z_samples.std(axis=0, ddof=1) / np.sqrt(cfg.n_samples)
-    else:
-        stderr = np.zeros_like(mean_z)
-    return SigmaResult(times=time_grid, sigma=mean_z, pi=mean_p, mc_stderr=stderr,
-                       per_sample_sigma=z_samples)
+    time_grid = checked_time_grid(time_grid)
+    space = P1Space(mesh_torus(cfg.n_cells, cfg.refine))
+    z_samples = np.zeros((cfg.n_samples, time_grid.size, KDIM))   # (M, steps+1, k)
+    p_samples = np.zeros_like(z_samples)
+    for m, z, p, *_ in _march(space, _sample_materials(cfg, space), xi_path, cfg.delta,
+                              time_grid, cfg.newton_rtol):
+        z_samples[:, m] = _volume_average(space, z)
+        p_samples[:, m] = _volume_average(space, p)
+    stderr = z_samples.std(axis=0, ddof=1) / np.sqrt(cfg.n_samples) if cfg.n_samples > 1 \
+        else np.zeros_like(z_samples[0])
+    return SigmaResult(times=time_grid, sigma=z_samples.mean(axis=0), pi=p_samples.mean(axis=0),
+                       mc_stderr=stderr, per_sample_sigma=z_samples)
 
 
 def causality_check(cfg, xi1, xi2, t_star, time_grid):

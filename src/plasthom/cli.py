@@ -186,7 +186,7 @@ def cmd_cell(cfg, args):
     boundary, xi = _boundary(cfg, os.path.dirname(os.path.abspath(args.config)))
     time_grid = _time_grid(cfg)
     rve = _rve(cfg, law, delta, args.seed, {"N": args.N, "r": args.r, "M": args.M})
-    result = sigma(rve, xi, time_grid, threads=args.threads)
+    result = sigma(rve, xi, time_grid)
     table = ReportTable(
         columns=["t"] + _stress_columns("sigma") + _stress_columns("pi")
         + _stress_columns("stderr") + ["seed"])
@@ -300,8 +300,6 @@ def build_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="base seed")
         if name == "cell":
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for Monte-Carlo sweeps")
             p.add_argument("--N", type=int, help="cells per side (overrides config)")
             p.add_argument("--r", type=int, help="refinements per cell")
             p.add_argument("--M", type=int, help="Monte-Carlo samples")

@@ -24,12 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, finescale
-from .cellproblem import CG_RTOL
+from .cellproblem import CG_RTOL, _sample_materials
 from .errors import ConfigurationError, NumericalError, at_step, finite_number, positive_int
 from .fem import P1Space, jacobi, mesh_torus, pcg
 from .finescale import _add_boundary_offset, _impose_dirichlet, _load_vector, newton_tolerance
 from .loading import checked_boundary, checked_time_grid
-from .media import PeriodizedMedium
 from .returnmap import MaterialArrays
 from .tensors import KDIM
 
@@ -59,21 +58,6 @@ class MacroConfig:
             raise ConfigurationError(
                 f"mesh has {self.mesh.n_elements} elements, budget allows {self.max_elements}"
             )
-
-
-def _sample_materials(rve_cfg, rve_space):
-    """The MaterialArrays of the M RVE samples, with read-only arrays.
-
-    Every macro element sees the same M samples, so FE2 builds them once.
-    """
-    samples = []
-    for j in range(rve_cfg.n_samples):
-        medium = PeriodizedMedium(rve_cfg.law, rve_cfg.sample_seed(j), rve_cfg.n_cells)
-        mats = MaterialArrays.from_medium(medium, rve_space.mesh.barycenters)
-        for values in (mats.a_vol, mats.a_dev, mats.hardening, mats.yield_stress):
-            values.flags.writeable = False
-        samples.append(mats)
-    return samples
 
 
 class ElementCellState:

@@ -23,7 +23,7 @@ sys.path.insert(0, BENCH_DIR)
 import tracing
 import workloads
 
-from plasthom import experiments, fem, macroscale
+from plasthom import cellproblem, experiments, fem, macroscale
 from plasthom.cellproblem import RveConfig
 from plasthom.experiments import ExperimentSpec
 from plasthom.fem import mesh_unit_square
@@ -66,6 +66,17 @@ def test_traced_fe2_solve_gives_json_counts():
     counts = tracing.exact_counts(tracing.layer_metrics(tracer.spans))
     json.dumps(counts)
     assert counts["finescale.newton.iters"] > 0 and counts["macroscale.newton.iters"] > 0
+
+
+def test_traced_sigma_solves_each_correction_through_the_traced_newton():
+    """Every periodic CG solve of a traced sigma run is one counted Newton
+    iteration, so its samples reach Newton through the binding tracing wraps."""
+    path, grid = workloads.shear_cycle(0.6, 4)
+    cfg = RveConfig(n_cells=4, refine=3, n_samples=2, delta=0.003, law=workloads.TWO_PHASE)
+    with tracing.traced() as tracer:
+        cellproblem.sigma(cfg, path, grid)  # looked up here, where tracing wraps it
+    counts = tracing.exact_counts(tracing.layer_metrics(tracer.spans))
+    assert counts["fem.pcg.calls"] == counts["finescale.newton.iters"] > 0
 
 
 def test_fe2_macro_needs_at_most_two_macro_iterations_per_step():

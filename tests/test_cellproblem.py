@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from plasthom.cellproblem import (
     RveConfig,
+    _march,
     causality_check,
     continuity_probe,
     default_probe_direction,
@@ -183,14 +186,47 @@ class TestSigmaOperator:
             with pytest.raises(ConfigurationError, match="ProbabilityLaw"):
                 RveConfig(n_cells=2, refine=1, n_samples=1, delta=0.01, law=law)
 
-    def test_threaded_reduction_matches_serial(self):
-        cfg = RveConfig(n_cells=2, refine=1, n_samples=4, delta=0.003,
+    def test_threads_must_be_positive(self):
+        cfg = RveConfig(n_cells=2, refine=1, n_samples=2, delta=0.003, law=TWO_PHASE)
+        with pytest.raises(ConfigurationError, match="threads"):
+            sigma(cfg, shear_path(0.6, 1.0, 2), np.linspace(0, 1, 3), threads=0)
+
+
+class TestBatchSize:
+    """M samples advanced as one batch give, bit for bit, each sample solved alone."""
+
+    @pytest.mark.parametrize("n_cells, refine", [(2, 4), (4, 3)],
+                             ids=["dense-solves", "dft-cg-solves"])
+    def test_batch_matches_each_sample_alone(self, n_cells, refine):
+        path, grid = shear_path(0.6, 1.0, 4), np.linspace(0, 1, 5)
+        cfg = RveConfig(n_cells=n_cells, refine=refine, n_samples=4, delta=0.003,
                         law=TWO_PHASE, base_seed=2)
-        path = shear_path(0.6, 1.0, 4)
-        grid = np.linspace(0, 1, 5)
-        serial = sigma(cfg, path, grid, threads=1)
-        threaded = sigma(cfg, path, grid, threads=3)
-        assert np.array_equal(serial.sigma, threaded.sigma)
+        space = P1Space(mesh_torus(n_cells, refine))
+        alone = [solve_cell(PeriodizedMedium(TWO_PHASE, cfg.sample_seed(j), n_cells), path,
+                            cfg.delta, grid, space) for j in range(cfg.n_samples)]
+        # some step converges after different iteration counts, so the batch
+        # freezes converged samples while others iterate on
+        iters = np.array([traj.newton_iters for traj in alone])
+        assert np.ptp(iters, axis=0).max() > 0
+
+        batch = sigma(cfg, path, grid)
+        singles = [sigma(replace(cfg, n_samples=1, base_seed=cfg.sample_seed(j)), path, grid)
+                   for j in range(cfg.n_samples)]
+        for j, single in enumerate(singles):
+            assert np.array_equal(batch.per_sample_sigma[j], single.per_sample_sigma[0])
+        assert np.array_equal(batch.sigma, np.mean([s.sigma for s in singles], axis=0))
+        assert np.array_equal(batch.pi, np.mean([s.pi for s in singles], axis=0))
+
+        steps = _march(space, [traj.mats for traj in alone], path, cfg.delta, grid,
+                       cfg.newton_rtol)
+        for m, z, p, phi, _, _ in steps:
+            for j, traj in enumerate(alone):
+                assert np.array_equal(z[j], traj.z[m])
+                assert np.array_equal(p[j], traj.p[m])
+                assert np.array_equal(space.unpack_field(phi[j]), traj.phi[m])
+        for traj in alone:
+            for m in range(grid.size):
+                assert np.array_equal(traj.v[m], space.element_gradients(traj.phi[m]))
 
 
 class TestCausality:

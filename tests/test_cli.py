@@ -84,15 +84,6 @@ class TestSubcommands:
         assert float(rows[0]["sigma_12"]) == 0.0
         assert float(rows[-1]["sigma_12"]) > 0.1
 
-    def test_cell_threads_match_serial(self, run_dir):
-        out, cfg = run_dir
-        main(["cell", "--config", str(cfg), "--out", str(out / "serial")])
-        main(["cell", "--config", str(cfg), "--out", str(out / "thr"),
-              "--threads", "2"])
-        serial = (out / "serial" / "cell_sigma.csv").read_bytes()
-        threaded = (out / "thr" / "cell_sigma.csv").read_bytes()
-        assert serial == threaded
-
     def test_macro_runs(self, run_dir):
         out, cfg = run_dir
         code = main(["macro", "--config", str(cfg), "--out", str(out)])
@@ -303,14 +294,6 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not (out / "cell_sigma.csv").exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_nonpositive_threads_is_configuration_error(self, run_dir, capsys, threads):
-        out, cfg = run_dir
-        assert main(["cell", "--config", str(cfg), "--out", str(out),
-                     "--threads", threads]) == 2
-        assert "configuration error" in capsys.readouterr().err
-        assert not (out / "cell_sigma.csv").exists()
-
     @pytest.mark.parametrize("command, seed", [
         pytest.param("cell", "99999999999999999999", id="cell-seed-beyond-int64"),
         pytest.param("eps", "99999999999999999999", id="eps-seed-beyond-int64"),
@@ -367,13 +350,6 @@ class TestExitCodes:
         out, cfg = run_dir
         assert main(["korn", "--config", str(cfg), "--out", str(cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
-
-    def test_threads_is_only_accepted_by_cell(self, run_dir):
-        out, cfg = run_dir
-        with pytest.raises(SystemExit) as exit_info:
-            main(["korn", "--config", str(cfg), "--out", str(out), "--threads", "2"])
-        assert exit_info.value.code == 2
-
 
 # Malformed values of the keys that the CLI checks itself, and of the sizes
 # that it passes on to an allocation.  Only malformed values are drawn: a
