@@ -32,7 +32,7 @@ from .finescale import newton_solve
 from .loading import StrainPath, checked_time_grid
 from .media import PeriodizedMedium, ProbabilityLaw
 from .returnmap import MaterialArrays
-from .tensors import KDIM, pack
+from .tensors import KDIM, norm, pack
 
 # Floor of the forcing term of the Newton corrector solves, and the relative
 # tolerance of the condensed-tangent solves of ``macroscale``
@@ -212,7 +212,7 @@ def causality_check(cfg, xi1, xi2, t_star, time_grid):
 def default_probe_direction():
     """A fixed unit-norm pure-shear direction for continuity probes."""
     comps = pack(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    return comps / np.linalg.norm(comps)
+    return comps / norm(comps)
 
 
 def continuity_probe(cfg, xi_path, eta, time_grid):

@@ -35,7 +35,7 @@ from .loading import AffineBoundary, path_from_csv, tabulated_offset
 from .macroscale import MacroConfig, solve_effective
 from .media import ProbabilityLaw, sample_realization
 from .reporting import ReportTable, emit_report
-from .tensors import SQRT2
+from .tensors import SQRT2, inner
 
 _SECTIONS = ("domain", "mesh", "time", "law", "rve", "bc", "averaging", "korn", "ergodic")
 
@@ -161,8 +161,8 @@ def cmd_eps(cfg, args):
     report = residual_report(traj, config)
     avg = average_stress(traj)
     vol = mesh.volumes / mesh.volumes.sum()
-    u_norm = [float(np.sqrt((traj.u[i][mesh.simplices].mean(axis=1) ** 2)
-                            .sum(axis=1) @ vol)) for i in range(traj.times.size)]
+    u_norm = [float(np.sqrt(inner((traj.u[i][mesh.simplices].mean(axis=1) ** 2)
+                                  .sum(axis=1), vol))) for i in range(traj.times.size)]
     p_norm = [float(np.sqrt(np.einsum("e,ek,ek->", vol, traj.p[i], traj.p[i])))
               for i in range(traj.times.size)]
     extras = [(u_norm[i], p_norm[i],

@@ -32,6 +32,14 @@ each Newton correction only as tightly as its system's own residual needs
 (an inexact Newton forcing term), while the tangent and elastic solves keep
 a fixed tight tolerance.  On the direct path the tolerance only bounds the
 residual check.
+
+CG's inner products and norms and the translation projections are taken by
+``tensors.inner`` and ``tensors.norm``, never by BLAS: above about 10,000
+entries OpenBLAS splits a dot product over its threads, which changes its
+rounding with the thread count and leaves a worker spinning between calls.
+So a solve's bits do not depend on the BLAS thread count.  Matrix products
+(sparse matvecs, the DFT transforms, batched LU solves) stay with numpy and
+scipy.
 """
 
 from dataclasses import dataclass
@@ -48,7 +56,7 @@ from .errors import (
     positive_int,
     positive_number,
 )
-from .tensors import KDIM, SQRT2
+from .tensors import KDIM, SQRT2, inner, norm
 
 DIM = 2
 # Largest periodic system solved directly.  Per system of a stack of 16
@@ -196,7 +204,7 @@ def mesh_simplex(corners, h):
         raise ConfigurationError(f"expected 3 corner points in 2-d, got {corners.shape}")
     positive_number(h, "mesh size h")
     edges = [corners[1] - corners[0], corners[2] - corners[0], corners[2] - corners[1]]
-    diam = max(np.linalg.norm(e) for e in edges)
+    diam = norm(np.array(edges)).max()
     cross = edges[0][0] * edges[1][1] - edges[0][1] * edges[1][0]
     if abs(cross) < 1e-14 * max(diam, 1.0) ** 2:
         raise ConfigurationError("input simplex is degenerate")
@@ -484,7 +492,7 @@ def pcg(A, b, precond, rtol=1e-10, maxiter=None):
         maxiter = 10 * b.size
     x = np.zeros_like(b)
     r = b.copy()
-    res = norm_b = np.linalg.norm(b)
+    res = norm_b = norm(b)
     if not np.isfinite(norm_b):
         raise NumericalError("conjugate gradients got a non-finite right-hand side "
                              "at iteration 0", residual=float(res))
@@ -493,10 +501,10 @@ def pcg(A, b, precond, rtol=1e-10, maxiter=None):
         return x, 0
     z = precond(r)
     p = z.copy()
-    rz = r @ z
+    rz = inner(r, z)
     for it in range(1, maxiter + 1):
         Ap = A @ p
-        pAp = p @ Ap
+        pAp = inner(p, Ap)
         # a non-finite residual reaches p^T A p one iteration later
         if not pAp > 0:
             what = "broke down" if np.isfinite(pAp) else "hit a non-finite value"
@@ -505,11 +513,11 @@ def pcg(A, b, precond, rtol=1e-10, maxiter=None):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        res = np.linalg.norm(r)
+        res = norm(r)
         if res <= target:
             return x, it
         z = precond(r)
-        rz_new = r @ z
+        rz_new = inner(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise NumericalError(
@@ -537,7 +545,7 @@ def solve_periodic(space, A, rhs, rtol=1e-10):
     for j in range(columns.shape[1]):
         column = columns[:, j]
         for t in space.translation_vectors():
-            column = column - (t @ column) * t
+            column = column - inner(t, column) * t
         x[:, j], _ = pcg(A, column, precond, rtol=rtol)
     return x.reshape(b.shape)
 

@@ -23,7 +23,7 @@ from .fem import P1Space, jacobi, pcg, solve_elastic
 from .flowrules import VON_MISES, FlowRule
 from .loading import checked_boundary, checked_time_grid
 from .returnmap import MaterialArrays, plastic_step
-from .tensors import KDIM, unpack
+from .tensors import KDIM, inner, norm, unpack
 
 NEWTON_MAXITER = 50
 # Forcing term of the inexact Newton iteration: a system's correction is
@@ -103,12 +103,6 @@ def _load_vector(space, config, t):
     return space.load_vector(values)
 
 
-def _norms(rows):
-    """Euclidean norms over the last axis, by the dot product ``np.linalg.norm`` takes."""
-    flat = rows.reshape(np.prod(rows.shape[:-1], dtype=int), rows.shape[-1])
-    return np.sqrt([np.dot(row, row) for row in flat]).reshape(rows.shape[:-1])
-
-
 def newton_tolerance(space, z0, res0, f_norm, rtol):
     """Newton's convergence test on ``space``: (scale, tol), from a step's first evaluation.
 
@@ -117,7 +111,7 @@ def newton_tolerance(space, z0, res0, f_norm, rtol):
     (|force_scale(z0)| + |f_ext|), scale = max(res0, |f_ext|), has converged: every term
     is a force of the step's own data, so the test scales with the units."""
     scale = np.maximum(res0, f_norm)
-    floor = 1e-14 * (_norms(space.force_scale(z0)[..., space.free_dofs]) + f_norm)
+    floor = 1e-14 * (norm(space.force_scale(z0)[..., space.free_dofs]) + f_norm)
     return scale, rtol * scale + floor
 
 
@@ -163,7 +157,7 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     periodic = bool(space.mesh.grid_size)
     offset = np.broadcast_to(strain_offset, (n_systems, ne, KDIM))
     f_ext = np.broadcast_to(f_ext, u.shape)
-    f_norm = _norms(f_ext[:, free])
+    f_norm = norm(f_ext[:, free])
 
     # With every system taking part, the materials and the accepted state are
     # used whole rather than copied: the copies cost about 9 % of the wall
@@ -178,7 +172,7 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
                                         sub, dt, delta)
         z = z.reshape(-1, ne, KDIM)
         f_int = space.internal_forces(z)
-        res = _norms((f_ext[systems] - f_int)[:, free])
+        res = norm((f_ext[systems] - f_int)[:, free])
         return z, p_new.reshape(z.shape), moduli.reshape(-1, ne, KDIM, KDIM), f_int, res
 
     def solve(systems):
@@ -401,7 +395,7 @@ def residual_report(traj, config):
         work_bc = np.einsum("e,ek,ek->", vol, traj.sigma[m],
                             space.element_strains(space.pack_field(dU)))
         f_ext = _load_vector(space, config, times[m])
-        work_f = f_ext @ space.pack_field(du - dU)
+        work_f = inner(f_ext, space.pack_field(du - dU))
         rhs = work_bc + work_f
         defect_tight += (energy[m] - energy[m - 1]) + diss + quad - rhs
         gap_running += quad

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensors import SQRT2
+from .tensors import SQRT2, norm
 
 
 def checked_time_grid(time_grid):
@@ -128,7 +128,7 @@ class AffineBoundary:
     def __post_init__(self):
         if self.offset is not None:
             a0 = np.asarray(self.offset(0.0), dtype=float)
-            if np.linalg.norm(a0) > 1e-14:
+            if norm(a0) > 1e-14:
                 raise ConfigurationError("additive boundary constant must vanish at t=0")
 
     def offset_at(self, t):

@@ -30,7 +30,7 @@ from .fem import P1Space, jacobi, mesh_torus, pcg
 from .finescale import _add_boundary_offset, _impose_dirichlet, _load_vector, newton_tolerance
 from .loading import checked_boundary, checked_time_grid
 from .returnmap import MaterialArrays
-from .tensors import KDIM
+from .tensors import KDIM, norm
 
 NEWTON_MAXITER = 40
 
@@ -193,7 +193,7 @@ def solve_effective(config):
             t, dt = times[m], times[m] - times[m - 1]
             _impose_dirichlet(space, config, times[m - 1], t, u)
             f_ext = _load_vector(space, config, t)
-            f_norm = np.linalg.norm(f_ext[free])
+            f_norm = norm(f_ext[free])
             for it in range(NEWTON_MAXITER):
                 if config.max_seconds is not None \
                         and _time.monotonic() - start > config.max_seconds:
@@ -205,7 +205,7 @@ def solve_effective(config):
                 strains = space.element_strains(u)
                 sig = cells.advance(strains, dt)
                 residual = (f_ext - space.internal_forces(sig))[free]
-                res_norm = np.linalg.norm(residual)
+                res_norm = norm(residual)
                 if it == 0:
                     _, tol = newton_tolerance(space, sig, res_norm, f_norm, config.newton_rtol)
                 if res_norm <= tol:
@@ -237,6 +237,6 @@ def weak_form_residual(solution, config):
     for m in range(1, solution.times.size):
         f_ext = _load_vector(space, config, solution.times[m])
         f_int = space.internal_forces(solution.sigma[m])
-        denom = max(np.linalg.norm(f_int[free]), np.linalg.norm(f_ext[free]), 1e-300)
+        denom = max(norm(f_int[free]), norm(f_ext[free]), 1e-300)
         worst = max(worst, np.abs((f_ext - f_int)[free]).max() / denom)
     return worst

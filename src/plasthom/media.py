@@ -29,7 +29,7 @@ from .errors import (
     positive_int,
     valid_seed,
 )
-from .tensors import isotropic_eigenvalues
+from .tensors import inner, isotropic_eigenvalues
 
 # SplitMix64 constants; salts are premultiplied as an array so every uint64
 # product happens in array arithmetic (silent wrap mod 2^64)
@@ -164,7 +164,7 @@ class Distribution:
         if self.kind == "uniform":
             return 0.5 * (self.params[0] + self.params[1])
         values, weights = self.params
-        return float(np.dot(values, weights))
+        return float(inner(values, weights))
 
     @property
     def is_point(self):
@@ -332,7 +332,8 @@ def ergodic_average(omega, g, L):
     overlap volume with the box (cut cells included exactly).  The box is a
     product grid: its rows and columns are listed once, the medium is
     evaluated on their grid and a cell's weight is its row overlap times its
-    column overlap.
+    column overlap.  The weighted sum is ``tensors.inner``'s, so it does not
+    depend on the BLAS thread count.
     """
     if L < 1:
         raise ConfigurationError(f"box half-width must be >= 1, got {L}")
@@ -349,7 +350,7 @@ def ergodic_average(omega, g, L):
     weights = np.outer(row_weights, col_weights).ravel()
     params = omega.law.cell_parameters(omega.seed, (rows[:, None], cols[None, :]))
     values = np.broadcast_to(np.asarray(g(params), dtype=float), weights.shape)
-    return float(np.dot(weights, values) / (2.0 * L) ** 2)
+    return float(inner(weights, values) / (2.0 * L) ** 2)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,25 @@ SQRT2 = np.sqrt(2.0)
 KDIM = 3  # length of the Mandel component vector
 
 
+def inner(a, b):
+    """Sums of a * b over the last axis, broadcast over the leading axes.
+
+    Every vector reduction of the package goes through here, never through
+    BLAS (``np.dot``, a 1-d ``@``, ``np.linalg.norm`` without ``axis``):
+    numpy's einsum loop runs on the calling thread, so no BLAS worker wakes
+    up and the rounding does not depend on the BLAS thread count.  A sum is
+    fixed by its operands' shapes, so reruns are bit-identical; a row longer
+    than numpy's 8,192-entry iterator buffer may round differently alone
+    than in a stack of rows.
+    """
+    return np.einsum("...i,...i->...", a, b)
+
+
+def norm(a):
+    """Euclidean norms over the last axis, by ``inner``."""
+    return np.sqrt(inner(a, a))
+
+
 def pack(mat):
     """Pack symmetric matrices (..., 2, 2) into Mandel components (..., 3).
 

@@ -192,8 +192,9 @@ def cellwise_ergodic_average(omega, g, L):
 
     Lists every cell of the box as one (n, 2) row of indices from a
     ``meshgrid`` and takes its weight as the product of its two axis
-    overlaps, in that order, so the sum runs over the same products in the
-    same order as the grid evaluation and must agree with it bit for bit.
+    overlaps, in that order, and reduces them against the values with the
+    einsum of ``tensors.inner``, so the sum runs over the same products in
+    the same order as the grid evaluation and must agree with it bit for bit.
     """
     offset = omega.translation - omega.shift
     axes = []
@@ -209,4 +210,4 @@ def cellwise_ergodic_average(omega, g, L):
     weights = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
     params = omega.law.cell_parameters(omega.seed, (cells[:, 0], cells[:, 1]))
     values = np.broadcast_to(np.asarray(g(params), dtype=float), weights.shape)
-    return float(np.dot(weights, values) / (2.0 * L) ** 2)
+    return float(np.einsum("...i,...i->...", weights, values) / (2.0 * L) ** 2)

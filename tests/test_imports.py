@@ -2,8 +2,9 @@
 private function or class is used somewhere in the package, every public
 one is used by the package, a demo, the benchmark, the acceptance suite or
 the README, the only third-party modules the package imports are numpy
-and scipy.sparse, and no numpy function younger than the oldest numpy that
-``pyproject.toml`` admits is called.
+and scipy.sparse, no numpy function younger than the oldest numpy that
+``pyproject.toml`` admits is called, and no vector reduction is handed to
+BLAS.
 
 Stand-ins for a linter's unused-import and dead-code rules, written with the
 stdlib ``ast`` so they run wherever the tests do.  ``__init__`` is skipped by
@@ -33,6 +34,9 @@ NUMPY_2_ONLY = {
     "numpy.linalg": {"diagonal", "matrix_norm", "matrix_transpose", "outer", "svdvals",
                      "tensordot", "trace", "vecdot", "vector_norm"},
 }
+
+# numpy functions that hand a vector reduction to BLAS
+BLAS_REDUCTIONS = {"np.dot", "np.vdot", "np.inner"}
 
 
 def imported_names(tree):
@@ -129,15 +133,18 @@ def test_third_party_imports_are_numpy_and_scipy_sparse():
     assert sorted(third_party - THIRD_PARTY) == []
 
 
+def dotted(node):
+    """``a.b.c`` for a chain of attributes on a bare name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
 def numpy_calls(tree):
     """Dotted names ``np.f`` and ``np.linalg.f`` read in the module, spelled ``numpy...``."""
-    def dotted(node):
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Attribute):
-            head = dotted(node.value)
-            return head and f"{head}.{node.attr}"
-        return None
     names = {dotted(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     return {"numpy" + name[2:] for name in names if name and name.startswith("np.")}
 
@@ -150,3 +157,33 @@ def test_numpy_functions_exist_in_the_oldest_admitted_numpy():
     too_new = {name for name in called
                if name.rpartition(".")[2] in NUMPY_2_ONLY.get(name.rpartition(".")[0], ())}
     assert sorted(too_new) == []
+
+
+def blas_reductions(tree):
+    """Line and name of every ``np.dot``, ``np.vdot`` and ``np.inner`` read in the
+    module, and of every ``np.linalg.norm`` that is not called with ``axis=``."""
+    with_axis = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and any(keyword.arg == "axis" for keyword in node.keywords)}
+    found = []
+    for node in ast.walk(tree):
+        name = dotted(node) if isinstance(node, ast.Attribute) else None
+        if name in BLAS_REDUCTIONS or name == "np.linalg.norm" and id(node) not in with_axis:
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_blas_reductions_are_found():
+    tree = ast.parse("np.dot(a, b)\nnp.linalg.norm(x, axis=1)\nnp.linalg.norm(x)\n"
+                     "f(np.inner)\nnp.einsum('i,i->', a, b)\n")
+    assert blas_reductions(tree) == ["line 1: np.dot", "line 3: np.linalg.norm",
+                                     "line 4: np.inner"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_vector_reductions_stay_off_blas(path):
+    """Above about 10,000 entries OpenBLAS splits these reductions over its
+    threads, which changes their rounding with the thread count and leaves a
+    worker spinning between calls; ``tensors.inner`` and ``tensors.norm`` take
+    them instead.  ``np.linalg.norm`` over an ``axis`` runs no BLAS."""
+    tree = ast.parse(path.read_text(encoding="utf8"), filename=str(path))
+    assert blas_reductions(tree) == []
