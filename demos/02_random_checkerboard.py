@@ -32,7 +32,8 @@ print("  shifted at x equals original at x+y:", a["E"][0] == b["E"][0])
 
 print("\nspatial averages approach the ensemble mean (expect 1.5):")
 for L in (4, 8, 16, 32):
-    avg = ph.ergodic_average(omega, lambda params: params["E"], L)
+    # one average per realization in the list, here a list of one
+    avg, = ph.ergodic_average([omega], lambda params: params["E"], L)
     print(f"  box half-width {L:>2}: average E = {avg:.4f} "
           f"(error {abs(avg - 1.5):.4f})")
 

@@ -86,9 +86,6 @@ class CellTrajectory:
     def volume_average_z(self):
         return _volume_average(self.space, self.z)
 
-    def volume_average_p(self):
-        return _volume_average(self.space, self.p)
-
     def mean_corrector_gradient(self):
         w = self.space.mesh.volumes
         return np.einsum("e,meab->mab", w, self.v) / w.sum()

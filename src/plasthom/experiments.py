@@ -15,7 +15,7 @@ from .fem import P1Space, mesh_simplex, mesh_torus, mesh_unit_square
 from .finescale import EpsProblemConfig, average_stress, solve_eps
 from .loading import AffineBoundary, tabulated_offset
 from .macroscale import MacroConfig, solve_effective
-from .media import ergodic_average, sample_realization
+from .media import Realization, ergodic_average, sample_realization, sample_shifts
 from .reporting import ReportTable
 from .tensors import SQRT2
 
@@ -178,17 +178,17 @@ def run_ergodic_check(spec):
                                  f"expected one of {sorted(marginals)}")
     expected = marginals[stat].mean()
 
-    realizations = [sample_realization(law, base_seed + i)
-                    for i in range(array_size(n_seeds, "ergodic n_seeds"))]
+    # sample_realization's draws, with the shifts of all seeds hashed at once
+    seeds = base_seed + np.arange(array_size(n_seeds, "ergodic n_seeds"))
+    realizations = [Realization(law, int(seed), shift, np.zeros(2))
+                    for seed, shift in zip(seeds, sample_shifts(seeds))]
 
     table = ReportTable(columns=["L", "seed", "value", "abs_error", "expected"])
     mean_errors = []
     for L in L_values:
-        errs = []
-        for omega in realizations:
-            value = ergodic_average(omega, lambda params: params[stat], L)
-            err = abs(value - expected)
-            errs.append(err)
+        values = ergodic_average(realizations, lambda params: params[stat], L)
+        errs = np.abs(values - expected)
+        for omega, value, err in zip(realizations, values.tolist(), errs.tolist()):
             table.append(L, omega.seed, value, err, expected)
         mean_errors.append(np.mean(errs))
     if np.all(np.asarray(mean_errors) > 0):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fem
 from .errors import ConfigurationError, NumericalError, at_step, positive_number
-from .fem import P1Space, jacobi, pcg, solve_elastic
+from .fem import P1Space, jacobi, pcg
 from .flowrules import VON_MISES, FlowRule
 from .loading import checked_boundary, checked_time_grid
 from .returnmap import MaterialArrays, plastic_step
@@ -283,20 +283,6 @@ def average_stress(traj):
     """Volume-weighted element-stress average per time step, (steps+1, 3)."""
     w = traj.space.mesh.volumes
     return np.einsum("e,mek->mk", w, traj.sigma) / w.sum()
-
-
-def elastic_reference(config):
-    """Per-step linear-elastic displacements with the same data (oracle hook)."""
-    mesh = config.mesh
-    space = P1Space(mesh)
-    mats = MaterialArrays.from_medium(config.medium, mesh.barycenters, config.epsilon)
-    moduli = mats.stiffness_moduli()
-    out = [np.zeros((mesh.n_vertices, 2))]
-    for t in config.time_grid[1:]:
-        g = lambda pts, t=t: _boundary_values(config, t, pts)
-        f = None if config.load is None else (lambda pts, t=t: config.load(t, pts))
-        out.append(solve_elastic(space, moduli, f=f, g=g, rtol=config.cg_rtol))
-    return np.stack(out)
 
 
 @dataclass

@@ -8,8 +8,9 @@ integer hash, so the field is defined on the whole plane with O(1) memory
 and re-evaluation is bit-identical.  The hash takes one index array per
 axis: a list of cells passes two columns, and a box passes its rows and its
 columns, so the medium is evaluated on their product grid without listing
-its cells; either way the parameter arrays come back flat, one entry per
-cell in row-major order.
+its cells.  An array of seeds adds a leading axis, one realization per seed,
+so several realizations' boxes are hashed as one stack of grids.  Either way
+the parameter arrays come back flat, one entry per cell in row-major order.
 
 Scaled coefficient fields are realized by reading the medium at x/eps.
 Shifting a realization by y yields the realization of the translated medium,
@@ -52,21 +53,30 @@ def _mix(x):
     return x ^ (x >> np.uint64(31))
 
 
+def _seed_axes(seed, coords):
+    """``seed`` as an int64 array whose axes lead those of the broadcast ``coords``;
+    never 0-d, so the hash wraps in array arithmetic, silently."""
+    seed = np.asarray(seed, dtype=np.int64)
+    ndim = max(1, *(np.ndim(index) for index in coords))
+    return seed.reshape(seed.shape + (1,) * (ndim - seed.ndim))
+
+
 def _uniform01(seed, coords, channel):
     """Uniform [0,1) draws, one per cell of the integer index arrays ``coords``.
 
     ``coords`` holds one index array per axis, and the arrays broadcast
     together: two columns (n,) name n cells, a column of row indices
-    (r, 1) and a row of column indices (1, c) name the r x c grid.  The hash
-    mixes in one axis per round, so on a grid the first round runs once per
-    row and only the last once per cell.  Draws come back flat, in row-major
-    order of the broadcast shape.  Pure in (seed, cell, channel); distinct
-    channels give independent draws.  Arithmetic runs on uint64 arrays,
-    wrapping mod 2^64 by construction.
+    (r, 1) and a row of column indices (1, c) name the r x c grid.  ``seed``
+    is an int or an int64 array of seeds whose axes lead the broadcast
+    shape: seeds (S,) with rows (S, r, 1) and columns (S, 1, c) name S grids,
+    one per realization.  The hash mixes in the seed, then one axis per
+    round, so on a stack of grids the seed round runs once per realization,
+    the row round once per row and only the last round once per cell.
+    Draws come back flat, in row-major order of the broadcast shape.  Pure
+    in (seed, cell, channel); distinct channels give independent draws.
+    Arithmetic runs on uint64 arrays, wrapping mod 2^64 by construction.
     """
-    start = np.array([np.int64(seed)], dtype=np.int64).astype(np.uint64)
-    start += _SALTS[channel]
-    h = _mix(start)
+    h = _mix(_seed_axes(seed, coords).astype(np.uint64) + _SALTS[channel])
     for axis, index in enumerate(coords):
         key = np.asarray(index, dtype=np.int64).astype(np.uint64)
         key = key + _SALTS[axis + 1]
@@ -139,7 +149,14 @@ class Distribution:
             raise ConfigurationError(f"bad {key} distribution spec {val!r}") from None
 
     def sample(self, u):
-        """Map uniform [0,1) draws to values (inverse transform)."""
+        """Map uniform [0,1) draws to values (inverse transform).
+
+        A discrete draw's index is the number of the first K - 1 cumulative
+        weights that it reaches, counted by K - 1 comparisons: the index of
+        ``searchsorted(edges, u, "right")`` capped at K - 1, bit for bit.
+        One pass per value beats the binary search up to about 64 values,
+        by several times for the few phases of a checkerboard law.
+        """
         u = np.asarray(u)
         if self.kind == "point":
             return np.full_like(u, self.params[0], dtype=float)
@@ -147,9 +164,10 @@ class Distribution:
             lo, hi = self.params
             return lo + (hi - lo) * u
         values, weights = self.params
-        edges = np.cumsum(weights)
-        idx = np.searchsorted(edges, u, side="right")
-        return np.asarray(values, dtype=float)[np.minimum(idx, len(values) - 1)]
+        idx = np.zeros(u.shape, dtype=np.intp)
+        for edge in np.cumsum(weights)[:-1]:
+            idx += u >= edge
+        return np.asarray(values, dtype=float)[idx]
 
     def support_extremes(self):
         if self.kind == "point":
@@ -241,12 +259,13 @@ class ProbabilityLaw:
     def cell_parameters(self, seed, coords):
         """Parameter arrays of integer cells: dict with E, nu, sigma_y, H.
 
-        ``coords`` holds one int64 index array per axis, broadcast together
-        as in ``_uniform01``: the two columns of a list of cells, or a column
-        of row indices and a row of column indices for a box.  Every array
-        is flat, one entry per cell in row-major order.
+        ``seed`` and ``coords`` are as in ``_uniform01``: one seed, or an
+        int64 array of seeds leading the broadcast shape, and one int64 index
+        array per axis, such as the two columns of a list of cells or a
+        column of row indices and a row of column indices for a box.  Every
+        array is flat, one entry per cell in row-major order.
         """
-        n_cells = np.broadcast(*coords).size
+        n_cells = np.broadcast(_seed_axes(seed, coords), *coords).size
         out = {}
         for name, dist in (("E", self.E), ("nu", self.nu),
                            ("sigma_y", self.sigma_y), ("H", self.hardening)):
@@ -321,36 +340,82 @@ def shifted(omega, y):
     return replace(omega, translation=omega.translation + y)
 
 
-def ergodic_average(omega, g, L):
-    """Exact volume average of a cell statistic over the box [-L, L]^2 at scale 1.
+# cells hashed at once by ergodic_average: each temporary stays at 128 kB, the
+# size of one benchmark box at L = 64, and a batch's arrays stay in cache
+_BATCH_CELLS = 2**14
 
-    ``g`` receives the parameter dict of ``ProbabilityLaw.cell_parameters``
-    (flat arrays ``E``, ``nu``, ``sigma_y`` and ``H``, one entry per cell of
-    the box in row-major order) and returns the statistic per cell; a scalar
-    is broadcast to every cell.  The field is piecewise constant on shifted
-    unit cells, so the integral is a finite sum over cells weighted by the
-    overlap volume with the box (cut cells included exactly).  The box is a
-    product grid: its rows and columns are listed once, the medium is
-    evaluated on their grid and a cell's weight is its row overlap times its
-    column overlap.  The weighted sum is ``tensors.inner``'s, so it does not
-    depend on the BLAS thread count.
+
+def _box_axis(offsets, L):
+    """The cells that [-L, L] + offset overlaps along one axis, for S offsets.
+
+    Returns the candidate cells (S, m) from floor(lo) on, their overlap
+    weights (S, m) and the mask of the cells with a positive overlap.
     """
+    lo, hi = -L + offsets, L + offsets
+    first = np.floor(lo).astype(np.int64)
+    cells = first[:, None] + np.arange(int(np.max(np.floor(hi) - first)) + 1)
+    weights = np.minimum(cells + 1.0, hi[:, None]) - np.maximum(cells.astype(float),
+                                                                lo[:, None])
+    return cells, weights, weights > 0
+
+
+def _box_sums(law, seeds, rows, row_weights, cols, col_weights, g):
+    """Overlap-weighted sums of ``g`` over a stack of equally shaped boxes.
+
+    Box k is the grid of ``rows[k]`` and ``cols[k]`` in the realization of
+    ``seeds[k]``; its weights are its row and column overlaps' outer product.
+    """
+    weights = (row_weights[:, :, None] * col_weights[:, None, :]).reshape(seeds.size, -1)
+    params = law.cell_parameters(seeds, (rows[:, :, None], cols[:, None, :]))
+    values = np.broadcast_to(np.asarray(g(params), dtype=float), weights.size)
+    return np.array([inner(w, v) for w, v in zip(weights, values.reshape(weights.shape))])
+
+
+def ergodic_average(omegas, g, L):
+    """Exact volume averages of a cell statistic over the box [-L, L]^2 at scale 1.
+
+    ``omegas`` is a non-empty sequence of realizations of one law; the
+    result holds one box average per realization, shape (S,).  ``g``
+    receives the parameter dict of ``ProbabilityLaw.cell_parameters`` (flat
+    arrays ``E``, ``nu``, ``sigma_y`` and ``H``, one entry per cell of
+    several boxes, box after box, each in row-major order) and returns the
+    statistic per cell; a scalar is broadcast to every cell.  The field is
+    piecewise constant on shifted unit cells, so each integral is a finite
+    sum over cells weighted by the overlap volume with the box (cut cells
+    included exactly).  A box is a product grid: its rows and columns are
+    listed once and a cell's weight is its row overlap times its column
+    overlap.  Boxes that cut the same numbers of rows and columns are hashed
+    together as one (boxes, rows, columns) grid, at most ``_BATCH_CELLS``
+    cells or one box at a time.  Each box's weighted sum is its own
+    ``tensors.inner``, so it depends neither on the boxes hashed beside it
+    nor on the BLAS thread count.
+    """
+    omegas = list(omegas)
+    if not omegas:
+        raise ConfigurationError("ergodic_average needs at least one realization")
+    law = omegas[0].law
+    if any(omega.law != law for omega in omegas):
+        raise ConfigurationError("ergodic_average needs realizations of one law")
     if L < 1:
         raise ConfigurationError(f"box half-width must be >= 1, got {L}")
-    array_size((2 * L + 2) ** 2, "box half-width L")  # the most cells the box can cut
-    offset = omega.translation - omega.shift
-    axes = []
-    for i in range(2):
-        lo, hi = -L + offset[i], L + offset[i]
-        cells = np.arange(int(np.floor(lo)), int(np.floor(hi)) + 1)
-        weights = np.minimum(cells + 1.0, hi) - np.maximum(cells.astype(float), lo)
-        keep = weights > 0
-        axes.append((cells[keep], weights[keep]))
-    (rows, row_weights), (cols, col_weights) = axes
-    weights = np.outer(row_weights, col_weights).ravel()
-    params = omega.law.cell_parameters(omega.seed, (rows[:, None], cols[None, :]))
-    values = np.broadcast_to(np.asarray(g(params), dtype=float), weights.shape)
-    return float(inner(weights, values) / (2.0 * L) ** 2)
+    array_size((2 * L + 2) ** 2, "box half-width L")  # the most cells a box can cut
+    seeds = np.array([omega.seed for omega in omegas], dtype=np.int64)
+    offsets = np.array([omega.translation - omega.shift for omega in omegas])
+    rows, row_weights, row_keep = _box_axis(offsets[:, 0], L)
+    cols, col_weights, col_keep = _box_axis(offsets[:, 1], L)
+    n_rows, n_cols = row_keep.sum(axis=1), col_keep.sum(axis=1)
+    sums = np.empty(len(omegas))
+    for n_r, n_c in sorted(set(zip(n_rows.tolist(), n_cols.tolist()))):
+        members = np.flatnonzero((n_rows == n_r) & (n_cols == n_c))
+        per_batch = max(1, _BATCH_CELLS // (n_r * n_c))
+        for start in range(0, members.size, per_batch):
+            b = members[start:start + per_batch]
+            sums[b] = _box_sums(law, seeds[b],
+                                rows[b][row_keep[b]].reshape(b.size, n_r),
+                                row_weights[b][row_keep[b]].reshape(b.size, n_r),
+                                cols[b][col_keep[b]].reshape(b.size, n_c),
+                                col_weights[b][col_keep[b]].reshape(b.size, n_c), g)
+    return sums / (2.0 * L) ** 2
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from scratch against the defining
 equations, without touching the package's return-map or assembly code, so a
-bug in the production path cannot hide in its own oracle.
+bug in the production path cannot hide in its own oracle.  The one exception
+is ``elastic_reference``: it runs the package's linear-elastic P1 solve, the
+oracle that the nonlinear plastic solver must reproduce in the elastic limit.
 """
 
 import math
@@ -176,6 +178,30 @@ def shear_path(amplitude, T, steps, unload_to=None):
     return StrainPath(times, np.outer(scale * amplitude, direction))
 
 
+def elastic_reference(config):
+    """Per-step linear-elastic displacements with the data of an EpsProblemConfig.
+
+    The oracle of the elastic limit: one P1 elastic solve per time step, with
+    the medium's moduli at the element barycenters, the loads and the strain
+    part xi(t) x of the Dirichlet data, at the config's CG tolerance.
+    """
+    from plasthom.fem import P1Space, solve_elastic
+    from plasthom.returnmap import MaterialArrays
+    from plasthom.tensors import unpack
+
+    mesh = config.mesh
+    space = P1Space(mesh)
+    mats = MaterialArrays.from_medium(config.medium, mesh.barycenters, config.epsilon)
+    moduli = mats.stiffness_moduli()
+    out = [np.zeros((mesh.n_vertices, 2))]
+    for t in config.time_grid[1:]:
+        xi = unpack(config.dirichlet.path.at(t))
+        g = lambda pts, xi=xi: pts @ xi.T
+        f = None if config.load is None else (lambda pts, t=t: config.load(t, pts))
+        out.append(solve_elastic(space, moduli, f=f, g=g, rtol=config.cg_rtol))
+    return np.stack(out)
+
+
 def central_differences(cells, strains, dt, h):
     """dSigma_e/dxi_e of every element of an ElementCellState by central
     differences of its advance at the strains (E, 3) with steps h (E,); (E, 3, 3)."""
@@ -188,7 +214,8 @@ def central_differences(cells, strains, dt, h):
 
 
 def cellwise_ergodic_average(omega, g, L):
-    """The box average of ``media.ergodic_average``, summed cell by cell.
+    """The box average that ``media.ergodic_average`` returns for ``omega``,
+    summed cell by cell.
 
     Lists every cell of the box as one (n, 2) row of indices from a
     ``meshgrid`` and takes its weight as the product of its two axis

@@ -13,14 +13,14 @@ from plasthom.cellproblem import RveConfig, causality_check, sigma, solve_cell
 from plasthom.experiments import ExperimentSpec, run_averaging_experiment, \
     run_ergodic_check, run_korn_check
 from plasthom.fem import P1Space, mesh_torus, mesh_unit_square, solve_elastic
-from plasthom.finescale import EpsProblemConfig, average_stress, \
-    elastic_reference, solve_eps
+from plasthom.finescale import EpsProblemConfig, average_stress, solve_eps
 from plasthom.flowrules import NORM_TYPE, VON_MISES, FlowRule, fenchel_gap
 from plasthom.loading import AffineBoundary, StrainPath
 from plasthom.media import PeriodizedMedium, ProbabilityLaw, sample_realization
 from plasthom.tensors import isotropic_stiffness, pack
 
-from helpers import h1_time_norm, reference_pointwise_response, shear_path
+from helpers import elastic_reference, h1_time_norm, reference_pointwise_response, \
+    shear_path
 
 TWO_PHASE = ProbabilityLaw.from_config({
     "E": {"discrete": {"values": [1.0, 2.0]}},

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,20 @@ class TestErgodicCheck:
         errors = run_ergodic_check(spec).meta["mean_errors"]
         assert 1.0 < errors[8] / errors[16] < 4.0
         assert 1.0 < errors[16] / errors[32] < 4.0
+
+    def test_sweep_at_benchmark_size_peaks_below_2_mb(self):
+        """Boxes are hashed in batches of a bounded cell count, so the traced
+        peak of the benchmark's sweep does not grow with the seed count."""
+        spec = ExperimentSpec(kind="ergodic", params={
+            "law": TWO_PHASE, "L_values": [16, 32, 64], "n_seeds": 50})
+        run_ergodic_check(spec)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            run_ergodic_check(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
 
 class TestAveragingExperiment:

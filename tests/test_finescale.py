@@ -6,13 +6,12 @@ from plasthom.fem import mesh_simplex, mesh_unit_square
 from plasthom.finescale import (
     EpsProblemConfig,
     average_stress,
-    elastic_reference,
     residual_report,
     solve_eps,
 )
 from plasthom.loading import AffineBoundary, StrainPath, tabulated_offset
 from plasthom.media import ProbabilityLaw, sample_realization
-from helpers import reference_pointwise_response, shear_path
+from helpers import elastic_reference, reference_pointwise_response, shear_path
 
 TWO_PHASE = ProbabilityLaw.from_config({
     "E": {"discrete": {"values": [1.0, 2.0]}},

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from plasthom import media
 from plasthom.errors import ConfigurationError
 from plasthom.media import (
     Distribution,
@@ -58,6 +59,25 @@ class TestDistributions:
     def test_empty_support_rejected(self):
         with pytest.raises(ConfigurationError):
             Distribution.discrete([])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(weights=st.one_of(
+               st.sampled_from([[1 / 3] * 3, [0.1] * 10]),
+               st.lists(st.sampled_from([0.0, 1e-3, 0.1, 1 / 3, 0.5, 1.0, 7.0]),
+                        min_size=1, max_size=12).filter(any)),
+           extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=16))
+    def test_discrete_sample_equals_the_searchsorted_rule(self, weights, extra):
+        """Counting the edges a draw reaches picks the same value as the
+        capped searchsorted rule, bit for bit, at and around every edge and
+        when the cumulative weights end below 1."""
+        d = Distribution.discrete(1.5 * np.arange(len(weights)) - 2.0, weights)
+        values, w = np.array(d.params[0]), d.params[1]
+        edges = np.cumsum(w)
+        u = np.concatenate([[0.0, 1.0 - 2.0**-53], edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, 1.0), extra])
+        old = values[np.minimum(np.searchsorted(edges, u, "right"), len(values) - 1)]
+        assert np.array_equal(d.sample(u), old)
+        assert np.array_equal(d.sample(u.reshape(1, -1)), old.reshape(1, -1))
 
 
 class TestLawValidation:
@@ -239,29 +259,24 @@ class TestErgodicAverage:
     def test_point_mass_law_is_exact(self):
         law = ProbabilityLaw.constant(2.0, 0.25, 0.7)
         for L in (1, 4, 16):
-            avg = ergodic_average(sample_realization(law, 3), lambda params: params["E"], L)
-            assert avg == pytest.approx(2.0, abs=1e-12)
+            avg = ergodic_average([sample_realization(law, 3)], lambda params: params["E"], L)
+            assert avg.shape == (1,)
+            assert avg[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_binomial_concentration(self):
         # 3-sigma window of the cell-mean in at least 99 of 100 seeds
         law = two_point_law()
         L = 32
         bound = 3.0 * 0.5 / np.sqrt((2 * L) ** 2)
-        hits = 0
-        for seed in range(100):
-            avg = ergodic_average(sample_realization(law, seed),
-                                  lambda params: params["E"], L)
-            hits += abs(avg - 1.5) <= bound
-        assert hits >= 99
+        avgs = ergodic_average([sample_realization(law, seed) for seed in range(100)],
+                               lambda params: params["E"], L)
+        assert np.sum(np.abs(avgs - 1.5) <= bound) >= 99
 
     def test_error_decay_rate(self):
         law = two_point_law()
-        errors = []
-        for L in (8, 16, 32):
-            errs = [abs(ergodic_average(sample_realization(law, 500 + s),
-                                        lambda params: params["E"], L) - 1.5)
-                    for s in range(40)]
-            errors.append(np.mean(errs))
+        omegas = [sample_realization(law, 500 + s) for s in range(40)]
+        errors = [np.mean(np.abs(ergodic_average(omegas, lambda params: params["E"], L) - 1.5))
+                  for L in (8, 16, 32)]
         # each doubling should divide the error by about 2^(d/2) = 2
         for coarse, fine in zip(errors[:-1], errors[1:]):
             assert 1.0 < coarse / fine < 4.0
@@ -269,14 +284,24 @@ class TestErgodicAverage:
     def test_weights_cover_box_exactly(self):
         # averaging the constant 1 gives exactly 1 regardless of the shift
         law = two_point_law()
-        for seed in range(5):
-            avg = ergodic_average(sample_realization(law, seed), lambda params: 1.0, 3)
-            assert avg == pytest.approx(1.0, abs=1e-13)
+        avgs = ergodic_average([sample_realization(law, seed) for seed in range(5)],
+                               lambda params: 1.0, 3)
+        assert avgs == pytest.approx(np.ones(5), abs=1e-13)
 
     def test_small_box_rejected(self):
         with pytest.raises(ConfigurationError):
-            ergodic_average(sample_realization(two_point_law(), 0),
+            ergodic_average([sample_realization(two_point_law(), 0)],
                             lambda params: 1.0, 0.5)
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one realization"):
+            ergodic_average([], lambda params: 1.0, 4)
+
+    def test_mixed_laws_rejected(self):
+        omegas = [sample_realization(two_point_law(), 0),
+                  sample_realization(two_point_law(0.25), 1)]
+        with pytest.raises(ConfigurationError, match="one law"):
+            ergodic_average(omegas, lambda params: params["E"], 4)
 
 
 # no point marginal, so every statistic is read from hashed cell draws
@@ -301,11 +326,38 @@ class TestGridEvaluation:
         else:
             def g(params):
                 return params[statistic]
-        for seed in (0, 5, 2**40 + 3):
-            omega = sample_realization(HASHED_LAW, seed)
-            for y in ([0.0, 0.0], [0.37, -1.91], [-3.5, 12.25]):
-                moved = shifted(omega, np.array(y))
-                assert ergodic_average(moved, g, L) == cellwise_ergodic_average(moved, g, L)
+        # the offset of the last realization is an integer, so its box cuts
+        # 2L cells per axis where the others cut 2L + 1: two shapes, one batch
+        omegas = [shifted(sample_realization(HASHED_LAW, seed), np.array(y))
+                  for seed in (0, 5, 2**40 + 3)
+                  for y in ([0.0, 0.0], [0.37, -1.91], [-3.5, 12.25])]
+        omegas.append(shifted(omegas[0], omegas[0].shift))
+        averages = ergodic_average(omegas, g, L)
+        assert averages.shape == (len(omegas),)
+        for omega, average in zip(omegas, averages):
+            assert average == cellwise_ergodic_average(omega, g, L)
+
+    @pytest.mark.parametrize("L, n_boxes", [(16, 20), (64, 5)])
+    def test_boxes_spread_over_several_batches(self, L, n_boxes):
+        """More cells than media._BATCH_CELLS are hashed in several batches:
+        at L = 16 two batches of several boxes, at L = 64 one box per batch."""
+        def g(params):
+            return params["E"] * params["H"]
+        assert n_boxes * (2 * L + 1) ** 2 > media._BATCH_CELLS
+        omegas = [sample_realization(HASHED_LAW, seed) for seed in range(20, 20 + n_boxes)]
+        averages = ergodic_average(omegas, g, L)
+        for omega, average in zip(omegas, averages):
+            assert average == cellwise_ergodic_average(omega, g, L)
+
+    def test_seed_array_stacks_the_grids_of_single_seeds(self):
+        rows = np.array([[-4, 0, 9], [2, 3, 4]])
+        cols = np.array([[1, 7], [-2**62, 5]])
+        stacked = HASHED_LAW.cell_parameters(np.array([3, 2**50]),
+                                             (rows[:, :, None], cols[:, None, :]))
+        for key, values in stacked.items():
+            singles = [HASHED_LAW.cell_parameters(seed, (r[:, None], c[None, :]))[key]
+                       for seed, r, c in zip((3, 2**50), rows, cols)]
+            assert np.array_equal(values, np.concatenate(singles))
 
     @pytest.mark.parametrize("law", [HASHED_LAW, two_point_law()], ids=["hashed", "two-point"])
     def test_grid_equals_the_same_cells_as_points(self, law):
