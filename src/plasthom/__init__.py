@@ -20,7 +20,6 @@ from .errors import ConfigurationError, NumericalError
 from .experiments import (
     ExperimentSpec,
     run_averaging_experiment,
-    run_convergence_check,
     run_ergodic_check,
     run_korn_check,
 )

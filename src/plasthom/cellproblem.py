@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, positive_int, positive_number, valid_seed
+from .errors import ConfigurationError, at_step, positive_int, positive_number, valid_seed
 from .fem import P1Space, mesh_torus
 from .finescale import newton_solve
 from .loading import StrainPath, checked_time_grid
@@ -83,9 +83,6 @@ class CellTrajectory:
         """Corrector gradients (steps+1, ne, d, d), computed from ``phi`` on first read."""
         return np.stack([self.space.element_gradients(nodal) for nodal in self.phi])
 
-    def volume_average_z(self):
-        return _volume_average(self.space, self.z)
-
     def mean_corrector_gradient(self):
         w = self.space.mesh.volumes
         return np.einsum("e,meab->mab", w, self.v) / w.sum()
@@ -130,17 +127,18 @@ def _march(space, samples, xi_path, delta, time_grid, newton_rtol):
     converged sample, so each runs the iterates it runs alone.  Yields (m, z,
     p, phi, iterations, residuals): (S, ne, 3) stresses and plastic strains,
     (S, n) correctors that the next step updates in place, the summed Newton
-    iterations and the (S,) residual norms.
+    iterations and the (S,) residual norms.  A NumericalError names its step.
     """
     mats = MaterialArrays.concatenate(samples)
     xi_values = xi_path.at(time_grid)
     phi = np.zeros((len(samples), space.n_packed))
     p = np.zeros((len(samples), space.mesh.n_elements, KDIM))
     for m in range(1, time_grid.size):
-        z, p, n_it, res = newton_solve(   # held through the next step, moduli cost M·ne·72 B
-            space, mats, xi_values[m], p, phi, time_grid[m] - time_grid[m - 1], delta,
-            0.0, newton_rtol, CG_RTOL, step=m,
-        )[:4]
+        with at_step(m):
+            z, p, n_it, res = newton_solve(
+                space, mats, xi_values[m], p, phi, time_grid[m] - time_grid[m - 1], delta,
+                0.0, newton_rtol, CG_RTOL,
+            )[:4]   # held through the next step, the moduli would cost M·ne·72 B
         yield m, z, p, phi, n_it, res
 
 

@@ -20,22 +20,24 @@ class NumericalError(RuntimeError):
     """A solver failed to converge or a numerical budget was exceeded.
 
     Carries optional diagnostics so callers can report where the failure
-    happened (time step, residual, partial results).
+    happened: the time step and the residual.
     """
 
-    def __init__(self, message, step=None, residual=None, partial=None):
+    def __init__(self, message, step=None, residual=None):
         super().__init__(message)
         self.step = step
         self.residual = residual
-        self.partial = partial
 
 
 @contextmanager
 def at_step(step):
     """Give a NumericalError raised inside the time step ``step`` if it names none.
 
-    Lets a solver that knows nothing of time steps, such as ``fem.pcg``,
-    fail with the step of the Newton iteration that called it.
+    The solvers (``fem.pcg``, the periodic solves, ``finescale.newton_solve``)
+    raise without a step; only the time loops of ``solve_eps``, the cell
+    problems and ``solve_effective`` know it and enter this context around
+    each step.  A caller that runs a solver outside a time loop wraps the call
+    in ``at_step`` itself.
     """
     try:
         yield

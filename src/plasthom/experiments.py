@@ -1,8 +1,8 @@
-"""Verification experiments: averaging, Korn ratio, ergodic decay, h-stability.
+"""Verification experiments: averaging, Korn ratio, ergodic decay.
 
 Each experiment returns a ReportTable whose rows carry the seed, the scale
-(eps, box size, or mesh size) and tolerance metadata, so emitted CSV files
-are self-describing.  Summary statistics live in ``table.meta``.
+(eps or box size) and tolerance metadata, so emitted CSV files are
+self-describing.  Summary statistics live in ``table.meta``.
 """
 
 from dataclasses import dataclass, field
@@ -11,10 +11,9 @@ import numpy as np
 
 from .cellproblem import RveConfig, sigma
 from .errors import ConfigurationError, array_size, positive_int, positive_number, valid_seed
-from .fem import P1Space, mesh_simplex, mesh_torus, mesh_unit_square
+from .fem import P1Space, mesh_simplex, mesh_torus
 from .finescale import EpsProblemConfig, average_stress, solve_eps
 from .loading import AffineBoundary, tabulated_offset
-from .macroscale import MacroConfig, solve_effective
 from .media import Realization, ergodic_average, sample_realization, sample_shifts
 from .reporting import ReportTable
 from .tensors import SQRT2
@@ -26,11 +25,11 @@ UNIT_RIGHT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 class ExperimentSpec:
     """Which experiment to run and its parameter sweep."""
 
-    kind: str                      # averaging | korn | ergodic | convergence
+    kind: str                      # averaging | korn | ergodic
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("averaging", "korn", "ergodic", "convergence"):
+        if self.kind not in ("averaging", "korn", "ergodic"):
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
 
 
@@ -200,50 +199,3 @@ def run_ergodic_check(spec):
                   "mean_errors": dict(zip(L_values, map(float, mean_errors)))}
     return table
 
-
-# -- h-refinement stabilization ------------------------------------------
-
-
-def run_convergence_check(spec):
-    """Cauchy-type stabilization of the effective solve under h-refinement.
-
-    Solves the effective problem on a sequence of unit-square meshes and
-    reports the L2 distance of each solution to the finest one, evaluated at
-    the common coarse vertices.  Every mesh size n must divide the finest
-    one, N, so that the meshes nest: coarse vertex (i, j) is fine vertex
-    (i N/n, j N/n).
-    """
-    p = spec.params
-    rve = p["rve"]
-    xi = p["xi"]
-    time_grid = np.asarray(p["time_grid"], dtype=float)
-    n_values = p.get("n_values", (2, 4, 8))
-    if not isinstance(n_values, (list, tuple)) or not n_values:
-        raise ConfigurationError(f"convergence n_values must be a non-empty list, "
-                                 f"got {n_values!r}")
-    n_values = sorted(positive_int(n, "convergence n_values entry") for n in n_values)
-    finest_n = n_values[-1]
-    if any(finest_n % n for n in n_values):
-        raise ConfigurationError(f"convergence n_values must divide the largest one, "
-                                 f"got {n_values!r}")
-
-    solutions = {}
-    for n in n_values:
-        cfg = MacroConfig(mesh=mesh_unit_square(n), rve=rve,
-                          dirichlet=AffineBoundary(xi), time_grid=time_grid)
-        solutions[n] = solve_effective(cfg)
-
-    finest = solutions[finest_n]
-    table = ReportTable(columns=["n", "h", "dist_to_finest"])
-    dists = {}
-    for n in n_values[:-1]:
-        sol = solutions[n]
-        # mesh_unit_square numbers vertex (i, j) as i (n + 1) + j
-        i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
-        stride = finest_n // n
-        match = i * stride * (finest_n + 1) + j * stride
-        diff = sol.u[-1] - finest.u[-1][match]
-        dists[n] = float(np.sqrt((diff**2).sum(axis=1).mean()))
-        table.append(n, sol.space.mesh.h, dists[n])
-    table.meta = {"distances": dists}
-    return table

@@ -52,7 +52,6 @@ from .errors import (
     ConfigurationError,
     NumericalError,
     array_size,
-    at_step,
     positive_int,
     positive_number,
 )
@@ -550,7 +549,7 @@ def solve_periodic(space, A, rhs, rtol=1e-10):
     return x.reshape(b.shape)
 
 
-def solve_periodic_systems(space, moduli, rhs, rtol=1e-10, step=None):
+def solve_periodic_systems(space, moduli, rhs, rtol=1e-10):
     """Solve the periodic systems of S moduli stacks (S, ne, 3, 3) at once.
 
     ``rhs`` is (S, n), or (S, n, k) for k right-hand sides per system, and
@@ -559,22 +558,20 @@ def solve_periodic_systems(space, moduli, rhs, rtol=1e-10, step=None):
     as one dense stack and go to ``solve_periodic_direct``.  Larger ones are
     assembled one at a time and go to ``solve_periodic`` with their own
     tolerance, which builds one preconditioner per system for all its
-    right-hand sides.  A failed solve raises NumericalError with ``step``.
+    right-hand sides.  A failed solve raises NumericalError.
     """
     rhs = np.asarray(rhs, dtype=float)
     if space.n_packed <= DENSE_PERIODIC_DOFS:
-        return solve_periodic_direct(space, space.assemble_dense(moduli), rhs, rtol=rtol,
-                                     step=step)
+        return solve_periodic_direct(space, space.assemble_dense(moduli), rhs, rtol=rtol)
     rtol = np.broadcast_to(rtol, (len(moduli),))
     x = np.empty_like(rhs)
-    with at_step(step):
-        for s, system_moduli in enumerate(moduli):
-            x[s] = solve_periodic(space, space.assemble_operator(system_moduli), rhs[s],
-                                  rtol=rtol[s])
+    for s, system_moduli in enumerate(moduli):
+        x[s] = solve_periodic(space, space.assemble_operator(system_moduli), rhs[s],
+                              rtol=rtol[s])
     return x
 
 
-def solve_periodic_direct(space, A, rhs, rtol=1e-10, step=None):
+def solve_periodic_direct(space, A, rhs, rtol=1e-10):
     """Solve a stack of small periodic torus systems directly; zero-mean solutions.
 
     ``A`` is (S, n, n) from ``space.assemble_dense`` and ``rhs`` is (S, n),
@@ -585,8 +582,8 @@ def solve_periodic_direct(space, A, rhs, rtol=1e-10, step=None):
     projected off T gives the solutions, which are then projected off T
     too.  Every system's residual must lie within ``rtol`` (a scalar, or
     one per system (S,)) of its right-hand side; a singular matrix or a
-    non-finite or larger residual raises NumericalError with ``step`` and
-    the worst residual.
+    non-finite or larger residual raises NumericalError with the worst
+    residual.
     """
     b = np.asarray(rhs, dtype=float)
     if space.n_packed == DIM:
@@ -600,8 +597,7 @@ def solve_periodic_direct(space, A, rhs, rtol=1e-10, step=None):
     try:
         x = np.linalg.solve(A + shift[:, None, None] * (T.T @ T), b)
     except np.linalg.LinAlgError:
-        raise NumericalError("direct periodic solve met a singular operator",
-                             step=step) from None
+        raise NumericalError("direct periodic solve met a singular operator") from None
     x = x - T.T @ (T @ x)
     res = np.linalg.norm(b - A @ x, axis=1)                     # (S, k)
     bound = np.asarray(rtol)[..., None] * np.linalg.norm(b, axis=1)
@@ -610,7 +606,7 @@ def solve_periodic_direct(space, A, rhs, rtol=1e-10, step=None):
         raise NumericalError(
             f"direct periodic solve left a residual of {res[worst]:.3e}, above rtol "
             f"{np.broadcast_to(rtol, len(res))[worst[0]]:.1e} relative to its right-hand side",
-            step=step, residual=float(res[worst]))
+            residual=float(res[worst]))
     return x[..., 0] if single else x
 
 

@@ -116,7 +116,7 @@ def newton_tolerance(space, z0, res0, f_norm, rtol):
 
 
 def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
-                 f_ext, rtol, cg_rtol, step=None):
+                 f_ext, rtol, cg_rtol):
     """Global Newton iterations of one backward-Euler step for S systems at once.
 
     The systems share ``space`` and differ in their data: ``u`` (S, n)
@@ -143,7 +143,8 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     on the system's own residual only, so a system runs the same iterates in
     any batch.  The convergence test and the line search do not depend on
     eta, so the converged state meets the same tolerance as with exact
-    solves.  A failed linear solve raises NumericalError with ``step``.
+    solves.  A failed solve raises NumericalError without a step, which the
+    time loop attaches (``errors.at_step``).
 
     Returns (z, p_new, iterations, residuals, moduli): stresses and
     plastic strains (S, ne, 3), the sum of the systems' iteration counts
@@ -180,20 +181,18 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
         eta = np.minimum(np.maximum(FORCING_GAMMA * res[systems] / scale[systems], cg_rtol),
                          FORCING_MAX)
         if periodic:
-            return fem.solve_periodic_systems(space, moduli[systems], rhs, rtol=eta,
-                                              step=step)
+            return fem.solve_periodic_systems(space, moduli[systems], rhs, rtol=eta)
         updates = []
-        with at_step(step):
-            for s, b, eta_s in zip(systems, rhs, eta):  # Jacobi CG, one system at a time
-                A = space.assemble_operator(moduli[s])
-                Aff = A[free][:, free]
-                updates.append(pcg(Aff, b[free], jacobi(Aff), rtol=eta_s)[0])
+        for s, b, eta_s in zip(systems, rhs, eta):  # Jacobi CG, one system at a time
+            A = space.assemble_operator(moduli[s])
+            Aff = A[free][:, free]
+            updates.append(pcg(Aff, b[free], jacobi(Aff), rtol=eta_s)[0])
         return np.stack(updates)
 
     active = np.arange(n_systems)
     z, p_new, moduli, f_int, res = evaluate(active)
     if not np.all(np.isfinite(res)):
-        raise NumericalError("the equilibrium residual is not finite", step=step,
+        raise NumericalError("the equilibrium residual is not finite",
                              residual=float(np.max(res)))
     scale, tol = newton_tolerance(space, z, res, f_norm, rtol)
     iters = np.zeros(n_systems, dtype=int)
@@ -226,10 +225,9 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
         else:
             raise NumericalError(
                 "Newton step failed to reduce the equilibrium residual",
-                step=step, residual=float(np.max(res[active[trying]])),
+                residual=float(np.max(res[active[trying]])),
             )
-    raise NumericalError("Newton did not converge", step=step,
-                         residual=float(np.max(res[active])))
+    raise NumericalError("Newton did not converge", residual=float(np.max(res[active])))
 
 
 def solve_eps(config):
@@ -261,10 +259,10 @@ def solve_eps(config):
         t, dt = times[m], times[m] - times[m - 1]
         _impose_dirichlet(space, config, times[m - 1], t, u)
         f_ext = _load_vector(space, config, t)
-        z, p, n_it, res, _ = newton_solve(
-            space, mats, 0.0, p[None], u[None], dt, config.delta,
-            f_ext, config.newton_rtol, config.cg_rtol, step=m,
-        )
+        with at_step(m):
+            z, p, n_it, res, _ = newton_solve(space, mats, 0.0, p[None], u[None], dt,
+                                              config.delta, f_ext, config.newton_rtol,
+                                              config.cg_rtol)
         p = p[0]
         u_hist[m] = space.unpack_field(u)
         sig_hist[m] = z[0]
@@ -273,9 +271,9 @@ def solve_eps(config):
         residuals.append(res[0])
 
     _add_boundary_offset(config, times, u_hist)
-    e_hist = np.stack([mats.apply_compliance(sig_hist[m]) for m in range(steps + 1)])
-    return PlasticTrajectory(times=times, u=u_hist, sigma=sig_hist, e=e_hist,
-                             p=p_hist, newton_iters=iters, residual_norms=residuals,
+    return PlasticTrajectory(times=times, u=u_hist, sigma=sig_hist,
+                             e=mats.apply_compliance(sig_hist), p=p_hist,
+                             newton_iters=iters, residual_norms=residuals,
                              space=space, mats=mats)
 
 
@@ -334,21 +332,16 @@ def residual_report(traj, config):
     scale = 1.0 + np.abs(traj.e).max(axis=-1) + np.abs(traj.p).max(axis=-1)
     max_decomp = float((decomp / scale).max())
 
-    hooke = np.abs(traj.e - np.stack([mats.apply_compliance(traj.sigma[m])
-                                      for m in range(times.size)])).max()
+    hooke = np.abs(traj.e - mats.apply_compliance(traj.sigma)).max()
 
     tau = traj.sigma - mats.hardening[None, :, None] * traj.p
     flow = FlowRule(VON_MISES, mats.yield_stress).regularized(config.delta)
-    flow_res = 0.0
-    for m in range(1, times.size):
-        dt = times[m] - times[m - 1]
-        rates = (traj.p[m] - traj.p[m - 1]) / dt
-        grads = flow.gradient(tau[m])
-        flow_res = max(flow_res, float(np.abs(rates - grads).max()
-                                       / (1.0 + float(np.abs(grads).max()))))
+    rates = np.diff(traj.p, axis=0) / np.diff(times)[:, None, None]
+    grads = flow.gradient(tau[1:])
+    flow_res = np.max(np.abs(rates - grads).max(axis=(1, 2))
+                      / (1.0 + np.abs(grads).max(axis=(1, 2))), initial=0.0)
 
-    u_at_bary = np.stack([u_eff[m][mesh.simplices].mean(axis=1)
-                          for m in range(times.size)])
+    u_at_bary = u_eff[:, mesh.simplices].mean(axis=2)
     norms = {
         "u": _h1_time_l2_norm(times, u_at_bary, vol),
         "e": _h1_time_l2_norm(times, traj.e, vol),
@@ -362,7 +355,7 @@ def residual_report(traj, config):
         data_norm += _h1_time_l2_norm(times, loads, vol)
 
     # discrete energy bookkeeping
-    a_e = np.stack([mats.apply_stiffness(traj.e[m]) for m in range(times.size)])
+    a_e = mats.apply_stiffness(traj.e)
     energy = 0.5 * np.einsum("e,mek,mek->m", vol, traj.e, a_e) \
         + 0.5 * np.einsum("e,mek,mek->m", vol,
                           traj.p, mats.hardening[None, :, None] * traj.p)

@@ -141,7 +141,10 @@ class RegularizedFlow:
         return float(val) if val.ndim == 0 else val
 
     def gradient(self, s):
-        """Gradient of the envelope, (s - prox(s))/delta; always deviatoric."""
+        """Gradient of the envelope, (s - q)/delta with q the minimizer of the
+        inf-convolution (for the indicator rule the projection onto the yield
+        set, for the norm rule s with its deviatoric norm shrunk by
+        sigma_y * delta); always deviatoric."""
         dev, dev_n = self._dev_split(s)
         sy, d = self.rule.yield_stress, self.delta
         safe = np.where(dev_n > 0.0, dev_n, 1.0)
@@ -150,15 +153,6 @@ class RegularizedFlow:
         else:
             slope = np.minimum(dev_n / d, sy) / safe
         return slope[..., None] * dev
-
-    def prox(self, s):
-        """Minimizer realizing the envelope: s - delta * gradient(s).
-
-        For the indicator rule this is the projection onto the yield set;
-        for the norm rule it shrinks the deviatoric norm by sigma_y * delta.
-        """
-        s = np.asarray(s, dtype=float)
-        return s - self.delta * self.gradient(s)
 
     def conjugate(self, p):
         """Conjugate of the envelope: Psi*(p) + delta * |p|^2 / 2."""

@@ -168,8 +168,8 @@ def solve_effective(config):
     M samples.  Macro Newton stops by ``newton_tolerance``, as the cell
     iterations do; each correction is solved by Jacobi CG to 1e-12.
 
-    Raises NumericalError with partial results if the wall-clock budget is
-    exceeded, and with element-wise residual diagnostics on Newton failure.
+    Raises NumericalError with the step if the wall-clock budget is exceeded,
+    and with element-wise residual diagnostics on Newton failure.
     """
     mesh = config.mesh
     space = P1Space(mesh)
@@ -197,11 +197,7 @@ def solve_effective(config):
             for it in range(NEWTON_MAXITER):
                 if config.max_seconds is not None \
                         and _time.monotonic() - start > config.max_seconds:
-                    raise NumericalError(
-                        "wall-clock budget exceeded",
-                        partial=EffectiveSolution(times[:m], u_hist[:m], sig_hist[:m],
-                                                  iter_history, space),
-                    )
+                    raise NumericalError("wall-clock budget exceeded")
                 strains = space.element_strains(u)
                 sig = cells.advance(strains, dt)
                 residual = (f_ext - space.internal_forces(sig))[free]

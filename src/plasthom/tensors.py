@@ -84,8 +84,7 @@ def deviatoric(comps):
 
 
 # Read-only Mandel matrices of the projectors onto hydrostatic and onto
-# deviatoric tensors: the return map assembles its moduli from them on every
-# call.
+# deviatoric tensors, from which the isotropic stiffness and compliance are built.
 SPH_PROJECTOR = np.outer(identity_comps(), identity_comps()) / 2
 SPH_PROJECTOR.flags.writeable = False
 DEV_PROJECTOR = np.eye(KDIM) - SPH_PROJECTOR

@@ -274,7 +274,7 @@ class TestElementCellBatches:
         tangent = cell.tangent()
         assert len(builds) == rve.n_samples
 
-        def column_by_column(space, moduli, rhs, rtol=1e-10, step=None):
+        def column_by_column(space, moduli, rhs, rtol=1e-10):
             # one solve_periodic, and so one preconditioner, per right-hand side
             x = np.empty_like(rhs)
             for s, system_moduli in enumerate(moduli):
@@ -331,9 +331,8 @@ class TestDirectPeriodicSolve:
         moduli = random_moduli(space, 3, 3)
         moduli[1] = 0.0
         rhs = np.random.default_rng(4).standard_normal((3, space.n_packed))
-        with pytest.raises(NumericalError, match="singular") as err:
-            fem.solve_periodic_direct(space, space.assemble_dense(moduli), rhs, step=7)
-        assert err.value.step == 7
+        with pytest.raises(NumericalError, match="singular"):
+            fem.solve_periodic_direct(space, space.assemble_dense(moduli), rhs)
 
     @pytest.mark.parametrize("corrupt, rtol", [
         pytest.param(np.nan, 1e-10, id="non-finite"),
@@ -345,6 +344,5 @@ class TestDirectPeriodicSolve:
         A[2, 0, 0] *= corrupt
         rhs = np.random.default_rng(6).standard_normal((3, space.n_packed))
         with pytest.raises(NumericalError, match="residual") as err:
-            fem.solve_periodic_direct(space, A, rhs, rtol=rtol, step=4)
-        assert err.value.step == 4
+            fem.solve_periodic_direct(space, A, rhs, rtol=rtol)
         assert not err.value.residual <= rtol * np.linalg.norm(rhs)

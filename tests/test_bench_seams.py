@@ -119,7 +119,7 @@ def test_fe2_cells_pass_the_reference_with_a_sparse_direct_solver(monkeypatch):
     """fe2_macro's cell solves, done by sparse LU instead, still pass its checks."""
     calls = []
 
-    def pinned_solve(space, A, rhs, rtol=None, step=None):
+    def pinned_solve(space, A, rhs, rtol=None):
         # each system and right-hand side with the first vertex pinned, then zero-mean
         calls.append(A.shape[0])
         b = np.asarray(rhs, dtype=float)

@@ -8,7 +8,6 @@ from plasthom.errors import ConfigurationError
 from plasthom.experiments import (
     ExperimentSpec,
     run_averaging_experiment,
-    run_convergence_check,
     run_ergodic_check,
     run_korn_check,
 )
@@ -122,36 +121,6 @@ class TestAveragingExperiment:
         cols = table.columns
         for needed in ("epsilon", "seed", "delta", "h"):
             assert needed in cols
-
-
-class TestConvergenceCheck:
-    def test_reports_distances_to_finest(self):
-        rve = RveConfig(n_cells=1, refine=1, n_samples=1, delta=0.003,
-                        law=CONSTANT, base_seed=0)
-        spec = ExperimentSpec(kind="convergence", params={
-            "rve": rve, "xi": shear_path(0.4, 1.0, 2),
-            "time_grid": np.linspace(0, 1, 3), "n_values": [2, 4, 8]})
-        table = run_convergence_check(spec)
-        assert set(table.meta["distances"]) == {2, 4}
-        assert all(d >= 0 for d in table.meta["distances"].values())
-
-    def test_rejects_meshes_that_do_not_nest(self):
-        rve = RveConfig(n_cells=1, refine=1, n_samples=1, delta=0.003,
-                        law=CONSTANT, base_seed=0)
-        spec = ExperimentSpec(kind="convergence", params={
-            "rve": rve, "xi": shear_path(0.4, 1.0, 2),
-            "time_grid": np.linspace(0, 1, 3), "n_values": [2, 3]})
-        with pytest.raises(ConfigurationError):
-            run_convergence_check(spec)
-
-    def test_rejects_empty_mesh_list(self):
-        rve = RveConfig(n_cells=1, refine=1, n_samples=1, delta=0.003,
-                        law=CONSTANT, base_seed=0)
-        spec = ExperimentSpec(kind="convergence", params={
-            "rve": rve, "xi": shear_path(0.4, 1.0, 2),
-            "time_grid": np.linspace(0, 1, 3), "n_values": []})
-        with pytest.raises(ConfigurationError):
-            run_convergence_check(spec)
 
 
 class TestDispatchAndSpec:

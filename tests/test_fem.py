@@ -540,6 +540,5 @@ class TestPerSystemTolerance:
         space, moduli, rhs = self.stack(DENSE_GRID, 1)
         A = space.assemble_dense(moduli)
         fem.solve_periodic_direct(space, A, rhs, rtol=self.RTOL)
-        with pytest.raises(NumericalError, match="above rtol 1.0e-30") as err:
-            fem.solve_periodic_direct(space, A, rhs, rtol=[1e-3, 1e-30, 1e-3], step=2)
-        assert err.value.step == 2
+        with pytest.raises(NumericalError, match="above rtol 1.0e-30"):
+            fem.solve_periodic_direct(space, A, rhs, rtol=[1e-3, 1e-30, 1e-3])

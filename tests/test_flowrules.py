@@ -165,13 +165,14 @@ class TestEnvelopeGradient:
 class TestProx:
     @pytest.mark.parametrize("kind", [VON_MISES, NORM_TYPE])
     def test_moreau_identity(self, kind):
-        """The envelope is attained at the prox: Psi(q) + |s - q|^2 / (2 delta), q = prox(s)."""
+        """The envelope is attained at its minimizer q = s - delta * gradient(s):
+        it equals Psi(q) + |s - q|^2 / (2 delta)."""
         rng = np.random.default_rng(15)
         delta = 0.03
         rule = FlowRule(kind, 0.9)
         reg = rule.regularized(delta)
         s = random_mandel(rng, n=10000, scale=2.0)
-        q = reg.prox(s)
+        q = s - delta * reg.gradient(s)
         attained = rule.value(q) + np.sum((s - q) ** 2, axis=-1) / (2 * delta)
         value = reg.value(s)
         assert np.all(np.abs(value - attained) <= 1e-14 * (1.0 + value))
@@ -180,7 +181,8 @@ class TestProx:
         rng = np.random.default_rng(16)
         rule = FlowRule(VON_MISES, 0.9)
         s = random_mandel(rng, n=10000, scale=2.0)
-        assert np.abs(rule.regularized(0.03).prox(s) - rule.project(s)).max() <= 1e-13
+        q = s - 0.03 * rule.regularized(0.03).gradient(s)
+        assert np.abs(q - rule.project(s)).max() <= 1e-13
 
 
 class TestConjugate:

@@ -1,10 +1,10 @@
 """Every name a plasthom module imports is used in that module, every
 private function or class is used somewhere in the package, every public
-one is used by the package, a demo, the benchmark, the acceptance suite or
-the README, the only third-party modules the package imports are numpy
-and scipy.sparse, no numpy function younger than the oldest numpy that
-``pyproject.toml`` admits is called, and no vector reduction is handed to
-BLAS.
+one, and every public method or property of a package class, is used by the
+package, a demo, the benchmark, the acceptance suite or the README, the only
+third-party modules the package imports are numpy and scipy.sparse, no numpy
+function younger than the oldest numpy that ``pyproject.toml`` admits is
+called, and no vector reduction is handed to BLAS.
 
 Stand-ins for a linter's unused-import and dead-code rules, written with the
 stdlib ``ast`` so they run wherever the tests do.  ``__init__`` is skipped by
@@ -14,6 +14,7 @@ the import check: its imports are the package's public exports.
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,26 +87,39 @@ def test_every_private_definition_is_referenced():
     assert sorted(defined - referenced) == []
 
 
+def reference_counts(tree):
+    """How often each bare name and attribute name is read or written in ``tree``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def public_definitions(tree):
+    """(qualified name, node) of the public top-level functions and classes, and of
+    the public methods and properties of the top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
 def test_every_public_definition_is_used_outside_its_tests():
-    """A public top-level function or class is referenced somewhere other than
-    its own definition: in a package module other than ``__init__``, a demo,
-    a benchmark script, the acceptance suite or the README.  Unit tests do not
-    count, so a helper that only its own tests read fails."""
+    """A public top-level function or class, or a public method or property of
+    one, is referenced somewhere other than its own definition: in a package
+    module other than ``__init__``, a demo, a benchmark script, the acceptance
+    suite or the README.  Unit tests do not count, so a helper that only its
+    own tests read fails.  Methods are matched by attribute name alone."""
     users = MODULES + sorted((ROOT / "demos").glob("*.py")) \
         + sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
     trees = {p: ast.parse(p.read_text(encoding="utf8"), filename=str(p)) for p in users}
     readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf8")))
-    statements = [node for tree in trees.values() for node in tree.body]
-    references = [referenced_names(node) for node in statements]
-    unused = []
-    for path in MODULES:
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_") or node.name in readme:
-                continue
-            if not any(node.name in names for other, names in zip(statements, references)
-                       if other is not node):
-                unused.append(f"{path.stem}.{node.name}")
+    references = sum(map(reference_counts, trees.values()), Counter())
+    unused = [f"{path.stem}.{qualified}" for path in MODULES
+              for qualified, node in public_definitions(trees[path])
+              if node.name not in readme
+              and references[node.name] == reference_counts(node)[node.name]]
     assert unused == []
 
 

@@ -1,5 +1,5 @@
-"""The forcing term of ``newton_solve``'s linear solves, and the time step of
-a failed linear solve.
+"""The forcing term of ``newton_solve``'s linear solves, and the time step
+that a failed solve reports.
 
 The reference for the forcing term is the exact-solve Newton iteration: with
 ``FORCING_MAX`` patched down to the CG floor, every correction is solved to
@@ -39,6 +39,15 @@ def torus_cell(path):
     space = P1Space(mesh_torus(8, 2))
     assert space.n_packed > fem.DENSE_PERIODIC_DOFS
     traj = solve_cell(PeriodizedMedium(TWO_PHASE, 3, 8), path, 0.003, TIMES, space,
+                      newton_rtol=NEWTON_RTOL)
+    return traj.newton_iters, traj.z, traj.p
+
+
+def direct_torus_cell(path):
+    # N = 4, r = 1: 32 unknowns, so the corrections take the direct path
+    space = P1Space(mesh_torus(4, 1))
+    assert space.n_packed <= fem.DENSE_PERIODIC_DOFS
+    traj = solve_cell(PeriodizedMedium(TWO_PHASE, 3, 4), path, 0.003, TIMES, space,
                       newton_rtol=NEWTON_RTOL)
     return traj.newton_iters, traj.z, traj.p
 
@@ -96,3 +105,24 @@ def test_failed_linear_solve_reports_the_step(monkeypatch, solve, owner):
         solve(shear_cycle([0.0, 0.0, 0.0, 0.3, 0.0]))
     assert err.value.step == 3
     assert err.value.residual == 0.5
+
+
+def test_failed_direct_solve_reports_the_step(monkeypatch):
+    def failing_direct(*args, **kwargs):
+        raise NumericalError("direct periodic solve met a singular operator")
+
+    monkeypatch.setattr(fem, "solve_periodic_direct", failing_direct)
+    with pytest.raises(NumericalError, match="singular") as err:
+        direct_torus_cell(shear_cycle([0.0, 0.0, 0.0, 0.3, 0.0]))
+    assert err.value.step == 3
+
+
+@pytest.mark.parametrize("solve", [torus_cell, direct_torus_cell, dirichlet_square],
+                         ids=["periodic", "direct", "dirichlet"])
+def test_newton_failure_reports_the_step(monkeypatch, solve):
+    # one iteration solves no plastic step: the first solve, at step 3, fails
+    monkeypatch.setattr(finescale, "NEWTON_MAXITER", 1)
+    with pytest.raises(NumericalError, match="Newton did not converge") as err:
+        solve(shear_cycle([0.0, 0.0, 0.0, 0.3, 0.0]))
+    assert err.value.step == 3
+    assert err.value.residual > 0

@@ -205,14 +205,14 @@ class TestCondensedTangent:
 
 
 class TestBudgets:
-    def test_wallclock_budget_raises_with_partial(self):
+    def test_wallclock_budget_raises_at_its_step(self):
         path = shear_path(0.6, 1.0, 4)
         cfg = MacroConfig(mesh=mesh_unit_square(2), rve=single_cell_rve(),
                           dirichlet=AffineBoundary(path),
                           time_grid=np.linspace(0, 1, 5), max_seconds=0.0)
         with pytest.raises(NumericalError) as err:
             solve_effective(cfg)
-        assert err.value.partial is not None
+        assert err.value.step == 1
 
     def test_element_budget_is_checked(self):
         path = shear_path(0.6, 1.0, 2)
