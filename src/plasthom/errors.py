@@ -20,12 +20,13 @@ class NumericalError(RuntimeError):
     """A solver failed to converge or a numerical budget was exceeded.
 
     Carries optional diagnostics so callers can report where the failure
-    happened: the time step and the residual.
+    happened: the residual, given by the solver that raises, and the time
+    step, which ``at_step`` sets.
     """
 
-    def __init__(self, message, step=None, residual=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.step = step
+        self.step = None
         self.residual = residual
 
 

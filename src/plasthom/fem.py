@@ -28,10 +28,12 @@ the solution, which is the zero-mean representative.
 
 Every solve stops at a relative residual tolerance ``rtol``, and a stack of
 periodic systems takes one per system: ``finescale.newton_solve`` solves
-each Newton correction only as tightly as its system's own residual needs
-(an inexact Newton forcing term), while the tangent and elastic solves keep
-a fixed tight tolerance.  On the direct path the tolerance only bounds the
-residual check.
+each Newton correction by CG only as tightly as its system's own residual
+and Newton tolerance need (an inexact Newton forcing term with Kelley's
+terminal safeguard, ``finescale.forcing_term``), while the tangent and
+elastic solves keep a fixed tight tolerance.  On the direct path the
+tolerance only bounds the residual check, and Newton's corrections are
+checked at the floor of the forcing term.
 
 CG's inner products and norms and the translation projections are taken by
 ``tensors.inner`` and ``tensors.norm``, never by BLAS: above about 10,000
@@ -338,8 +340,9 @@ class P1Space:
     # -- field packing -------------------------------------------------
 
     def pack_field(self, u):
-        """Nodal field (nv, 2) -> packed vector over master dofs."""
-        return np.asarray(u)[self.master_ids].ravel()
+        """Nodal fields (..., nv, 2) -> packed vectors (..., n) over master dofs."""
+        u = np.asarray(u)
+        return u[..., self.master_ids, :].reshape(u.shape[:-2] + (-1,))
 
     def unpack_field(self, packed):
         """Packed vectors (..., n) -> nodal fields (..., nv, 2), slaves mirroring masters."""

@@ -26,11 +26,13 @@ from .returnmap import MaterialArrays, plastic_step
 from .tensors import KDIM, inner, norm, unpack
 
 NEWTON_MAXITER = 50
-# Forcing term of the inexact Newton iteration: a system's correction is
-# solved to the relative tolerance FORCING_GAMMA * res / scale, clipped to
-# [cg_rtol, FORCING_MAX] (see ``newton_solve``).
+# Forcing term of the inexact Newton iteration (see ``forcing_term``): a
+# system's correction is solved to the relative CG tolerance
+# FORCING_GAMMA * res / scale, loosened to Kelley's safeguard 0.5 * tol / res
+# once that is all the correction needs to reach the Newton tolerance tol,
+# and clipped to [cg_rtol, FORCING_MAX].
 FORCING_GAMMA = 1e-2
-FORCING_MAX = 1e-4
+FORCING_MAX = 1e-2
 
 
 @dataclass
@@ -115,6 +117,23 @@ def newton_tolerance(space, z0, res0, f_norm, rtol):
     return scale, rtol * scale + floor
 
 
+def forcing_term(res, scale, tol, floor):
+    """Relative CG tolerance eta of a Newton correction at residual norm ``res``.
+
+    eta = clip(max(FORCING_GAMMA * res / scale, 0.5 * tol / res), floor, FORCING_MAX),
+    with ``scale`` and ``tol`` from ``newton_tolerance`` and ``floor`` the CG floor.
+    The first term shrinks with the residual, which keeps the local convergence
+    fast (Eisenstat & Walker 1996).  The second is Kelley's terminal safeguard
+    (Iterative Methods for Linear and Nonlinear Equations, 1995, sec. 6.3.2): a
+    correction solved to eta leaves a linearized residual of eta * res, and
+    the Newton test needs no less than half of tol, so the last correction of a
+    step is not solved tighter than that.  Entries broadcast; every system's
+    eta depends on its own residual only.
+    """
+    eta = np.maximum(FORCING_GAMMA * res / scale, 0.5 * tol / res)
+    return np.minimum(np.maximum(eta, floor), FORCING_MAX)
+
+
 def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
                  f_ext, rtol, cg_rtol):
     """Global Newton iterations of one backward-Euler step for S systems at once.
@@ -135,16 +154,21 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     run.
 
     The Newton iteration is inexact (Dembo, Eisenstat & Steihaug 1982):
-    system s solves its correction only to the relative CG tolerance
-    eta_s = clip(FORCING_GAMMA * res_s / scale_s, cg_rtol, FORCING_MAX),
-    with res_s its current residual norm and scale_s the scale of the
-    convergence test.  The forcing term shrinks with the residual, which
-    keeps the local convergence fast (Eisenstat & Walker 1996), and depends
-    on the system's own residual only, so a system runs the same iterates in
-    any batch.  The convergence test and the line search do not depend on
-    eta, so the converged state meets the same tolerance as with exact
-    solves.  A failed solve raises NumericalError without a step, which the
-    time loop attaches (``errors.at_step``).
+    system s solves its correction by CG only to the relative tolerance
+    eta_s = clip(max(FORCING_GAMMA * res_s / scale_s, 0.5 * tol_s / res_s),
+    cg_rtol, FORCING_MAX) of ``forcing_term``, with res_s its current
+    residual norm and scale_s, tol_s the scale and tolerance of its
+    convergence test.  The first term shrinks with the residual (Eisenstat &
+    Walker 1996); the second, Kelley's terminal safeguard, keeps the last
+    correction of a step from being solved tighter than the test needs.  Both
+    depend on the system's own residual only, so a system runs the same
+    iterates in any batch.  The convergence test and the line search do not
+    depend on eta, so the converged state meets the same tolerance as with
+    exact solves.  Periodic systems of at most ``fem.DENSE_PERIODIC_DOFS``
+    unknowns are solved directly, where a tolerance only bounds the residual
+    check: that check takes the floor cg_rtol.  A failed solve raises
+    NumericalError without a step, which the time loop attaches
+    (``errors.at_step``).
 
     Returns (z, p_new, iterations, residuals, moduli): stresses and
     plastic strains (S, ne, 3), the sum of the systems' iteration counts
@@ -156,6 +180,7 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     ne = space.mesh.n_elements
     free = space.free_dofs
     periodic = bool(space.mesh.grid_size)
+    direct = periodic and space.n_packed <= fem.DENSE_PERIODIC_DOFS
     offset = np.broadcast_to(strain_offset, (n_systems, ne, KDIM))
     f_ext = np.broadcast_to(f_ext, u.shape)
     f_norm = norm(f_ext[:, free])
@@ -178,8 +203,8 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
 
     def solve(systems):
         rhs = f_ext[systems] - f_int[systems]
-        eta = np.minimum(np.maximum(FORCING_GAMMA * res[systems] / scale[systems], cg_rtol),
-                         FORCING_MAX)
+        eta = cg_rtol if direct \
+            else forcing_term(res[systems], scale[systems], tol[systems], cg_rtol)
         if periodic:
             return fem.solve_periodic_systems(space, moduli[systems], rhs, rtol=eta)
         updates = []
@@ -323,11 +348,9 @@ def residual_report(traj, config):
 
     u_eff = traj.u
     if config.dirichlet.offset is not None:
-        u_eff = traj.u - np.stack([np.tile(config.dirichlet.offset_at(t),
-                                           (mesh.n_vertices, 1)) for t in times])
+        u_eff = traj.u - np.stack([config.dirichlet.offset_at(t) for t in times])[:, None]
 
-    strains = np.stack([space.element_strains(space.pack_field(u_eff[m]))
-                        for m in range(times.size)])
+    strains = space.element_strains(space.pack_field(u_eff))
     decomp = np.abs(strains - traj.e - traj.p).max(axis=-1)
     scale = 1.0 + np.abs(traj.e).max(axis=-1) + np.abs(traj.p).max(axis=-1)
     max_decomp = float((decomp / scale).max())
@@ -351,14 +374,24 @@ def residual_report(traj, config):
 
     data_norm = config.dirichlet.path.h1_norm()
     if config.load is not None:
-        loads = np.stack([np.asarray(config.load(t, mesh.barycenters)) for t in times])
+        loads = np.stack([np.asarray(config.load(t, mesh.barycenters), dtype=float)
+                          for t in times])
         data_norm += _h1_time_l2_norm(times, loads, vol)
+        f_ext = np.stack([space.load_vector(values) for values in loads])
+    else:
+        f_ext = np.zeros((times.size, space.n_packed))
 
     # discrete energy bookkeeping
     a_e = mats.apply_stiffness(traj.e)
     energy = 0.5 * np.einsum("e,mek,mek->m", vol, traj.e, a_e) \
         + 0.5 * np.einsum("e,mek,mek->m", vol,
                           traj.p, mats.hardening[None, :, None] * traj.p)
+    # per step: the increment dU of the boundary data, its strains, and the
+    # increment of u - U, on which the load does work
+    dU = np.diff(np.stack([_boundary_values(config, t, mesh.vertices) for t in times]),
+                 axis=0)
+    bc_strains = space.element_strains(space.pack_field(dU))
+    free_increments = space.pack_field(np.diff(u_eff, axis=0) - dU)
     defect_tight = 0.0
     gap_running = 0.0
     scale_acc = abs(energy[-1]) + 1e-300
@@ -368,13 +401,8 @@ def residual_report(traj, config):
         diss = np.einsum("e,ek,ek->", vol, tau[m], dp)
         quad = 0.5 * np.einsum("e,ek,ek->", vol, de, mats.apply_stiffness(de)) \
             + 0.5 * np.einsum("e,ek,ek->", vol, dp, mats.hardening[:, None] * dp)
-        du = u_eff[m] - u_eff[m - 1]
-        dU = _boundary_values(config, times[m], mesh.vertices) \
-            - _boundary_values(config, times[m - 1], mesh.vertices)
-        work_bc = np.einsum("e,ek,ek->", vol, traj.sigma[m],
-                            space.element_strains(space.pack_field(dU)))
-        f_ext = _load_vector(space, config, times[m])
-        work_f = inner(f_ext, space.pack_field(du - dU))
+        work_bc = np.einsum("e,ek,ek->", vol, traj.sigma[m], bc_strains[m - 1])
+        work_f = inner(f_ext[m], free_increments[m - 1])
         rhs = work_bc + work_f
         defect_tight += (energy[m] - energy[m - 1]) + diss + quad - rhs
         gap_running += quad

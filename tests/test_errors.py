@@ -46,6 +46,6 @@ class TestAtStep:
         assert (err.value.step, err.value.residual) == (4, 1.0)
 
     def test_keeps_the_step_an_error_names(self):
-        with pytest.raises(NumericalError) as err, at_step(4):
-            raise NumericalError("failed", step=2)
+        with pytest.raises(NumericalError) as err, at_step(4), at_step(2):
+            raise NumericalError("failed")
         assert err.value.step == 2

@@ -1,5 +1,5 @@
-"""The forcing term of ``newton_solve``'s linear solves, and the time step
-that a failed solve reports.
+"""The forcing term of ``newton_solve``'s linear solves, the residual check
+of its direct solves, and the time step that a failed solve reports.
 
 The reference for the forcing term is the exact-solve Newton iteration: with
 ``FORCING_MAX`` patched down to the CG floor, every correction is solved to
@@ -91,7 +91,21 @@ def test_forcing_term_keeps_the_exact_solve_result(monkeypatch, solve, owner):
     assert iters == exact_iters
     assert np.abs(stress - exact_stress).max() <= 1e-12 * np.abs(exact_stress).max()
     assert np.abs(plastic - exact_plastic).max() <= 1e-12 * np.abs(exact_plastic).max()
-    assert cg_iters <= 0.6 * exact_cg_iters
+    assert cg_iters <= 0.5 * exact_cg_iters
+
+
+@pytest.mark.parametrize("res, tol, eta", [
+    (1.0, 1e-8, 1e-2),      # a first correction: FORCING_GAMMA * res / scale, at the cap
+    (1e-3, 1e-8, 1e-5),     # FORCING_GAMMA * res / scale
+    (1e-6, 1e-8, 5e-3),     # the safeguard tol / (2 res) is looser
+    (1e-7, 1e-8, 1e-2),     # the safeguard, capped
+    (1e-11, 1e-24, 1e-12),  # both below the floor
+])
+def test_forcing_term(res, tol, eta):
+    assert finescale.forcing_term(res, 1.0, tol, CG_RTOL) == pytest.approx(eta, rel=1e-12)
+    # each system's term depends on its own values only
+    assert finescale.forcing_term(np.array([res, 1.0]), np.ones(2), np.array([tol, 1e-8]),
+                                  CG_RTOL)[0] == pytest.approx(eta, rel=1e-12)
 
 
 @pytest.mark.parametrize("solve, owner", CASES)
@@ -115,6 +129,24 @@ def test_failed_direct_solve_reports_the_step(monkeypatch):
     with pytest.raises(NumericalError, match="singular") as err:
         direct_torus_cell(shear_cycle([0.0, 0.0, 0.0, 0.3, 0.0]))
     assert err.value.step == 3
+
+
+def test_direct_solve_is_checked_at_the_floor(monkeypatch):
+    # the forcing term allows 1e-2 on a first correction; the direct check does not
+    direct, exact = fem.solve_periodic_direct, np.linalg.solve
+    calls = []
+
+    def corrupted_direct(*args, **kwargs):
+        calls.append(1)
+        with monkeypatch.context() as patch:   # relative residual 1e-3
+            patch.setattr(np.linalg, "solve", lambda A, b: (1.0 + 1e-3) * exact(A, b))
+            return direct(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "solve_periodic_direct", corrupted_direct)
+    with pytest.raises(NumericalError, match="direct periodic solve left a residual") as err:
+        direct_torus_cell(shear_cycle([0.0, 0.0, 0.0, 0.3, 0.0]))
+    assert err.value.step == 3
+    assert len(calls) == 1   # the first Newton iteration of step 3
 
 
 @pytest.mark.parametrize("solve", [torus_cell, direct_torus_cell, dirichlet_square],
