@@ -10,12 +10,16 @@ Element strains and nodal forces are products with two sparse operators
 that each space builds once: the strain operator D, which places the rows
 of every element's strain-displacement matrix B_e at the element's packed
 dofs, and its volume-weighted transpose (vol D)^T, stored as its own CSR
-matrix.  Assembly scatters batched element stiffnesses into a pattern that
-each space also builds once: a CSR matrix per system, or a dense stack of
-matrices for a batch of small systems.  Dirichlet systems are solved with
-Jacobi-preconditioned conjugate gradients, which is deterministic.
-Periodic systems on the uniform torus grid pick their solver by size.  Up
-to ``DENSE_PERIODIC_DOFS`` unknowns a whole stack of systems is solved
+matrix.  The stiffness is linear in the moduli, so each space also builds
+once its fixed CSR pattern and a sparse map from the six distinct entries
+of every element's moduli to the pattern's upper nonzeros.  Assembly is one
+product with that map for a system or a stack of systems, after which
+each lower nonzero takes its upper partner's value; it gives a CSR matrix
+per system, or a dense stack of matrices for a batch of small systems.
+Dirichlet systems are solved with Jacobi-preconditioned conjugate
+gradients, which is deterministic.  Periodic systems on the uniform torus
+grid pick their solver by size (``solves_periodic_directly``).  Up to
+``DENSE_PERIODIC_DOFS`` unknowns a whole stack of systems is solved
 directly by one batched LU solve, and a system's right-hand sides share its
 factorization.  Above, CG runs with the exact inverse of the translation
 average of the operator as preconditioner, a block-circulant matrix
@@ -45,6 +49,7 @@ scipy.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,15 +65,21 @@ from .errors import (
 from .tensors import KDIM, SQRT2, inner, norm
 
 DIM = 2
+# the entries of an element's strain-displacement matrix B (3, 6) that are not
+# zero by construction: e11 on the x dofs, e22 on the y dofs, the shear on both
+_B_PATTERN = np.ones((KDIM, 3 * DIM), dtype=bool)
+_B_PATTERN[0, 1::2] = _B_PATTERN[1, 0::2] = False
 # Largest periodic system solved directly.  Per system of a stack of 16
-# two-phase plastic tangents at rtol 1e-12 on a shared 2-core machine, in ms,
-# the batched direct solve against assembly plus DFT-preconditioned CG, for 1
-# and 3 right-hand sides (medians of 15 to 40 alternating runs): 0.05/0.8 and
-# 0.06/2.1 at 32 dofs (m = 4), 0.35/0.9 and 0.32/1.8 at 98 (m = 7), 1.1/1.4
-# and 1.1/3.4 at 162 (m = 9), 1.45/1.41 and 1.3/2.8 at 200 (m = 10), 2.0/1.3
-# and 1.9/2.7 at 242 (m = 11), 3.0/1.6 and 2.8/3.3 at 288 (m = 12).  The
-# single right-hand sides of the Newton solves cross over at the 10 x 10
-# torus grid, where both cost the same within the noise.
+# two-phase plastic tangents at rtol 1e-12 on a shared 2-core machine, one
+# BLAS thread, in ms, ``solve_periodic_systems`` on the direct path (dense
+# assembly, batched LU) against the CG path (assembly plus DFT-preconditioned
+# CG), for 1 and 3 right-hand sides, medians of alternating runs: 0.04/1.0
+# and 0.06/2.9 at 32 dofs (m = 4), 0.30/1.2 and 0.35/2.9 at 98 (m = 7),
+# 0.84/1.4 and 0.9/3.7 at 162 (m = 9), 1.1/1.5 and 1.2/3.8 at 200 (m = 10),
+# 1.6/1.5 and 1.8/3.9 at 242 (m = 11), 2.4/1.5 and 2.6/4.0 at 288 (m = 12).
+# The single right-hand sides of the Newton solves cross over between the
+# 10 x 10 and the 11 x 11 torus grids (direct about 25 % cheaper at 10, 5 %
+# dearer at 11), so the cap is the 10 x 10 grid.
 DENSE_PERIODIC_DOFS = 200
 
 
@@ -120,32 +131,19 @@ class SimplicialMesh:
         return self.simplices.shape[0]
 
 
-def _sum_into_bins(index, values, size):
-    """Sums of ``values`` into bins ``index``, per system: shape (S, size).
+def _frozen(kind, data, indices, indptr, shape):
+    """Sparse matrix ``kind`` (CSR or CSC) on the given arrays, made read-only.
 
-    ``values`` holds S systems' entries, ``index.size`` each; every system
-    adds into its own ``size`` bins, in entry order as ``np.bincount`` does.
+    The arrays are not copied: the caller hands over arrays nothing else
+    holds.  Duplicate or unsorted indices within a row (column) are kept,
+    and no later canonicalization can reorder them in place.
     """
-    count = values.size // index.size
-    if count > 1:
-        index = index + size * np.arange(count)[:, None]
-    return np.bincount(index.ravel(), weights=values.ravel(),
-                       minlength=count * size).reshape(count, size)
-
-
-def _frozen_csr(rows, cols, data, shape):
-    """CSR matrix of the entries (rows, cols, data), given in row order, as they are.
-
-    The matrix holds its own read-only copies of the arrays.  Duplicate or
-    unsorted column indices within a row are kept, and no later
-    canonicalization can reorder them in place.
-    """
-    idx = np.int32 if len(cols) < np.iinfo(np.int32).max else np.int64
-    arrays = (np.array(data, dtype=float), np.array(cols, dtype=idx),
-              np.searchsorted(rows, np.arange(shape[0] + 1)).astype(idx))
+    idx = np.int32 if max(len(indices), *shape) < np.iinfo(np.int32).max else np.int64
+    arrays = (np.asarray(data, dtype=float), np.asarray(indices, dtype=idx),
+              np.asarray(indptr, dtype=idx))
     for a in arrays:
         a.flags.writeable = False
-    return sp.csr_matrix(arrays, shape=shape)
+    return kind(arrays, shape=shape)
 
 
 def _strain_operators(B, element_dofs, volumes, n):
@@ -153,17 +151,91 @@ def _strain_operators(B, element_dofs, volumes, n):
 
     Row 3 e + k of D holds the entries of B_e[k] that are not zero by
     construction, at the element's dofs; repeated dofs of an element stay
-    separate entries.
+    separate entries, and so do they in (vol D)^T, in the row order of D.
     """
-    pattern = np.ones((KDIM, 3 * DIM), dtype=bool)
-    pattern[0, 1::2] = pattern[1, 0::2] = False
-    keep = np.broadcast_to(pattern, B.shape).ravel()
-    rows = np.repeat(np.arange(B.shape[0] * KDIM), 3 * DIM)[keep]
+    keep = np.broadcast_to(_B_PATTERN, B.shape).ravel()
     dofs = np.repeat(element_dofs[:, None, :], KDIM, axis=1).ravel()[keep]
-    D = _frozen_csr(rows, dofs, B.ravel()[keep], (B.shape[0] * KDIM, n))
-    order = np.argsort(dofs, kind="stable")
-    weighted = (B * volumes[:, None, None]).ravel()[keep]
-    return D, _frozen_csr(dofs[order], rows[order], weighted[order], (n, B.shape[0] * KDIM))
+    row_sizes = np.tile(_B_PATTERN.sum(axis=1), B.shape[0])
+    D = _frozen(sp.csr_matrix, B.ravel()[keep], dofs,
+                np.concatenate([[0], np.cumsum(row_sizes)]), (B.shape[0] * KDIM, n))
+    T = D.T.tocsr()
+    return D, _frozen(sp.csr_matrix, T.data * volumes[T.indices // KDIM], T.indices,
+                      T.indptr, T.shape)
+
+
+@cache
+def _moduli_terms():
+    """The products of B entries that make up the stiffness as a map of the moduli.
+
+    One term for every moduli entry (k, l), k <= l, and element dof pair
+    i <= j (in ``np.triu_indices(6)`` order) whose B[k, i] B[l, j] +
+    B[l, i] B[k, j] does not vanish by the structure of B, in that order: 72
+    terms.  Returned as the term's pair, its flat moduli index 3 k + l, and
+    the four factors' flat indices into B (3 x 6) with a zero appended.  For
+    k = l the sum is twice one product, which the half of a diagonal moduli
+    entry takes back, so the second product's factors are the appended zero.
+    Built on first use, so that importing the module does not run it.
+    """
+    pair_i, pair_j = np.triu_indices(3 * DIM)
+    zero = KDIM * 3 * DIM
+    terms = []
+    for k, l in zip(*np.triu_indices(KDIM)):
+        pairs = np.flatnonzero(_B_PATTERN[k, pair_i] & _B_PATTERN[l, pair_j]
+                               | _B_PATTERN[l, pair_i] & _B_PATTERN[k, pair_j])
+        i, j = pair_i[pairs], pair_j[pairs]
+        second = [np.full(pairs.size, zero)] * 2 if k == l \
+            else [3 * DIM * l + i, 3 * DIM * k + j]
+        terms.append(np.stack([pairs, np.full(pairs.size, KDIM * k + l),
+                               3 * DIM * k + i, 3 * DIM * l + j, *second]))
+    table = np.concatenate(terms, axis=1)
+    table.flags.writeable = False          # one table for every caller
+    pairs, column, *factors = table
+    return pairs, column, factors
+
+
+# Elements per pass of ``_moduli_map``.  Whole-mesh (ne, 72) temporaries
+# made P1Space(mesh_torus(16, 2)) about 1.5 ms slower (one thread, medians).
+_MODULI_CHUNK = 128
+
+
+def _moduli_map(B, volumes, upper_of_pair, repeated, n_upper):
+    """The stiffness as a linear map of the moduli: a CSC matrix (n_upper, 9 ne).
+
+    Its product with moduli (ne, 3, 3) flattened to (9 ne,) gives the upper
+    nonzeros (row <= column) of the stiffness.  Column 9 e + 3 k + l, k <= l,
+    holds what C_e[k, l] adds to them: vol_e (B_e[k, i] B_e[l, j] +
+    B_e[l, i] B_e[k, j]), halved for k = l, for every element dof pair
+    i <= j, at the pair's upper nonzero ``upper_of_pair`` (ne, 21), doubled
+    where the pair is one dof twice (``repeated``, on tori of m <= 2).
+    Columns l < k are empty, so the lower moduli entries are never read.
+    Products that vanish by the structure of B are never formed
+    (``_moduli_terms``), exact zeros are dropped, and no element matrix is
+    built.
+    """
+    ne = B.shape[0]
+    pairs, column, (f1, f2, f3, f4) = _moduli_terms()
+    flat = np.concatenate([B.reshape(ne, -1), np.zeros((ne, 1))], axis=1)
+    weighted = flat * volumes[:, None]
+    doubled = np.where(repeated, 2.0, 1.0)[:, pairs] if repeated.any() else None
+    upper_of_pair = upper_of_pair.astype(np.int32 if n_upper < np.iinfo(np.int32).max
+                                         else np.int64)
+    keep = np.empty((ne, pairs.size), dtype=bool)
+    data, rows = [], []
+    for part in (slice(s, s + _MODULI_CHUNK) for s in range(0, ne, _MODULI_CHUNK)):
+        w, f = weighted[part], flat[part]
+        values = w[:, f1] * f[:, f2]
+        values += w[:, f3] * f[:, f4]
+        if doubled is not None:
+            values *= doubled[part]
+        kept = np.flatnonzero(np.not_equal(values, 0.0, out=keep[part]))
+        data.append(values.take(kept))
+        rows.append(upper_of_pair[part][:, pairs].take(kept))
+    # the entries run by element, then by moduli entry: the CSC column order
+    starts = np.flatnonzero(np.diff(column, prepend=-1))
+    counts = np.zeros((ne, KDIM * KDIM), dtype=np.int64)
+    counts[:, column[starts]] = np.add.reduceat(keep, starts, axis=1)
+    return _frozen(sp.csc_matrix, np.concatenate(data), np.concatenate(rows),
+                   np.concatenate([[0], np.cumsum(counts.ravel())]), (n_upper, counts.size))
 
 
 def _apply(op, x):
@@ -291,26 +363,34 @@ class P1Space:
         B[:, 2, 0::2] = g[:, :, 1] / SQRT2
         B[:, 2, 1::2] = g[:, :, 0] / SQRT2
         self.B = B
-        self._BtV = np.swapaxes(B, 1, 2) * mesh.volumes[:, None, None]
 
         self._strain_op, self._force_op = _strain_operators(
             B, self.element_dofs, mesh.volumes, self.n_packed)
 
-        # CSR pattern of the stiffness: element entry -> nonzero, and the
-        # nonzero of each transposed entry; shared, read-only index arrays
+        # CSR pattern of the stiffness, from the element dof pairs i <= j: the
+        # upper nonzeros (row <= column), numbered in sorted order, and the
+        # upper partner of every nonzero
         n = self.n_packed
-        rows = np.repeat(self.element_dofs, 3 * DIM, axis=1).ravel()
-        cols = np.tile(self.element_dofs, (1, 3 * DIM)).ravel()
-        keys, self._scatter = np.unique(rows * n + cols, return_inverse=True)
-        self._keys = keys                  # flat position of each nonzero in a dense matrix
+        pair_i, pair_j = np.triu_indices(3 * DIM)
+        first, second = self.element_dofs[:, pair_i], self.element_dofs[:, pair_j]
+        upper_keys, upper_of_pair = np.unique(
+            np.minimum(first, second) * n + np.maximum(first, second), return_inverse=True)
+        repeated = (first == second) & (pair_i != pair_j)   # one dof twice: m <= 2 tori
+        upper_rows, upper_cols = np.divmod(upper_keys, n)
+        off = np.flatnonzero(upper_rows != upper_cols)
+        keys = np.concatenate([upper_keys, upper_cols[off] * n + upper_rows[off]])
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys = keys[order]    # flat position of each nonzero in a dense matrix
+        self._partner = np.concatenate([np.arange(upper_keys.size), off])[order]
         key_rows, key_cols = np.divmod(keys, n)
-        self._transpose = np.searchsorted(keys, key_cols * n + key_rows)
         idx = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
         self._indices = key_cols.astype(idx)
         self._indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(key_rows, minlength=n))]).astype(idx)
         self._indices.flags.writeable = False
         self._indptr.flags.writeable = False
+        self._moduli_map = _moduli_map(B, mesh.volumes, upper_of_pair.reshape(repeated.shape),
+                                       repeated, upper_keys.size)
 
         # torus grid: lattice offset and dof components of every nonzero, the
         # DFT matrix F[k, x] = exp(-2 pi i k x / m), and the real half-spectrum
@@ -364,23 +444,26 @@ class P1Space:
     # -- assembly ------------------------------------------------------
 
     def _stiffness_values(self, moduli):
-        """Nonzero values of the stiffness of each of S moduli stacks, (S, nnz).
+        """Nonzero values of the stiffness of moduli (ne, 3, 3) or stacks (S, ne, 3, 3).
 
-        ``moduli`` is (ne, 3, 3) for one system or (S, ne, 3, 3).  They must
-        be symmetric; each value is then averaged with its transposed
-        partner, so every operator is symmetric bit for bit.
+        The moduli must be symmetric.  The upper nonzeros are one product
+        with the map built with the space (``_moduli_map``), which reads the
+        upper moduli entries only, and every lower nonzero takes its upper
+        partner's value, so every operator is symmetric bit for bit.  Shape
+        (nnz,) or (S, nnz).
         """
         moduli = np.asarray(moduli, dtype=float)
-        scale = max(np.abs(moduli).max(initial=0.0), np.finfo(float).tiny)
-        if np.abs(moduli - np.swapaxes(moduli, -1, -2)).max(initial=0.0) > 1e-12 * scale:
+        flat = moduli.reshape(moduli.shape[:-2] + (KDIM * KDIM,))
+        scale = max(np.abs(flat).max(initial=0.0), np.finfo(float).tiny)
+        if np.abs(flat[..., [1, 2, 5]] - flat[..., [3, 6, 7]]).max(initial=0.0) \
+                > 1e-12 * scale:
             raise NumericalError("element moduli lost symmetry")
-        ke = self._BtV @ (moduli @ self.B)                        # (..., ne, 6, 6)
-        data = _sum_into_bins(self._scatter, ke, self._indices.size)
-        return 0.5 * (data + data.take(self._transpose, axis=1))
+        upper = _apply(self._moduli_map, flat.reshape(flat.shape[:-2] + (-1,)))
+        return upper.take(self._partner, axis=-1)
 
     def assemble_operator(self, moduli):
         """Stiffness CSR over all packed dofs from (ne, 3, 3) symmetric Mandel moduli."""
-        return sp.csr_matrix((self._stiffness_values(moduli)[0], self._indices, self._indptr),
+        return sp.csr_matrix((self._stiffness_values(moduli), self._indices, self._indptr),
                              shape=(self.n_packed, self.n_packed))
 
     def assemble_dense(self, moduli):
@@ -389,7 +472,7 @@ class P1Space:
         Each matrix equals ``assemble_operator`` of its moduli; meant for
         small systems, whose dense storage is cheap.
         """
-        data = self._stiffness_values(moduli)
+        data = self._stiffness_values(moduli).reshape(-1, self._keys.size)
         A = np.zeros((data.shape[0], self.n_packed * self.n_packed))
         A[:, self._keys] = data
         return A.reshape(-1, self.n_packed, self.n_packed)
@@ -416,8 +499,8 @@ class P1Space:
     def load_vector(self, f_values):
         """Packed load vector by barycenter quadrature, f given per element (ne, 2)."""
         contrib = (self.mesh.volumes[:, None] / 3.0) * np.asarray(f_values)  # (ne, 2)
-        return _sum_into_bins(self.element_dofs.ravel(),
-                              np.repeat(contrib[:, None, :], 3, axis=1), self.n_packed)[0]
+        return np.bincount(self.element_dofs.ravel(), minlength=self.n_packed,
+                           weights=np.repeat(contrib[:, None, :], 3, axis=1).ravel())
 
     def translation_vectors(self):
         """Packed unit translation fields, one row per component, shape (2, n_packed)."""
@@ -552,6 +635,15 @@ def solve_periodic(space, A, rhs, rtol=1e-10):
     return x.reshape(b.shape)
 
 
+def solves_periodic_directly(space):
+    """Whether ``solve_periodic_systems`` solves the periodic systems of a space directly.
+
+    True up to ``DENSE_PERIODIC_DOFS`` unknowns, where a tolerance only
+    bounds the direct solve's residual check.
+    """
+    return space.n_packed <= DENSE_PERIODIC_DOFS
+
+
 def solve_periodic_systems(space, moduli, rhs, rtol=1e-10):
     """Solve the periodic systems of S moduli stacks (S, ne, 3, 3) at once.
 
@@ -564,7 +656,7 @@ def solve_periodic_systems(space, moduli, rhs, rtol=1e-10):
     right-hand sides.  A failed solve raises NumericalError.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if space.n_packed <= DENSE_PERIODIC_DOFS:
+    if solves_periodic_directly(space):
         return solve_periodic_direct(space, space.assemble_dense(moduli), rhs, rtol=rtol)
     rtol = np.broadcast_to(rtol, (len(moduli),))
     x = np.empty_like(rhs)

@@ -164,9 +164,9 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     depend on the system's own residual only, so a system runs the same
     iterates in any batch.  The convergence test and the line search do not
     depend on eta, so the converged state meets the same tolerance as with
-    exact solves.  Periodic systems of at most ``fem.DENSE_PERIODIC_DOFS``
-    unknowns are solved directly, where a tolerance only bounds the residual
-    check: that check takes the floor cg_rtol.  A failed solve raises
+    exact solves.  Periodic systems that ``fem.solves_periodic_directly``
+    are solved directly, where a tolerance only bounds the residual check:
+    that check takes the floor cg_rtol.  A failed solve raises
     NumericalError without a step, which the time loop attaches
     (``errors.at_step``).
 
@@ -180,7 +180,7 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     ne = space.mesh.n_elements
     free = space.free_dofs
     periodic = bool(space.mesh.grid_size)
-    direct = periodic and space.n_packed <= fem.DENSE_PERIODIC_DOFS
+    direct = periodic and fem.solves_periodic_directly(space)
     offset = np.broadcast_to(strain_offset, (n_systems, ne, KDIM))
     f_ext = np.broadcast_to(f_ext, u.shape)
     f_norm = norm(f_ext[:, free])

@@ -11,6 +11,7 @@ from plasthom import fem
 from plasthom.errors import ConfigurationError, NumericalError
 from plasthom.fem import (
     P1Space,
+    SimplicialMesh,
     jacobi,
     mesh_simplex,
     mesh_torus,
@@ -296,6 +297,32 @@ def random_torus_moduli(n_cells, refine, seed, contrast):
     return space, cell_moduli[cells]
 
 
+def random_spd_moduli(shape, seed):
+    factors = np.random.default_rng(seed).standard_normal(shape + (3, 3))
+    return factors @ np.swapaxes(factors, -1, -2) + np.eye(3)
+
+
+def jittered_square(n, seed):
+    """mesh_unit_square(n) with every vertex moved by at most h / 5, orientations kept.
+
+    No gradient component of any element is zero, so every one of the 72
+    products of B entries in the stiffness's map of the moduli is formed.
+    The boundary vertices move too: an element of the unit square's lattice
+    with all three vertices on the boundary would keep both legs on the axes.
+    """
+    mesh = mesh_unit_square(n)
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2 * np.pi, mesh.n_vertices)
+    radius = rng.uniform(0.0, 0.2 / n, mesh.n_vertices)
+    moved = mesh.vertices + radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    return SimplicialMesh(moved, mesh.simplices, mesh.boundary_vertices)
+
+
+def jittered_case(seed):
+    space = P1Space(jittered_square(4, seed))
+    return space, random_spd_moduli((space.mesh.n_elements,), seed)
+
+
 def coo_assembly(space, moduli, magnitude=False):
     """Element stiffnesses (or their absolute values) summed by scipy's COO -> CSR."""
     ke = np.einsum("e,eki,ekl,elj->eij", space.mesh.volumes, space.B, moduli, space.B)
@@ -316,6 +343,7 @@ def zero_mean(space, v):
 class TestFixedPatternAssembly:
     @PROPERTY
     @given(torus_moduli())
+    @example(jittered_case(0))
     def test_operator_is_symmetric_bit_for_bit(self, case):
         space, moduli = case
         A = space.assemble_operator(moduli)
@@ -323,6 +351,11 @@ class TestFixedPatternAssembly:
 
     @PROPERTY
     @given(torus_moduli())
+    # one dof twice in an element: every vertex of m = 1, edges across m = 2
+    @example(random_torus_moduli(1, 1, 1, 10.0))
+    @example(random_torus_moduli(1, 2, 2, 10.0))
+    @example(random_torus_moduli(2, 1, 3, 10.0))
+    @example(jittered_case(1))
     def test_matches_coo_assembly(self, case):
         space, moduli = case
         A = space.assemble_operator(moduli)
@@ -352,13 +385,25 @@ class TestFixedPatternAssembly:
         for t in space.translation_vectors():
             assert np.abs(A @ t).max() <= 1e-12 * scale
 
-    def test_asymmetric_moduli_raise(self):
+    def test_jittered_dense_stack_equals_the_operators(self):
+        space = P1Space(jittered_square(4, 2))
+        assert space._moduli_map.nnz == 72 * space.mesh.n_elements
+        moduli = random_spd_moduli((3, space.mesh.n_elements), 3)
+        for A, m in zip(space.assemble_dense(moduli), moduli):
+            assert np.array_equal(A, space.assemble_operator(m).toarray())
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["operator", "last-of-stack"])
+    @pytest.mark.parametrize("k, l", [(0, 1), (0, 2), (1, 2)])
+    def test_asymmetric_moduli_raise(self, k, l, stacked):
         space = P1Space(mesh_torus(2, 1))
         moduli = np.broadcast_to(isotropic_stiffness(1.0, 0.3),
-                                 (space.mesh.n_elements, 3, 3)).copy()
-        moduli[3, 0, 2] += 1e-6
+                                 (3, space.mesh.n_elements, 3, 3)).copy()
+        moduli[-1, 3, k, l] += 1e-6
         with pytest.raises(NumericalError, match="symmetry"):
-            space.assemble_operator(moduli)
+            if stacked:
+                space.assemble_dense(moduli)
+            else:
+                space.assemble_operator(moduli[-1])
 
 
 def full_dft_preconditioner(space, A):
