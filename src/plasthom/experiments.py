@@ -184,8 +184,8 @@ def run_ergodic_check(spec):
 
     table = ReportTable(columns=["L", "seed", "value", "abs_error", "expected"])
     mean_errors = []
-    for L in L_values:
-        values = ergodic_average(realizations, lambda params: params[stat], L)
+    averages = ergodic_average(realizations, lambda params: params[stat], L_values)
+    for L, values in zip(L_values, averages):
         errs = np.abs(values - expected)
         for omega, value, err in zip(realizations, values.tolist(), errs.tolist()):
             table.append(L, omega.seed, value, err, expected)

@@ -446,15 +446,19 @@ class P1Space:
     def _stiffness_values(self, moduli):
         """Nonzero values of the stiffness of moduli (ne, 3, 3) or stacks (S, ne, 3, 3).
 
-        The moduli must be symmetric.  The upper nonzeros are one product
-        with the map built with the space (``_moduli_map``), which reads the
-        upper moduli entries only, and every lower nonzero takes its upper
-        partner's value, so every operator is symmetric bit for bit.  Shape
+        The moduli must be finite and symmetric.  The upper nonzeros are one
+        product with the map built with the space (``_moduli_map``), which
+        reads the upper moduli entries only, and every lower nonzero takes
+        its upper partner's value, so every operator is symmetric bit for
+        bit.  The largest |entry|, which scales the symmetry test, is not
+        finite as soon as any entry is not, lower ones included.  Shape
         (nnz,) or (S, nnz).
         """
         moduli = np.asarray(moduli, dtype=float)
         flat = moduli.reshape(moduli.shape[:-2] + (KDIM * KDIM,))
         scale = max(np.abs(flat).max(initial=0.0), np.finfo(float).tiny)
+        if not np.isfinite(scale):
+            raise NumericalError("element moduli are not finite")
         if np.abs(flat[..., [1, 2, 5]] - flat[..., [3, 6, 7]]).max(initial=0.0) \
                 > 1e-12 * scale:
             raise NumericalError("element moduli lost symmetry")

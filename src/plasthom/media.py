@@ -17,6 +17,7 @@ Shifting a realization by y yields the realization of the translated medium,
 and composing shifts adds displacements.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -45,12 +46,16 @@ _SHIFT_CHANNEL = 16
 
 
 def _mix(x):
-    """SplitMix64 finalizer on uint64 arrays (wraps mod 2^64)."""
-    x = x ^ (x >> np.uint64(30))
-    x = x * _M1
-    x = x ^ (x >> np.uint64(27))
-    x = x * _M2
-    return x ^ (x >> np.uint64(31))
+    """SplitMix64 finalizer on a uint64 array, in place (wraps mod 2^64); returns ``x``."""
+    scratch = x >> np.uint64(30)
+    x ^= scratch
+    x *= _M1
+    np.right_shift(x, np.uint64(27), out=scratch)
+    x ^= scratch
+    x *= _M2
+    np.right_shift(x, np.uint64(31), out=scratch)
+    x ^= scratch
+    return x
 
 
 def _seed_axes(seed, coords):
@@ -79,9 +84,12 @@ def _uniform01(seed, coords, channel):
     h = _mix(_seed_axes(seed, coords).astype(np.uint64) + _SALTS[channel])
     for axis, index in enumerate(coords):
         key = np.asarray(index, dtype=np.int64).astype(np.uint64)
-        key = key + _SALTS[axis + 1]
+        key += _SALTS[axis + 1]
         h = _mix(h ^ key)
-    return (h >> np.uint64(11)).astype(np.float64).ravel() * 2.0**-53
+    h >>= np.uint64(11)
+    u = h.astype(np.float64).ravel()
+    u *= 2.0**-53
+    return u
 
 
 def sample_shifts(seeds):
@@ -164,8 +172,11 @@ class Distribution:
             lo, hi = self.params
             return lo + (hi - lo) * u
         values, weights = self.params
-        idx = np.zeros(u.shape, dtype=np.intp)
-        for edge in np.cumsum(weights)[:-1]:
+        edges = np.cumsum(weights)[:-1]
+        if not edges.size:
+            return np.full(u.shape, values[0])
+        idx = (u >= edges[0]).astype(np.intp)
+        for edge in edges[1:]:
             idx += u >= edge
         return np.asarray(values, dtype=float)[idx]
 
@@ -263,14 +274,16 @@ class ProbabilityLaw:
         int64 array of seeds leading the broadcast shape, and one int64 index
         array per axis, such as the two columns of a list of cells or a
         column of row indices and a row of column indices for a box.  Every
-        array is flat, one entry per cell in row-major order.
+        array is flat, one entry per cell in row-major order.  A point-mass
+        parameter is a read-only broadcast view of its one value, so no
+        constant is written out per cell; callers copy what they modify.
         """
         n_cells = np.broadcast(_seed_axes(seed, coords), *coords).size
         out = {}
         for name, dist in (("E", self.E), ("nu", self.nu),
                            ("sigma_y", self.sigma_y), ("H", self.hardening)):
             if dist.is_point:
-                out[name] = np.full(n_cells, dist.params[0])
+                out[name] = np.broadcast_to(dist.params[0], n_cells)
             else:
                 out[name] = dist.sample(_uniform01(seed, coords, _CHANNELS[name]))
         return out
@@ -340,55 +353,73 @@ def shifted(omega, y):
     return replace(omega, translation=omega.translation + y)
 
 
-# cells hashed at once by ergodic_average: each temporary stays at 128 kB, the
-# size of one benchmark box at L = 64, and a batch's arrays stay in cache
+# cells hashed at once by ergodic_average: a batch holds the largest boxes of
+# several realizations, or one box if it is larger; each hash temporary stays
+# near 128 kB, the size of one benchmark box at L = 64, and stays in cache
 _BATCH_CELLS = 2**14
 
 
 def _box_axis(offsets, L):
     """The cells that [-L, L] + offset overlaps along one axis, for S offsets.
 
-    Returns the candidate cells (S, m) from floor(lo) on, their overlap
-    weights (S, m) and the mask of the cells with a positive overlap.
+    Returns the first cell floor(lo) of each box (S,), the overlap weights
+    (S, m) of the candidate cells from it on and the number of cells with a
+    positive overlap (S,), which lead each row of weights.
     """
     lo, hi = -L + offsets, L + offsets
     first = np.floor(lo).astype(np.int64)
     cells = first[:, None] + np.arange(int(np.max(np.floor(hi) - first)) + 1)
     weights = np.minimum(cells + 1.0, hi[:, None]) - np.maximum(cells.astype(float),
                                                                 lo[:, None])
-    return cells, weights, weights > 0
+    return first, weights, (weights > 0).sum(axis=1)
 
 
-def _box_sums(law, seeds, rows, row_weights, cols, col_weights, g):
-    """Overlap-weighted sums of ``g`` over a stack of equally shaped boxes.
+def _box_sums(law, g, seeds, rows, cols, boxes, members):
+    """Overlap-weighted sums of ``g`` over the nested boxes of several realizations.
 
-    Box k is the grid of ``rows[k]`` and ``cols[k]`` in the realization of
-    ``seeds[k]``; its weights are its row and column overlaps' outer product.
+    Realization k, number ``members[k]`` of the sweep, is hashed once, on
+    the grid of ``rows[k]`` and ``cols[k]`` of its largest box in the medium
+    of ``seeds[k]``.  Each entry of ``boxes`` places one half-width's boxes
+    in those grids (see ``ergodic_average``).  Returns the sums, shape
+    (len(boxes), len(members)).
     """
-    weights = (row_weights[:, :, None] * col_weights[:, None, :]).reshape(seeds.size, -1)
     params = law.cell_parameters(seeds, (rows[:, :, None], cols[:, None, :]))
-    values = np.broadcast_to(np.asarray(g(params), dtype=float), weights.size)
-    return np.array([inner(w, v) for w, v in zip(weights, values.reshape(weights.shape))])
+    shape = (seeds.size, rows.shape[1], cols.shape[1])
+    values = np.broadcast_to(np.asarray(g(params), dtype=float), math.prod(shape)).reshape(shape)
+    sums = np.empty((len(boxes), len(members)))
+    for i, (r0, r_weights, r_n, c0, c_weights, c_n) in enumerate(boxes):
+        for k, (grid, s) in enumerate(zip(values, members)):
+            rs, cs = slice(r0[s], r0[s] + r_n[s]), slice(c0[s], c0[s] + c_n[s])
+            weights = r_weights[s, :r_n[s], None] * c_weights[s, None, :c_n[s]]
+            # reshape, not ravel: a scalar statistic keeps its zero stride,
+            # so the sum rounds as for a box broadcast alone
+            sums[i, k] = inner(weights.ravel(), grid[rs, cs].reshape(-1))
+    return sums
 
 
-def ergodic_average(omegas, g, L):
-    """Exact volume averages of a cell statistic over the box [-L, L]^2 at scale 1.
+def ergodic_average(omegas, g, L_values):
+    """Exact volume averages of a cell statistic over the boxes [-L, L]^2 at scale 1.
 
-    ``omegas`` is a non-empty sequence of realizations of one law; the
-    result holds one box average per realization, shape (S,).  ``g``
-    receives the parameter dict of ``ProbabilityLaw.cell_parameters`` (flat
-    arrays ``E``, ``nu``, ``sigma_y`` and ``H``, one entry per cell of
-    several boxes, box after box, each in row-major order) and returns the
-    statistic per cell; a scalar is broadcast to every cell.  The field is
-    piecewise constant on shifted unit cells, so each integral is a finite
-    sum over cells weighted by the overlap volume with the box (cut cells
-    included exactly).  A box is a product grid: its rows and columns are
-    listed once and a cell's weight is its row overlap times its column
-    overlap.  Boxes that cut the same numbers of rows and columns are hashed
-    together as one (boxes, rows, columns) grid, at most ``_BATCH_CELLS``
-    cells or one box at a time.  Each box's weighted sum is its own
-    ``tensors.inner``, so it depends neither on the boxes hashed beside it
-    nor on the BLAS thread count.
+    ``omegas`` is a non-empty sequence of realizations of one law and
+    ``L_values`` a non-empty list of half-widths L >= 1; the result holds
+    one box average per half-width and realization, shape (len(L_values),
+    S).  ``g`` receives the parameter dict of
+    ``ProbabilityLaw.cell_parameters`` (flat arrays ``E``, ``nu``,
+    ``sigma_y`` and ``H``, one entry per cell of several boxes, box after
+    box, each in row-major order) and returns the statistic per cell; a
+    scalar is broadcast to every cell.  The field is piecewise constant on
+    shifted unit cells, so each integral is a finite sum over cells weighted
+    by the overlap volume with the box (cut cells included exactly); a
+    cell's weight is its row overlap times its column overlap.
+
+    The boxes of one realization are nested, so the cells of every box are a
+    sub-grid of those of its largest box, and each realization is hashed
+    once, on its largest box.  Largest boxes that cut the same numbers of
+    rows and columns are hashed together as one (boxes, rows, columns) grid,
+    at most ``_BATCH_CELLS`` cells or one box at a time.  Each box keeps its
+    own row-major weights and its own ``tensors.inner`` sum, so an average
+    depends neither on the boxes hashed beside it nor on the BLAS thread
+    count.
     """
     omegas = list(omegas)
     if not omegas:
@@ -396,26 +427,35 @@ def ergodic_average(omegas, g, L):
     law = omegas[0].law
     if any(omega.law != law for omega in omegas):
         raise ConfigurationError("ergodic_average needs realizations of one law")
-    if L < 1:
-        raise ConfigurationError(f"box half-width must be >= 1, got {L}")
-    array_size((2 * L + 2) ** 2, "box half-width L")  # the most cells a box can cut
+    if not isinstance(L_values, (list, tuple)) or not L_values:
+        raise ConfigurationError(f"ergodic_average needs a non-empty list of box "
+                                 f"half-widths, got {L_values!r}")
+    for L in L_values:
+        if not finite_number(L, "box half-width L") >= 1:
+            raise ConfigurationError(f"box half-width must be >= 1, got {L}")
+    L_max = max(L_values)
+    array_size((2 * L_max + 2) ** 2, "box half-width L")  # the most cells a box cuts
     seeds = np.array([omega.seed for omega in omegas], dtype=np.int64)
     offsets = np.array([omega.translation - omega.shift for omega in omegas])
-    rows, row_weights, row_keep = _box_axis(offsets[:, 0], L)
-    cols, col_weights, col_keep = _box_axis(offsets[:, 1], L)
-    n_rows, n_cols = row_keep.sum(axis=1), col_keep.sum(axis=1)
-    sums = np.empty(len(omegas))
+    row_first, _, n_rows = _box_axis(offsets[:, 0], L_max)
+    col_first, _, n_cols = _box_axis(offsets[:, 1], L_max)
+    # per half-width and axis: each box's first cell within the cells of its
+    # realization's largest box, its weights and its number of cells
+    boxes = []
+    for L in L_values:
+        r_first, r_weights, r_n = _box_axis(offsets[:, 0], L)
+        c_first, c_weights, c_n = _box_axis(offsets[:, 1], L)
+        boxes.append(((r_first - row_first).tolist(), r_weights, r_n.tolist(),
+                      (c_first - col_first).tolist(), c_weights, c_n.tolist()))
+    sums = np.empty((len(L_values), len(omegas)))
     for n_r, n_c in sorted(set(zip(n_rows.tolist(), n_cols.tolist()))):
         members = np.flatnonzero((n_rows == n_r) & (n_cols == n_c))
         per_batch = max(1, _BATCH_CELLS // (n_r * n_c))
         for start in range(0, members.size, per_batch):
             b = members[start:start + per_batch]
-            sums[b] = _box_sums(law, seeds[b],
-                                rows[b][row_keep[b]].reshape(b.size, n_r),
-                                row_weights[b][row_keep[b]].reshape(b.size, n_r),
-                                cols[b][col_keep[b]].reshape(b.size, n_c),
-                                col_weights[b][col_keep[b]].reshape(b.size, n_c), g)
-    return sums / (2.0 * L) ** 2
+            sums[:, b] = _box_sums(law, g, seeds[b], row_first[b, None] + np.arange(n_r),
+                                   col_first[b, None] + np.arange(n_c), boxes, b.tolist())
+    return sums / (2.0 * np.asarray(L_values, dtype=float)[:, None]) ** 2
 
 
 @dataclass(frozen=True)

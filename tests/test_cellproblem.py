@@ -13,7 +13,7 @@ from plasthom.cellproblem import (
     solve_cell,
 )
 from plasthom.errors import ConfigurationError
-from plasthom.fem import P1Space, mesh_torus
+from plasthom.fem import P1Space, mesh_torus, solves_periodic_directly
 from plasthom.loading import StrainPath
 from plasthom.media import PeriodizedMedium, ProbabilityLaw
 from plasthom.tensors import isotropic_stiffness, pack
@@ -47,6 +47,53 @@ class LaminateMedium:
         nu = np.array([self.layers[i][1] for i in idx])
         return {"E": E, "nu": nu,
                 "sigma_y": np.full(len(idx), 1e6), "H": np.ones(len(idx))}
+
+
+class SwappedMedium:
+    """Test medium: ``medium`` read at swapped points (y, x), its mirror image
+    in the diagonal."""
+
+    def __init__(self, medium):
+        self.medium = medium
+
+    def parameters_at(self, points, eps=1.0):
+        return self.medium.parameters_at(np.atleast_2d(points)[:, ::-1], eps)
+
+
+class TestSwapSymmetry:
+    """The lattice torus is invariant under the swap (x, y) -> (y, x), which
+    maps elements to elements and Mandel [a11, a22, sqrt2 a12] to
+    [a22, a11, sqrt2 a12]: the mirrored medium under the mirrored path must
+    give the mirrored stresses, through flow, unloading and reverse flow."""
+
+    SWAP = [1, 0, 2]
+
+    def test_mirrored_medium_under_mirrored_path_gives_mirrored_stresses(self):
+        space = P1Space(mesh_torus(8, 2))
+        assert space.n_packed == 512 and not solves_periodic_directly(space)
+        # the benchmark's shear cycle 0 -> +a -> -a -> 0 plus a (0.3, -0.1, 0) ramp
+        knots = np.array([0.0, 0.25, 0.75, 1.0])
+        values = (np.outer(0.6 * np.array([0.0, 1.0, -1.0, 0.0]),
+                           pack(np.array([[0.0, 1.0], [1.0, 0.0]])))
+                  + np.outer(knots, [0.3, -0.1, 0.0]))
+        path = StrainPath.from_knots(knots, values)
+        mirrored_path = StrainPath.from_knots(knots, values[:, self.SWAP])
+        time_grid = np.linspace(0.0, 1.0, 5)
+        w = space.mesh.volumes / space.mesh.volumes.sum()
+
+        def average_stress(medium, xi_path):
+            traj = solve_cell(medium, xi_path, 0.003, time_grid, space=space)
+            return np.einsum("e,mek->mk", w, traj.z)
+
+        for seed in (0, 1):
+            medium = PeriodizedMedium(TWO_PHASE, seed, n_cells=8)
+            original = average_stress(medium, path)
+            mirrored = average_stress(SwappedMedium(medium), mirrored_path)
+            scale = np.abs(original).max()
+            assert np.abs(mirrored - original[:, self.SWAP]).max() <= 1e-12 * scale
+        # the check can fail: the mirrored medium under the original path differs
+        unmirrored = average_stress(SwappedMedium(medium), path)
+        assert np.abs(unmirrored - original[:, self.SWAP]).max() > 1e-3 * scale
 
 
 class TestSolveCell:

@@ -405,6 +405,21 @@ class TestFixedPatternAssembly:
             else:
                 space.assemble_operator(moduli[-1])
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["operator", "last-of-stack"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_lower_moduli_entry_raises(self, value, stacked):
+        """The map reads only upper moduli entries, so a non-finite lower entry
+        alone never reaches the operator; it must raise all the same."""
+        space = P1Space(mesh_torus(2, 1))
+        moduli = np.broadcast_to(isotropic_stiffness(1.0, 0.3),
+                                 (3, space.mesh.n_elements, 3, 3)).copy()
+        moduli[-1, 3, 1, 0] = value
+        with pytest.raises(NumericalError, match="not finite"):
+            if stacked:
+                space.assemble_dense(moduli)
+            else:
+                space.assemble_operator(moduli[-1])
+
 
 def full_dft_preconditioner(space, A):
     """The reference preconditioner by full complex m x m DFT products (test oracle)."""

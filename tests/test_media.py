@@ -258,25 +258,25 @@ class TestRealizations:
 class TestErgodicAverage:
     def test_point_mass_law_is_exact(self):
         law = ProbabilityLaw.constant(2.0, 0.25, 0.7)
-        for L in (1, 4, 16):
-            avg = ergodic_average([sample_realization(law, 3)], lambda params: params["E"], L)
-            assert avg.shape == (1,)
-            assert avg[0] == pytest.approx(2.0, abs=1e-12)
+        avg = ergodic_average([sample_realization(law, 3)], lambda params: params["E"],
+                              [1, 4, 16])
+        assert avg.shape == (3, 1)
+        assert avg == pytest.approx(np.full((3, 1), 2.0), abs=1e-12)
 
     def test_binomial_concentration(self):
         # 3-sigma window of the cell-mean in at least 99 of 100 seeds
         law = two_point_law()
         L = 32
         bound = 3.0 * 0.5 / np.sqrt((2 * L) ** 2)
-        avgs = ergodic_average([sample_realization(law, seed) for seed in range(100)],
-                               lambda params: params["E"], L)
+        avgs, = ergodic_average([sample_realization(law, seed) for seed in range(100)],
+                                lambda params: params["E"], [L])
         assert np.sum(np.abs(avgs - 1.5) <= bound) >= 99
 
     def test_error_decay_rate(self):
         law = two_point_law()
         omegas = [sample_realization(law, 500 + s) for s in range(40)]
-        errors = [np.mean(np.abs(ergodic_average(omegas, lambda params: params["E"], L) - 1.5))
-                  for L in (8, 16, 32)]
+        averages = ergodic_average(omegas, lambda params: params["E"], [8, 16, 32])
+        errors = np.mean(np.abs(averages - 1.5), axis=1)
         # each doubling should divide the error by about 2^(d/2) = 2
         for coarse, fine in zip(errors[:-1], errors[1:]):
             assert 1.0 < coarse / fine < 4.0
@@ -284,24 +284,24 @@ class TestErgodicAverage:
     def test_weights_cover_box_exactly(self):
         # averaging the constant 1 gives exactly 1 regardless of the shift
         law = two_point_law()
-        avgs = ergodic_average([sample_realization(law, seed) for seed in range(5)],
-                               lambda params: 1.0, 3)
+        avgs, = ergodic_average([sample_realization(law, seed) for seed in range(5)],
+                                lambda params: 1.0, [3])
         assert avgs == pytest.approx(np.ones(5), abs=1e-13)
 
     def test_small_box_rejected(self):
         with pytest.raises(ConfigurationError):
             ergodic_average([sample_realization(two_point_law(), 0)],
-                            lambda params: 1.0, 0.5)
+                            lambda params: 1.0, [0.5])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one realization"):
-            ergodic_average([], lambda params: 1.0, 4)
+            ergodic_average([], lambda params: 1.0, [4])
 
     def test_mixed_laws_rejected(self):
         omegas = [sample_realization(two_point_law(), 0),
                   sample_realization(two_point_law(0.25), 1)]
         with pytest.raises(ConfigurationError, match="one law"):
-            ergodic_average(omegas, lambda params: params["E"], 4)
+            ergodic_average(omegas, lambda params: params["E"], [4])
 
 
 # no point marginal, so every statistic is read from hashed cell draws
@@ -332,7 +332,7 @@ class TestGridEvaluation:
                   for seed in (0, 5, 2**40 + 3)
                   for y in ([0.0, 0.0], [0.37, -1.91], [-3.5, 12.25])]
         omegas.append(shifted(omegas[0], omegas[0].shift))
-        averages = ergodic_average(omegas, g, L)
+        averages, = ergodic_average(omegas, g, [L])
         assert averages.shape == (len(omegas),)
         for omega, average in zip(omegas, averages):
             assert average == cellwise_ergodic_average(omega, g, L)
@@ -345,7 +345,7 @@ class TestGridEvaluation:
             return params["E"] * params["H"]
         assert n_boxes * (2 * L + 1) ** 2 > media._BATCH_CELLS
         omegas = [sample_realization(HASHED_LAW, seed) for seed in range(20, 20 + n_boxes)]
-        averages = ergodic_average(omegas, g, L)
+        averages, = ergodic_average(omegas, g, [L])
         for omega, average in zip(omegas, averages):
             assert average == cellwise_ergodic_average(omega, g, L)
 
@@ -369,6 +369,52 @@ class TestGridEvaluation:
         for key, values in points.items():
             assert grid[key].shape == values.shape == (rows.size * cols.size,)
             assert np.array_equal(grid[key], values)
+
+
+class TestNestedBoxes:
+    """One call averages every half-width; each realization is hashed once,
+    on its largest box, and each smaller box is a sub-grid of it."""
+
+    def mixed_realizations(self):
+        # lattice-aligned (2L cells per axis), randomly shifted (2L + 1) and
+        # translated realizations, in one list
+        aligned = [sample_realization(HASHED_LAW, seed, zero_shift=True) for seed in (4, 9)]
+        random = [sample_realization(HASHED_LAW, seed) for seed in range(30, 36)]
+        moved = [shifted(random[0], np.array([0.37, -1.91])),
+                 shifted(aligned[0], np.array([-3.5, 12.25])),
+                 shifted(random[1], random[1].shift)]
+        return aligned + random + moved
+
+    @pytest.mark.parametrize("statistic", ["E*H", "scalar"])
+    def test_every_box_matches_the_cellwise_sum(self, statistic):
+        def g(params):
+            return 0.75 if statistic == "scalar" else params["E"] * params["H"]
+        omegas = self.mixed_realizations()
+        L_values = [7, 1, 2.5, 16, 7, 3]
+        averages = ergodic_average(omegas, g, L_values)
+        assert averages.shape == (len(L_values), len(omegas))
+        for s, omega in enumerate(omegas):
+            assert np.array_equal(averages[:, s], ergodic_average([omega], g, L_values)[:, 0])
+            for i, L in enumerate(L_values):
+                assert averages[i, s] == cellwise_ergodic_average(omega, g, L)
+
+    @pytest.mark.parametrize("L_values", [[], [4, 0.5], [np.nan], [4, np.inf], 4],
+                             ids=["empty", "below-1", "nan", "inf", "scalar"])
+    def test_bad_half_widths_rejected(self, L_values):
+        with pytest.raises(ConfigurationError):
+            ergodic_average([sample_realization(two_point_law(), 0)],
+                            lambda params: 1.0, L_values)
+
+    def test_point_mass_parameters_are_read_only_views(self):
+        law = two_point_law()
+        params = law.cell_parameters(np.array([5, 6]), (np.arange(3)[None, :, None],
+                                                       np.arange(4)[None, None, :]))
+        for name, value in (("nu", 0.3), ("sigma_y", 0.5), ("H", 1.0)):
+            assert params[name].shape == (24,) and np.all(params[name] == value)
+            assert not params[name].flags.writeable
+            with pytest.raises(ValueError):
+                params[name][0] = 0.0
+        assert params["E"].flags.writeable
 
 
 class TestMeasurePreservationProxy:
