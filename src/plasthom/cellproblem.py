@@ -13,7 +13,9 @@ stress evolution is the expectation of the volume average of z over
 Monte-Carlo samples of the medium; the effective plastic strain comes from
 p the same way.  The probability-space problem is realized as a space
 problem on a periodized block of i.i.d. cells plus Monte-Carlo averaging,
-which is the single largest modeling approximation of the pipeline.  The
+which is the single largest modeling approximation of the pipeline.
+``build_rve`` builds the torus space and the M sample materials of an
+RveConfig, for ``sigma`` and for the cells of every FE2 macro element.  The
 samples advance in lock step, one batched Newton solve per time step, and
 each gives bit for bit what it gives alone.
 
@@ -105,19 +107,20 @@ def _volume_average(space, fields):
     return np.einsum("e,mek->mk", w, fields) / w.sum()
 
 
-def _sample_materials(rve_cfg, rve_space):
-    """The MaterialArrays of the M RVE samples, with read-only arrays.
+def build_rve(cfg):
+    """The torus P1Space of ``cfg`` and the MaterialArrays of its M samples, read-only.
 
-    Built once per run; FE2 shares them between all its macro elements.
+    ``sigma`` builds them once per run, and FE2 once for all its macro elements.
     """
+    space = P1Space(mesh_torus(cfg.n_cells, cfg.refine))
     samples = []
-    for j in range(rve_cfg.n_samples):
-        medium = PeriodizedMedium(rve_cfg.law, rve_cfg.sample_seed(j), rve_cfg.n_cells)
-        mats = MaterialArrays.from_medium(medium, rve_space.mesh.barycenters)
+    for j in range(cfg.n_samples):
+        medium = PeriodizedMedium(cfg.law, cfg.sample_seed(j), cfg.n_cells)
+        mats = MaterialArrays.from_medium(medium, space.mesh.barycenters)
         for values in (mats.a_vol, mats.a_dev, mats.hardening, mats.yield_stress):
             values.flags.writeable = False
         samples.append(mats)
-    return samples
+    return space, samples
 
 
 def _march(space, samples, xi_path, delta, time_grid, newton_rtol):
@@ -178,11 +181,11 @@ def sigma(cfg, xi_path, time_grid, threads=1):
     """
     positive_int(threads, "threads")
     time_grid = checked_time_grid(time_grid)
-    space = P1Space(mesh_torus(cfg.n_cells, cfg.refine))
+    space, samples = build_rve(cfg)
     z_samples = np.zeros((cfg.n_samples, time_grid.size, KDIM))   # (M, steps+1, k)
     p_samples = np.zeros_like(z_samples)
-    for m, z, p, *_ in _march(space, _sample_materials(cfg, space), xi_path, cfg.delta,
-                              time_grid, cfg.newton_rtol):
+    for m, z, p, *_ in _march(space, samples, xi_path, cfg.delta, time_grid,
+                              cfg.newton_rtol):
         z_samples[:, m] = _volume_average(space, z)
         p_samples[:, m] = _volume_average(space, p)
     stderr = z_samples.std(axis=0, ddof=1) / np.sqrt(cfg.n_samples) if cfg.n_samples > 1 \

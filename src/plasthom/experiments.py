@@ -167,6 +167,10 @@ def run_ergodic_check(spec):
         raise ConfigurationError(f"ergodic L_values must be a non-empty list, "
                                  f"got {L_values!r}")
     L_values = [positive_int(L, "ergodic L_values entry") for L in L_values]
+    repeated = sorted({L for L in L_values if L_values.count(L) > 1})
+    if repeated:
+        raise ConfigurationError(f"ergodic L_values must be distinct, got {L_values} "
+                                 f"(repeated: {', '.join(map(str, repeated))})")
     n_seeds = positive_int(p.get("n_seeds", 50), "ergodic n_seeds")
     base_seed = valid_seed(p.get("base_seed", 0), "ergodic base_seed")
     valid_seed(base_seed + n_seeds - 1, "ergodic last seed")

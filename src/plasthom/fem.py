@@ -566,19 +566,18 @@ def reference_preconditioner(space, A):
     return apply
 
 
-def pcg(A, b, precond, rtol=1e-10, maxiter=None):
+def pcg(A, b, precond, rtol=1e-10):
     """Preconditioned conjugate gradients from a zero start; deterministic.
 
     ``A`` is a symmetric sparse matrix and ``precond`` a symmetric positive
-    (semi)definite map r -> z, e.g. ``jacobi(A)``.  ``maxiter`` defaults to
-    10 times the system size.  Returns (x, iterations).  Raises
+    (semi)definite map r -> z, e.g. ``jacobi(A)``.  At most 10 times the
+    system size iterations run.  Returns (x, iterations).  Raises
     NumericalError with the iteration and the residual on a non-finite
     right-hand side or residual, on a breakdown (p^T A p <= 0, which an SPD
     operator never shows) and on non-convergence.
     """
     b = np.asarray(b, dtype=float)
-    if maxiter is None:
-        maxiter = 10 * b.size
+    maxiter = 10 * b.size
     x = np.zeros_like(b)
     r = b.copy()
     res = norm_b = norm(b)

@@ -3,10 +3,12 @@
 The macroscopic displacement solves -div(Sigma(sym grad u)) = f weakly on a
 P1 mesh, where Sigma is the effective hysteretic stress operator evaluated
 through per-element cell problems: every macro element owns one persistent
-cell state per Monte-Carlo sample.  Per time step, a macro Newton iteration
-updates the nodal displacements; stress increments come from advancing all
-E * M cell problems in lock step at the element strains, and the macro
-tangent is the condensed tangent of the converged cells,
+cell state per Monte-Carlo sample, all built by ``cellproblem.build_rve``.
+The time steps are the Dirichlet steps of the fine-scale problem
+(``finescale.dirichlet_steps``); only the stress differs.  Per time step, a
+macro Newton iteration updates the nodal displacements; stress increments
+come from advancing all E * M cell problems in lock step at the element
+strains, and the macro tangent is the condensed tangent of the converged cells,
 C_hom = <C> - G^T K^+ G / |Y| (Miehe 2002; Kouznetsova, Brekelmans &
 Baaijens 2001), with C the cells' algorithmic moduli, K their periodic
 operator and G the nodal forces of unit macro strains.  Small cells solve
@@ -24,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, finescale
-from .cellproblem import CG_RTOL, _sample_materials
+from .cellproblem import CG_RTOL, build_rve
 from .errors import ConfigurationError, NumericalError, at_step, finite_number, positive_int
-from .fem import P1Space, jacobi, mesh_torus, pcg
-from .finescale import _add_boundary_offset, _impose_dirichlet, _load_vector, newton_tolerance
+from .fem import P1Space, jacobi, pcg
+from .finescale import dirichlet_steps, newton_tolerance
 from .loading import checked_boundary, checked_time_grid
 from .returnmap import MaterialArrays
 from .tensors import KDIM, norm
@@ -63,14 +65,15 @@ class MacroConfig:
 class ElementCellState:
     """The cell problems of all E macro elements, M samples each, in lock step.
 
-    ``mats`` are the M samples' materials from ``_sample_materials``.  Cell
-    problem s = e * M + j is sample j of macro element e; ``p`` (E * M, ne,
-    3) and ``phi`` (E * M, n) are their committed plastic strains and
-    correctors.  ``advance`` performs one implicit step of every cell from
-    the committed state at trial macro strains and returns the
-    sample-averaged stresses; ``tangent`` gives the condensed tangents at
-    that trial state and ``commit`` makes the last advance permanent.
-    Neither ``advance`` nor ``tangent`` touches committed arrays.
+    ``space`` and ``mats``, the RVE torus and the M samples' materials, come
+    from ``cellproblem.build_rve``.  Cell problem s = e * M + j is sample j of
+    macro element e; ``p`` (E * M, ne, 3) and ``phi`` (E * M, n) are their
+    committed plastic strains and correctors.  ``advance`` performs one
+    implicit step of every cell from the committed state at trial macro
+    strains and returns the sample-averaged stresses; ``tangent`` gives the
+    condensed tangents at that trial state and ``commit`` makes the last
+    advance permanent.  Neither ``advance`` nor ``tangent`` touches committed
+    arrays.
 
     ``tangent`` keeps the trial correctors, their per-cell macro strains and
     its K^+ G as the predictor of the next ``advance``, which starts each
@@ -81,15 +84,14 @@ class ElementCellState:
     drops the predictor, so no step sees another step's predictor.
     """
 
-    def __init__(self, rve_cfg, rve_space, mats, n_elements):
+    def __init__(self, rve_cfg, n_elements):
         self.cfg = rve_cfg
-        self.space = rve_space
-        self.mats = mats
+        self.space, self.mats = build_rve(rve_cfg)
         self.n_elements = n_elements
-        self._systems = MaterialArrays.concatenate(list(mats) * n_elements)
+        self._systems = MaterialArrays.concatenate(self.mats * n_elements)
         n_cells = n_elements * rve_cfg.n_samples
-        self.p = np.zeros((n_cells, rve_space.mesh.n_elements, KDIM))
-        self.phi = np.zeros((n_cells, rve_space.n_packed))
+        self.p = np.zeros((n_cells, self.space.mesh.n_elements, KDIM))
+        self.phi = np.zeros((n_cells, self.space.n_packed))
         self._trial = None
         self._predictor = None
 
@@ -163,9 +165,11 @@ class EffectiveSolution:
 def solve_effective(config):
     """Time-incremental FE2 solve of the effective plasticity problem.
 
-    Each step starts from the affine Dirichlet predictor (``_impose_dirichlet``),
-    which is the solution when there is no load, since all elements share the
-    M samples.  Macro Newton stops by ``newton_tolerance``, as the cell
+    The steps are those of ``solve_eps`` (``finescale.dirichlet_steps``): the
+    same load check at t = 0, affine Dirichlet predictor, load vector and
+    boundary constant a(t); only the stresses come from the cells.  The
+    predictor is the solution when there is no load, since all elements share
+    the M samples.  Macro Newton stops by ``newton_tolerance``, as the cell
     iterations do; each correction is solved by Jacobi CG to 1e-12.
 
     Raises NumericalError with the step if the wall-clock budget is exceeded,
@@ -174,25 +178,16 @@ def solve_effective(config):
     mesh = config.mesh
     space = P1Space(mesh)
     times = config.time_grid
-    steps = times.size - 1
     start = _time.monotonic()
 
-    rve_space = P1Space(mesh_torus(config.rve.n_cells, config.rve.refine))
-    cells = ElementCellState(config.rve, rve_space, _sample_materials(config.rve, rve_space),
-                             mesh.n_elements)
-
-    u_hist = np.zeros((steps + 1, mesh.n_vertices, 2))
-    sig_hist = np.zeros((steps + 1, mesh.n_elements, KDIM))
+    cells = ElementCellState(config.rve, mesh.n_elements)
+    u_hist = np.zeros((times.size, mesh.n_vertices, 2))
+    sig_hist = np.zeros((times.size, mesh.n_elements, KDIM))
     iter_history = []
-
-    u = np.zeros(space.n_packed)
     free = space.free_dofs
 
-    for m in range(1, steps + 1):
+    for m, dt, u, f_ext in dirichlet_steps(space, config, u_hist):
         with at_step(m):
-            t, dt = times[m], times[m] - times[m - 1]
-            _impose_dirichlet(space, config, times[m - 1], t, u)
-            f_ext = _load_vector(space, config, t)
             f_norm = norm(f_ext[free])
             for it in range(NEWTON_MAXITER):
                 if config.max_seconds is not None \
@@ -219,9 +214,7 @@ def solve_effective(config):
                     f"macro Newton did not converge (worst dofs {worst.tolist()})",
                     residual=float(res_norm),
                 )
-            u_hist[m] = space.unpack_field(u)
 
-    _add_boundary_offset(config, times, u_hist)
     return EffectiveSolution(times, u_hist, sig_hist, iter_history, space, cells)
 
 
@@ -230,8 +223,7 @@ def weak_form_residual(solution, config):
     space = solution.space
     free = space.free_dofs
     worst = 0.0
-    for m in range(1, solution.times.size):
-        f_ext = _load_vector(space, config, solution.times[m])
+    for m, _, _, f_ext in dirichlet_steps(space, config, np.empty_like(solution.u)):
         f_int = space.internal_forces(solution.sigma[m])
         denom = max(norm(f_int[free]), norm(f_ext[free]), 1e-300)
         worst = max(worst, np.abs((f_ext - f_int)[free]).max() / denom)

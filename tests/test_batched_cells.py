@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from plasthom import fem, finescale
-from plasthom.cellproblem import CG_RTOL, RveConfig
+from plasthom.cellproblem import CG_RTOL, RveConfig, build_rve
 from plasthom.errors import NumericalError
 from plasthom.fem import P1Space, mesh_torus
 from plasthom.finescale import newton_solve
-from plasthom.macroscale import ElementCellState, _sample_materials
+from plasthom.macroscale import ElementCellState
 from plasthom.media import ProbabilityLaw
 from plasthom.returnmap import MaterialArrays
 from plasthom.tensors import KDIM
@@ -30,8 +30,7 @@ PERTURBATION = np.array([0.002, -0.001, 0.005])  # moves the elastic element 0 t
 
 @pytest.fixture(scope="module")
 def cells():
-    space = P1Space(mesh_torus(RVE.n_cells, RVE.refine))
-    return space, _sample_materials(RVE, space)
+    return build_rve(RVE)
 
 
 def macro_strains(scale):
@@ -122,9 +121,9 @@ class TestNewtonBatches:
 
 
 class TestElementCellBatches:
-    def advance_twice(self, space, samples, elements):
+    def advance_twice(self, elements):
         """Stresses and tangents of the given elements' cells over two steps."""
-        cell = ElementCellState(RVE, space, samples, len(elements))
+        cell = ElementCellState(RVE, len(elements))
         stresses, tangents = [], []
         for scale in (1.0, -0.6):
             stresses.append(cell.advance(macro_strains(scale)[elements], DT))
@@ -132,11 +131,11 @@ class TestElementCellBatches:
             cell.commit()
         return np.stack(stresses), np.stack(tangents)
 
-    def predicted_twice(self, rve, space, samples, strains):
+    def predicted_twice(self, rve, strains):
         """Stresses and tangents of cells at the macro strains (E, 3) over two
         steps of advance, tangent, advance at a perturbed strain, commit; the
         second advance of each step starts from the predictor."""
-        cell = ElementCellState(rve, space, samples, len(strains))
+        cell = ElementCellState(rve, len(strains))
         stresses, tangents = [], []
         for scale in (1.0, -0.6):
             xi = scale * strains
@@ -148,20 +147,18 @@ class TestElementCellBatches:
         return np.stack(stresses), np.stack(tangents)
 
     @pytest.mark.parametrize("size", [1, 3])
-    def test_smaller_containers_match_all_elements(self, cells, size):
-        space, samples = cells
-        stresses, tangents = self.advance_twice(space, samples, np.arange(E))
-        parts = [self.advance_twice(space, samples, np.arange(start, min(start + size, E)))
+    def test_smaller_containers_match_all_elements(self, size):
+        stresses, tangents = self.advance_twice(np.arange(E))
+        parts = [self.advance_twice(np.arange(start, min(start + size, E)))
                  for start in range(0, E, size)]
         assert_close(np.concatenate([s for s, _ in parts], axis=1), stresses)
         assert_close(np.concatenate([t for _, t in parts], axis=1), tangents)
 
     @pytest.mark.parametrize("size", [1, 3])
-    def test_predicted_advances_of_smaller_containers_match_all_elements(self, cells, size):
-        space, samples = cells
+    def test_predicted_advances_of_smaller_containers_match_all_elements(self, size):
         strains = macro_strains(1.0)
-        stresses, tangents = self.predicted_twice(RVE, space, samples, strains)
-        parts = [self.predicted_twice(RVE, space, samples, strains[start:start + size])
+        stresses, tangents = self.predicted_twice(RVE, strains)
+        parts = [self.predicted_twice(RVE, strains[start:start + size])
                  for start in range(0, E, size)]
         assert_close(np.concatenate([s for s, _ in parts], axis=1), stresses)
         assert_close(np.concatenate([t for _, t in parts], axis=1), tangents)
@@ -171,19 +168,17 @@ class TestElementCellBatches:
                         base_seed=0)
         space = P1Space(mesh_torus(rve.n_cells, rve.refine))
         assert space.n_packed > fem.DENSE_PERIODIC_DOFS
-        samples = _sample_materials(rve, space)
         strains = macro_strains(1.0)[[1, 7]]
-        stresses, tangents = self.predicted_twice(rve, space, samples, strains)
+        stresses, tangents = self.predicted_twice(rve, strains)
         for e in range(2):
-            alone = self.predicted_twice(rve, space, samples, strains[e:e + 1])
+            alone = self.predicted_twice(rve, strains[e:e + 1])
             assert_close(alone[0], stresses[:, e:e + 1])
             assert_close(alone[1], tangents[:, e:e + 1])
 
-    def test_elastic_cells_are_predicted_exactly(self, cells, monkeypatch):
+    def test_elastic_cells_are_predicted_exactly(self, monkeypatch):
         """Cells that stay elastic respond linearly, so the condensed-tangent
         predictor is their solution and the predicted advance runs no Newton
         iteration; the cold first advance needs some."""
-        space, samples = cells
         iterations = []
         newton_solve = finescale.newton_solve
 
@@ -194,25 +189,24 @@ class TestElementCellBatches:
 
         monkeypatch.setattr(finescale, "newton_solve", counting_newton)
         strains = macro_strains(1.0)[[1, 2]]     # elastic in every cell
-        cell = ElementCellState(RVE, space, samples, len(strains))
+        cell = ElementCellState(RVE, len(strains))
         cell.advance(strains, DT)
         cell.tangent()
         cell.advance(1.02 * strains + PERTURBATION, DT)
         assert iterations[0] > 0 and iterations[1] == 0
         assert not cell._trial[0].any()
 
-    def test_predictor_never_outlives_commit(self, cells):
+    def test_predictor_never_outlives_commit(self):
         """After commit, and after an advance without a tangent before it,
         cells advance bit for bit like fresh cells from the committed state."""
-        space, samples = cells
         strains = macro_strains(1.0)
-        cell = ElementCellState(RVE, space, samples, E)
+        cell = ElementCellState(RVE, E)
         cell.advance(strains, DT)
         cell.tangent()
         cell.advance(1.02 * strains + PERTURBATION, DT)
         cell.tangent()
         cell.commit()
-        fresh = ElementCellState(RVE, space, samples, E)
+        fresh = ElementCellState(RVE, E)
         fresh.p, fresh.phi = cell.p.copy(), cell.phi.copy()
         reverse = macro_strains(-0.6)
         assert np.array_equal(cell.advance(reverse, DT), fresh.advance(reverse, DT))
@@ -223,9 +217,8 @@ class TestElementCellBatches:
         assert np.array_equal(cell.advance(reverse, DT), fresh.advance(reverse, DT))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_failed_predicted_advance_keeps_the_committed_state(self, cells):
-        space, samples = cells
-        cell = ElementCellState(RVE, space, samples, E)
+    def test_failed_predicted_advance_keeps_the_committed_state(self):
+        cell = ElementCellState(RVE, E)
         cell.advance(macro_strains(1.0), DT)
         cell.commit()
         p, phi = cell.p.copy(), cell.phi.copy()
@@ -243,12 +236,11 @@ class TestElementCellBatches:
                         base_seed=0)
         space = P1Space(mesh_torus(rve.n_cells, rve.refine))
         assert space.n_packed > fem.DENSE_PERIODIC_DOFS
-        samples = _sample_materials(rve, space)
         strains = macro_strains(1.0)[[1, 7]]
-        both = ElementCellState(rve, space, samples, 2)
+        both = ElementCellState(rve, 2)
         stresses, tangents = both.advance(strains, DT), both.tangent()
         for e in range(2):
-            alone = ElementCellState(rve, space, samples, 1)
+            alone = ElementCellState(rve, 1)
             assert_close(alone.advance(strains[e:e + 1], DT), stresses[e:e + 1])
             assert_close(alone.tangent(), tangents[e:e + 1])
             h = 1e-4 * np.linalg.norm(strains[e:e + 1], axis=1)
@@ -261,7 +253,7 @@ class TestElementCellBatches:
                         base_seed=0)
         space = P1Space(mesh_torus(rve.n_cells, rve.refine))
         assert space.n_packed > fem.DENSE_PERIODIC_DOFS
-        cell = ElementCellState(rve, space, _sample_materials(rve, space), 1)
+        cell = ElementCellState(rve, 1)
         cell.advance(macro_strains(1.0)[[6]], DT)
         builds = []
         build = fem.reference_preconditioner
@@ -288,9 +280,8 @@ class TestElementCellBatches:
         assert len(builds) == 4 * rve.n_samples
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_strain_of_one_element_raises(self, cells):
-        space, samples = cells
-        cell = ElementCellState(RVE, space, samples, E)
+    def test_non_finite_strain_of_one_element_raises(self):
+        cell = ElementCellState(RVE, E)
         strains = macro_strains(1.0)
         strains[3, 0] = np.inf
         with pytest.raises(NumericalError):

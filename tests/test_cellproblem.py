@@ -16,7 +16,7 @@ from plasthom.errors import ConfigurationError
 from plasthom.fem import P1Space, mesh_torus, solves_periodic_directly
 from plasthom.loading import StrainPath
 from plasthom.media import PeriodizedMedium, ProbabilityLaw
-from plasthom.tensors import isotropic_stiffness, pack
+from plasthom.tensors import DEV_PROJECTOR, SPH_PROJECTOR, isotropic_stiffness, pack
 
 from helpers import (
     h1_time_norm,
@@ -58,6 +58,21 @@ class SwappedMedium:
 
     def parameters_at(self, points, eps=1.0):
         return self.medium.parameters_at(np.atleast_2d(points)[:, ::-1], eps)
+
+
+class EqualShearMedium:
+    """Checkerboard test medium with shear modulus 1/2 everywhere, a_dev = 2 mu = 1,
+    and the volumetric eigenvalue a_vol = 2 lam + 2 mu of the cell (i, j) at
+    ``a_vol[i, j]``.  Its parameters are elastic: the yield stress is 1e6."""
+
+    def __init__(self, a_vol):
+        self.a_vol = a_vol
+
+    def parameters_at(self, points, eps=1.0):
+        i, j = np.mod(np.floor(np.atleast_2d(points) / eps).astype(int), len(self.a_vol)).T
+        lam, mu = (self.a_vol[i, j] - 1.0) / 2, 0.5
+        return {"E": mu * (3 * lam + 2 * mu) / (lam + mu), "nu": lam / (2 * (lam + mu)),
+                "sigma_y": np.full(i.size, 1e6), "H": np.ones(i.size)}
 
 
 class TestSwapSymmetry:
@@ -120,6 +135,32 @@ class TestSolveCell:
         assert np.abs(traj.z[-1] - expected).max() < 1e-8
         volumes = space.mesh.volumes
         assert np.abs(volumes @ traj.z[-1] / volumes.sum() - mean).max() < 1e-8
+
+    def test_equal_shear_modulus_checkerboard_matches_hills_formula(self):
+        """With the shear modulus uniform, the effective stiffness is
+        C* = a_vol* SPH + a_dev DEV, 1 / (a_vol* + a_dev) = <1 / (a_vol + a_dev)>,
+        for any microstructure (Hill 1963).  Deviatoric macro strains need no
+        corrector, so C_hom dev = a_dev dev to roundoff; the spherical response
+        converges to C* as the cell mesh is refined."""
+        a_vol = np.random.default_rng(3).choice([1.5, 15.0], (8, 8))
+        medium = EqualShearMedium(a_vol)
+        a_star = 1.0 / np.mean(1.0 / (a_vol + 1.0)) - 1.0
+        exact = a_star * SPH_PROJECTOR + DEV_PROJECTOR
+        # the orthonormal strains dev_1, dev_2 and sph, one per step
+        strains = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, np.sqrt(2)], [1.0, 1.0, 0.0]]) \
+            / np.sqrt(2)
+        path = StrainPath(np.arange(4.0), np.vstack([np.zeros(3), strains]))
+        errors = []
+        for refine in (1, 2, 4, 8):
+            space = P1Space(mesh_torus(len(a_vol), refine))
+            traj = solve_cell(medium, path, 0.01, path.knots, space=space)
+            volumes = space.mesh.volumes
+            responses = volumes @ traj.z[1:] / volumes.sum()        # C_hom strains[m]
+            assert np.abs(responses[:2] - strains[:2]).max() <= 1e-12
+            C_hom = responses.T @ strains
+            errors.append(np.abs(C_hom - exact).max() / np.abs(exact).max())
+        assert np.all(np.diff(errors) < 0)
+        assert np.log2(errors[-2] / errors[-1]) >= 1.2
 
     def test_invariants_on_two_phase_run(self):
         medium = PeriodizedMedium(TWO_PHASE, 5, n_cells=4)

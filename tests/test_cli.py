@@ -90,6 +90,16 @@ class TestSubcommands:
         assert code == 0
         assert (out / "macro_run.csv").exists()
 
+    def test_loaded_macro_runs(self, run_dir):
+        # the CLI's load is t * f, which passes the check that it vanishes at t = 0
+        out, cfg = run_dir
+        loaded = json.loads(cfg.read_text())
+        loaded["load"] = [0.2, -0.1]
+        path = out / "loaded.json"
+        path.write_text(json.dumps(loaded))
+        assert main(["macro", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "macro_run.csv").exists()
+
     def test_average_runs(self, run_dir):
         out, cfg = run_dir
         code = main(["average", "--config", str(cfg), "--out", str(out)])
@@ -172,6 +182,7 @@ class TestExitCodes:
         pytest.param("ergodic", "ergodic.L_values", ["a"], id="L-values-not-integers"),
         pytest.param("ergodic", "ergodic.L_values", [], id="L-values-empty"),
         pytest.param("ergodic", "ergodic.L_values", 8, id="L-values-not-a-list"),
+        pytest.param("ergodic", "ergodic.L_values", [4, 4, 8], id="L-values-repeated"),
         pytest.param("ergodic", "ergodic.n_seeds", 0, id="zero-seeds"),
         pytest.param("average", "averaging.n_seeds", "x", id="average-seeds-not-a-number"),
         pytest.param("average", "averaging.n_seeds", 0, id="average-zero-seeds"),

@@ -47,6 +47,13 @@ class TestErgodicCheck:
         table = run_ergodic_check(spec)
         assert max(table.column("abs_error")) <= 1e-12
 
+    def test_repeated_box_size_is_rejected(self):
+        # the table would hold both copies of L = 4, but mean_errors only one
+        spec = ExperimentSpec(kind="ergodic", params={
+            "law": TWO_PHASE, "L_values": [4, 4, 8], "n_seeds": 3})
+        with pytest.raises(ConfigurationError, match=r"\(repeated: 4\)"):
+            run_ergodic_check(spec)
+
     def test_bernoulli_decay_exponent(self):
         spec = ExperimentSpec(kind="ergodic", params={
             "law": TWO_PHASE, "L_values": [8, 16, 32], "n_seeds": 50,

@@ -270,12 +270,15 @@ class TestPcgFailures:
         assert err.value.residual == pytest.approx(np.sqrt(2.0))
 
     def test_exhausted_budget_raises(self):
+        # CG's recursive residual keeps falling after convergence, but not to
+        # 1e-300 of the right-hand side within the budget of 10 n iterations
         n = 32
         A = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1], format="csr")
-        with pytest.raises(NumericalError, match="in 4 iterations") as err:
-            pcg(A, np.ones(n), jacobi(A), maxiter=4)
-        assert err.value.residual > 1e-10 * np.sqrt(n)
+        b = np.arange(1.0, n + 1)
+        with pytest.raises(NumericalError, match=f"in {10 * n} iterations") as err:
+            pcg(A, b, jacobi(A), rtol=1e-300)
+        assert err.value.residual > 1e-300 * np.sqrt(np.sum(b**2))
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plasthom import finescale
 from plasthom.errors import ConfigurationError
 from plasthom.fem import mesh_simplex, mesh_unit_square
 from plasthom.finescale import (
@@ -185,6 +186,22 @@ class TestResidualReport:
         assert rep.max_constitutive_residual <= 1e-9
         assert rep.max_flow_residual <= 1e-9
         assert rep.energy_balance_defect <= 1e-6
+
+    def test_stress_off_hookes_law_shows_in_the_decomposition_residual(self, monkeypatch):
+        """The elastic strains are C^-1 sigma, so the Hooke residual is 0.0 even
+        for stresses 1 + 1e-6 times those of the return map; the decomposition
+        residual exceeds the benchmark's limit of 1e-10."""
+        step = finescale.plastic_step
+
+        def off_hookes_law(*args, **kwargs):
+            z, p_new, moduli = step(*args, **kwargs)
+            return (1 + 1e-6) * z, p_new, moduli
+
+        monkeypatch.setattr(finescale, "plastic_step", off_hookes_law)
+        cfg = make_config(law=TWO_PHASE, seed=4, n=4, steps=2)
+        rep = residual_report(solve_eps(cfg), cfg)
+        assert rep.max_constitutive_residual == 0.0
+        assert rep.max_decomposition_residual > 1e-10
 
     def test_norm_ratios_stable_across_scales(self):
         corners = 0.5 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

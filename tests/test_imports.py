@@ -1,10 +1,11 @@
-"""Every name a plasthom module imports is used in that module, every
-private function or class is used somewhere in the package, every public
-one, and every public method or property of a package class, is used by the
-package, a demo, the benchmark, the acceptance suite or the README, the only
-third-party modules the package imports are numpy and scipy.sparse, no numpy
-function younger than the oldest numpy that ``pyproject.toml`` admits is
-called, and no vector reduction is handed to BLAS.
+"""Every name a plasthom module imports is used in that module, no module
+imports another module's underscore name, every private function or class
+is used somewhere in the package, every public one, and every public method
+or property of a package class, is used by the package, a demo, the
+benchmark, the acceptance suite or the README, the only third-party modules
+the package imports are numpy and scipy.sparse, no numpy function younger
+than the oldest numpy that ``pyproject.toml`` admits is called, and no
+vector reduction is handed to BLAS.
 
 Stand-ins for a linter's unused-import and dead-code rules, written with the
 stdlib ``ast`` so they run wherever the tests do.  ``__init__`` is skipped by
@@ -63,6 +64,36 @@ def test_package_has_modules():
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf8"), filename=str(path))
     assert sorted(imported_names(tree) - used_names(tree)) == []
+
+
+def private_imports(tree):
+    """``module.name`` of each underscore name that ``tree`` takes from another
+    plasthom module: by a ``from`` import, or as an attribute of a module that a
+    ``from`` import binds."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.level or (node.module or "").startswith("plasthom")):
+            if node.module in (None, "plasthom"):
+                modules.update(a.asname or a.name for a in node.names)
+            found += [f"{node.module or '.'}.{a.name}" for a in node.names
+                      if a.name.startswith("_")]
+    return found + [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")]
+
+
+def test_private_imports_are_found():
+    tree = ast.parse("from .fem import P1Space, _x\nfrom . import fem, media as m\n"
+                     "from plasthom.media import _z\nfem._y, fem.pcg, m._w, other._v\n")
+    assert private_imports(tree) == ["fem._x", "plasthom.media._z", "fem._y", "m._w"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_a_private_name_of_another(path):
+    """A module's underscore names are its own: a name that another module
+    needs is public, with a docstring, so that it has one documented home."""
+    assert private_imports(ast.parse(path.read_text(encoding="utf8"))) == []
 
 
 def private_definitions(tree):

@@ -6,13 +6,12 @@ import pytest
 from plasthom import fem, finescale, macroscale
 from plasthom.cellproblem import RveConfig, sigma
 from plasthom.errors import ConfigurationError, NumericalError
-from plasthom.fem import P1Space, mesh_simplex, mesh_torus, mesh_unit_square, solve_elastic
+from plasthom.fem import P1Space, mesh_simplex, mesh_unit_square, solve_elastic
 from plasthom.finescale import EpsProblemConfig, solve_eps
 from plasthom.loading import AffineBoundary, StrainPath
 from plasthom.macroscale import (
     ElementCellState,
     MacroConfig,
-    _sample_materials,
     solve_effective,
     weak_form_residual,
 )
@@ -141,8 +140,7 @@ class TestSolveEffective:
 
 
 def cell_state(rve, n_elements=1):
-    space = P1Space(mesh_torus(rve.n_cells, rve.refine))
-    return ElementCellState(rve, space, _sample_materials(rve, space), n_elements)
+    return ElementCellState(rve, n_elements)
 
 
 class TestCondensedTangent:
@@ -352,6 +350,21 @@ class TestConfigValidation:
             MacroConfig(mesh=mesh_unit_square(2), rve=single_cell_rve(),
                         dirichlet=lambda t, pts: t * pts,
                         time_grid=np.linspace(0, 1, 3))
+
+    @pytest.mark.parametrize("scale", ["eps", "effective"])
+    def test_load_that_does_not_vanish_at_t0_is_rejected(self, scale):
+        """Both solvers run the steps of ``finescale.dirichlet_steps``, which
+        check the load at t = 0."""
+        load = lambda t, pts: np.tile([1.0, 0.0], (len(pts), 1))
+        common = dict(mesh=mesh_unit_square(2), time_grid=np.linspace(0, 1, 3), load=load,
+                      dirichlet=AffineBoundary(shear_path(0.1, 1.0, 2)))
+        solve = {"eps": lambda: solve_eps(EpsProblemConfig(
+                     medium=sample_realization(CONSTANT, 0), epsilon=1.0, delta=0.003,
+                     **common)),
+                 "effective": lambda: solve_effective(MacroConfig(rve=single_cell_rve(),
+                                                                  **common))}[scale]
+        with pytest.raises(ConfigurationError, match="^load must vanish at t=0$"):
+            solve()
 
     def test_rve_without_law_is_configuration_error(self):
         with pytest.raises(ConfigurationError, match="ProbabilityLaw"):
