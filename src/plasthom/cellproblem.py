@@ -29,16 +29,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, at_step, positive_int, positive_number, valid_seed
-from .fem import P1Space, mesh_torus
+from .fem import CG_RTOL, P1Space, mesh_torus
 from .finescale import newton_solve
 from .loading import StrainPath, checked_time_grid
 from .media import PeriodizedMedium, ProbabilityLaw
 from .returnmap import MaterialArrays
 from .tensors import KDIM, norm, pack
-
-# Floor of the forcing term of the Newton corrector solves, and the relative
-# tolerance of the condensed-tangent solves of ``macroscale``
-CG_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class CellTrajectory:
     @cached_property
     def v(self):
         """Corrector gradients (steps+1, ne, d, d), computed from ``phi`` on first read."""
-        return np.stack([self.space.element_gradients(nodal) for nodal in self.phi])
+        return self.space.element_gradients(self.phi)
 
     def mean_corrector_gradient(self):
         w = self.space.mesh.volumes

@@ -133,10 +133,7 @@ def run_korn_check(spec):
     rng = np.random.default_rng(seed)
     array_size(n_samples * space.n_packed, "korn n_samples")
     packed = rng.standard_normal((n_samples, space.n_packed))
-    nodal = packed.reshape(n_samples, -1, 2)[:, space.packed_of_vertex, :]
-
-    local = nodal[:, mesh.simplices, :]                     # (S, ne, 3, 2)
-    grads = np.einsum("seia,eib->seab", local, mesh.grads)  # (S, ne, 2, 2)
+    grads = space.element_gradients(space.unpack_field(packed))  # (S, ne, 2, 2)
     sym = 0.5 * (grads + np.swapaxes(grads, -1, -2))
     w = mesh.volumes / mesh.volumes.sum()
     full_sq = np.einsum("e,seab,seab->s", w, grads, grads)

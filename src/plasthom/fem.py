@@ -11,14 +11,16 @@ that each space builds once: the strain operator D, which places the rows
 of every element's strain-displacement matrix B_e at the element's packed
 dofs, and its volume-weighted transpose (vol D)^T, stored as its own CSR
 matrix.  The stiffness is linear in the moduli, so each space also builds
-once its fixed CSR pattern and a sparse map from the six distinct entries
-of every element's moduli to the pattern's upper nonzeros.  Assembly is one
-product with that map for a system or a stack of systems, after which
-each lower nonzero takes its upper partner's value; it gives a CSR matrix
-per system, or a dense stack of matrices for a batch of small systems.
-Dirichlet systems are solved with Jacobi-preconditioned conjugate
-gradients, which is deterministic.  Periodic systems on the uniform torus
-grid pick their solver by size (``solves_periodic_directly``).  Up to
+once its fixed CSR pattern on the free dofs, the unknowns of its systems,
+and a sparse map from the six distinct entries of every element's moduli
+to the pattern's upper nonzeros.  Assembly is one product with that map
+for a system or a stack of systems, after which each lower nonzero takes
+its upper partner's value; it gives a CSR matrix per system, or a dense
+stack of matrices for a batch of small systems, with no row or column of a
+constrained dof (on a torus every dof is free).  Dirichlet systems are
+solved with Jacobi-preconditioned conjugate gradients, which is
+deterministic.  Periodic systems on the uniform torus grid go to
+``solve_periodic_systems``, which picks their solver by size.  Up to
 ``DENSE_PERIODIC_DOFS`` unknowns a whole stack of systems is solved
 directly by one batched LU solve, and a system's right-hand sides share its
 factorization.  Above, CG runs with the exact inverse of the translation
@@ -30,14 +32,13 @@ it, and its transforms run on the real half spectrum.  The translation
 kernel of periodic problems is projected out of the right-hand side and of
 the solution, which is the zero-mean representative.
 
-Every solve stops at a relative residual tolerance ``rtol``, and a stack of
+Every CG solve stops at a relative residual tolerance ``rtol``, and a stack of
 periodic systems takes one per system: ``finescale.newton_solve`` solves
 each Newton correction by CG only as tightly as its system's own residual
 and Newton tolerance need (an inexact Newton forcing term with Kelley's
 terminal safeguard, ``finescale.forcing_term``), while the tangent and
-elastic solves keep a fixed tight tolerance.  On the direct path the
-tolerance only bounds the residual check, and Newton's corrections are
-checked at the floor of the forcing term.
+elastic solves keep a fixed tight tolerance.  A direct solve ignores the
+tolerance: its residual check takes ``CG_RTOL`` for every system.
 
 CG's inner products and norms and the translation projections are taken by
 ``tensors.inner`` and ``tensors.norm``, never by BLAS: above about 10,000
@@ -81,6 +82,10 @@ _B_PATTERN[0, 1::2] = _B_PATTERN[1, 0::2] = False
 # 10 x 10 and the 11 x 11 torus grids (direct about 25 % cheaper at 10, 5 %
 # dearer at 11), so the cap is the 10 x 10 grid.
 DENSE_PERIODIC_DOFS = 200
+# The tight relative tolerance: the floor of the Newton forcing term, the
+# tolerance of the tangent and macro solves, and the bound of every direct
+# solve's residual check
+CG_RTOL = 1e-12
 
 
 @dataclass
@@ -198,15 +203,16 @@ def _moduli_terms():
 _MODULI_CHUNK = 128
 
 
-def _moduli_map(B, volumes, upper_of_pair, repeated, n_upper):
+def _moduli_map(B, volumes, upper_of_pair, multiplicity, n_upper):
     """The stiffness as a linear map of the moduli: a CSC matrix (n_upper, 9 ne).
 
     Its product with moduli (ne, 3, 3) flattened to (9 ne,) gives the upper
     nonzeros (row <= column) of the stiffness.  Column 9 e + 3 k + l, k <= l,
     holds what C_e[k, l] adds to them: vol_e (B_e[k, i] B_e[l, j] +
     B_e[l, i] B_e[k, j]), halved for k = l, for every element dof pair
-    i <= j, at the pair's upper nonzero ``upper_of_pair`` (ne, 21), doubled
-    where the pair is one dof twice (``repeated``, on tori of m <= 2).
+    i <= j, at the pair's upper nonzero ``upper_of_pair`` (ne, 21), times
+    the pair's ``multiplicity`` (ne, 21): 2 where the pair is one dof twice
+    (on tori of m <= 2), 0 where it touches a constrained dof, else 1.
     Columns l < k are empty, so the lower moduli entries are never read.
     Products that vanish by the structure of B are never formed
     (``_moduli_terms``), exact zeros are dropped, and no element matrix is
@@ -216,7 +222,7 @@ def _moduli_map(B, volumes, upper_of_pair, repeated, n_upper):
     pairs, column, (f1, f2, f3, f4) = _moduli_terms()
     flat = np.concatenate([B.reshape(ne, -1), np.zeros((ne, 1))], axis=1)
     weighted = flat * volumes[:, None]
-    doubled = np.where(repeated, 2.0, 1.0)[:, pairs] if repeated.any() else None
+    multiplicity = multiplicity[:, pairs] if (multiplicity != 1.0).any() else None
     upper_of_pair = upper_of_pair.astype(np.int32 if n_upper < np.iinfo(np.int32).max
                                          else np.int64)
     keep = np.empty((ne, pairs.size), dtype=bool)
@@ -225,8 +231,8 @@ def _moduli_map(B, volumes, upper_of_pair, repeated, n_upper):
         w, f = weighted[part], flat[part]
         values = w[:, f1] * f[:, f2]
         values += w[:, f3] * f[:, f4]
-        if doubled is not None:
-            values *= doubled[part]
+        if multiplicity is not None:
+            values *= multiplicity[part]
         kept = np.flatnonzero(np.not_equal(values, 0.0, out=keep[part]))
         data.append(values.take(kept))
         rows.append(upper_of_pair[part][:, pairs].take(kept))
@@ -367,15 +373,24 @@ class P1Space:
         self._strain_op, self._force_op = _strain_operators(
             B, self.element_dofs, mesh.volumes, self.n_packed)
 
-        # CSR pattern of the stiffness, from the element dof pairs i <= j: the
-        # upper nonzeros (row <= column), numbered in sorted order, and the
-        # upper partner of every nonzero
-        n = self.n_packed
+        # CSR pattern of the stiffness on the free dofs, from the element dof
+        # pairs i <= j: the upper nonzeros (row <= column), numbered in sorted
+        # order, and the upper partner of every nonzero.  A pair that touches
+        # a constrained dof takes the key n * n, past every nonzero, and
+        # multiplicity 0, so the map drops its terms as exact zeros.
+        n = self.free_dofs.size
+        free_of_packed = np.full(self.n_packed, -1)
+        free_of_packed[self.free_dofs] = np.arange(n)
         pair_i, pair_j = np.triu_indices(3 * DIM)
-        first, second = self.element_dofs[:, pair_i], self.element_dofs[:, pair_j]
-        upper_keys, upper_of_pair = np.unique(
-            np.minimum(first, second) * n + np.maximum(first, second), return_inverse=True)
-        repeated = (first == second) & (pair_i != pair_j)   # one dof twice: m <= 2 tori
+        dofs = free_of_packed[self.element_dofs]
+        first, second = dofs[:, pair_i], dofs[:, pair_j]
+        low, high = np.minimum(first, second), np.maximum(first, second)
+        kept = low >= 0
+        upper_keys, upper_of_pair = np.unique(np.where(kept, low * n + high, n * n),
+                                              return_inverse=True)
+        upper_keys = upper_keys[upper_keys < n * n]
+        # a pair that is one dof twice (tori of m <= 2) counts twice
+        multiplicity = kept * np.where((low == high) & (pair_i != pair_j), 2.0, 1.0)
         upper_rows, upper_cols = np.divmod(upper_keys, n)
         off = np.flatnonzero(upper_rows != upper_cols)
         keys = np.concatenate([upper_keys, upper_cols[off] * n + upper_rows[off]])
@@ -389,8 +404,8 @@ class P1Space:
             [[0], np.cumsum(np.bincount(key_rows, minlength=n))]).astype(idx)
         self._indices.flags.writeable = False
         self._indptr.flags.writeable = False
-        self._moduli_map = _moduli_map(B, mesh.volumes, upper_of_pair.reshape(repeated.shape),
-                                       repeated, upper_keys.size)
+        self._moduli_map = _moduli_map(B, mesh.volumes, upper_of_pair.reshape(kept.shape),
+                                       multiplicity, upper_keys.size)
 
         # torus grid: lattice offset and dof components of every nonzero, the
         # DFT matrix F[k, x] = exp(-2 pi i k x / m), and the real half-spectrum
@@ -437,9 +452,9 @@ class P1Space:
         return _apply(self._strain_op, u).reshape(u.shape[:-1] + (-1, KDIM))
 
     def element_gradients(self, u):
-        """Element-wise full displacement gradients, shape (ne, 2, 2)."""
-        local = np.asarray(u)[self.mesh.simplices]               # (ne, 3, 2)
-        return np.einsum("eia,eib->eab", local, self.mesh.grads)
+        """Element-wise full gradients of nodal fields (..., nv, 2), shape (..., ne, 2, 2)."""
+        local = np.asarray(u)[..., self.mesh.simplices, :]       # (..., ne, 3, 2)
+        return np.einsum("...eia,eib->...eab", local, self.mesh.grads)
 
     # -- assembly ------------------------------------------------------
 
@@ -466,20 +481,25 @@ class P1Space:
         return upper.take(self._partner, axis=-1)
 
     def assemble_operator(self, moduli):
-        """Stiffness CSR over all packed dofs from (ne, 3, 3) symmetric Mandel moduli."""
+        """Stiffness CSR on the free dofs from (ne, 3, 3) symmetric Mandel moduli.
+
+        Its rows and columns follow ``free_dofs``; on a torus every dof is free.
+        """
+        n = self.free_dofs.size
         return sp.csr_matrix((self._stiffness_values(moduli), self._indices, self._indptr),
-                             shape=(self.n_packed, self.n_packed))
+                             shape=(n, n))
 
     def assemble_dense(self, moduli):
-        """Dense stiffness stack (S, n, n) from (S, ne, 3, 3) symmetric Mandel moduli.
+        """Dense stiffness stack (S, n, n) on the free dofs from (S, ne, 3, 3) moduli.
 
         Each matrix equals ``assemble_operator`` of its moduli; meant for
         small systems, whose dense storage is cheap.
         """
-        data = self._stiffness_values(moduli).reshape(-1, self._keys.size)
-        A = np.zeros((data.shape[0], self.n_packed * self.n_packed))
-        A[:, self._keys] = data
-        return A.reshape(-1, self.n_packed, self.n_packed)
+        n = self.free_dofs.size
+        data = self._stiffness_values(moduli)
+        A = np.zeros(data.shape[:-1] + (n * n,))
+        A[..., self._keys] = data
+        return A.reshape(data.shape[:-1] + (n, n))
 
     def _element_sums(self, op, stresses):
         """Packed vectors op z of element stresses (..., ne, 3) -> (..., n)."""
@@ -638,29 +658,21 @@ def solve_periodic(space, A, rhs, rtol=1e-10):
     return x.reshape(b.shape)
 
 
-def solves_periodic_directly(space):
-    """Whether ``solve_periodic_systems`` solves the periodic systems of a space directly.
-
-    True up to ``DENSE_PERIODIC_DOFS`` unknowns, where a tolerance only
-    bounds the direct solve's residual check.
-    """
-    return space.n_packed <= DENSE_PERIODIC_DOFS
-
-
 def solve_periodic_systems(space, moduli, rhs, rtol=1e-10):
     """Solve the periodic systems of S moduli stacks (S, ne, 3, 3) at once.
 
     ``rhs`` is (S, n), or (S, n, k) for k right-hand sides per system, and
     ``rtol`` is one relative tolerance for all systems or one per system
     (S,).  Systems of at most ``DENSE_PERIODIC_DOFS`` unknowns are assembled
-    as one dense stack and go to ``solve_periodic_direct``.  Larger ones are
+    as one dense stack and go to ``solve_periodic_direct``, which ignores
+    ``rtol`` and checks every solve at ``CG_RTOL``.  Larger ones are
     assembled one at a time and go to ``solve_periodic`` with their own
     tolerance, which builds one preconditioner per system for all its
     right-hand sides.  A failed solve raises NumericalError.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if solves_periodic_directly(space):
-        return solve_periodic_direct(space, space.assemble_dense(moduli), rhs, rtol=rtol)
+    if space.n_packed <= DENSE_PERIODIC_DOFS:
+        return solve_periodic_direct(space, space.assemble_dense(moduli), rhs)
     rtol = np.broadcast_to(rtol, (len(moduli),))
     x = np.empty_like(rhs)
     for s, system_moduli in enumerate(moduli):
@@ -669,7 +681,7 @@ def solve_periodic_systems(space, moduli, rhs, rtol=1e-10):
     return x
 
 
-def solve_periodic_direct(space, A, rhs, rtol=1e-10):
+def solve_periodic_direct(space, A, rhs):
     """Solve a stack of small periodic torus systems directly; zero-mean solutions.
 
     ``A`` is (S, n, n) from ``space.assemble_dense`` and ``rhs`` is (S, n),
@@ -678,10 +690,10 @@ def solve_periodic_direct(space, A, rhs, rtol=1e-10):
     (orthonormal rows), so with s the mean diagonal entry A + s T^T T is
     invertible.  One batched LU solve with it on the right-hand sides
     projected off T gives the solutions, which are then projected off T
-    too.  Every system's residual must lie within ``rtol`` (a scalar, or
-    one per system (S,)) of its right-hand side; a singular matrix or a
-    non-finite or larger residual raises NumericalError with the worst
-    residual.
+    too.  Every system's residual must lie within ``CG_RTOL`` of its
+    right-hand side, whatever tolerance its caller solves to; a singular
+    matrix or a non-finite or larger residual raises NumericalError with the
+    worst residual.
     """
     b = np.asarray(rhs, dtype=float)
     if space.n_packed == DIM:
@@ -698,13 +710,12 @@ def solve_periodic_direct(space, A, rhs, rtol=1e-10):
         raise NumericalError("direct periodic solve met a singular operator") from None
     x = x - T.T @ (T @ x)
     res = np.linalg.norm(b - A @ x, axis=1)                     # (S, k)
-    bound = np.asarray(rtol)[..., None] * np.linalg.norm(b, axis=1)
+    bound = CG_RTOL * np.linalg.norm(b, axis=1)
     if not np.all(res <= bound):  # NaN fails
         worst = np.unravel_index(np.argmax(np.where(res <= bound, -1.0, res)), res.shape)
         raise NumericalError(
             f"direct periodic solve left a residual of {res[worst]:.3e}, above rtol "
-            f"{np.broadcast_to(rtol, len(res))[worst[0]]:.1e} relative to its right-hand side",
-            residual=float(res[worst]))
+            f"{CG_RTOL:.1e} relative to its right-hand side", residual=float(res[worst]))
     return x[..., 0] if single else x
 
 
@@ -724,21 +735,16 @@ def solve_elastic(space, stiffness_field, f=None, g=None, rtol=1e-10):
         moduli = np.broadcast_to(moduli, (ne, KDIM, KDIM))
     if moduli.shape != (ne, KDIM, KDIM):
         raise ConfigurationError(f"stiffness field has shape {moduli.shape}")
-    A = space.assemble_operator(moduli)
-    if f is None:
-        rhs = np.zeros(space.n_packed)
-    else:
-        rhs = space.load_vector(f(mesh.barycenters))
     bc = np.zeros((mesh.n_vertices, DIM))
     if g is not None:
         idx = space.dirichlet_vertices
         bc[idx] = g(mesh.vertices[idx])
-    u = space.pack_field(bc)
+    u = space.pack_field(bc)          # the lift of the data, zero on the free dofs
+    rhs = -space.internal_forces(np.einsum("ekl,el->ek", moduli, space.element_strains(u)))
+    if f is not None:
+        rhs += space.load_vector(f(mesh.barycenters))
+    A = space.assemble_operator(moduli)
     free = space.free_dofs
-    fixed = np.flatnonzero(~space.free_mask)
-    rows = A[free]
-    b = rhs[free] - rows[:, fixed] @ u[fixed]
-    Aff = rows[:, free]
-    u[free], _ = pcg(Aff, b, jacobi(Aff), rtol=rtol)
+    u[free], _ = pcg(A, rhs[free], jacobi(A), rtol=rtol)
     return space.unpack_field(u)
 

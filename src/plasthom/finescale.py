@@ -52,7 +52,7 @@ class EpsProblemConfig:
     dirichlet: object
     load: object = None
     newton_rtol: float = 1e-8
-    cg_rtol: float = 1e-12  # floor of the Newton forcing term; tolerance of elastic solves
+    cg_rtol: float = 1e-12  # floor of the Newton forcing term
 
     def __post_init__(self):
         self.time_grid = checked_time_grid(self.time_grid)
@@ -146,9 +146,10 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     holds packed vectors with the Dirichlet rows already set and is updated
     in place on the free dofs; ``p_old`` is (S, ne, 3), ``mats`` holds the
     S * ne elements system after system, and ``strain_offset`` and
-    ``f_ext`` broadcast to (S, ne, 3) and (S, n).  On a ``mesh_torus``
-    space the solves are periodic: all dofs are free and the translation
-    kernel is projected out of the updates.
+    ``f_ext`` broadcast to (S, ne, 3) and (S, n).  Each correction solves
+    the tangent operator on the free dofs (``P1Space.assemble_operator``).
+    On a ``mesh_torus`` space the solves are periodic: all dofs are free and
+    the translation kernel is projected out of the updates.
 
     Every system runs its own Newton iteration in lock step with the others:
     its own convergence test (``newton_tolerance``), and, if a full tangent
@@ -168,11 +169,10 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     depend on the system's own residual only, so a system runs the same
     iterates in any batch.  The convergence test and the line search do not
     depend on eta, so the converged state meets the same tolerance as with
-    exact solves.  Periodic systems that ``fem.solves_periodic_directly``
-    are solved directly, where a tolerance only bounds the residual check:
-    that check takes the floor cg_rtol.  A failed solve raises
-    NumericalError without a step, which the time loop attaches
-    (``errors.at_step``).
+    exact solves.  Periodic systems go to ``fem.solve_periodic_systems``,
+    which solves small ones directly and checks those at ``fem.CG_RTOL``
+    whatever eta is.  A failed solve raises NumericalError without a step,
+    which the time loop attaches (``errors.at_step``).
 
     Returns (z, p_new, iterations, residuals, moduli): stresses and
     plastic strains (S, ne, 3), the sum of the systems' iteration counts
@@ -184,7 +184,6 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     ne = space.mesh.n_elements
     free = space.free_dofs
     periodic = bool(space.mesh.grid_size)
-    direct = periodic and fem.solves_periodic_directly(space)
     offset = np.broadcast_to(strain_offset, (n_systems, ne, KDIM))
     f_ext = np.broadcast_to(f_ext, u.shape)
     f_norm = norm(f_ext[:, free])
@@ -207,15 +206,13 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
 
     def solve(systems):
         rhs = f_ext[systems] - f_int[systems]
-        eta = cg_rtol if direct \
-            else forcing_term(res[systems], scale[systems], tol[systems], cg_rtol)
+        eta = forcing_term(res[systems], scale[systems], tol[systems], cg_rtol)
         if periodic:
             return fem.solve_periodic_systems(space, moduli[systems], rhs, rtol=eta)
         updates = []
         for s, b, eta_s in zip(systems, rhs, eta):  # Jacobi CG, one system at a time
             A = space.assemble_operator(moduli[s])
-            Aff = A[free][:, free]
-            updates.append(pcg(Aff, b[free], jacobi(Aff), rtol=eta_s)[0])
+            updates.append(pcg(A, b[free], jacobi(A), rtol=eta_s)[0])
         return np.stack(updates)
 
     active = np.arange(n_systems)

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, finescale
-from .cellproblem import CG_RTOL, build_rve
+from .cellproblem import build_rve
 from .errors import ConfigurationError, NumericalError, at_step, finite_number, positive_int
-from .fem import P1Space, jacobi, pcg
+from .fem import CG_RTOL, P1Space, jacobi, pcg
 from .finescale import dirichlet_steps, newton_tolerance
 from .loading import checked_boundary, checked_time_grid
 from .returnmap import MaterialArrays
@@ -170,7 +170,7 @@ def solve_effective(config):
     boundary constant a(t); only the stresses come from the cells.  The
     predictor is the solution when there is no load, since all elements share
     the M samples.  Macro Newton stops by ``newton_tolerance``, as the cell
-    iterations do; each correction is solved by Jacobi CG to 1e-12.
+    iterations do; each correction is solved by Jacobi CG to ``fem.CG_RTOL``.
 
     Raises NumericalError with the step if the wall-clock budget is exceeded,
     and with element-wise residual diagnostics on Newton failure.
@@ -205,8 +205,7 @@ def solve_effective(config):
                     iter_history.append(it)
                     break
                 A = space.assemble_operator(cells.tangent())
-                Aff = A[free][:, free]
-                du, _ = pcg(Aff, residual, jacobi(Aff), rtol=1e-12)
+                du, _ = pcg(A, residual, jacobi(A), rtol=CG_RTOL)
                 u[free] += du
             else:
                 worst = free[np.argsort(np.abs(residual))[-5:]]

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from plasthom import fem, finescale
-from plasthom.cellproblem import CG_RTOL, solve_cell
+from plasthom.cellproblem import solve_cell
 from plasthom.errors import NumericalError
-from plasthom.fem import P1Space, mesh_torus, mesh_unit_square
+from plasthom.fem import CG_RTOL, P1Space, mesh_torus, mesh_unit_square
 from plasthom.finescale import EpsProblemConfig, solve_eps
 from plasthom.loading import AffineBoundary, StrainPath
 from plasthom.media import PeriodizedMedium, ProbabilityLaw, sample_realization

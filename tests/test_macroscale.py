@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from plasthom import fem, finescale, macroscale
 from plasthom.cellproblem import RveConfig, sigma
@@ -372,3 +373,26 @@ class TestConfigValidation:
                                         rve=RveConfig(n_cells=2, law=None),
                                         dirichlet=AffineBoundary(shear_path(0.1, 1.0, 2)),
                                         time_grid=np.linspace(0, 1, 3)))
+
+
+def test_dirichlet_solves_index_no_sparse_matrix(monkeypatch):
+    """Every Dirichlet operator is assembled on the free dofs, so no solve
+    slices one: the fine-scale, FE2 and elastic solves run with scipy's
+    sparse indexing made to raise."""
+    def refuse(matrix, key):
+        raise AssertionError(f"a sparse {matrix.shape} matrix was indexed")
+
+    for owner in {c for kind in (sp.csr_matrix, sp.csc_matrix) for c in kind.__mro__
+                  if "__getitem__" in vars(c)}:
+        monkeypatch.setattr(owner, "__getitem__", refuse)
+    load = lambda t, pts: t * np.tile([0.2, -0.1], (len(pts), 1))
+    common = dict(mesh=mesh_unit_square(4), time_grid=np.linspace(0, 1, 3), load=load,
+                  dirichlet=AffineBoundary(shear_path(0.6, 1.0, 2)))
+    traj = solve_eps(EpsProblemConfig(medium=sample_realization(TWO_PHASE, 0), epsilon=0.25,
+                                      delta=0.003, **common))
+    effective = solve_effective(MacroConfig(
+        rve=RveConfig(n_cells=2, n_samples=2, delta=0.003, law=TWO_PHASE), **common))
+    u = solve_elastic(P1Space(common["mesh"]), isotropic_stiffness(1.0, 0.3),
+                      f=lambda pts: load(1.0, pts), g=lambda pts: 0.01 * pts)
+    assert (traj.p != 0).any() and min(traj.newton_iters) > 0
+    assert min(effective.newton_iters) > 0 and np.abs(u).max() > 0
