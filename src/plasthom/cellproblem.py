@@ -123,20 +123,27 @@ def _march(space, samples, xi_path, delta, time_grid, newton_rtol):
     """Advance the cell problems of the S ``samples`` (MaterialArrays) in lock step.
 
     Each step m >= 1 is one ``newton_solve`` call for all S, which freezes a
-    converged sample, so each runs the iterates it runs alone.  Yields (m, z,
-    p, phi, iterations, residuals): (S, ne, 3) stresses and plastic strains,
-    (S, n) correctors that the next step updates in place, the summed Newton
-    iterations and the (S,) residual norms.  A NumericalError names its step.
+    converged sample, so each runs the iterates it runs alone.  Above
+    ``fem.DENSE_PERIODIC_DOFS`` each sample holds one DFT reference
+    preconditioner for the whole path: the translation average of the
+    sample's first tangent, built on its first Newton correction and reused
+    by every later one.  It depends on the sample's own data and on steps
+    already taken only, so batching and causality hold bit for bit.  Yields
+    (m, z, p, phi, iterations, residuals): (S, ne, 3) stresses and plastic
+    strains, (S, n) correctors that the next step updates in place, the
+    summed Newton iterations and the (S,) residual norms.  A NumericalError
+    names its step.
     """
     mats = MaterialArrays.concatenate(samples)
     xi_values = xi_path.at(time_grid)
     phi = np.zeros((len(samples), space.n_packed))
     p = np.zeros((len(samples), space.mesh.n_elements, KDIM))
+    preconditioners = [[] for _ in samples]     # one slot per sample
     for m in range(1, time_grid.size):
         with at_step(m):
             z, p, n_it, res = newton_solve(
                 space, mats, xi_values[m], p, phi, time_grid[m] - time_grid[m - 1], delta,
-                0.0, newton_rtol, CG_RTOL,
+                0.0, newton_rtol, CG_RTOL, preconditioners=preconditioners,
             )[:4]   # held through the next step, the moduli would cost M·ne·72 B
         yield m, z, p, phi, n_it, res
 

@@ -178,6 +178,17 @@ def shear_path(amplitude, T, steps, unload_to=None):
     return StrainPath(times, np.outer(scale * amplitude, direction))
 
 
+class SwappedMedium:
+    """Test medium: ``medium`` read at swapped points (y, x), its mirror image
+    in the diagonal."""
+
+    def __init__(self, medium):
+        self.medium = medium
+
+    def parameters_at(self, points, eps=1.0):
+        return self.medium.parameters_at(np.atleast_2d(points)[:, ::-1], eps)
+
+
 def elastic_reference(config):
     """Per-step linear-elastic displacements with the data of an EpsProblemConfig.
 

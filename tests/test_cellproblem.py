@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from plasthom import fem
 from plasthom.cellproblem import (
     RveConfig,
     _march,
@@ -19,6 +20,7 @@ from plasthom.media import PeriodizedMedium, ProbabilityLaw
 from plasthom.tensors import DEV_PROJECTOR, SPH_PROJECTOR, isotropic_stiffness, pack
 
 from helpers import (
+    SwappedMedium,
     h1_time_norm,
     laminate_elastic_response,
     reference_pointwise_response,
@@ -47,17 +49,6 @@ class LaminateMedium:
         nu = np.array([self.layers[i][1] for i in idx])
         return {"E": E, "nu": nu,
                 "sigma_y": np.full(len(idx), 1e6), "H": np.ones(len(idx))}
-
-
-class SwappedMedium:
-    """Test medium: ``medium`` read at swapped points (y, x), its mirror image
-    in the diagonal."""
-
-    def __init__(self, medium):
-        self.medium = medium
-
-    def parameters_at(self, points, eps=1.0):
-        return self.medium.parameters_at(np.atleast_2d(points)[:, ::-1], eps)
 
 
 class EqualShearMedium:
@@ -316,6 +307,63 @@ class TestBatchSize:
         for traj in alone:
             for m in range(grid.size):
                 assert np.array_equal(traj.v[m], space.element_gradients(traj.phi[m]))
+
+
+class TestHeldPreconditioner:
+    """Above the dense cap each sample holds one DFT reference preconditioner
+    for its whole strain path, built from the operator of its first Newton
+    correction and handed to every later one."""
+
+    CFG = RveConfig(n_cells=4, refine=3, n_samples=4, delta=0.003, law=TWO_PHASE,
+                    base_seed=2)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every preconditioner build (operator, preconditioner) and every
+        periodic solve (operator, the preconditioner it was handed or None)."""
+        builds, solves = [], []
+        build, solve = fem.reference_preconditioner, fem.solve_periodic
+
+        def counting_build(space, A):
+            builds.append((A, build(space, A)))
+            return builds[-1][1]
+
+        def recording_solve(space, A, rhs, *args, **kwargs):
+            solves.append((A, args[1] if len(args) > 1 else kwargs.get("precond")))
+            return solve(space, A, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(fem, "reference_preconditioner", counting_build)
+        monkeypatch.setattr(fem, "solve_periodic", recording_solve)
+        return builds, solves
+
+    def run_sigma(self):
+        assert P1Space(mesh_torus(4, 3)).n_packed > DENSE_PERIODIC_DOFS
+        return sigma(self.CFG, shear_path(0.6, 1.0, 4), np.linspace(0, 1, 5))
+
+    def test_sigma_builds_one_preconditioner_per_sample(self, calls):
+        builds, solves = calls
+        self.run_sigma()
+        assert len(builds) == self.CFG.n_samples
+        assert len(solves) > 2 * self.CFG.n_samples      # several corrections per sample
+
+    def test_solve_cell_builds_one_preconditioner(self, calls):
+        builds, solves = calls
+        space = P1Space(mesh_torus(4, 3))
+        solve_cell(PeriodizedMedium(TWO_PHASE, 2, 4), shear_path(0.6, 1.0, 4), 0.003,
+                   np.linspace(0, 1, 5), space)
+        assert len(builds) == 1 and len(solves) > 2
+        assert all(precond is builds[0][1] for _, precond in solves)
+
+    def test_each_sample_holds_the_preconditioner_of_its_first_correction(self, calls):
+        builds, solves = calls
+        self.run_sigma()
+        # step 1's first correction solves every sample, in sample order; each
+        # sample's preconditioner comes from that correction's operator
+        first = solves[:self.CFG.n_samples]
+        assert len(builds) == len(first)
+        for (A, precond), (built_from, held) in zip(first, builds):
+            assert A is built_from and precond is held
+        assert len({id(precond) for _, precond in solves}) == self.CFG.n_samples
 
 
 class TestCausality:

@@ -3,6 +3,7 @@ import pytest
 
 from plasthom import finescale
 from plasthom.errors import ConfigurationError
+from plasthom.experiments import UNIT_RIGHT_TRIANGLE
 from plasthom.fem import mesh_simplex, mesh_unit_square
 from plasthom.finescale import (
     EpsProblemConfig,
@@ -12,7 +13,13 @@ from plasthom.finescale import (
 )
 from plasthom.loading import AffineBoundary, StrainPath, tabulated_offset
 from plasthom.media import ProbabilityLaw, sample_realization
-from helpers import elastic_reference, reference_pointwise_response, shear_path
+from plasthom.tensors import pack
+from helpers import (
+    SwappedMedium,
+    elastic_reference,
+    reference_pointwise_response,
+    shear_path,
+)
 
 TWO_PHASE = ProbabilityLaw.from_config({
     "E": {"discrete": {"values": [1.0, 2.0]}},
@@ -154,6 +161,44 @@ class TestDeterminismAndCausality:
         part = solve_eps(cfg)
         assert np.array_equal(part.u, full.u[: m_cut + 1])
         assert np.array_equal(part.sigma, full.sigma[: m_cut + 1])
+
+
+class TestSwapSymmetry:
+    """The lattice triangulation of the unit right triangle is invariant
+    under the swap (x, y) -> (y, x), which maps elements to elements and
+    Mandel [a11, a22, sqrt2 a12] to [a22, a11, sqrt2 a12]: the medium read
+    at swapped points under the swapped Dirichlet path must give the swapped
+    average stresses, through flow, unloading and reverse flow."""
+
+    SWAP = [1, 0, 2]
+
+    def test_swapped_medium_under_swapped_path_gives_swapped_stresses(self):
+        eps = 0.125
+        mesh = mesh_simplex(UNIT_RIGHT_TRIANGLE, eps / 2.0)
+        # the benchmark's shear cycle 0 -> +a -> -a -> 0 plus a (0.3, -0.1, 0) ramp
+        knots = np.array([0.0, 0.25, 0.75, 1.0])
+        values = (np.outer(0.6 * np.array([0.0, 1.0, -1.0, 0.0]),
+                           pack(np.array([[0.0, 1.0], [1.0, 0.0]])))
+                  + np.outer(knots, [0.3, -0.1, 0.0]))
+
+        def stresses(medium, path_values):
+            config = EpsProblemConfig(
+                mesh=mesh, medium=medium, epsilon=eps, delta=0.003,
+                time_grid=np.linspace(0.0, 1.0, 5),
+                dirichlet=AffineBoundary(StrainPath(knots, path_values)))
+            traj = solve_eps(config)
+            assert (traj.p != 0).any()
+            return average_stress(traj)
+
+        for seed in (0, 1):
+            medium = sample_realization(TWO_PHASE, seed, zero_shift=True)
+            original = stresses(medium, values)
+            swapped = stresses(SwappedMedium(medium), values[:, self.SWAP])
+            scale = np.abs(original).max()
+            assert np.abs(swapped - original[:, self.SWAP]).max() <= 1e-12 * scale
+        # the check can fail: the swapped medium under the original path differs
+        unswapped = stresses(SwappedMedium(medium), values)
+        assert np.abs(unswapped - original[:, self.SWAP]).max() > 1e-3 * scale
 
 
 class TestDissipation:
