@@ -15,9 +15,10 @@ p the same way.  The probability-space problem is realized as a space
 problem on a periodized block of i.i.d. cells plus Monte-Carlo averaging,
 which is the single largest modeling approximation of the pipeline.
 ``build_rve`` builds the torus space and the M sample materials of an
-RveConfig, for ``sigma`` and for the cells of every FE2 macro element.  The
-samples advance in lock step, one batched Newton solve per time step, and
-each gives bit for bit what it gives alone.
+RveConfig, for ``sigma`` and for the cells of every FE2 macro element.  One
+``CellStack`` owns the cells of a run, ``sigma``'s M samples or FE2's E * M
+cells: they advance in lock step, one batched Newton solve per time step,
+and each gives bit for bit what it gives alone.
 
 The scheme is causal: values on [0, t] never depend on the path after t,
 and re-running a truncated path reproduces the earlier steps bit-identically.
@@ -82,8 +83,8 @@ class CellTrajectory:
         return self.space.element_gradients(self.phi)
 
     def mean_corrector_gradient(self):
-        w = self.space.mesh.volumes
-        return np.einsum("e,meab->mab", w, self.v) / w.sum()
+        v = self.v
+        return self.space.volume_average(v.reshape(v.shape[:2] + (-1,))).reshape(-1, 2, 2)
 
 
 @dataclass
@@ -95,12 +96,6 @@ class SigmaResult:
     pi: np.ndarray         # (steps+1, k)
     mc_stderr: np.ndarray  # (steps+1, k)
     per_sample_sigma: np.ndarray
-
-
-def _volume_average(space, fields):
-    """Volume averages (m, k) of element fields (m, ne, k)."""
-    w = space.mesh.volumes
-    return np.einsum("e,mek->mk", w, fields) / w.sum()
 
 
 def build_rve(cfg):
@@ -119,33 +114,64 @@ def build_rve(cfg):
     return space, samples
 
 
-def _march(space, samples, xi_path, delta, time_grid, newton_rtol):
-    """Advance the cell problems of the S ``samples`` (MaterialArrays) in lock step.
+class CellStack:
+    """S cell problems on one RVE torus, advanced in lock step.
 
-    Each step m >= 1 is one ``newton_solve`` call for all S, which freezes a
-    converged sample, so each runs the iterates it runs alone.  Above
-    ``fem.DENSE_PERIODIC_DOFS`` each sample holds one DFT reference
-    preconditioner for the whole path: the translation average of the
-    sample's first tangent, built on its first Newton correction and reused
-    by every later one.  It depends on the sample's own data and on steps
-    already taken only, so batching and causality hold bit for bit.  Yields
-    (m, z, p, phi, iterations, residuals): (S, ne, 3) stresses and plastic
-    strains, (S, n) correctors that the next step updates in place, the
-    summed Newton iterations and the (S,) residual norms.  A NumericalError
-    names its step.
+    ``space`` is the torus P1Space and ``samples`` the S cells'
+    MaterialArrays, held concatenated as ``mats``; ``p`` (S, ne, 3) and
+    ``phi`` (S, n) are the committed plastic strains and correctors.
+    ``step`` takes one backward-Euler step of every cell from the committed
+    plastic strains in one ``newton_solve`` call, which freezes a converged
+    cell, so each runs the iterates it runs alone.  The result is the
+    ``trial`` until ``commit`` makes it the committed state.  Above
+    ``fem.DENSE_PERIODIC_DOFS`` each cell holds one DFT reference
+    preconditioner in its slot of ``preconditioners`` for its whole life: the
+    translation average of its first operator, built on its first solve
+    (Moulinec & Suquet 1998).  It depends on the cell's own data and on steps
+    already taken only, so batching and causality hold bit for bit.
     """
-    mats = MaterialArrays.concatenate(samples)
-    xi_values = xi_path.at(time_grid)
-    phi = np.zeros((len(samples), space.n_packed))
-    p = np.zeros((len(samples), space.mesh.n_elements, KDIM))
-    preconditioners = [[] for _ in samples]     # one slot per sample
-    for m in range(1, time_grid.size):
-        with at_step(m):
-            z, p, n_it, res = newton_solve(
-                space, mats, xi_values[m], p, phi, time_grid[m] - time_grid[m - 1], delta,
-                0.0, newton_rtol, CG_RTOL, preconditioners=preconditioners,
-            )[:4]   # held through the next step, the moduli would cost M·ne·72 B
-        yield m, z, p, phi, n_it, res
+
+    def __init__(self, space, samples, delta, newton_rtol):
+        self.space, self.delta, self.newton_rtol = space, delta, newton_rtol
+        self.mats = MaterialArrays.concatenate(samples)
+        self.p = np.zeros((len(samples), space.mesh.n_elements, KDIM))
+        self.phi = np.zeros((len(samples), space.n_packed))
+        self.preconditioners = [[] for _ in samples]
+        self.trial = None
+
+    def step(self, strains, phi, dt):
+        """One step at the macro strains (3,) or (S, 3) from the correctors ``phi`` (S, n).
+
+        ``phi`` is updated in place.  Returns the stresses (S, ne, 3), the
+        summed Newton iterations and the (S,) residual norms.  The trial holds
+        the plastic strains ``p``, the correctors ``phi``, the converged
+        ``moduli`` (S, ne, 3, 3) and the ``strains``; a failed step leaves none.
+        """
+        self.trial = None
+        strains = np.asarray(strains, dtype=float)
+        z, p, iters, res, moduli = newton_solve(
+            self.space, self.mats, strains[..., None, :], self.p, phi, dt, self.delta, 0.0,
+            self.newton_rtol, CG_RTOL, self.preconditioners)
+        self.trial = {"p": p, "phi": phi, "moduli": moduli, "strains": strains}
+        return z, iters, res
+
+    def commit(self):
+        self.p, self.phi = self.trial["p"], self.trial["phi"]
+        self.trial = None
+
+    def march(self, xi_path, time_grid):
+        """Step and commit along the strain path, the correctors updated in place.
+
+        Yields (m, z, iterations, residuals) for every step m >= 1; the
+        moduli go with each commit.  A NumericalError names its step.
+        """
+        xi_values = xi_path.at(time_grid)
+        for m in range(1, time_grid.size):
+            with at_step(m):
+                z, iters, res = self.step(xi_values[m], self.phi,
+                                          time_grid[m] - time_grid[m - 1])
+            self.commit()
+            yield m, z, iters, res
 
 
 def solve_cell(medium, xi_path, delta, time_grid, space, newton_rtol=1e-10):
@@ -163,9 +189,9 @@ def solve_cell(medium, xi_path, delta, time_grid, space, newton_rtol=1e-10):
     z_hist = np.zeros_like(p_hist)
     phi_hist = np.zeros((time_grid.size, mesh.n_vertices, 2))
     iters, residuals = [], []
-    for m, z, p, phi, n_it, res in _march(space, [mats], xi_path, delta, time_grid,
-                                          newton_rtol):
-        p_hist[m], z_hist[m], phi_hist[m] = p[0], z[0], space.unpack_field(phi[0])
+    cell = CellStack(space, [mats], delta, newton_rtol)
+    for m, z, n_it, res in cell.march(xi_path, time_grid):
+        p_hist[m], z_hist[m], phi_hist[m] = cell.p[0], z[0], space.unpack_field(cell.phi[0])
         iters.append(n_it)
         residuals.append(res[0])
     return CellTrajectory(times=time_grid, p=p_hist, z=z_hist, phi=phi_hist,
@@ -176,21 +202,21 @@ def solve_cell(medium, xi_path, delta, time_grid, space, newton_rtol=1e-10):
 def sigma(cfg, xi_path, time_grid, threads=1):
     """Monte-Carlo estimate of the effective operators along a strain path.
 
-    All M samples advance as one batch (see ``_march``), and only their
-    per-step volume averages are kept.  Deterministic given the base seed:
-    sample seeds are consecutive, and every sample gives, bit for bit, what
-    it gives alone, so the result is the same for any batch size.
-    ``threads`` must be a positive int and has no other effect.
+    All M samples march as one CellStack, and only their per-step volume
+    averages are kept.  Deterministic given the base seed: sample seeds are
+    consecutive, and every sample gives, bit for bit, what it gives alone,
+    so the result is the same for any batch size.  ``threads`` must be a
+    positive int and has no other effect.
     """
     positive_int(threads, "threads")
     time_grid = checked_time_grid(time_grid)
     space, samples = build_rve(cfg)
     z_samples = np.zeros((cfg.n_samples, time_grid.size, KDIM))   # (M, steps+1, k)
     p_samples = np.zeros_like(z_samples)
-    for m, z, p, *_ in _march(space, samples, xi_path, cfg.delta, time_grid,
-                              cfg.newton_rtol):
-        z_samples[:, m] = _volume_average(space, z)
-        p_samples[:, m] = _volume_average(space, p)
+    cells = CellStack(space, samples, cfg.delta, cfg.newton_rtol)
+    for m, z, *_ in cells.march(xi_path, time_grid):
+        z_samples[:, m] = space.volume_average(z)
+        p_samples[:, m] = space.volume_average(cells.p)
     stderr = z_samples.std(axis=0, ddof=1) / np.sqrt(cfg.n_samples) if cfg.n_samples > 1 \
         else np.zeros_like(z_samples[0])
     return SigmaResult(times=time_grid, sigma=z_samples.mean(axis=0), pi=p_samples.mean(axis=0),

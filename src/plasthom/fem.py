@@ -28,10 +28,10 @@ average of an operator as preconditioner, a block-circulant matrix
 diagonalized by the discrete Fourier transform (a reference medium in the
 sense of Moulinec and Suquet), whose iteration count is bounded by the phase
 contrast and does not grow with the grid; its transforms run on the real
-half spectrum.  A system's right-hand sides share it, and a caller may hold
-it across solves: a cell sample's reference is the translation average of
-the sample's first tangent, held for its whole strain path, since a mean
-over the whole torus hardly moves between Newton corrections and steps.
+half spectrum.  A system's right-hand sides share it, and its owner holds it
+across solves: every cell of ``cellproblem.CellStack`` keeps the translation
+average of its first operator for its whole life, since a mean over the
+whole torus hardly moves between Newton corrections and steps.
 The translation kernel of periodic problems is projected out of the
 right-hand side and of the solution, which is the zero-mean representative.
 
@@ -459,6 +459,11 @@ class P1Space:
         local = np.asarray(u)[..., self.mesh.simplices, :]       # (..., ne, 3, 2)
         return np.einsum("...eia,eib->...eab", local, self.mesh.grads)
 
+    def volume_average(self, fields):
+        """Volume averages (m, k) of element fields (m, ne, k)."""
+        w = self.mesh.volumes
+        return np.einsum("e,mek->mk", w, fields) / w.sum()
+
     # -- assembly ------------------------------------------------------
 
     def _stiffness_values(self, moduli):
@@ -637,7 +642,7 @@ def pcg(A, b, precond, rtol=1e-10):
     )
 
 
-def solve_periodic(space, A, rhs, rtol=1e-10, precond=None):
+def solve_periodic(space, A, rhs, rtol, precond):
     """Solve a periodic (all-free) torus system; returns the zero-mean solution.
 
     ``A`` is a CSR matrix from ``space.assemble_operator`` and ``rhs`` is
@@ -645,14 +650,10 @@ def solve_periodic(space, A, rhs, rtol=1e-10, precond=None):
     side projected off the translation kernel (a periodic problem's load is
     orthogonal to it up to roundoff, which CG could not remove), all with
     ``precond``: a ``reference_preconditioner`` of the same space, whose
-    range holds no translation, built from A itself if None, or held by the
-    caller, for a cell sample the translation average of its first tangent.
-    ``solve_periodic_systems`` calls it above ``DENSE_PERIODIC_DOFS``
-    unknowns only.
+    range holds no translation.  ``solve_periodic_systems`` calls it above
+    ``DENSE_PERIODIC_DOFS`` unknowns only, with the system's held reference.
     """
     b = np.asarray(rhs, dtype=float)
-    if precond is None:
-        precond = reference_preconditioner(space, A)
     columns = b.reshape(b.shape[0], -1)
     x = np.empty_like(columns)
     for j in range(columns.shape[1]):
@@ -663,30 +664,26 @@ def solve_periodic(space, A, rhs, rtol=1e-10, precond=None):
     return x.reshape(b.shape)
 
 
-def solve_periodic_systems(space, moduli, rhs, rtol=1e-10, preconditioners=None):
+def solve_periodic_systems(space, moduli, rhs, rtol, preconditioners):
     """Solve the periodic systems of S moduli stacks (S, ne, 3, 3) at once.
 
     ``rhs`` is (S, n), or (S, n, k) for k right-hand sides per system, and
     ``rtol`` is one relative tolerance for all systems or one per system
     (S,).  Systems of at most ``DENSE_PERIODIC_DOFS`` unknowns are assembled
     as one dense stack and go to ``solve_periodic_direct``, which ignores
-    ``rtol`` and checks every solve at ``CG_RTOL``.  Larger ones are
-    assembled one at a time and go to ``solve_periodic`` with their own
-    tolerance and one ``reference_preconditioner`` per system for all its
-    right-hand sides.  ``preconditioners`` holds one slot per system, a list
-    that is empty or holds the system's preconditioner: an empty slot is
-    filled from the system's operator, and a held one is used as it is, so
-    a caller that keeps the slots builds each system's reference once, from
-    its first operator (the translation average of a cell sample's first
-    tangent, for ``cellproblem``'s march).  Without slots every system gets
-    a fresh one.  A failed solve raises NumericalError.
+    ``rtol`` and ``preconditioners`` and checks every solve at ``CG_RTOL``.
+    Larger ones are assembled one at a time and go to ``solve_periodic``
+    with their own tolerance and their own ``reference_preconditioner`` for
+    all their right-hand sides.  ``preconditioners`` holds the caller's slot
+    of each system, a list that is empty or holds the system's reference:
+    an empty slot is filled from the system's operator, and a held one is
+    used as it is, so each system's reference is built once, from its first
+    operator.  A failed solve raises NumericalError.
     """
     rhs = np.asarray(rhs, dtype=float)
     if space.n_packed <= DENSE_PERIODIC_DOFS:
         return solve_periodic_direct(space, space.assemble_dense(moduli), rhs)
     rtol = np.broadcast_to(rtol, (len(moduli),))
-    if preconditioners is None:
-        preconditioners = [[] for _ in moduli]
     x = np.empty_like(rhs)
     for s, (system_moduli, held) in enumerate(zip(moduli, preconditioners)):
         A = space.assemble_operator(system_moduli)

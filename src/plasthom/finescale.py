@@ -172,14 +172,11 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     exact solves.  Periodic systems go to ``fem.solve_periodic_systems``,
     which solves small ones directly and checks those at ``fem.CG_RTOL``
     whatever eta is.  Larger ones run CG with the DFT reference
-    preconditioner held in the system's slot of ``preconditioners`` (one
-    slot per system, see ``fem.solve_periodic_systems``): the translation
-    average of the system's first tangent above the cap.  A caller that
-    keeps the slots, as ``cellproblem``'s march does for each sample's
-    whole strain path, builds it once; without them, every system gets
-    fresh slots held for this call only.  Each system's reference depends
-    on its own data only.  A failed solve raises NumericalError without a
-    step, which the time loop attaches (``errors.at_step``).
+    preconditioner in the system's slot of ``preconditioners``, one slot
+    per system that its owner keeps (``cellproblem.CellStack``, see
+    ``fem.solve_periodic_systems``); Dirichlet systems need none.  A failed
+    solve raises NumericalError without a step, which the time loop
+    attaches (``errors.at_step``).
 
     Returns (z, p_new, iterations, residuals, moduli): stresses and
     plastic strains (S, ne, 3), the sum of the systems' iteration counts
@@ -194,8 +191,6 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
     offset = np.broadcast_to(strain_offset, (n_systems, ne, KDIM))
     f_ext = np.broadcast_to(f_ext, u.shape)
     f_norm = norm(f_ext[:, free])
-    if preconditioners is None:
-        preconditioners = [[] for _ in range(n_systems)]
 
     # With every system taking part, the materials and the accepted state are
     # used whole rather than copied: the copies cost about 9 % of the wall
@@ -217,9 +212,8 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
         rhs = f_ext[systems] - f_int[systems]
         eta = forcing_term(res[systems], scale[systems], tol[systems], cg_rtol)
         if periodic:
-            return fem.solve_periodic_systems(space, moduli[systems], rhs, rtol=eta,
-                                              preconditioners=[preconditioners[s]
-                                                               for s in systems])
+            return fem.solve_periodic_systems(space, moduli[systems], rhs, eta,
+                                              [preconditioners[s] for s in systems])
         updates = []
         for s, b, eta_s in zip(systems, rhs, eta):  # Jacobi CG, one system at a time
             A = space.assemble_operator(moduli[s])
@@ -303,8 +297,7 @@ def solve_eps(config):
 
 def average_stress(traj):
     """Volume-weighted element-stress average per time step, (steps+1, 3)."""
-    w = traj.space.mesh.volumes
-    return np.einsum("e,mek->mk", w, traj.sigma) / w.sum()
+    return traj.space.volume_average(traj.sigma)
 
 
 @dataclass

@@ -12,7 +12,8 @@ strains, and the macro tangent is the condensed tangent of the converged cells,
 C_hom = <C> - G^T K^+ G / |Y| (Miehe 2002; Kouznetsova, Brekelmans &
 Baaijens 2001), with C the cells' algorithmic moduli, K their periodic
 operator and G the nodal forces of unit macro strains.  Small cells solve
-the three columns of K^+ G with one factorization of K each.  Each macro
+the three columns of K^+ G with one factorization of K each, larger ones
+with the cell's held DFT reference (``cellproblem.CellStack``).  Each macro
 iteration after a step's first starts the cells' Newton iterations from
 the condensed-tangent predictor phi_trial - K^+ G (xi - xi_trial), which
 reuses the tangent's solve; a step's first iteration starts from the
@@ -25,13 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, finescale
-from .cellproblem import build_rve
+from . import fem
+from .cellproblem import CellStack, build_rve
 from .errors import ConfigurationError, NumericalError, at_step, finite_number, positive_int
 from .fem import CG_RTOL, P1Space, jacobi, pcg
 from .finescale import dirichlet_steps, newton_tolerance
 from .loading import checked_boundary, checked_time_grid
-from .returnmap import MaterialArrays
 from .tensors import KDIM, norm
 
 NEWTON_MAXITER = 40
@@ -62,63 +62,49 @@ class MacroConfig:
             )
 
 
-class ElementCellState:
+class ElementCellState(CellStack):
     """The cell problems of all E macro elements, M samples each, in lock step.
 
-    ``space`` and ``mats``, the RVE torus and the M samples' materials, come
-    from ``cellproblem.build_rve``.  Cell problem s = e * M + j is sample j of
-    macro element e; ``p`` (E * M, ne, 3) and ``phi`` (E * M, n) are their
-    committed plastic strains and correctors.  ``advance`` performs one
-    implicit step of every cell from the committed state at trial macro
-    strains and returns the sample-averaged stresses; ``tangent`` gives the
-    condensed tangents at that trial state and ``commit`` makes the last
-    advance permanent.  Neither ``advance`` nor ``tangent`` touches committed
-    arrays.
+    A ``cellproblem.CellStack`` of E * M cells on the torus of
+    ``cellproblem.build_rve``: cell s = e * M + j is sample j of macro
+    element e, and each cell holds its reference preconditioner for the
+    whole solve.  ``advance`` steps every cell from the committed state at
+    trial macro strains and returns the sample-averaged stresses;
+    ``tangent`` gives the condensed tangents at that trial and ``commit``
+    makes the last advance permanent.  Neither ``advance`` nor ``tangent``
+    touches committed arrays.
 
-    ``tangent`` keeps the trial correctors, their per-cell macro strains and
-    its K^+ G as the predictor of the next ``advance``, which starts each
-    cell's Newton iteration from phi_trial - K^+ G (xi - xi_trial) and
-    drops the predictor.  An advance without a tangent before it, such as a
-    step's first, starts from the committed correctors.  The plastic update
-    starts from the committed plastic strains either way, and ``commit``
-    drops the predictor, so no step sees another step's predictor.
+    ``tangent`` adds its K^+ G to the trial as the predictor of the next
+    ``advance``, which starts each cell's Newton iteration from
+    phi_trial - K^+ G (xi - xi_trial).  An advance replaces the trial and
+    ``commit`` drops it, so an advance without a tangent before it, such as
+    a step's first, starts from the committed correctors, and no step sees
+    another step's predictor.  The plastic update starts from the committed
+    plastic strains either way.
     """
 
     def __init__(self, rve_cfg, n_elements):
-        self.cfg = rve_cfg
-        self.space, self.mats = build_rve(rve_cfg)
-        self.n_elements = n_elements
-        self._systems = MaterialArrays.concatenate(self.mats * n_elements)
-        n_cells = n_elements * rve_cfg.n_samples
-        self.p = np.zeros((n_cells, self.space.mesh.n_elements, KDIM))
-        self.phi = np.zeros((n_cells, self.space.n_packed))
-        self._trial = None
-        self._predictor = None
+        space, samples = build_rve(rve_cfg)
+        super().__init__(space, samples * n_elements, rve_cfg.delta, rve_cfg.newton_rtol)
+        self.n_samples = rve_cfg.n_samples
 
     def _sample_mean(self, values):
         """Per-element mean over the samples of per-cell values (E * M, ...)."""
-        shape = (self.n_elements, self.cfg.n_samples) + values.shape[1:]
-        return values.reshape(shape).mean(axis=1)
+        return values.reshape((-1, self.n_samples) + values.shape[1:]).mean(axis=1)
 
     def advance(self, strains, dt):
         """One backward-Euler step of every cell at the macro strains (E, 3).
 
         Returns the sample-averaged mean stresses, (E, 3).
         """
-        cfg = self.cfg
-        w = self.space.mesh.volumes / self.space.mesh.volumes.sum()
-        offset = np.repeat(np.asarray(strains, dtype=float), cfg.n_samples, axis=0)
-        if self._predictor is None:
-            phi = self.phi.copy()
+        offset = np.repeat(np.asarray(strains, dtype=float), self.n_samples, axis=0)
+        trial = self.trial or {}
+        if "KG" in trial:
+            phi = trial["phi"] - np.einsum("snj,sj->sn", trial["KG"], offset - trial["strains"])
         else:
-            phi_trial, offset_trial, KG = self._predictor
-            phi = phi_trial - np.einsum("snj,sj->sn", KG, offset - offset_trial)
-        self._predictor = None
-        z, p_new, _, _, moduli = finescale.newton_solve(
-            self.space, self._systems, offset[:, None, :], self.p, phi, dt,
-            cfg.delta, 0.0, cfg.newton_rtol, CG_RTOL,
-        )
-        self._trial = (p_new, phi, moduli, offset)
+            phi = self.phi.copy()
+        z, _, _ = self.step(offset, phi, dt)
+        w = self.space.mesh.volumes / self.space.mesh.volumes.sum()
         return self._sample_mean(w @ z)
 
     def tangent(self):
@@ -130,20 +116,15 @@ class ElementCellState:
         -K^+ G d, so the mean stress moves by (<C> - G^T K^+ G / |Y|) d.
         Returns the symmetrized mean over each element's samples.
         """
-        space = self.space
+        space, trial = self.space, self.trial
         volumes = space.mesh.volumes
-        _, phi, moduli, offset = self._trial
+        moduli = trial["moduli"]
         G = space.internal_forces(np.moveaxis(moduli, -1, 1))     # (E * M, 3, n)
-        KG = fem.solve_periodic_systems(space, moduli, np.swapaxes(G, 1, 2), rtol=CG_RTOL)
-        self._predictor = (phi, offset, KG)
-        total = self._sample_mean(np.einsum("e,seij->sij", volumes, moduli) - G @ KG)
+        trial["KG"] = fem.solve_periodic_systems(space, moduli, np.swapaxes(G, 1, 2), CG_RTOL,
+                                                 self.preconditioners)
+        total = self._sample_mean(np.einsum("e,seij->sij", volumes, moduli) - G @ trial["KG"])
         total /= volumes.sum()
         return 0.5 * (total + np.swapaxes(total, 1, 2))
-
-    def commit(self):
-        self.p, self.phi, _, _ = self._trial
-        self._trial = None
-        self._predictor = None
 
 
 @dataclass
@@ -158,8 +139,7 @@ class EffectiveSolution:
     cells: object = field(repr=False, default=None)  # final ElementCellState
 
     def average_stress(self):
-        w = self.space.mesh.volumes
-        return np.einsum("e,mek->mk", w, self.sigma) / w.sum()
+        return self.space.volume_average(self.sigma)
 
 
 def solve_effective(config):

@@ -8,15 +8,16 @@ unknowns), M = 2 samples, E = 8 macro strains from elastic to plastic.
 import numpy as np
 import pytest
 
-from plasthom import fem, finescale
+from plasthom import cellproblem, fem
 from plasthom.cellproblem import RveConfig, build_rve
 from plasthom.errors import NumericalError
-from plasthom.fem import CG_RTOL, P1Space, mesh_torus
+from plasthom.fem import CG_RTOL, P1Space, mesh_torus, mesh_unit_square
 from plasthom.finescale import newton_solve
-from plasthom.macroscale import ElementCellState
+from plasthom.loading import AffineBoundary, StrainPath
+from plasthom.macroscale import ElementCellState, MacroConfig, solve_effective
 from plasthom.media import ProbabilityLaw
 from plasthom.returnmap import MaterialArrays
-from plasthom.tensors import KDIM
+from plasthom.tensors import KDIM, pack
 
 from helpers import central_differences
 
@@ -26,6 +27,7 @@ RVE = RveConfig(n_cells=4, refine=1, n_samples=2, delta=0.003, law=TWO_PHASE, ba
 E = 8
 DT = 0.25
 PERTURBATION = np.array([0.002, -0.001, 0.005])  # moves the elastic element 0 too
+SHEAR = pack(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +47,8 @@ def newton_step(space, samples, systems, strains, p_old, phi):
     offset = np.repeat(strains, RVE.n_samples, axis=0)[systems][:, None, :]
     u = phi[systems].copy()
     z, p, iters, res, moduli = newton_solve(space, mats, offset, p_old[systems], u, DT,
-                                            RVE.delta, 0.0, RVE.newton_rtol,
-                                            CG_RTOL)
+                                            RVE.delta, 0.0, RVE.newton_rtol, CG_RTOL,
+                                            [[] for _ in systems])
     assert isinstance(iters, int) and res.shape == (len(systems),)
     return {"z": z, "p": p, "u": u, "moduli": moduli, "iters": iters}
 
@@ -180,21 +182,21 @@ class TestElementCellBatches:
         predictor is their solution and the predicted advance runs no Newton
         iteration; the cold first advance needs some."""
         iterations = []
-        newton_solve = finescale.newton_solve
+        newton_solve = cellproblem.newton_solve
 
         def counting_newton(*args, **kwargs):
             out = newton_solve(*args, **kwargs)
             iterations.append(out[2])
             return out
 
-        monkeypatch.setattr(finescale, "newton_solve", counting_newton)
+        monkeypatch.setattr(cellproblem, "newton_solve", counting_newton)
         strains = macro_strains(1.0)[[1, 2]]     # elastic in every cell
         cell = ElementCellState(RVE, len(strains))
         cell.advance(strains, DT)
         cell.tangent()
         cell.advance(1.02 * strains + PERTURBATION, DT)
         assert iterations[0] > 0 and iterations[1] == 0
-        assert not cell._trial[0].any()
+        assert not cell.trial["p"].any()
 
     def test_predictor_never_outlives_commit(self):
         """After commit, and after an advance without a tangent before it,
@@ -210,8 +212,9 @@ class TestElementCellBatches:
         fresh.p, fresh.phi = cell.p.copy(), cell.phi.copy()
         reverse = macro_strains(-0.6)
         assert np.array_equal(cell.advance(reverse, DT), fresh.advance(reverse, DT))
-        for kept, own in zip(cell._trial, fresh._trial):
-            assert np.array_equal(kept, own)
+        assert cell.trial.keys() == fresh.trial.keys() == {"p", "phi", "moduli", "strains"}
+        for key, own in fresh.trial.items():
+            assert np.array_equal(cell.trial[key], own)
         cell.tangent()
         cell.advance(0.9 * reverse, DT)        # predicted
         assert np.array_equal(cell.advance(reverse, DT), fresh.advance(reverse, DT))
@@ -247,14 +250,19 @@ class TestElementCellBatches:
             fd = central_differences(alone, strains[e:e + 1], DT, h)
             assert np.abs(tangents[e] - fd[0]).max() <= 1e-6 * np.abs(fd).max()
 
-    def test_tangent_builds_one_preconditioner_per_cell(self, monkeypatch):
-        # N = 16 cells: 512 unknowns, and 3 tangent right-hand sides per cell
-        rve = RveConfig(n_cells=16, refine=1, n_samples=2, delta=0.003, law=TWO_PHASE,
+    def test_fe2_solve_above_the_cap_builds_one_preconditioner_per_cell(self, monkeypatch):
+        """Each of the E * M cells of an FE2 solve holds one reference for the
+        whole solve, and that moves its results by roundoff only against a
+        fresh reference for every cell solve."""
+        # N = 6, r = 2 cells: 288 unknowns, on fe2_macro's mesh, path and load
+        rve = RveConfig(n_cells=6, refine=2, n_samples=2, delta=0.003, law=TWO_PHASE,
                         base_seed=0)
-        space = P1Space(mesh_torus(rve.n_cells, rve.refine))
-        assert space.n_packed > fem.DENSE_PERIODIC_DOFS
-        cell = ElementCellState(rve, 1)
-        cell.advance(macro_strains(1.0)[[6]], DT)
+        assert P1Space(mesh_torus(rve.n_cells, rve.refine)).n_packed > fem.DENSE_PERIODIC_DOFS
+        knots = np.array([0.0, 0.25, 0.75, 1.0])
+        path = StrainPath(knots, np.outer([0.0, 0.5, -0.5, 0.0], SHEAR))
+        cfg = MacroConfig(mesh=mesh_unit_square(2), rve=rve, dirichlet=AffineBoundary(path),
+                          time_grid=np.linspace(0, 1, 5),
+                          load=lambda t, pts: t * np.tile([0.2, -0.1], (len(pts), 1)))
         builds = []
         build = fem.reference_preconditioner
 
@@ -263,21 +271,19 @@ class TestElementCellBatches:
             return build(space, A)
 
         monkeypatch.setattr(fem, "reference_preconditioner", counting_build)
-        tangent = cell.tangent()
-        assert len(builds) == rve.n_samples
+        held = solve_effective(cfg)
+        assert len(builds) == cfg.mesh.n_elements * rve.n_samples
+        assert held.newton_iters == [2, 2, 2, 2]
 
-        def column_by_column(space, moduli, rhs, rtol=1e-10):
-            # one solve_periodic, and so one preconditioner, per right-hand side
-            x = np.empty_like(rhs)
-            for s, system_moduli in enumerate(moduli):
-                A = space.assemble_operator(system_moduli)
-                for j in range(rhs.shape[2]):
-                    x[s, :, j] = fem.solve_periodic(space, A, rhs[s, :, j], rtol=rtol)
-            return x
-
-        monkeypatch.setattr(fem, "solve_periodic_systems", column_by_column)
-        assert np.array_equal(cell.tangent(), tangent)
-        assert len(builds) == 4 * rve.n_samples
+        solve = fem.solve_periodic_systems
+        monkeypatch.setattr(fem, "solve_periodic_systems",
+                            lambda space, moduli, rhs, rtol, preconditioners:
+                            solve(space, moduli, rhs, rtol, [[] for _ in moduli]))
+        fresh = solve_effective(cfg)
+        assert len(builds) > 10 * cfg.mesh.n_elements * rve.n_samples
+        assert fresh.newton_iters == held.newton_iters
+        assert_close(held.u, fresh.u)
+        assert_close(held.average_stress(), fresh.average_stress())
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_strain_of_one_element_raises(self):
@@ -286,7 +292,7 @@ class TestElementCellBatches:
         strains[3, 0] = np.inf
         with pytest.raises(NumericalError):
             cell.advance(strains, DT)
-        assert cell._trial is None and not cell.p.any() and not cell.phi.any()
+        assert cell.trial is None and not cell.p.any() and not cell.phi.any()
 
 
 def random_moduli(space, systems, seed):

@@ -5,8 +5,8 @@ import pytest
 
 from plasthom import fem
 from plasthom.cellproblem import (
+    CellStack,
     RveConfig,
-    _march,
     causality_check,
     continuity_probe,
     default_probe_direction,
@@ -297,13 +297,12 @@ class TestBatchSize:
         assert np.array_equal(batch.sigma, np.mean([s.sigma for s in singles], axis=0))
         assert np.array_equal(batch.pi, np.mean([s.pi for s in singles], axis=0))
 
-        steps = _march(space, [traj.mats for traj in alone], path, cfg.delta, grid,
-                       cfg.newton_rtol)
-        for m, z, p, phi, _, _ in steps:
+        cells = CellStack(space, [traj.mats for traj in alone], cfg.delta, cfg.newton_rtol)
+        for m, z, _, _ in cells.march(path, grid):
             for j, traj in enumerate(alone):
                 assert np.array_equal(z[j], traj.z[m])
-                assert np.array_equal(p[j], traj.p[m])
-                assert np.array_equal(space.unpack_field(phi[j]), traj.phi[m])
+                assert np.array_equal(cells.p[j], traj.p[m])
+                assert np.array_equal(space.unpack_field(cells.phi[j]), traj.phi[m])
         for traj in alone:
             for m in range(grid.size):
                 assert np.array_equal(traj.v[m], space.element_gradients(traj.phi[m]))

@@ -36,6 +36,11 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 DENSE_GRID = math.isqrt(fem.DENSE_PERIODIC_DOFS // 2)  # m of the largest dense m x m torus
 
 
+def slots(n):
+    """Empty reference-preconditioner slots for n periodic systems."""
+    return [[] for _ in range(n)]
+
+
 class TestMeshSimplex:
     def test_large_h_keeps_single_element(self):
         mesh = mesh_simplex(UNIT_TRIANGLE, 2.0)
@@ -529,7 +534,7 @@ class TestReferencePreconditioner:
         space, moduli = case
         A = space.assemble_operator(moduli)
         rhs = zero_mean(space, np.random.default_rng(seed).standard_normal(space.n_packed))
-        x = solve_periodic_systems(space, moduli[None], rhs[None], rtol=1e-13)[0]
+        x = solve_periodic_systems(space, moduli[None], rhs[None], 1e-13, slots(1))[0]
         keep = np.arange(2, space.n_packed)   # pin the first vertex
         pinned = np.zeros(space.n_packed)
         pinned[keep] = spsolve(A[keep][:, keep].tocsc(), rhs[keep])
@@ -558,7 +563,7 @@ class TestReferencePreconditioner:
             return x, iters
 
         monkeypatch.setattr(fem, "pcg", counting_pcg)
-        solve_periodic_systems(space, moduli[None], b[None], rtol=1e-12)
+        solve_periodic_systems(space, moduli[None], b[None], 1e-12, slots(1))
         assert (space.n_packed <= fem.DENSE_PERIODIC_DOFS) == dense
         if dense:
             assert counts == []  # solved directly
@@ -570,7 +575,9 @@ class TestReferencePreconditioner:
         space = P1Space(mesh_torus(1, 1))
         A = space.assemble_operator(np.broadcast_to(
             isotropic_stiffness(1.0, 0.3), (2, 3, 3)))
-        assert np.array_equal(solve_periodic(space, A, np.ones(2)), np.zeros(2))
+        assert np.array_equal(solve_periodic(space, A, np.ones(2), 1e-10,
+                                              reference_preconditioner(space, A)),
+                               np.zeros(2))
 
     def test_needs_a_torus_grid(self):
         space = P1Space(mesh_unit_square(2))
@@ -598,7 +605,7 @@ class TestPerSystemTolerance:
     def test_each_cg_solve_stops_at_its_own_tolerance(self):
         space, moduli, rhs = self.stack(8, 2)
         assert space.n_packed > fem.DENSE_PERIODIC_DOFS
-        x = solve_periodic_systems(space, moduli, rhs, rtol=self.RTOL)
+        x = solve_periodic_systems(space, moduli, rhs, self.RTOL, slots(3))
         res = np.array([np.linalg.norm(space.assemble_operator(m) @ xs - b)
                         for m, xs, b in zip(moduli, x, rhs)])
         norm_b = np.linalg.norm(rhs, axis=1)
@@ -608,7 +615,7 @@ class TestPerSystemTolerance:
     def test_scalar_tolerance_for_several_right_hand_sides(self):
         space, moduli, rhs = self.stack(8, 2)
         columns = np.stack([rhs, rhs[::-1], 2.0 * rhs], axis=-1)   # (3, n, 3)
-        x = solve_periodic_systems(space, moduli, columns, rtol=1e-12)
+        x = solve_periodic_systems(space, moduli, columns, 1e-12, slots(3))
         for m, xs, b in zip(moduli, x, columns):
             res = np.linalg.norm(space.assemble_operator(m) @ xs - b, axis=0)
             assert np.all(res <= 1e-12 * np.linalg.norm(b, axis=0))
@@ -617,16 +624,16 @@ class TestPerSystemTolerance:
                              ids=["direct", "cg"])
     def test_stack_equals_single_solves_bit_for_bit(self, n_cells, refine):
         space, moduli, rhs = self.stack(n_cells, refine)
-        x = solve_periodic_systems(space, moduli, rhs, rtol=self.RTOL)
+        x = solve_periodic_systems(space, moduli, rhs, self.RTOL, slots(3))
         for s in range(3):
             alone = solve_periodic_systems(space, moduli[s:s + 1], rhs[s:s + 1],
-                                           rtol=self.RTOL[s:s + 1])
+                                           self.RTOL[s:s + 1], slots(1))
             assert np.array_equal(x[s], alone[0])
 
     def test_direct_path_checks_at_the_floor_whatever_rtol(self, monkeypatch):
         space, moduli, rhs = self.stack(DENSE_GRID, 1)
-        solve_periodic_systems(space, moduli, rhs, rtol=1e-2)
+        solve_periodic_systems(space, moduli, rhs, 1e-2, slots(3))
         exact = np.linalg.solve     # a factorization off by a relative 1e-3
         monkeypatch.setattr(np.linalg, "solve", lambda A, b: (1.0 + 1e-3) * exact(A, b))
         with pytest.raises(NumericalError, match="above rtol 1.0e-12"):
-            solve_periodic_systems(space, moduli, rhs, rtol=1e-2)
+            solve_periodic_systems(space, moduli, rhs, 1e-2, slots(3))
