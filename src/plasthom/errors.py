@@ -34,7 +34,7 @@ class NumericalError(RuntimeError):
 def at_step(step):
     """Give a NumericalError raised inside the time step ``step`` if it names none.
 
-    The solvers (``fem.pcg``, the periodic solves, ``finescale.newton_solve``)
+    The solvers (``fem.pcg``, the periodic solves, ``finescale.newton_iterate``)
     raise without a step; only the time loops of ``solve_eps``, the cell
     problems and ``solve_effective`` know it and enter this context around
     each step.  A caller that runs a solver outside a time loop wraps the call

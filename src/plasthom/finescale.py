@@ -8,7 +8,9 @@ sampled medium at the element barycenters at scale eps.
 
 Time discretization is backward Euler; each step runs a global Newton
 iteration on the displacement with the element-level plastic update solved
-in closed form and a consistent algorithmic tangent.  The scheme never looks
+in closed form and a consistent algorithmic tangent.  That loop,
+``newton_iterate``, also runs the cell problems and the FE2 macro step,
+which pass their own evaluation and correction.  The scheme never looks
 ahead in time, so truncating the data after a step reproduces the earlier
 steps bit-identically.
 """
@@ -138,64 +140,110 @@ def forcing_term(res, scale, tol, floor):
     return np.minimum(np.maximum(eta, floor), FORCING_MAX)
 
 
+def newton_iterate(space, u, f_ext, rtol, maxiter, evaluate, solve):
+    """Newton iterations of one backward-Euler step for S systems at once, in lock step.
+
+    ``u`` (S, n) holds packed vectors on ``space`` with the Dirichlet rows set
+    and is updated in place on the free dofs; ``f_ext`` broadcasts to (S, n).
+    ``evaluate(systems)`` returns the state of the given systems at their
+    ``u``, a tuple of per-system arrays that starts with the stresses
+    (k, ne, 3) and the internal forces (k, n).  ``solve(systems, rhs, state,
+    res, scale, tol)`` returns their corrections (k, free dofs) from their
+    residual rows f_ext - f_int (k, n), the accepted state of all systems,
+    and their residual norms and ``newton_tolerance``'s scale and tolerance.
+
+    The first residual must be finite.  Each system then runs its own test
+    and, if a full step fails to reduce its residual, its own step halving; a
+    converged system is frozen and no longer evaluated, so it runs the
+    iterates it runs alone.  At most ``maxiter`` corrections run.  A failure
+    raises NumericalError without a step that names the worst system's five
+    free dofs of largest residual.  Returns (state, iterations, residuals),
+    the last two (S,).
+    """
+    n_systems = u.shape[0]
+    free = space.free_dofs
+    f_ext = np.broadcast_to(f_ext, u.shape)
+
+    def residual_norms(systems, f_int):
+        return norm((f_ext[systems] - f_int)[:, free])
+
+    def failure(message, systems):
+        worst = systems[np.argmax(res[systems])]
+        dofs = free[np.argsort(np.abs(f_ext[worst] - state[1][worst])[free])[-5:]]
+        return NumericalError(f"{message} (worst dofs {dofs.tolist()})",
+                              residual=float(res[worst]))
+
+    active = np.arange(n_systems)
+    state = evaluate(active)
+    res = residual_norms(active, state[1])
+    if not np.all(np.isfinite(res)):
+        raise NumericalError("the equilibrium residual is not finite",
+                             residual=float(np.max(res)))
+    scale, tol = newton_tolerance(space, state[0], res, norm(f_ext[:, free]), rtol)
+    iters = np.zeros(n_systems, dtype=int)
+    for _ in range(maxiter):
+        active = active[res[active] > tol[active]]
+        iters[active] += 1
+        if active.size == 0:
+            return state, iters, res
+        du = solve(active, f_ext[active] - state[1][active], state,
+                   res[active], scale[active], tol[active])
+        alpha = np.ones(active.size)
+        trying = np.arange(active.size)       # positions in ``active`` still searching
+        for _ in range(11):
+            systems = active[trying]
+            correction = alpha[trying, None] * du[trying]
+            u[np.ix_(systems, free)] += correction
+            tried = evaluate(systems)
+            res_try = residual_norms(systems, tried[1])
+            accept = (res_try < res[systems]) | (res_try <= tol[systems])
+            if accept.all() and systems.size == n_systems:
+                state, res = tried, res_try
+            else:
+                done = systems[accept]
+                for kept, new in zip(state, tried):
+                    kept[done] = new[accept]
+                res[done] = res_try[accept]
+                u[np.ix_(systems[~accept], free)] -= correction[~accept]
+            trying = trying[~accept]
+            alpha[trying] *= 0.5
+            if trying.size == 0:
+                break
+        else:
+            raise failure("Newton step failed to reduce the equilibrium residual",
+                          active[trying])
+    raise failure("Newton did not converge", active)
+
+
 def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
                  f_ext, rtol, cg_rtol, preconditioners=None):
-    """Global Newton iterations of one backward-Euler step for S systems at once.
+    """``newton_iterate`` on S systems of the return map ``plastic_step``.
 
-    The systems share ``space`` and differ in their data: ``u`` (S, n)
-    holds packed vectors with the Dirichlet rows already set and is updated
-    in place on the free dofs; ``p_old`` is (S, ne, 3), ``mats`` holds the
-    S * ne elements system after system, and ``strain_offset`` and
-    ``f_ext`` broadcast to (S, ne, 3) and (S, n).  Each correction solves
-    the tangent operator on the free dofs (``P1Space.assemble_operator``).
-    On a ``mesh_torus`` space the solves are periodic: all dofs are free and
-    the translation kernel is projected out of the updates.
+    ``u`` and ``f_ext`` are as there, ``p_old`` is (S, ne, 3), ``mats`` holds
+    the S * ne elements system after system and ``strain_offset`` broadcasts
+    to (S, ne, 3).  At most NEWTON_MAXITER corrections run, each solving the
+    tangent operator by CG only to the relative tolerance of ``forcing_term``
+    with floor ``cg_rtol`` (Dembo, Eisenstat & Steihaug 1982), which depends
+    on the system's own residual only, so a system runs the same iterates in
+    any batch.  Dirichlet systems run Jacobi CG on the free dofs.  On a
+    ``mesh_torus`` space all dofs are free and ``fem.solve_periodic_systems``
+    solves small systems directly, checked at ``fem.CG_RTOL``, and larger ones
+    by CG with the DFT reference in the system's slot of ``preconditioners``,
+    which its owner keeps (``cellproblem.CellStack``).
 
-    Every system runs its own Newton iteration in lock step with the others:
-    its own convergence test (``newton_tolerance``), and, if a full tangent
-    step fails to reduce its residual, its own correction damped by halving.  A
-    converged system is frozen and no longer evaluated, so it runs the
-    iterate sequence it would run alone.  At most NEWTON_MAXITER iterations
-    run.
-
-    The Newton iteration is inexact (Dembo, Eisenstat & Steihaug 1982):
-    system s solves its correction by CG only to the relative tolerance
-    eta_s = clip(max(FORCING_GAMMA * res_s / scale_s, 0.5 * tol_s / res_s),
-    cg_rtol, FORCING_MAX) of ``forcing_term``, with res_s its current
-    residual norm and scale_s, tol_s the scale and tolerance of its
-    convergence test.  The first term shrinks with the residual (Eisenstat &
-    Walker 1996); the second, Kelley's terminal safeguard, keeps the last
-    correction of a step from being solved tighter than the test needs.  Both
-    depend on the system's own residual only, so a system runs the same
-    iterates in any batch.  The convergence test and the line search do not
-    depend on eta, so the converged state meets the same tolerance as with
-    exact solves.  Periodic systems go to ``fem.solve_periodic_systems``,
-    which solves small ones directly and checks those at ``fem.CG_RTOL``
-    whatever eta is.  Larger ones run CG with the DFT reference
-    preconditioner in the system's slot of ``preconditioners``, one slot
-    per system that its owner keeps (``cellproblem.CellStack``, see
-    ``fem.solve_periodic_systems``); Dirichlet systems need none.  A failed
-    solve raises NumericalError without a step, which the time loop
-    attaches (``errors.at_step``).
-
-    Returns (z, p_new, iterations, residuals, moduli): stresses and
-    plastic strains (S, ne, 3), the sum of the systems' iteration counts
-    (an int), the final residual norms (S,) and the algorithmic moduli
-    (S, ne, 3, 3) of the last accepted evaluation, i.e. of the converged
-    state.
+    Returns (z, p_new, iterations, residuals, moduli): stresses and plastic
+    strains (S, ne, 3), the summed iteration count, the final residual norms
+    (S,) and the algorithmic moduli (S, ne, 3, 3) of the converged state.
     """
     n_systems = u.shape[0]
     ne = space.mesh.n_elements
-    free = space.free_dofs
     periodic = bool(space.mesh.grid_size)
     offset = np.broadcast_to(strain_offset, (n_systems, ne, KDIM))
-    f_ext = np.broadcast_to(f_ext, u.shape)
-    f_norm = norm(f_ext[:, free])
 
-    # With every system taking part, the materials and the accepted state are
-    # used whole rather than copied: the copies cost about 9 % of the wall
-    # time of fe2_macro (16 cells of 32 elements) and 6 % of cell_mc's (one
-    # cell of 2,048 elements).
+    # With every system taking part, the materials here and the accepted state
+    # in ``newton_iterate`` are used whole rather than copied: the copies cost
+    # about 9 % of the wall time of fe2_macro (16 cells of 32 elements) and 6 %
+    # of cell_mc's (one cell of 2,048 elements).
     def evaluate(systems):
         strains = offset[systems] + space.element_strains(u[systems])
         sub = mats if systems.size == n_systems \
@@ -204,61 +252,24 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
                                         p_old[systems].reshape(-1, KDIM),
                                         sub, dt, delta)
         z = z.reshape(-1, ne, KDIM)
-        f_int = space.internal_forces(z)
-        res = norm((f_ext[systems] - f_int)[:, free])
-        return z, p_new.reshape(z.shape), moduli.reshape(-1, ne, KDIM, KDIM), f_int, res
+        return (z, space.internal_forces(z), p_new.reshape(z.shape),
+                moduli.reshape(-1, ne, KDIM, KDIM))
 
-    def solve(systems):
-        rhs = f_ext[systems] - f_int[systems]
-        eta = forcing_term(res[systems], scale[systems], tol[systems], cg_rtol)
+    def solve(systems, rhs, state, res, scale, tol):
+        moduli = state[3]
+        eta = forcing_term(res, scale, tol, cg_rtol)
         if periodic:
             return fem.solve_periodic_systems(space, moduli[systems], rhs, eta,
                                               [preconditioners[s] for s in systems])
         updates = []
         for s, b, eta_s in zip(systems, rhs, eta):  # Jacobi CG, one system at a time
             A = space.assemble_operator(moduli[s])
-            updates.append(pcg(A, b[free], jacobi(A), rtol=eta_s)[0])
+            updates.append(pcg(A, b[space.free_dofs], jacobi(A), rtol=eta_s)[0])
         return np.stack(updates)
 
-    active = np.arange(n_systems)
-    z, p_new, moduli, f_int, res = evaluate(active)
-    if not np.all(np.isfinite(res)):
-        raise NumericalError("the equilibrium residual is not finite",
-                             residual=float(np.max(res)))
-    scale, tol = newton_tolerance(space, z, res, f_norm, rtol)
-    iters = np.zeros(n_systems, dtype=int)
-    for _ in range(NEWTON_MAXITER):
-        active = active[res[active] > tol[active]]
-        iters[active] += 1
-        if active.size == 0:
-            return z, p_new, int(iters.sum()), res, moduli
-        du = solve(active)
-        alpha = np.ones(active.size)
-        trying = np.arange(active.size)       # positions in ``active`` still searching
-        for _ in range(11):
-            systems = active[trying]
-            correction = alpha[trying, None] * du[trying]
-            u[np.ix_(systems, free)] += correction
-            z_try, p_try, moduli_try, f_try, res_try = evaluate(systems)
-            accept = (res_try < res[systems]) | (res_try <= tol[systems])
-            if accept.all() and systems.size == n_systems:
-                z, p_new, moduli, f_int, res = z_try, p_try, moduli_try, f_try, res_try
-            else:
-                done = systems[accept]
-                z[done], p_new[done], moduli[done] = \
-                    z_try[accept], p_try[accept], moduli_try[accept]
-                f_int[done], res[done] = f_try[accept], res_try[accept]
-                u[np.ix_(systems[~accept], free)] -= correction[~accept]
-            trying = trying[~accept]
-            alpha[trying] *= 0.5
-            if trying.size == 0:
-                break
-        else:
-            raise NumericalError(
-                "Newton step failed to reduce the equilibrium residual",
-                residual=float(np.max(res[active[trying]])),
-            )
-    raise NumericalError("Newton did not converge", residual=float(np.max(res[active])))
+    (z, _, p_new, moduli), iters, res = newton_iterate(space, u, f_ext, rtol, NEWTON_MAXITER,
+                                                       evaluate, solve)
+    return z, p_new, int(iters.sum()), res, moduli
 
 
 def solve_eps(config):

@@ -1,24 +1,24 @@
 """Effective macroscopic problem driven by per-element cell states (FE2).
 
-The macroscopic displacement solves -div(Sigma(sym grad u)) = f weakly on a
-P1 mesh, where Sigma is the effective hysteretic stress operator evaluated
+The macroscopic displacement solves -div(Sigma(sym grad u)) = f weakly on a P1
+mesh, where Sigma is the effective hysteretic stress operator evaluated
 through per-element cell problems: every macro element owns one persistent
 cell state per Monte-Carlo sample, all built by ``cellproblem.build_rve``.
 The time steps are the Dirichlet steps of the fine-scale problem
-(``finescale.dirichlet_steps``); only the stress differs.  Per time step, a
-macro Newton iteration updates the nodal displacements; stress increments
-come from advancing all E * M cell problems in lock step at the element
-strains, and the macro tangent is the condensed tangent of the converged cells,
-C_hom = <C> - G^T K^+ G / |Y| (Miehe 2002; Kouznetsova, Brekelmans &
-Baaijens 2001), with C the cells' algorithmic moduli, K their periodic
-operator and G the nodal forces of unit macro strains.  Small cells solve
-the three columns of K^+ G with one factorization of K each, larger ones
-with the cell's held DFT reference (``cellproblem.CellStack``).  Each macro
-iteration after a step's first starts the cells' Newton iterations from
-the condensed-tangent predictor phi_trial - K^+ G (xi - xi_trial), which
-reuses the tangent's solve; a step's first iteration starts from the
-committed correctors.  The cell states are committed exactly once per
-accepted step.
+(``finescale.dirichlet_steps``); only the stress differs.  Per time step, the
+Newton loop of the cells (``finescale.newton_iterate``) updates the nodal
+displacements; stress increments come from advancing all E * M cell problems
+in lock step at the element strains, and the macro tangent is the condensed
+tangent of the converged cells, C_hom = <C> - G^T K^+ G / |Y| (Miehe 2002;
+Kouznetsova, Brekelmans & Baaijens 2001), with C the cells' algorithmic
+moduli, K their periodic operator and G the nodal forces of unit macro
+strains.  Small cells solve the three columns of K^+ G with one factorization
+of K each, larger ones with the cell's held DFT reference
+(``cellproblem.CellStack``).  Each macro iteration after a step's first starts
+the cells' Newton iterations from the condensed-tangent predictor
+phi_trial - K^+ G (xi - xi_trial), which reuses the tangent's solve; a step's
+first evaluation and a line-search retry start from the committed correctors.
+The cell states are committed exactly once per accepted step.
 """
 
 import time as _time
@@ -30,7 +30,7 @@ from . import fem
 from .cellproblem import CellStack, build_rve
 from .errors import ConfigurationError, NumericalError, at_step, finite_number, positive_int
 from .fem import CG_RTOL, P1Space, jacobi, pcg
-from .finescale import dirichlet_steps, newton_tolerance
+from .finescale import dirichlet_steps, newton_iterate
 from .loading import checked_boundary, checked_time_grid
 from .tensors import KDIM, norm
 
@@ -149,11 +149,10 @@ def solve_effective(config):
     same load check at t = 0, affine Dirichlet predictor, load vector and
     boundary constant a(t); only the stresses come from the cells.  The
     predictor is the solution when there is no load, since all elements share
-    the M samples.  Macro Newton stops by ``newton_tolerance``, as the cell
-    iterations do; each correction is solved by Jacobi CG to ``fem.CG_RTOL``.
-
-    Raises NumericalError with the step if the wall-clock budget is exceeded,
-    and with element-wise residual diagnostics on Newton failure.
+    the M samples.  Each step runs ``finescale.newton_iterate`` on one
+    system: an evaluation checks the wall-clock budget and advances the cells
+    at the element strains, and a correction solves the condensed tangent by
+    Jacobi CG to ``fem.CG_RTOL``.  A NumericalError names its step.
     """
     mesh = config.mesh
     space = P1Space(mesh)
@@ -164,46 +163,36 @@ def solve_effective(config):
     u_hist = np.zeros((times.size, mesh.n_vertices, 2))
     sig_hist = np.zeros((times.size, mesh.n_elements, KDIM))
     iter_history = []
-    free = space.free_dofs
 
     for m, dt, u, f_ext in dirichlet_steps(space, config, u_hist):
+        def evaluate(_):
+            if config.max_seconds is not None and _time.monotonic() - start > config.max_seconds:
+                raise NumericalError("wall-clock budget exceeded")
+            sig = cells.advance(space.element_strains(u), dt)
+            return sig[None], space.internal_forces(sig)[None]
+
+        def solve(_, rhs, *__):
+            A = space.assemble_operator(cells.tangent())
+            return pcg(A, rhs[0, space.free_dofs], jacobi(A), rtol=CG_RTOL)[0][None]
+
         with at_step(m):
-            f_norm = norm(f_ext[free])
-            for it in range(NEWTON_MAXITER):
-                if config.max_seconds is not None \
-                        and _time.monotonic() - start > config.max_seconds:
-                    raise NumericalError("wall-clock budget exceeded")
-                strains = space.element_strains(u)
-                sig = cells.advance(strains, dt)
-                residual = (f_ext - space.internal_forces(sig))[free]
-                res_norm = norm(residual)
-                if it == 0:
-                    _, tol = newton_tolerance(space, sig, res_norm, f_norm, config.newton_rtol)
-                if res_norm <= tol:
-                    cells.commit()
-                    sig_hist[m] = sig
-                    iter_history.append(it)
-                    break
-                A = space.assemble_operator(cells.tangent())
-                du, _ = pcg(A, residual, jacobi(A), rtol=CG_RTOL)
-                u[free] += du
-            else:
-                worst = free[np.argsort(np.abs(residual))[-5:]]
-                raise NumericalError(
-                    f"macro Newton did not converge (worst dofs {worst.tolist()})",
-                    residual=float(res_norm),
-                )
+            (sig, _), iters, _ = newton_iterate(space, u[None], f_ext, config.newton_rtol,
+                                                NEWTON_MAXITER, evaluate, solve)
+        cells.commit()
+        sig_hist[m] = sig[0]
+        iter_history.append(int(iters[0]))
 
     return EffectiveSolution(times, u_hist, sig_hist, iter_history, space, cells)
 
 
 def weak_form_residual(solution, config):
-    """Max relative weak-form defect over every P1 basis function and step."""
+    """Max relative weak-form defect over every P1 basis function and step, relative
+    to |force_scale(sigma)| + |f_ext| on the free dofs, ``newton_tolerance``'s force scale."""
     space = solution.space
     free = space.free_dofs
     worst = 0.0
     for m, _, _, f_ext in dirichlet_steps(space, config, np.empty_like(solution.u)):
         f_int = space.internal_forces(solution.sigma[m])
-        denom = max(norm(f_int[free]), norm(f_ext[free]), 1e-300)
+        denom = max(norm(space.force_scale(solution.sigma[m])[free]) + norm(f_ext[free]), 1e-300)
         worst = max(worst, np.abs((f_ext - f_int)[free]).max() / denom)
     return worst

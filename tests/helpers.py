@@ -178,6 +178,17 @@ def shear_path(amplitude, T, steps, unload_to=None):
     return StrainPath(times, np.outer(scale * amplitude, direction))
 
 
+
+def shear_cycle(amplitude):
+    """Pure shear 0 -> a -> 0 -> -a -> 0, linear between knots t = 0, 1/4, ..., 1."""
+    from plasthom.loading import StrainPath
+    from plasthom.tensors import pack
+
+    direction = pack(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return StrainPath(np.linspace(0.0, 1.0, 5),
+                      np.outer(amplitude * np.array([0.0, 1.0, 0.0, -1.0, 0.0]), direction))
+
+
 class SwappedMedium:
     """Test medium: ``medium`` read at swapped points (y, x), its mirror image
     in the diagonal."""
