@@ -1,7 +1,8 @@
 """The two-scale effective solve and the scale-separation experiment.
 
 First, the effective macroscopic problem: every macro element owns cell
-problems that supply its stress response (a nested two-level solve).  Then
+problems that supply its stress response, solved jointly with the macro
+displacements in one Newton loop per step (a monolithic two-level solve).  Then
 the averaging experiment: simplex-averaged stresses of oscillating solves
 approach the effective operator as the oscillation scale shrinks.
 """

@@ -17,8 +17,11 @@ which is the single largest modeling approximation of the pipeline.
 ``build_rve`` builds the torus space and the M sample materials of an
 RveConfig, for ``sigma`` and for the cells of every FE2 macro element.  One
 ``CellStack`` owns the cells of a run, ``sigma``'s M samples or FE2's E * M
-cells: they advance in lock step, one batched Newton solve per time step,
-and each gives bit for bit what it gives alone.
+cells, and advances them in lock step.  ``sigma``'s samples take one batched
+Newton solve per time step, and each gives bit for bit what it gives alone.
+FE2's cells take the joint Newton iterations of the macro step
+(``macroscale.ElementCellState``), which couple them through the macro
+update.
 
 The scheme is causal: values on [0, t] never depend on the path after t,
 and re-running a truncated path reproduces the earlier steps bit-identically.
@@ -123,8 +126,9 @@ class CellStack:
     ``step`` takes one backward-Euler step of every cell from the committed
     plastic strains in one ``newton_solve`` call, which freezes a converged
     cell, so each runs the iterates it runs alone.  The result is the
-    ``trial`` until ``commit`` makes it the committed state.  Above
-    ``fem.DENSE_PERIODIC_DOFS`` each cell holds one DFT reference
+    ``trial`` until ``commit`` makes it the committed state; FE2's
+    ``macroscale.ElementCellState`` makes its trials by its own ``advance``.
+    Above ``fem.DENSE_PERIODIC_DOFS`` each cell holds one DFT reference
     preconditioner in its slot of ``preconditioners`` for its whole life: the
     translation average of its first operator, built on its first solve
     (Moulinec & Suquet 1998).  It depends on the cell's own data and on steps

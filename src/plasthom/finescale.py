@@ -147,18 +147,24 @@ def newton_iterate(space, u, f_ext, rtol, maxiter, evaluate, solve):
     and is updated in place on the free dofs; ``f_ext`` broadcasts to (S, n).
     ``evaluate(systems)`` returns the state of the given systems at their
     ``u``, a tuple of per-system arrays that starts with the stresses
-    (k, ne, 3) and the internal forces (k, n).  ``solve(systems, rhs, state,
-    res, scale, tol)`` returns their corrections (k, free dofs) from their
-    residual rows f_ext - f_int (k, n), the accepted state of all systems,
-    and their residual norms and ``newton_tolerance``'s scale and tolerance.
+    (k, ne, 3), the internal forces (k, n) and the cell ratios (k,): the
+    largest res_c / tol_c of the cell problems that a system carries
+    (``macroscale.solve_effective``), 0 for a system without cells.
+    ``solve(systems, rhs, state, res, scale, tol)`` returns their
+    corrections (k, free dofs) from their residual rows f_ext - f_int
+    (k, n), the accepted state of all systems, and their residual norms and
+    ``newton_tolerance``'s scale and tolerance.
 
-    The first residual must be finite.  Each system then runs its own test
-    and, if a full step fails to reduce its residual, its own step halving; a
-    converged system is frozen and no longer evaluated, so it runs the
-    iterates it runs alone.  At most ``maxiter`` corrections run.  A failure
-    raises NumericalError without a step that names the worst system's five
-    free dofs of largest residual.  Returns (state, iterations, residuals),
-    the last two (S,).
+    The first residual and cell ratios must be finite.  A system has
+    converged once its residual norm is at most tol and its cell ratio at
+    most 1.  Each system runs its own test and, if a full step fails to
+    reduce its merit res + tol * ratio (res alone without cells), its own
+    step halving; a converged system is frozen and no longer evaluated, so it
+    runs the iterates it runs alone.  On one system the last state evaluated
+    is always the accepted one.  At most ``maxiter`` corrections run, and
+    the test runs after each of them.  A failure raises NumericalError
+    without a step that names the worst system's five free dofs of largest
+    residual.  Returns (state, iterations, residuals), the last two (S,).
     """
     n_systems = u.shape[0]
     free = space.free_dofs
@@ -176,16 +182,22 @@ def newton_iterate(space, u, f_ext, rtol, maxiter, evaluate, solve):
     active = np.arange(n_systems)
     state = evaluate(active)
     res = residual_norms(active, state[1])
-    if not np.all(np.isfinite(res)):
+    if not np.all(np.isfinite(res) & np.isfinite(state[2])):
         raise NumericalError("the equilibrium residual is not finite",
                              residual=float(np.max(res)))
     scale, tol = newton_tolerance(space, state[0], res, norm(f_ext[:, free]), rtol)
     iters = np.zeros(n_systems, dtype=int)
-    for _ in range(maxiter):
-        active = active[res[active] > tol[active]]
-        iters[active] += 1
+
+    def unconverged(systems):
+        return systems[(res[systems] > tol[systems]) | (state[2][systems] > 1.0)]
+
+    for k in range(maxiter + 1):
+        active = unconverged(active)
         if active.size == 0:
             return state, iters, res
+        if k == maxiter:
+            raise failure("Newton did not converge", active)
+        iters[active] += 1
         du = solve(active, f_ext[active] - state[1][active], state,
                    res[active], scale[active], tol[active])
         alpha = np.ones(active.size)
@@ -195,8 +207,9 @@ def newton_iterate(space, u, f_ext, rtol, maxiter, evaluate, solve):
             correction = alpha[trying, None] * du[trying]
             u[np.ix_(systems, free)] += correction
             tried = evaluate(systems)
-            res_try = residual_norms(systems, tried[1])
-            accept = (res_try < res[systems]) | (res_try <= tol[systems])
+            res_try, ratio_try, tol_try = residual_norms(systems, tried[1]), tried[2], tol[systems]
+            accept = (res_try + tol_try * ratio_try < res[systems] + tol_try * state[2][systems]) \
+                | ((res_try <= tol_try) & (ratio_try <= 1.0))
             if accept.all() and systems.size == n_systems:
                 state, res = tried, res_try
             else:
@@ -212,7 +225,20 @@ def newton_iterate(space, u, f_ext, rtol, maxiter, evaluate, solve):
         else:
             raise failure("Newton step failed to reduce the equilibrium residual",
                           active[trying])
-    raise failure("Newton did not converge", active)
+
+
+def return_map_state(space, mats, strains, p_old, dt, delta):
+    """The state of S systems at the element strains (S, ne, 3), by ``plastic_step``.
+
+    ``p_old`` is (S, ne, 3) and ``mats`` holds the S * ne elements system
+    after system.  Returns the stresses (S, ne, 3), the internal forces
+    (S, n), the plastic strains (S, ne, 3) and the algorithmic moduli
+    (S, ne, 3, 3).
+    """
+    z, p_new, moduli = plastic_step(strains.reshape(-1, KDIM), p_old.reshape(-1, KDIM),
+                                    mats, dt, delta)
+    z = z.reshape(strains.shape)
+    return z, space.internal_forces(z), p_new.reshape(z.shape), moduli.reshape(z.shape + (KDIM,))
 
 
 def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
@@ -242,21 +268,16 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
 
     # With every system taking part, the materials here and the accepted state
     # in ``newton_iterate`` are used whole rather than copied: the copies cost
-    # about 9 % of the wall time of fe2_macro (16 cells of 32 elements) and 6 %
-    # of cell_mc's (one cell of 2,048 elements).
+    # about 6 % of cell_mc's wall time (one cell of 2,048 elements).
     def evaluate(systems):
         strains = offset[systems] + space.element_strains(u[systems])
         sub = mats if systems.size == n_systems \
             else mats.take((systems[:, None] * ne + np.arange(ne)).ravel())
-        z, p_new, moduli = plastic_step(strains.reshape(-1, KDIM),
-                                        p_old[systems].reshape(-1, KDIM),
-                                        sub, dt, delta)
-        z = z.reshape(-1, ne, KDIM)
-        return (z, space.internal_forces(z), p_new.reshape(z.shape),
-                moduli.reshape(-1, ne, KDIM, KDIM))
+        z, f_int, p_new, moduli = return_map_state(space, sub, strains, p_old[systems], dt, delta)
+        return z, f_int, np.zeros(systems.size), p_new, moduli
 
     def solve(systems, rhs, state, res, scale, tol):
-        moduli = state[3]
+        moduli = state[4]
         eta = forcing_term(res, scale, tol, cg_rtol)
         if periodic:
             return fem.solve_periodic_systems(space, moduli[systems], rhs, eta,
@@ -267,8 +288,8 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
             updates.append(pcg(A, b[space.free_dofs], jacobi(A), rtol=eta_s)[0])
         return np.stack(updates)
 
-    (z, _, p_new, moduli), iters, res = newton_iterate(space, u, f_ext, rtol, NEWTON_MAXITER,
-                                                       evaluate, solve)
+    (z, _, _, p_new, moduli), iters, res = newton_iterate(space, u, f_ext, rtol,
+                                                          NEWTON_MAXITER, evaluate, solve)
     return z, p_new, int(iters.sum()), res, moduli
 
 

@@ -4,21 +4,12 @@ The macroscopic displacement solves -div(Sigma(sym grad u)) = f weakly on a P1
 mesh, where Sigma is the effective hysteretic stress operator evaluated
 through per-element cell problems: every macro element owns one persistent
 cell state per Monte-Carlo sample, all built by ``cellproblem.build_rve``.
-The time steps are the Dirichlet steps of the fine-scale problem
-(``finescale.dirichlet_steps``); only the stress differs.  Per time step, the
-Newton loop of the cells (``finescale.newton_iterate``) updates the nodal
-displacements; stress increments come from advancing all E * M cell problems
-in lock step at the element strains, and the macro tangent is the condensed
-tangent of the converged cells, C_hom = <C> - G^T K^+ G / |Y| (Miehe 2002;
-Kouznetsova, Brekelmans & Baaijens 2001), with C the cells' algorithmic
-moduli, K their periodic operator and G the nodal forces of unit macro
-strains.  Small cells solve the three columns of K^+ G with one factorization
-of K each, larger ones with the cell's held DFT reference
-(``cellproblem.CellStack``).  Each macro iteration after a step's first starts
-the cells' Newton iterations from the condensed-tangent predictor
-phi_trial - K^+ G (xi - xi_trial), which reuses the tangent's solve; a step's
-first evaluation and a line-search retry start from the committed correctors.
-The cell states are committed exactly once per accepted step.
+The time steps are those of the fine-scale problem (``finescale.dirichlet_steps``).
+Each runs one Newton loop (``finescale.newton_iterate``) on the nodal
+displacements and all cell correctors at once (Lange, Huetter & Kiefer 2021),
+which condenses the cells into the macro tangent C_hom = <C> - G^T K^+ G / |Y|
+(Miehe 2002; Kouznetsova, Brekelmans & Baaijens 2001), and commits the cells
+once per accepted step.
 """
 
 import time as _time
@@ -26,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem
+from . import fem, finescale
 from .cellproblem import CellStack, build_rve
 from .errors import ConfigurationError, NumericalError, at_step, finite_number, positive_int
 from .fem import CG_RTOL, P1Space, jacobi, pcg
@@ -65,66 +56,74 @@ class MacroConfig:
 class ElementCellState(CellStack):
     """The cell problems of all E macro elements, M samples each, in lock step.
 
-    A ``cellproblem.CellStack`` of E * M cells on the torus of
-    ``cellproblem.build_rve``: cell s = e * M + j is sample j of macro
-    element e, and each cell holds its reference preconditioner for the
-    whole solve.  ``advance`` steps every cell from the committed state at
-    trial macro strains and returns the sample-averaged stresses;
-    ``tangent`` gives the condensed tangents at that trial and ``commit``
-    makes the last advance permanent.  Neither ``advance`` nor ``tangent``
-    touches committed arrays.
-
-    ``tangent`` adds its K^+ G to the trial as the predictor of the next
-    ``advance``, which starts each cell's Newton iteration from
-    phi_trial - K^+ G (xi - xi_trial).  An advance replaces the trial and
-    ``commit`` drops it, so an advance without a tangent before it, such as
-    a step's first, starts from the committed correctors, and no step sees
-    another step's predictor.  The plastic update starts from the committed
-    plastic strains either way.
+    A ``cellproblem.CellStack`` of E * M cells on the ``build_rve`` torus:
+    cell s = e * M + j is sample j of macro element e, and holds its
+    reference preconditioner for the whole solve.  ``advance`` evaluates
+    every cell from the committed plastic strains, ``condense`` linearizes
+    it there and ``commit`` makes the last advance permanent.  A step's
+    first advance takes the committed correctors, later ones each cell's
+    update phi_lin + K^+ r - K^+ G (xi - xi_lin) from the last condense.  A
+    cell's tolerance tol_c (``finescale.newton_tolerance``) comes from the
+    step's first evaluation that gives it a stress, and is 0 until then.
     """
 
     def __init__(self, rve_cfg, n_elements):
         space, samples = build_rve(rve_cfg)
         super().__init__(space, samples * n_elements, rve_cfg.delta, rve_cfg.newton_rtol)
         self.n_samples = rve_cfg.n_samples
+        self.linearization, (self.scale, self.tol) = None, np.zeros((2, len(self.p)))
 
     def _sample_mean(self, values):
         """Per-element mean over the samples of per-cell values (E * M, ...)."""
         return values.reshape((-1, self.n_samples) + values.shape[1:]).mean(axis=1)
 
     def advance(self, strains, dt):
-        """One backward-Euler step of every cell at the macro strains (E, 3).
-
-        Returns the sample-averaged mean stresses, (E, 3).
-        """
+        """Sample-mean stresses (E, 3) and max res_c / tol_c of the cells at strains (E, 3)."""
         offset = np.repeat(np.asarray(strains, dtype=float), self.n_samples, axis=0)
-        trial = self.trial or {}
-        if "KG" in trial:
-            phi = trial["phi"] - np.einsum("snj,sj->sn", trial["KG"], offset - trial["strains"])
-        else:
-            phi = self.phi.copy()
-        z, _, _ = self.step(offset, phi, dt)
-        w = self.space.mesh.volumes / self.space.mesh.volumes.sum()
-        return self._sample_mean(w @ z)
+        phi = self.phi
+        if self.linearization is not None:
+            xi, phi, KR, KG = self.linearization
+            phi = phi + KR - np.einsum("snj,sj->sn", KG, offset - xi)
+        strains = offset[:, None] + self.space.element_strains(phi)
+        z, forces, p, moduli = finescale.return_map_state(self.space, self.mats, strains, self.p,
+                                                          dt, self.delta)
+        res = norm(forces)
+        unset = self.tol == 0
+        if unset.any():
+            scale, tol = finescale.newton_tolerance(self.space, z, res, 0.0, self.newton_rtol)
+            self.scale[unset], self.tol[unset] = scale[unset], tol[unset]
+        self.trial = dict(strains=offset, phi=phi, forces=forces, res=res, p=p, moduli=moduli)
+        ratio = np.divide(res, self.tol, out=np.zeros_like(res), where=res != 0)
+        return self._sample_mean(self.space.volume_average(z)), float(ratio.max())
 
-    def tangent(self):
-        """The condensed tangents dSigma/dxi at the last advance, (E, 3, 3).
+    def condense(self):
+        """Condensed tangents (E, 3, 3) and stress corrections (E, 3) at the last advance.
 
-        Per cell, with C the converged algorithmic moduli, K the periodic
-        operator assembled from them and G[:, j] the nodal forces of the
-        stresses C e_j, a macro strain increment d moves the fluctuation by
-        -K^+ G d, so the mean stress moves by (<C> - G^T K^+ G / |Y|) d.
-        Returns the symmetrized mean over each element's samples.
+        Per cell, with C its algorithmic moduli, K their periodic operator,
+        G[:, j] the nodal forces of C e_j and r = -f_int (0 once converged), a
+        macro strain increment d moves the corrector by K^+ r - K^+ G d and
+        the mean stress by q + (<C> - G^T K^+ G / |Y|) d, q = G^T K^+ r / |Y|.
+        [K^+ r, K^+ G] is one solve to the cell's forcing term.  Returns the
+        symmetrized tangents and q, means over each element's samples.
         """
-        space, trial = self.space, self.trial
-        volumes = space.mesh.volumes
-        moduli = trial["moduli"]
+        space, trial, volumes = self.space, self.trial, self.space.mesh.volumes
+        moduli, res = trial["moduli"], trial["res"]
         G = space.internal_forces(np.moveaxis(moduli, -1, 1))     # (E * M, 3, n)
-        trial["KG"] = fem.solve_periodic_systems(space, moduli, np.swapaxes(G, 1, 2), CG_RTOL,
-                                                 self.preconditioners)
-        total = self._sample_mean(np.einsum("e,seij->sij", volumes, moduli) - G @ trial["KG"])
-        total /= volumes.sum()
-        return 0.5 * (total + np.swapaxes(total, 1, 2))
+        live = res > self.tol
+        eta = np.full(len(res), finescale.FORCING_MAX)
+        eta[live] = finescale.forcing_term(res[live], self.scale[live], self.tol[live], CG_RTOL)
+        rhs = np.concatenate([live[:, None, None] * -trial["forces"][..., None],
+                              np.swapaxes(G, 1, 2)], axis=2)
+        X = fem.solve_periodic_systems(space, moduli, rhs, eta, self.preconditioners)
+        KR, KG = X[..., 0], X[..., 1:]
+        self.linearization = (trial["strains"], trial["phi"], KR, KG)
+        tangent = self._sample_mean(np.einsum("e,seij->sij", volumes, moduli) - G @ KG)
+        q = self._sample_mean(np.einsum("sjn,sn->sj", G, KR))
+        return (tangent + np.swapaxes(tangent, 1, 2)) / (2 * volumes.sum()), q / volumes.sum()
+
+    def commit(self):
+        super().commit()
+        self.linearization, (self.scale, self.tol) = None, np.zeros((2, len(self.p)))
 
 
 @dataclass
@@ -147,12 +146,12 @@ def solve_effective(config):
 
     The steps are those of ``solve_eps`` (``finescale.dirichlet_steps``): the
     same load check at t = 0, affine Dirichlet predictor, load vector and
-    boundary constant a(t); only the stresses come from the cells.  The
-    predictor is the solution when there is no load, since all elements share
-    the M samples.  Each step runs ``finescale.newton_iterate`` on one
-    system: an evaluation checks the wall-clock budget and advances the cells
-    at the element strains, and a correction solves the condensed tangent by
-    Jacobi CG to ``fem.CG_RTOL``.  A NumericalError names its step.
+    boundary constant a(t); only the stresses come from the cells.  Each step
+    runs ``finescale.newton_iterate`` on one joint system: an evaluation
+    checks the wall-clock budget and advances the cells at the element
+    strains, and a correction condenses them and solves C_hom for
+    f_ext - f_int(Sigma + q) by Jacobi CG to ``fem.CG_RTOL``.  A
+    NumericalError names its step.
     """
     mesh = config.mesh
     space = P1Space(mesh)
@@ -168,16 +167,17 @@ def solve_effective(config):
         def evaluate(_):
             if config.max_seconds is not None and _time.monotonic() - start > config.max_seconds:
                 raise NumericalError("wall-clock budget exceeded")
-            sig = cells.advance(space.element_strains(u), dt)
-            return sig[None], space.internal_forces(sig)[None]
+            sig, ratio = cells.advance(space.element_strains(u), dt)
+            return sig[None], space.internal_forces(sig)[None], np.array([ratio])
 
         def solve(_, rhs, *__):
-            A = space.assemble_operator(cells.tangent())
-            return pcg(A, rhs[0, space.free_dofs], jacobi(A), rtol=CG_RTOL)[0][None]
+            tangent, q = cells.condense()
+            A, b = space.assemble_operator(tangent), rhs[0] - space.internal_forces(q)
+            return pcg(A, b[space.free_dofs], jacobi(A), rtol=CG_RTOL)[0][None]
 
         with at_step(m):
-            (sig, _), iters, _ = newton_iterate(space, u[None], f_ext, config.newton_rtol,
-                                                NEWTON_MAXITER, evaluate, solve)
+            (sig, *_), iters, _ = newton_iterate(space, u[None], f_ext, config.newton_rtol,
+                                                 NEWTON_MAXITER, evaluate, solve)
         cells.commit()
         sig_hist[m] = sig[0]
         iter_history.append(int(iters[0]))

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written from scratch against the defining
 equations, without touching the package's return-map or assembly code, so a
-bug in the production path cannot hide in its own oracle.  The one exception
-is ``elastic_reference``: it runs the package's linear-elastic P1 solve, the
-oracle that the nonlinear plastic solver must reproduce in the elastic limit.
+bug in the production path cannot hide in its own oracle.  The exceptions
+are ``elastic_reference``, which runs the package's linear-elastic P1 solve,
+the oracle that the nonlinear plastic solver must reproduce in the elastic
+limit, and the FE2 cell helpers ``converge_cells`` and
+``central_differences``, which run the cells they are given.
 """
 
 import math
@@ -224,14 +226,36 @@ def elastic_reference(config):
     return np.stack(out)
 
 
+def converge_cells(cells, strains, dt, maxiter=20):
+    """Converge every cell of an ElementCellState at the macro strains (E, 3)
+    by its own joint iteration at fixed strains: ``advance``, then
+    ``condense``, until every cell meets its Newton test.  Returns the
+    stresses (E, 3), condensed tangents (E, 3, 3) and stress corrections
+    (E, 3) there; the corrections of converged cells are 0."""
+    for _ in range(maxiter):
+        stresses, ratio = cells.advance(strains, dt)
+        tangents, q = cells.condense()
+        if ratio <= 1.0:
+            return stresses, tangents, q
+    raise AssertionError(f"cells did not converge in {maxiter} iterations")
+
+
 def central_differences(cells, strains, dt, h):
     """dSigma_e/dxi_e of every element of an ElementCellState by central
-    differences of its advance at the strains (E, 3) with steps h (E,); (E, 3, 3)."""
+    differences at the strains (E, 3) with steps h (E,); (E, 3, 3).  The
+    oracle is ``CellStack.step``: each stress is that of cells converged by
+    ``finescale.newton_solve`` from the committed state."""
+    w = cells.space.mesh.volumes / cells.space.mesh.volumes.sum()
+
+    def converged(xi):
+        z, _, _ = cells.step(np.repeat(xi, cells.n_samples, axis=0), cells.phi.copy(), dt)
+        return (w @ z).reshape(len(xi), cells.n_samples, 3).mean(axis=1)
+
     fd = np.empty((len(strains), 3, 3))
     for comp in range(3):
         step = h[:, None] * np.eye(3)[comp]
-        fd[:, :, comp] = (cells.advance(strains + step, dt)
-                          - cells.advance(strains - step, dt)) / (2 * h[:, None])
+        fd[:, :, comp] = (converged(strains + step) - converged(strains - step)) \
+            / (2 * h[:, None])
     return fd
 
 

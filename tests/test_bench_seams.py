@@ -29,6 +29,7 @@ from plasthom.experiments import ExperimentSpec
 from plasthom.fem import mesh_unit_square
 from plasthom.loading import AffineBoundary, StrainPath
 from plasthom.media import sample_realization
+from plasthom.tensors import norm
 
 
 @pytest.mark.parametrize("owner, attr", [
@@ -65,7 +66,8 @@ def test_traced_fe2_solve_gives_json_counts():
         macroscale.solve_effective(config)  # looked up here, where tracing wraps it
     counts = tracing.exact_counts(tracing.layer_metrics(tracer.spans))
     json.dumps(counts)
-    assert counts["finescale.newton.iters"] > 0 and counts["macroscale.newton.iters"] > 0
+    assert counts["macroscale.advance.calls"] > 0 and counts["macroscale.newton.iters"] > 0
+    assert counts["returnmap.plastic_step.elements"] > 0
 
 
 def test_traced_sigma_solves_each_correction_through_the_traced_newton():
@@ -79,11 +81,61 @@ def test_traced_sigma_solves_each_correction_through_the_traced_newton():
     assert counts["fem.pcg.calls"] == counts["finescale.newton.iters"] > 0
 
 
-def test_fe2_macro_needs_at_most_two_macro_iterations_per_step():
-    """The affine Dirichlet predictor starts each step of the fe2_macro
-    workload close enough that one tangent solve meets the convergence test."""
+def test_fe2_macro_work_per_call(monkeypatch):
+    """fe2_macro's first input set takes at most 18 cell evaluations and 14
+    batched cell solves, one of each per joint Newton correction plus one
+    evaluation per step: no step cuts a correction."""
+    work = {"advance": 0, "solve": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            work[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+
+    counted(macroscale.ElementCellState, "advance", "advance")
+    counted(fem, "solve_periodic_systems", "solve")
     solution = workloads.macro_call(workloads.macro_setup(workloads.DEFAULT_SEED, 0))
-    assert max(solution.newton_iters) <= 2
+    corrections = sum(solution.newton_iters)
+    assert work == {"advance": len(solution.newton_iters) + corrections, "solve": corrections}
+    assert work["advance"] <= 18 and work["solve"] <= 14
+
+
+def test_fe2_macro_converges_quadratically(monkeypatch):
+    """On fe2_macro's first input set, the joint residual rho, the larger of the
+    macro and the worst cell residual norm each over its scale from
+    ``newton_tolerance``, falls as rho_k+1 <= C rho_k^2 within every step.
+    C is 10 times the largest ratio measured, 0.41."""
+    newton_iterate = macroscale.newton_iterate
+    advance = macroscale.ElementCellState.advance
+    steps = []
+
+    def recording_advance(self, *args):
+        out = advance(self, *args)
+        steps[-1]["cells"].append(np.max(self.trial["res"] / self.scale))
+        return out
+
+    def recording_iterate(space, u, f_ext, rtol, maxiter, evaluate, solve):
+        free = space.free_dofs
+        steps.append({"macro": [], "cells": [], "f_norm": norm(f_ext[free])})
+
+        def recorded(systems):
+            state = evaluate(systems)
+            steps[-1]["macro"].append(norm((f_ext - state[1][0])[free]))
+            return state
+        return newton_iterate(space, u, f_ext, rtol, maxiter, recorded, solve)
+
+    monkeypatch.setattr(macroscale.ElementCellState, "advance", recording_advance)
+    monkeypatch.setattr(macroscale, "newton_iterate", recording_iterate)
+    workloads.macro_call(workloads.macro_setup(workloads.DEFAULT_SEED, 0))
+    assert len(steps) == workloads.MACRO_STEPS
+    for step in steps:
+        macro = np.array(step["macro"])
+        rho = np.maximum(macro / max(macro[0], step["f_norm"]), step["cells"])
+        assert rho.size >= 3 and rho[-1] <= 1e-13
+        assert np.all(rho[1:] <= 4.1 * rho[:-1] ** 2)
 
 
 def test_traced_ergodic_check_counts_every_cell_of_every_box():

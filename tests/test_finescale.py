@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plasthom import finescale
-from plasthom.errors import ConfigurationError
+from plasthom.errors import ConfigurationError, NumericalError
 from plasthom.experiments import UNIT_RIGHT_TRIANGLE
 from plasthom.fem import mesh_simplex, mesh_unit_square
 from plasthom.finescale import (
@@ -58,6 +58,23 @@ class TestZeroData:
         assert np.abs(traj.u).max() == 0.0
         assert np.abs(traj.sigma).max() == 0.0
         assert np.abs(traj.p).max() == 0.0
+
+
+class TestNewtonBudget:
+    def test_a_step_needing_k_corrections_passes_with_maxiter_k(self, monkeypatch):
+        """``newton_iterate`` tests the residual after every correction, the
+        last one of its budget included."""
+        config = make_config(law=TWO_PHASE, steps=1)
+        traj = solve_eps(config)
+        k = traj.newton_iters[0]
+        assert k > 1 and traj.p.any()
+        monkeypatch.setattr(finescale, "NEWTON_MAXITER", k)
+        again = solve_eps(config)
+        assert again.newton_iters == [k] and np.array_equal(again.sigma, traj.sigma)
+        monkeypatch.setattr(finescale, "NEWTON_MAXITER", k - 1)
+        with pytest.raises(NumericalError, match="Newton did not converge") as err:
+            solve_eps(config)
+        assert err.value.step == 1
 
 
 class TestElasticLimit:

@@ -20,9 +20,9 @@ from plasthom.macroscale import (
 )
 from plasthom.media import PeriodizedMedium, ProbabilityLaw, sample_realization
 from plasthom.returnmap import MaterialArrays, plastic_step
-from plasthom.tensors import isotropic_stiffness, pack
+from plasthom.tensors import isotropic_stiffness, pack, unpack
 
-from helpers import SwappedMedium, central_differences, shear_cycle, shear_path
+from helpers import SwappedMedium, central_differences, converge_cells, shear_cycle, shear_path
 
 CONSTANT = ProbabilityLaw.constant(1.0, 0.3, 0.3, 1.0)
 TWO_PHASE = ProbabilityLaw.from_config({"E": {"discrete": {"values": [1.0, 2.0]}},
@@ -56,7 +56,6 @@ class TestSolveEffective:
         sol = solve_effective(cfg)
         space = P1Space(mesh)
         A = isotropic_stiffness(1.0, 0.3)
-        from plasthom.tensors import unpack
 
         for m in range(1, steps + 1):
             t = cfg.time_grid[m]
@@ -157,20 +156,23 @@ def cell_state(rve, n_elements=1):
 
 
 class TestCondensedTangent:
+    """The condensed tangent of converged cells against central differences of
+    cells converged by ``newton_solve``."""
+
     def test_matches_central_differences_and_keeps_committed_state(self):
         rve = RveConfig(n_cells=4, refine=1, n_samples=2, delta=0.003,
                         law=TWO_PHASE, base_seed=0)
         cell = cell_state(rve)
         dt = 0.25
-        cell.advance(np.array([[0.004, -0.002, 0.01]]), dt)
+        converge_cells(cell, np.array([[0.004, -0.002, 0.01]]), dt)
         cell.commit()
         p, phi = cell.p.copy(), cell.phi.copy()
         for xi, plastic in ((np.array([[0.01, -0.005, 0.003]]), False),
                             (np.array([[0.1, -0.05, 0.5]]), True)):
-            cell.advance(xi, dt)
+            _, tangent, q = converge_cells(cell, xi, dt)
+            assert not q.any()
             assert any((trial != p[j]).any()
                        for j, trial in enumerate(cell.trial["p"])) == plastic
-            tangent = cell.tangent()
             fd = central_differences(cell, xi, dt, 1e-4 * np.linalg.norm(xi, axis=1))
             assert np.abs(tangent - fd).max() <= 1e-6 * np.abs(fd).max()
             assert np.array_equal(cell.p, p) and np.array_equal(cell.phi, phi)
@@ -185,11 +187,10 @@ class TestCondensedTangent:
         strains = np.array([[0.01, -0.005, 0.003],
                             [0.1, -0.05, 0.5],
                             [0.02, -0.01, 0.18]])
-        cell.advance(strains, dt)
+        _, tangent, _ = converge_cells(cell, strains, dt)
         flowing = (cell.trial["p"] != 0).any(axis=-1).reshape(3, -1)
         assert not flowing[0].any() and flowing[1].all()
         assert flowing[2].any() and not flowing[2].all()
-        tangent = cell.tangent()
         assert tangent.shape == (3, 3, 3)
         fd = central_differences(cell, strains, dt, 1e-4 * np.linalg.norm(strains, axis=1))
         for e in range(3):
@@ -199,20 +200,20 @@ class TestCondensedTangent:
         rve = RveConfig(n_cells=2, refine=1, n_samples=2, delta=0.003,
                         law=CONSTANT, base_seed=0)
         cell = cell_state(rve)
-        cell.advance(np.array([[0.01, -0.004, 0.02]]), 0.25)
+        _, tangent, _ = converge_cells(cell, np.array([[0.01, -0.004, 0.02]]), 0.25)
         stiffness = isotropic_stiffness(1.0, 0.3)
-        assert np.abs(cell.tangent()[0] - stiffness).max() <= 1e-10 * np.abs(stiffness).max()
+        assert np.abs(tangent[0] - stiffness).max() <= 1e-10 * np.abs(stiffness).max()
 
     def test_one_vertex_torus_gives_the_mean_moduli(self):
         rve = RveConfig(n_cells=1, refine=1, n_samples=1, delta=0.003,
                         law=TWO_PHASE, base_seed=3)
         cell = cell_state(rve)
         assert cell.space.n_packed == 2
-        cell.advance(np.array([[0.1, -0.05, 0.5]]), 0.25)
+        _, tangent, _ = converge_cells(cell, np.array([[0.1, -0.05, 0.5]]), 0.25)
         moduli = cell.trial["moduli"][0]
         volumes = cell.space.mesh.volumes
         mean = np.einsum("e,eij->ij", volumes, moduli) / volumes.sum()
-        assert np.abs(cell.tangent()[0] - 0.5 * (mean + mean.T)).max() <= 1e-14
+        assert np.abs(tangent[0] - 0.5 * (mean + mean.T)).max() <= 1e-14
 
 
 class TestTangentBounds:
@@ -240,8 +241,7 @@ class TestTangentBounds:
         strains = 0.3 * (1.0 + nu) / E * np.array([elastic * direction,
                                                    plastic * np.array(normal + [1.0])])
         dt = 0.25
-        cell.advance(strains, dt)
-        tangent = cell.tangent()
+        _, tangent, _ = converge_cells(cell, strains, dt)
         trial = cell.trial
         assert [(p != 0).any() for p in trial["p"]] == [False, True]
 
@@ -365,7 +365,6 @@ class TestNewtonFailure:
                        "macro-cg": (macroscale, "pcg")}[site]
         monkeypatch.setattr(owner, name, failing(getattr(owner, name)))
         rve = RveConfig(n_cells=2, refine=1, n_samples=1, delta=0.003, law=TWO_PHASE)
-        # loaded, since the affine predictor alone solves an unloaded step
         load = lambda t, pts: t * np.tile([0.2, -0.1], (len(pts), 1))
         cfg = MacroConfig(mesh=mesh_unit_square(2), rve=rve,
                           dirichlet=AffineBoundary(shear_path(0.6, 1.0, 3)), load=load,
@@ -375,57 +374,86 @@ class TestNewtonFailure:
         assert err.value.step == 2 and len(commits) == 1
 
 
-class TestCellPredictor:
-    def test_warm_start_saves_a_third_of_the_cell_iterations(self, monkeypatch):
-        """Cells started from the condensed-tangent predictor need at most two
-        thirds of the cell Newton iterations of cells started from the
-        committed corrector, for the same macro iterates and results."""
-        newton_solve = cellproblem.newton_solve
-        tangent = ElementCellState.tangent
-        iterations = []
-
-        def counting_newton(*args, **kwargs):
-            out = newton_solve(*args, **kwargs)
-            iterations[-1] += out[2]
-            return out
-
-        def cold_tangent(self):
-            kept = tangent(self)
-            del self.trial["KG"]
-            return kept
-
-        monkeypatch.setattr(cellproblem, "newton_solve", counting_newton)
+class TestCellsFollowTheMacroUpdate:
+    def test_following_cells_save_joint_iterations(self, monkeypatch):
+        """Every cell follows each macro update through its linearization,
+        phi_lin + K^+ r - K^+ G (xi - xi_lin).  Cells that take K^+ r alone
+        and leave the macro strain to their next correction need more joint
+        iterations for the same results."""
         rve = RveConfig(n_cells=4, refine=1, n_samples=2, delta=0.003, law=TWO_PHASE)
         load = lambda t, pts: t * np.tile([0.2, -0.1], (len(pts), 1))
         cfg = MacroConfig(mesh=mesh_unit_square(2), rve=rve,
                           dirichlet=AffineBoundary(shear_path(0.6, 1.0, 4, unload_to=-0.6)),
                           load=load, time_grid=np.linspace(0, 1, 5))
-        iterations.append(0)
-        warm = solve_effective(cfg)
-        monkeypatch.setattr(ElementCellState, "tangent", cold_tangent)
-        iterations.append(0)
-        cold = solve_effective(cfg)
-        assert warm.newton_iters == cold.newton_iters and sum(cold.newton_iters) > 4
-        assert 0 < 3 * iterations[0] <= 2 * iterations[1]
-        for warm_field, cold_field in ((warm.u, cold.u), (warm.sigma, cold.sigma)):
-            assert np.abs(warm_field - cold_field).max() \
-                <= cfg.newton_rtol * np.abs(cold_field).max()
+        following = solve_effective(cfg)
+        condense = ElementCellState.condense
+
+        def lagging(self):
+            out = condense(self)
+            xi, phi, KR, KG = self.linearization
+            self.linearization = (xi, phi, KR, np.zeros_like(KG))
+            return out
+
+        monkeypatch.setattr(ElementCellState, "condense", lagging)
+        lagged = solve_effective(cfg)
+        assert sum(following.newton_iters) < sum(lagged.newton_iters)
+        for field, lagged_field in ((following.u, lagged.u), (following.sigma, lagged.sigma)):
+            assert np.abs(field - lagged_field).max() \
+                <= cfg.newton_rtol * np.abs(lagged_field).max()
+
+
+class TestCommittedCells:
+    def test_every_committed_cell_is_converged_and_meets_hill_mandel(self, monkeypatch):
+        """At every step of a loaded FE2 solve, every committed cell meets its
+        own Newton test, res_c <= tol_c, and Hill-Mandel,
+        <z . (xi + D phi)> = <z> . xi, to roundoff of the terms' sizes."""
+        commits = []
+        commit = ElementCellState.commit
+        dt = 0.25
+
+        def checked_commit(self):
+            trial = self.trial
+            w = self.space.mesh.volumes / self.space.mesh.volumes.sum()
+            total = trial["strains"][:, None, :] + self.space.element_strains(trial["phi"])
+            z = plastic_step(total.reshape(-1, 3), self.p.reshape(-1, 3), self.mats, dt,
+                             self.delta)[0].reshape(total.shape)
+            mean = np.einsum("e,sek->sk", w, z)
+            defect = np.einsum("e,sek,sek->s", w, z, total) \
+                - np.einsum("sk,sk->s", mean, trial["strains"])
+            size = np.einsum("e,se->s", w, np.linalg.norm(z, axis=-1)
+                             * np.linalg.norm(total, axis=-1))
+            commits.append((trial["res"] <= self.tol, np.abs(defect) <= 1e-12 * size))
+            commit(self)
+
+        monkeypatch.setattr(ElementCellState, "commit", checked_commit)
+        rve = RveConfig(n_cells=4, refine=1, n_samples=2, delta=0.003, law=TWO_PHASE)
+        load = lambda t, pts: t * np.tile([0.2, -0.1], (len(pts), 1))
+        cfg = MacroConfig(mesh=mesh_unit_square(2), rve=rve, load=load,
+                          dirichlet=AffineBoundary(shear_cycle(0.5)),
+                          time_grid=np.arange(5) * dt)
+        sol = solve_effective(cfg)
+        assert sol.cells.p.any() and len(commits) == 4
+        for converged, hill_mandel in commits:
+            assert converged.all() and hill_mandel.all()
 
 
 class TestAffinePredictor:
     """Each step starts from the last solution moved by the affine increment
     of the Dirichlet data, which is exact for a homogeneous response."""
 
-    def test_unloaded_affine_solve_runs_no_macro_iteration(self):
+    def test_unloaded_affine_solve_stays_affine(self):
         """Every element shares the same samples, so an affine field is the
-        FE2 solution and the predictor meets the convergence test at once.
-        Its weak-form residual is roundoff of the stresses' force scale."""
+        FE2 solution: the joint iterations converge the cells and leave the
+        predictor in place to roundoff.  Its weak-form residual is roundoff
+        of the stresses' force scale."""
         rve = RveConfig(n_cells=4, refine=1, n_samples=2, delta=0.003, law=TWO_PHASE)
-        cfg = MacroConfig(mesh=mesh_unit_square(3), rve=rve,
-                          dirichlet=AffineBoundary(shear_path(0.6, 1.0, 4, unload_to=-0.6)),
+        path = shear_path(0.6, 1.0, 4, unload_to=-0.6)
+        cfg = MacroConfig(mesh=mesh_unit_square(3), rve=rve, dirichlet=AffineBoundary(path),
                           time_grid=np.linspace(0, 1, 5))
         sol = solve_effective(cfg)
-        assert sol.newton_iters == [0, 0, 0, 0]
+        affine = np.stack([cfg.mesh.vertices @ unpack(path.at(t)).T for t in cfg.time_grid])
+        assert min(sol.newton_iters) > 0 and sol.cells.p.any()
+        assert np.abs(sol.u - affine).max() <= 1e-15 * np.abs(affine).max()
         assert weak_form_residual(sol, cfg) <= 1e-12
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["unloaded", "loaded"])
