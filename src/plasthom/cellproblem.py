@@ -32,8 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import fem
 from .errors import ConfigurationError, at_step, positive_int, positive_number, valid_seed
-from .fem import CG_RTOL, P1Space, mesh_torus
+from .fem import P1Space, mesh_torus
 from .finescale import newton_solve
 from .loading import StrainPath, checked_time_grid
 from .media import PeriodizedMedium, ProbabilityLaw
@@ -124,10 +125,11 @@ class CellStack:
     MaterialArrays, held concatenated as ``mats``; ``p`` (S, ne, 3) and
     ``phi`` (S, n) are the committed plastic strains and correctors.
     ``step`` takes one backward-Euler step of every cell from the committed
-    plastic strains in one ``newton_solve`` call, which freezes a converged
-    cell, so each runs the iterates it runs alone.  The result is the
-    ``trial`` until ``commit`` makes it the committed state; FE2's
+    state in one ``newton_solve`` call, which freezes a converged cell, so
+    each runs the iterates it runs alone.  Its result is the ``trial`` until
+    ``commit`` makes it the committed state; FE2's
     ``macroscale.ElementCellState`` makes its trials by its own ``advance``.
+    ``solve`` is the cells' one linear solver, for ``step`` and FE2 alike.
     Above ``fem.DENSE_PERIODIC_DOFS`` each cell holds one DFT reference
     preconditioner in its slot of ``preconditioners`` for its whole life: the
     translation average of its first operator, built on its first solve
@@ -143,20 +145,25 @@ class CellStack:
         self.preconditioners = [[] for _ in samples]
         self.trial = None
 
-    def step(self, strains, phi, dt):
-        """One step at the macro strains (3,) or (S, 3) from the correctors ``phi`` (S, n).
+    def solve(self, systems, moduli, rhs, eta):
+        """``fem.solve_periodic_systems`` for the given cells, each with its own slot."""
+        return fem.solve_periodic_systems(self.space, moduli, rhs, eta,
+                                          [self.preconditioners[s] for s in systems])
 
-        ``phi`` is updated in place.  Returns the stresses (S, ne, 3), the
-        summed Newton iterations and the (S,) residual norms.  The trial holds
-        the plastic strains ``p``, the correctors ``phi``, the converged
-        ``moduli`` (S, ne, 3, 3) and the ``strains``; a failed step leaves none.
+    def step(self, strains, dt):
+        """One step at the macro strains (3,) or (S, 3) from the committed state.
+
+        Returns the stresses (S, ne, 3), the summed Newton iterations and the
+        (S,) residual norms.  The committed state does not move: the trial
+        holds the new plastic strains ``p`` and correctors ``phi``, and a
+        failed step leaves none.
         """
         self.trial = None
-        strains = np.asarray(strains, dtype=float)
-        z, p, iters, res, moduli = newton_solve(
-            self.space, self.mats, strains[..., None, :], self.p, phi, dt, self.delta, 0.0,
-            self.newton_rtol, CG_RTOL, self.preconditioners)
-        self.trial = {"p": p, "phi": phi, "moduli": moduli, "strains": strains}
+        phi = self.phi.copy()
+        z, p, iters, res = newton_solve(
+            self.space, self.mats, np.asarray(strains, dtype=float)[..., None, :], self.p, phi,
+            dt, self.delta, 0.0, self.newton_rtol, self.solve)
+        self.trial = {"p": p, "phi": phi}
         return z, iters, res
 
     def commit(self):
@@ -164,16 +171,15 @@ class CellStack:
         self.trial = None
 
     def march(self, xi_path, time_grid):
-        """Step and commit along the strain path, the correctors updated in place.
+        """Step and commit along the strain path.
 
-        Yields (m, z, iterations, residuals) for every step m >= 1; the
-        moduli go with each commit.  A NumericalError names its step.
+        Yields (m, z, iterations, residuals) for every step m >= 1, after its
+        commit.  A NumericalError names its step.
         """
         xi_values = xi_path.at(time_grid)
         for m in range(1, time_grid.size):
             with at_step(m):
-                z, iters, res = self.step(xi_values[m], self.phi,
-                                          time_grid[m] - time_grid[m - 1])
+                z, iters, res = self.step(xi_values[m], time_grid[m] - time_grid[m - 1])
             self.commit()
             yield m, z, iters, res
 

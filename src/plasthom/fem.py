@@ -29,19 +29,20 @@ diagonalized by the discrete Fourier transform (a reference medium in the
 sense of Moulinec and Suquet), whose iteration count is bounded by the phase
 contrast and does not grow with the grid; its transforms run on the real
 half spectrum.  A system's right-hand sides share it, and its owner holds it
-across solves: every cell of ``cellproblem.CellStack`` keeps the translation
-average of its first operator for its whole life, since a mean over the
-whole torus hardly moves between Newton corrections and steps.
+across solves: ``cellproblem.CellStack.solve``, the one caller of
+``solve_periodic_systems``, keeps for each cell the translation average of
+its first operator for the cell's whole life, since a mean over the whole
+torus hardly moves between Newton corrections and steps.
 The translation kernel of periodic problems is projected out of the
 right-hand side and of the solution, which is the zero-mean representative.
 
 Every CG solve stops at a relative residual tolerance ``rtol``, and a stack of
-periodic systems takes one per system: ``finescale.newton_solve`` solves
-each Newton correction by CG only as tightly as its system's own residual
-and Newton tolerance need (an inexact Newton forcing term with Kelley's
-terminal safeguard, ``finescale.forcing_term``), while the tangent and
-elastic solves keep a fixed tight tolerance.  A direct solve ignores the
-tolerance: its residual check takes ``CG_RTOL`` for every system.
+periodic systems takes one per system: each Newton correction is solved
+only as tightly as its system's own residual and Newton tolerance need (an
+inexact Newton forcing term with Kelley's terminal safeguard,
+``finescale.forcing_term``, floored at ``CG_RTOL``), while the FE2 macro
+and elastic solves keep a fixed tight tolerance.  A direct solve ignores
+the tolerance: its residual check takes ``CG_RTOL`` for every system.
 
 CG's inner products and norms and the translation projections are taken by
 ``tensors.inner`` and ``tensors.norm``, never by BLAS: above about 10,000
@@ -142,9 +143,9 @@ class SimplicialMesh:
 def _frozen(kind, data, indices, indptr, shape):
     """Sparse matrix ``kind`` (CSR or CSC) on the given arrays, made read-only.
 
-    The arrays are not copied: the caller hands over arrays nothing else
-    holds.  Duplicate or unsorted indices within a row (column) are kept,
-    and no later canonicalization can reorder them in place.
+    The arrays are not copied: the caller hands over arrays that only frozen
+    matrices hold.  Duplicate or unsorted indices within a row (column) are
+    kept, and no later canonicalization can reorder them in place.
     """
     idx = np.int32 if max(len(indices), *shape) < np.iinfo(np.int32).max else np.int64
     arrays = (np.asarray(data, dtype=float), np.asarray(indices, dtype=idx),
@@ -155,7 +156,7 @@ def _frozen(kind, data, indices, indptr, shape):
 
 
 def _strain_operators(B, element_dofs, volumes, n):
-    """The strain operator D (3 ne, n) and its volume-weighted transpose (vol D)^T.
+    """The strain operator D (3 ne, n), (vol D)^T and its entrywise magnitude |vol D|^T.
 
     Row 3 e + k of D holds the entries of B_e[k] that are not zero by
     construction, at the element's dofs; repeated dofs of an element stay
@@ -167,8 +168,9 @@ def _strain_operators(B, element_dofs, volumes, n):
     D = _frozen(sp.csr_matrix, B.ravel()[keep], dofs,
                 np.concatenate([[0], np.cumsum(row_sizes)]), (B.shape[0] * KDIM, n))
     T = D.T.tocsr()
-    return D, _frozen(sp.csr_matrix, T.data * volumes[T.indices // KDIM], T.indices,
-                      T.indptr, T.shape)
+    data = T.data * volumes[T.indices // KDIM]
+    return (D, _frozen(sp.csr_matrix, data, T.indices, T.indptr, T.shape),
+            _frozen(sp.csr_matrix, np.abs(data), T.indices, T.indptr, T.shape))
 
 
 @cache
@@ -373,7 +375,7 @@ class P1Space:
         B[:, 2, 1::2] = g[:, :, 0] / SQRT2
         self.B = B
 
-        self._strain_op, self._force_op = _strain_operators(
+        self._strain_op, self._force_op, self._force_magnitude = _strain_operators(
             B, self.element_dofs, mesh.volumes, self.n_packed)
 
         # CSR pattern of the stiffness on the free dofs, from the element dof
@@ -524,9 +526,7 @@ class P1Space:
         Every entry |vol_e| |B_e[k, i]| of the operator is taken apart, before
         any entries that share a dof are summed.
         """
-        op = self._force_op
-        magnitude = sp.csr_matrix((np.abs(op.data), op.indices, op.indptr), shape=op.shape)
-        return self._element_sums(magnitude, np.abs(stresses))
+        return self._element_sums(self._force_magnitude, np.abs(stresses))
 
     def load_vector(self, f_values):
         """Packed load vector by barycenter quadrature, f given per element (ne, 2)."""
@@ -678,7 +678,8 @@ def solve_periodic_systems(space, moduli, rhs, rtol, preconditioners):
     of each system, a list that is empty or holds the system's reference:
     an empty slot is filled from the system's operator, and a held one is
     used as it is, so each system's reference is built once, from its first
-    operator.  A failed solve raises NumericalError.
+    operator.  The one caller, ``cellproblem.CellStack.solve``, owns the
+    slots.  A failed solve raises NumericalError.
     """
     rhs = np.asarray(rhs, dtype=float)
     if space.n_packed <= DENSE_PERIODIC_DOFS:

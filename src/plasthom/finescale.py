@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem
 from .errors import ConfigurationError, NumericalError, at_step, positive_number
-from .fem import P1Space, jacobi, pcg
+from .fem import CG_RTOL, P1Space, jacobi, pcg
 from .flowrules import VON_MISES, FlowRule
 from .loading import checked_boundary, checked_time_grid
 from .returnmap import MaterialArrays, plastic_step
@@ -32,7 +31,7 @@ NEWTON_MAXITER = 50
 # system's correction is solved to the relative CG tolerance
 # FORCING_GAMMA * res / scale, loosened to Kelley's safeguard 0.5 * tol / res
 # once that is all the correction needs to reach the Newton tolerance tol,
-# and clipped to [cg_rtol, FORCING_MAX].
+# and clipped to [fem.CG_RTOL, FORCING_MAX].
 FORCING_GAMMA = 1e-2
 FORCING_MAX = 1e-2
 
@@ -54,7 +53,6 @@ class EpsProblemConfig:
     dirichlet: object
     load: object = None
     newton_rtol: float = 1e-8
-    cg_rtol: float = 1e-12  # floor of the Newton forcing term
 
     def __post_init__(self):
         self.time_grid = checked_time_grid(self.time_grid)
@@ -123,11 +121,11 @@ def newton_tolerance(space, z0, res0, f_norm, rtol):
     return scale, rtol * scale + floor
 
 
-def forcing_term(res, scale, tol, floor):
+def forcing_term(res, scale, tol):
     """Relative CG tolerance eta of a Newton correction at residual norm ``res``.
 
-    eta = clip(max(FORCING_GAMMA * res / scale, 0.5 * tol / res), floor, FORCING_MAX),
-    with ``scale`` and ``tol`` from ``newton_tolerance`` and ``floor`` the CG floor.
+    eta = clip(max(FORCING_GAMMA * res / scale, 0.5 * tol / res), CG_RTOL, FORCING_MAX),
+    with ``scale`` and ``tol`` from ``newton_tolerance`` and the CG floor ``fem.CG_RTOL``.
     The first term shrinks with the residual, which keeps the local convergence
     fast (Eisenstat & Walker 1996).  The second is Kelley's terminal safeguard
     (Iterative Methods for Linear and Nonlinear Equations, 1995, sec. 6.3.2): a
@@ -137,10 +135,10 @@ def forcing_term(res, scale, tol, floor):
     eta depends on its own residual only.
     """
     eta = np.maximum(FORCING_GAMMA * res / scale, 0.5 * tol / res)
-    return np.minimum(np.maximum(eta, floor), FORCING_MAX)
+    return np.minimum(np.maximum(eta, CG_RTOL), FORCING_MAX)
 
 
-def newton_iterate(space, u, f_ext, rtol, maxiter, evaluate, solve):
+def newton_iterate(space, u, f_ext, rtol, evaluate, solve):
     """Newton iterations of one backward-Euler step for S systems at once, in lock step.
 
     ``u`` (S, n) holds packed vectors on ``space`` with the Dirichlet rows set
@@ -161,8 +159,8 @@ def newton_iterate(space, u, f_ext, rtol, maxiter, evaluate, solve):
     reduce its merit res + tol * ratio (res alone without cells), its own
     step halving; a converged system is frozen and no longer evaluated, so it
     runs the iterates it runs alone.  On one system the last state evaluated
-    is always the accepted one.  At most ``maxiter`` corrections run, and
-    the test runs after each of them.  A failure raises NumericalError
+    is always the accepted one.  At most NEWTON_MAXITER corrections run,
+    and the test runs after each of them.  A failure raises NumericalError
     without a step that names the worst system's five free dofs of largest
     residual.  Returns (state, iterations, residuals), the last two (S,).
     """
@@ -191,11 +189,11 @@ def newton_iterate(space, u, f_ext, rtol, maxiter, evaluate, solve):
     def unconverged(systems):
         return systems[(res[systems] > tol[systems]) | (state[2][systems] > 1.0)]
 
-    for k in range(maxiter + 1):
+    for k in range(NEWTON_MAXITER + 1):
         active = unconverged(active)
         if active.size == 0:
             return state, iters, res
-        if k == maxiter:
+        if k == NEWTON_MAXITER:
             raise failure("Newton did not converge", active)
         iters[active] += 1
         du = solve(active, f_ext[active] - state[1][active], state,
@@ -241,29 +239,26 @@ def return_map_state(space, mats, strains, p_old, dt, delta):
     return z, space.internal_forces(z), p_new.reshape(z.shape), moduli.reshape(z.shape + (KDIM,))
 
 
-def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
-                 f_ext, rtol, cg_rtol, preconditioners=None):
+def newton_solve(space, mats, strain_offset, p_old, u, dt, delta, f_ext, rtol,
+                 solve_tangent):
     """``newton_iterate`` on S systems of the return map ``plastic_step``.
 
     ``u`` and ``f_ext`` are as there, ``p_old`` is (S, ne, 3), ``mats`` holds
     the S * ne elements system after system and ``strain_offset`` broadcasts
-    to (S, ne, 3).  At most NEWTON_MAXITER corrections run, each solving the
-    tangent operator by CG only to the relative tolerance of ``forcing_term``
-    with floor ``cg_rtol`` (Dembo, Eisenstat & Steihaug 1982), which depends
-    on the system's own residual only, so a system runs the same iterates in
-    any batch.  Dirichlet systems run Jacobi CG on the free dofs.  On a
-    ``mesh_torus`` space all dofs are free and ``fem.solve_periodic_systems``
-    solves small systems directly, checked at ``fem.CG_RTOL``, and larger ones
-    by CG with the DFT reference in the system's slot of ``preconditioners``,
-    which its owner keeps (``cellproblem.CellStack``).
+    to (S, ne, 3).  Each correction solves the tangent operators of the given
+    systems by ``solve_tangent(systems, moduli, rhs, eta)``, which returns
+    their corrections (k, free dofs) from their algorithmic moduli
+    (k, ne, 3, 3) and residual rows (k, n), each only to the relative
+    tolerance eta of ``forcing_term`` (Dembo, Eisenstat & Steihaug 1982).
+    That depends on the system's own residual only, so a system runs the
+    same iterates in any batch.  The caller owns the linear solver: Jacobi
+    CG for ``solve_eps``, ``cellproblem.CellStack.solve`` for the cells.
 
-    Returns (z, p_new, iterations, residuals, moduli): stresses and plastic
-    strains (S, ne, 3), the summed iteration count, the final residual norms
-    (S,) and the algorithmic moduli (S, ne, 3, 3) of the converged state.
+    Returns (z, p_new, iterations, residuals): stresses and plastic strains
+    (S, ne, 3), the summed iteration count and the final residual norms (S,).
     """
     n_systems = u.shape[0]
     ne = space.mesh.n_elements
-    periodic = bool(space.mesh.grid_size)
     offset = np.broadcast_to(strain_offset, (n_systems, ne, KDIM))
 
     # With every system taking part, the materials here and the accepted state
@@ -277,20 +272,10 @@ def newton_solve(space, mats, strain_offset, p_old, u, dt, delta,
         return z, f_int, np.zeros(systems.size), p_new, moduli
 
     def solve(systems, rhs, state, res, scale, tol):
-        moduli = state[4]
-        eta = forcing_term(res, scale, tol, cg_rtol)
-        if periodic:
-            return fem.solve_periodic_systems(space, moduli[systems], rhs, eta,
-                                              [preconditioners[s] for s in systems])
-        updates = []
-        for s, b, eta_s in zip(systems, rhs, eta):  # Jacobi CG, one system at a time
-            A = space.assemble_operator(moduli[s])
-            updates.append(pcg(A, b[space.free_dofs], jacobi(A), rtol=eta_s)[0])
-        return np.stack(updates)
+        return solve_tangent(systems, state[4][systems], rhs, forcing_term(res, scale, tol))
 
-    (z, _, _, p_new, moduli), iters, res = newton_iterate(space, u, f_ext, rtol,
-                                                          NEWTON_MAXITER, evaluate, solve)
-    return z, p_new, int(iters.sum()), res, moduli
+    (z, _, _, p_new, _), iters, res = newton_iterate(space, u, f_ext, rtol, evaluate, solve)
+    return z, p_new, int(iters.sum()), res
 
 
 def solve_eps(config):
@@ -309,12 +294,16 @@ def solve_eps(config):
     p_hist = np.zeros((times.size, mesh.n_elements, KDIM))
     iters, residuals = [], []
 
+    def solve_tangent(_, moduli, rhs, eta):
+        A = space.assemble_operator(moduli[0])
+        return pcg(A, rhs[0, space.free_dofs], jacobi(A), rtol=eta[0])[0][None]
+
     p = np.zeros((mesh.n_elements, KDIM))
     for m, dt, u, f_ext in dirichlet_steps(space, config, u_hist):
         with at_step(m):
-            z, p, n_it, res, _ = newton_solve(space, mats, 0.0, p[None], u[None], dt,
-                                              config.delta, f_ext, config.newton_rtol,
-                                              config.cg_rtol)
+            z, p, n_it, res = newton_solve(space, mats, 0.0, p[None], u[None], dt,
+                                           config.delta, f_ext, config.newton_rtol,
+                                           solve_tangent)
         p = p[0]
         sig_hist[m] = z[0]
         p_hist[m] = p

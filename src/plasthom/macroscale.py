@@ -17,15 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, finescale
+from . import finescale
 from .cellproblem import CellStack, build_rve
 from .errors import ConfigurationError, NumericalError, at_step, finite_number, positive_int
 from .fem import CG_RTOL, P1Space, jacobi, pcg
 from .finescale import dirichlet_steps, newton_iterate
 from .loading import checked_boundary, checked_time_grid
 from .tensors import KDIM, norm
-
-NEWTON_MAXITER = 40
 
 
 @dataclass
@@ -60,11 +58,12 @@ class ElementCellState(CellStack):
     cell s = e * M + j is sample j of macro element e, and holds its
     reference preconditioner for the whole solve.  ``advance`` evaluates
     every cell from the committed plastic strains, ``condense`` linearizes
-    it there and ``commit`` makes the last advance permanent.  A step's
-    first advance takes the committed correctors, later ones each cell's
-    update phi_lin + K^+ r - K^+ G (xi - xi_lin) from the last condense.  A
-    cell's tolerance tol_c (``finescale.newton_tolerance``) comes from the
-    step's first evaluation that gives it a stress, and is 0 until then.
+    it there through the stack's ``solve`` and ``commit`` makes the last
+    advance permanent.  A step's first advance takes the committed
+    correctors, later ones each cell's update
+    phi_lin + K^+ r - K^+ G (xi - xi_lin) from the last condense.  A cell's
+    tolerance tol_c (``finescale.newton_tolerance``) comes from the step's
+    first evaluation that gives it a stress, and is 0 until then.
     """
 
     def __init__(self, rve_cfg, n_elements):
@@ -103,7 +102,7 @@ class ElementCellState(CellStack):
         G[:, j] the nodal forces of C e_j and r = -f_int (0 once converged), a
         macro strain increment d moves the corrector by K^+ r - K^+ G d and
         the mean stress by q + (<C> - G^T K^+ G / |Y|) d, q = G^T K^+ r / |Y|.
-        [K^+ r, K^+ G] is one solve to the cell's forcing term.  Returns the
+        [K^+ r, K^+ G] is one ``solve`` to the cell's forcing term.  Returns the
         symmetrized tangents and q, means over each element's samples.
         """
         space, trial, volumes = self.space, self.trial, self.space.mesh.volumes
@@ -111,10 +110,10 @@ class ElementCellState(CellStack):
         G = space.internal_forces(np.moveaxis(moduli, -1, 1))     # (E * M, 3, n)
         live = res > self.tol
         eta = np.full(len(res), finescale.FORCING_MAX)
-        eta[live] = finescale.forcing_term(res[live], self.scale[live], self.tol[live], CG_RTOL)
+        eta[live] = finescale.forcing_term(res[live], self.scale[live], self.tol[live])
         rhs = np.concatenate([live[:, None, None] * -trial["forces"][..., None],
                               np.swapaxes(G, 1, 2)], axis=2)
-        X = fem.solve_periodic_systems(space, moduli, rhs, eta, self.preconditioners)
+        X = self.solve(range(len(res)), moduli, rhs, eta)
         KR, KG = X[..., 0], X[..., 1:]
         self.linearization = (trial["strains"], trial["phi"], KR, KG)
         tangent = self._sample_mean(np.einsum("e,seij->sij", volumes, moduli) - G @ KG)
@@ -177,7 +176,7 @@ def solve_effective(config):
 
         with at_step(m):
             (sig, *_), iters, _ = newton_iterate(space, u[None], f_ext, config.newton_rtol,
-                                                 NEWTON_MAXITER, evaluate, solve)
+                                                 evaluate, solve)
         cells.commit()
         sig_hist[m] = sig[0]
         iter_history.append(int(iters[0]))

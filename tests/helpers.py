@@ -207,7 +207,7 @@ def elastic_reference(config):
 
     The oracle of the elastic limit: one P1 elastic solve per time step, with
     the medium's moduli at the element barycenters, the loads and the strain
-    part xi(t) x of the Dirichlet data, at the config's CG tolerance.
+    part xi(t) x of the Dirichlet data, by CG to the relative tolerance 1e-13.
     """
     from plasthom.fem import P1Space, solve_elastic
     from plasthom.returnmap import MaterialArrays
@@ -222,7 +222,7 @@ def elastic_reference(config):
         xi = unpack(config.dirichlet.path.at(t))
         g = lambda pts, xi=xi: pts @ xi.T
         f = None if config.load is None else (lambda pts, t=t: config.load(t, pts))
-        out.append(solve_elastic(space, moduli, f=f, g=g, rtol=config.cg_rtol))
+        out.append(solve_elastic(space, moduli, f=f, g=g, rtol=1e-13))
     return np.stack(out)
 
 
@@ -244,11 +244,11 @@ def central_differences(cells, strains, dt, h):
     """dSigma_e/dxi_e of every element of an ElementCellState by central
     differences at the strains (E, 3) with steps h (E,); (E, 3, 3).  The
     oracle is ``CellStack.step``: each stress is that of cells converged by
-    ``finescale.newton_solve`` from the committed state."""
+    ``finescale.newton_solve`` from the committed state, which no step moves."""
     w = cells.space.mesh.volumes / cells.space.mesh.volumes.sum()
 
     def converged(xi):
-        z, _, _ = cells.step(np.repeat(xi, cells.n_samples, axis=0), cells.phi.copy(), dt)
+        z, _, _ = cells.step(np.repeat(xi, cells.n_samples, axis=0), dt)
         return (w @ z).reshape(len(xi), cells.n_samples, 3).mean(axis=1)
 
     fd = np.empty((len(strains), 3, 3))

@@ -161,7 +161,7 @@ def test_c04_elastic_limit_equivalence():
     cfg = EpsProblemConfig(
         mesh=mesh_unit_square(16), medium=sample_realization(TWO_PHASE_ELASTIC, 9),
         epsilon=0.25, delta=0.003, time_grid=np.linspace(0, 1, steps + 1),
-        dirichlet=AffineBoundary(path), cg_rtol=1e-13,
+        dirichlet=AffineBoundary(path),
     )
     traj = solve_eps(cfg)
     linear = elastic_reference(cfg)

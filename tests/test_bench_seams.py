@@ -117,7 +117,7 @@ def test_fe2_macro_converges_quadratically(monkeypatch):
         steps[-1]["cells"].append(np.max(self.trial["res"] / self.scale))
         return out
 
-    def recording_iterate(space, u, f_ext, rtol, maxiter, evaluate, solve):
+    def recording_iterate(space, u, f_ext, rtol, evaluate, solve):
         free = space.free_dofs
         steps.append({"macro": [], "cells": [], "f_norm": norm(f_ext[free])})
 
@@ -125,7 +125,7 @@ def test_fe2_macro_converges_quadratically(monkeypatch):
             state = evaluate(systems)
             steps[-1]["macro"].append(norm((f_ext - state[1][0])[free]))
             return state
-        return newton_iterate(space, u, f_ext, rtol, maxiter, recorded, solve)
+        return newton_iterate(space, u, f_ext, rtol, recorded, solve)
 
     monkeypatch.setattr(macroscale.ElementCellState, "advance", recording_advance)
     monkeypatch.setattr(macroscale, "newton_iterate", recording_iterate)

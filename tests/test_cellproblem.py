@@ -7,6 +7,7 @@ from plasthom import fem
 from plasthom.cellproblem import (
     CellStack,
     RveConfig,
+    build_rve,
     causality_check,
     continuity_probe,
     default_probe_direction,
@@ -306,6 +307,42 @@ class TestBatchSize:
         for traj in alone:
             for m in range(grid.size):
                 assert np.array_equal(traj.v[m], space.element_gradients(traj.phi[m]))
+
+
+class TestCellTrial:
+    """``CellStack.step`` leaves the committed state alone: its result is a trial
+    until ``commit``, and a step repeated from the same committed state repeats it."""
+
+    SHEAR = pack(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("n_cells, refine", [(2, 4), (4, 3)],
+                             ids=["dense-solves", "dft-cg-solves"])
+    def test_step_is_a_trial_until_commit(self, n_cells, refine):
+        cfg = RveConfig(n_cells=n_cells, refine=refine, n_samples=2, delta=0.003,
+                        law=TWO_PHASE, base_seed=2)
+        cells = CellStack(*build_rve(cfg), cfg.delta, cfg.newton_rtol)
+        dt = 0.25
+        cells.step(0.4 * self.SHEAR, dt)       # a plastic committed state to start from
+        cells.commit()
+        p, phi = cells.p.copy(), cells.phi.copy()
+        assert p.any() and phi.any()
+
+        z, iters, res = cells.step(-0.2 * self.SHEAR, dt)
+        trial = {key: value.copy() for key, value in cells.trial.items()}
+        assert trial.keys() == {"p", "phi"}
+        assert (trial["p"] != p).any() and (trial["phi"] != phi).any()
+        assert np.array_equal(cells.p, p) and np.array_equal(cells.phi, phi)
+
+        again, again_iters, again_res = cells.step(-0.2 * self.SHEAR, dt)
+        assert np.array_equal(again, z) and again_iters == iters
+        assert np.array_equal(again_res, res)
+        for key, value in trial.items():
+            assert np.array_equal(cells.trial[key], value)
+        assert np.array_equal(cells.p, p) and np.array_equal(cells.phi, phi)
+
+        cells.commit()
+        assert cells.trial is None
+        assert np.array_equal(cells.p, trial["p"]) and np.array_equal(cells.phi, trial["phi"])
 
 
 class TestHeldPreconditioner:

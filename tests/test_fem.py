@@ -170,7 +170,7 @@ class TestStrainOperators:
         self.assert_close(space.force_scale(z), scale, scale)
 
     def test_operator_arrays_are_private_and_read_only(self, space):
-        for op in (space._strain_op, space._force_op):
+        for op in (space._strain_op, space._force_op, space._force_magnitude):
             assert op.indices.dtype == op.indptr.dtype == np.int32
             for a in (op.data, op.indices, op.indptr):
                 assert not a.flags.writeable

@@ -79,8 +79,7 @@ class TestNewtonBudget:
 
 class TestElasticLimit:
     def test_matches_linear_solves_per_step(self):
-        cfg = make_config(law=TWO_PHASE_ELASTIC, n=16, steps=3, amplitude=0.3,
-                          cg_rtol=1e-13)
+        cfg = make_config(law=TWO_PHASE_ELASTIC, n=16, steps=3, amplitude=0.3)
         traj = solve_eps(cfg)
         linear = elastic_reference(cfg)
         for m in range(1, 4):

@@ -102,10 +102,10 @@ def test_forcing_term_keeps_the_exact_solve_result(monkeypatch, solve, owner):
     (1e-11, 1e-24, 1e-12),  # both below the floor
 ])
 def test_forcing_term(res, tol, eta):
-    assert finescale.forcing_term(res, 1.0, tol, CG_RTOL) == pytest.approx(eta, rel=1e-12)
+    assert finescale.forcing_term(res, 1.0, tol) == pytest.approx(eta, rel=1e-12)
     # each system's term depends on its own values only
-    assert finescale.forcing_term(np.array([res, 1.0]), np.ones(2), np.array([tol, 1e-8]),
-                                  CG_RTOL)[0] == pytest.approx(eta, rel=1e-12)
+    assert finescale.forcing_term(np.array([res, 1.0]), np.ones(2),
+                                  np.array([tol, 1e-8]))[0] == pytest.approx(eta, rel=1e-12)
 
 
 @pytest.mark.parametrize("solve, owner", CASES)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plasthom import cellproblem, fem, macroscale
+from plasthom import cellproblem, fem, finescale, macroscale
 from plasthom.cellproblem import RveConfig, sigma
 from plasthom.errors import ConfigurationError, NumericalError
 from plasthom.fem import CG_RTOL, P1Space, mesh_simplex, mesh_unit_square, solve_elastic
@@ -326,7 +326,7 @@ class TestBudgets:
 class TestNewtonFailure:
     def test_reported_worst_dofs_are_free(self, monkeypatch):
         """The failure message ranks the free residual, never the reaction forces."""
-        monkeypatch.setattr(macroscale, "NEWTON_MAXITER", 1)
+        monkeypatch.setattr(finescale, "NEWTON_MAXITER", 1)
         law = ProbabilityLaw.from_config({"E": {"discrete": {"values": [1.0, 2.0]}},
                                           "nu": {"point": 0.3}, "sigma_y": {"point": 0.3}})
         rve = RveConfig(n_cells=2, refine=1, n_samples=1, delta=0.003, law=law)
