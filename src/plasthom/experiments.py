@@ -127,7 +127,7 @@ def run_korn_check(spec):
     seed = valid_seed(p.get("seed", 0), "korn seed")
 
     mesh = mesh_torus(n_cells, refine)
-    if mesh.grid_size == 1:
+    if mesh.lattice.n == 1:
         raise ConfigurationError("korn check needs a torus of more than one vertex, N * r > 1")
     space = P1Space(mesh)
     rng = np.random.default_rng(seed)

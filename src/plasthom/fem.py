@@ -6,14 +6,23 @@ fields; strains are element-wise constant, so one-point (barycenter)
 quadrature is exact for stiffness and internal-force integrals with
 element-wise constant coefficients.
 
-Element strains and nodal forces are products with two sparse operators
-that each space builds once: the strain operator D, which places the rows
-of every element's strain-displacement matrix B_e at the element's packed
-dofs, and its volume-weighted transpose (vol D)^T, stored as its own CSR
-matrix.  The stiffness is linear in the moduli, so each space also builds
-once its fixed CSR pattern on the free dofs, the unknowns of its systems,
-and a sparse map from the six distinct entries of every element's moduli
-to the pattern's upper nonzeros.  Assembly is one product with that map
+Every mesh is built on a ``lattice.Lattice``, an affine image of an n x n
+lattice of squares split into two triangle templates, which the mesh
+records; a space needs that record.  Element strains and nodal forces are
+products with two sparse operators that each space builds once: the strain
+operator D, which places the rows of every element's strain-displacement
+matrix B_e at the element's packed dofs, and its volume-weighted transpose
+(vol D)^T, stored as its own CSR matrix.  The stiffness is linear in the
+moduli, so each space also builds once its fixed CSR pattern on the free
+dofs, the unknowns of its systems, and a sparse map from the six distinct
+entries of every element's moduli to the pattern's upper nonzeros.  None
+of them is searched for element by element: the pattern is a fixed
+7-vertex stencil of 2 x 2 blocks (``lattice.stencil_pattern``), B_e is its
+template's B, and the map's products are formed once per template and
+placed at each square's stencil entries by index arithmetic.  On a dyadic
+lattice, whose vertex coordinates and edges are exact in floating point
+(every mesh of the benchmark, among them), the templates' B equal each
+element's to the last bit.  Assembly is one product with that map
 for a system or a stack of systems, after which each lower nonzero takes
 its upper partner's value; it gives a CSR matrix per system, or a dense
 stack of matrices for a batch of small systems, with no row or column of a
@@ -54,7 +63,7 @@ scipy.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,9 +76,9 @@ from .errors import (
     positive_int,
     positive_number,
 )
+from .lattice import DIM, SLOTS, STENCIL, TEMPLATES, Lattice, index_dtype, stencil_pattern
 from .tensors import KDIM, SQRT2, inner, norm
 
-DIM = 2
 # the entries of an element's strain-displacement matrix B (3, 6) that are not
 # zero by construction: e11 on the x dofs, e22 on the y dofs, the shear on both
 _B_PATTERN = np.ones((KDIM, 3 * DIM), dtype=bool)
@@ -92,6 +101,20 @@ DENSE_PERIODIC_DOFS = 200
 CG_RTOL = 1e-12
 
 
+def _lattice_mesh(kind, n, origin, steps, name):
+    """The SimplicialMesh of a ``Lattice``; ``name`` is the input that sets n."""
+    array_size((n + 1) ** 2, name)
+    lattice = Lattice(kind, n, origin, steps)
+    i, j, tris, _ = lattice.grid
+    vertices = origin + i[:, None] * steps[0] + j[:, None] * steps[1]
+    if kind == "torus":
+        return SimplicialMesh(vertices, tris, np.zeros(0, dtype=np.int64),
+                              master=(i % n) * (n + 1) + j % n, lattice=lattice)
+    outer = (i + j == n) if kind == "triangle" else (i == n) | (j == n)
+    return SimplicialMesh(vertices, tris, np.flatnonzero((i == 0) | (j == 0) | outer),
+                          lattice=lattice)
+
+
 @dataclass
 class SimplicialMesh:
     """Triangulation of a planar domain, possibly with periodic identification.
@@ -100,14 +123,18 @@ class SimplicialMesh:
     shares: itself by default, a master vertex for the duplicated (slave)
     vertices of a torus.  Element geometry always uses the duplicated
     coordinates so that affine element maps stay nondegenerate on the torus.
-    ``h`` is the largest element edge.
+    ``h`` is the largest element edge.  ``lattice`` is the ``Lattice`` that
+    the mesh builders record, whose vertex and element counts the mesh must
+    have; the geometry is then its two templates', ``template_volumes`` (2,)
+    and ``template_grads`` (2, 3, 2), which ``element_types`` index.  Without
+    one every element is its own template, and the mesh has no ``P1Space``.
     """
 
     vertices: np.ndarray          # (nv, 2)
     simplices: np.ndarray         # (ne, 3) int
     boundary_vertices: np.ndarray  # (nb,) int
     master: np.ndarray = None     # (nv,) int
-    grid_size: int = 0            # m of an m x m torus grid from mesh_torus, else 0
+    lattice: Lattice = None
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -115,21 +142,33 @@ class SimplicialMesh:
         self.boundary_vertices = np.asarray(self.boundary_vertices, dtype=np.int64)
         self.master = np.arange(self.n_vertices) if self.master is None \
             else np.asarray(self.master, dtype=np.int64)
-        coords = self.vertices[self.simplices]          # (ne, 3, 2)
-        e1 = coords[:, 1] - coords[:, 0]
-        e2 = coords[:, 2] - coords[:, 0]
+        x0, x1, x2 = (self.vertices.take(self.simplices[:, c], axis=0) for c in range(3))
+        self.barycenters = (x0 + x1 + x2) / 3.0
+        if self.lattice is None:
+            edges = np.stack([x1 - x0, x2 - x0, x2 - x1], axis=1)
+            self.element_types = np.arange(self.n_elements)
+        else:
+            i, _, tris, places = self.lattice.grid
+            if (self.n_vertices, self.n_elements) != (i.size, len(tris)):
+                raise ConfigurationError(
+                    f"a {self.lattice.kind} lattice of n = {self.lattice.n} has {i.size} "
+                    f"vertices and {len(tris)} elements, not {self.n_vertices} and "
+                    f"{self.n_elements}")
+            # the templates' edges: lattice offsets under the steps, exactly
+            edges = (TEMPLATES[:, [1, 2, 2]] - TEMPLATES[:, [0, 0, 1]]) @ self.lattice.steps
+            self.element_types = places % 2
+        e1, e2 = edges[:, 0], edges[:, 1]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        edges = np.stack([e1, e2, coords[:, 2] - coords[:, 1]], axis=1)
         self.h = float(np.linalg.norm(edges, axis=-1).max())
         if np.any(det <= 1e-12 * self.h**DIM):
             raise ConfigurationError("mesh has degenerate or negatively oriented elements")
-        self.volumes = 0.5 * det
-        self.barycenters = coords.mean(axis=1)
         # barycentric gradients: rows g1, g2 solve G [e1; e2]^T = I, g0 = -g1-g2
         inv_det = 1.0 / det
         g1 = np.stack([e2[:, 1] * inv_det, -e2[:, 0] * inv_det], axis=-1)
         g2 = np.stack([-e1[:, 1] * inv_det, e1[:, 0] * inv_det], axis=-1)
-        self.grads = np.stack([-g1 - g2, g1, g2], axis=1)  # (ne, 3, 2)
+        self.template_volumes, self.template_grads = 0.5 * det, np.stack([-g1 - g2, g1, g2], 1)
+        self.volumes = self.template_volumes.take(self.element_types)
+        self.grads = self.template_grads.take(self.element_types, axis=0)
 
     @property
     def n_vertices(self):
@@ -147,7 +186,7 @@ def _frozen(kind, data, indices, indptr, shape):
     matrices hold.  Duplicate or unsorted indices within a row (column) are
     kept, and no later canonicalization can reorder them in place.
     """
-    idx = np.int32 if max(len(indices), *shape) < np.iinfo(np.int32).max else np.int64
+    idx = index_dtype(max(len(indices), *shape))
     arrays = (np.asarray(data, dtype=float), np.asarray(indices, dtype=idx),
               np.asarray(indptr, dtype=idx))
     for a in arrays:
@@ -155,125 +194,113 @@ def _frozen(kind, data, indices, indptr, shape):
     return kind(arrays, shape=shape)
 
 
-def _strain_operators(B, element_dofs, volumes, n):
+def _strain_operators(B, volumes, types, element_dofs, n):
     """The strain operator D (3 ne, n), (vol D)^T and its entrywise magnitude |vol D|^T.
 
-    Row 3 e + k of D holds the entries of B_e[k] that are not zero by
-    construction, at the element's dofs; repeated dofs of an element stay
-    separate entries, and so do they in (vol D)^T, in the row order of D.
+    Row 3 e + k of D holds the entries of B[types[e], k], of the templates B
+    (2, 3, 6), that are not zero by construction, at the element's dofs;
+    repeated dofs of an element stay separate entries, in (vol D)^T too:
+    scipy's transpose of D with each template's entries times its volume.
     """
-    keep = np.broadcast_to(_B_PATTERN, B.shape).ravel()
-    dofs = np.repeat(element_dofs[:, None, :], KDIM, axis=1).ravel()[keep]
-    row_sizes = np.tile(_B_PATTERN.sum(axis=1), B.shape[0])
-    D = _frozen(sp.csr_matrix, B.ravel()[keep], dofs,
-                np.concatenate([[0], np.cumsum(row_sizes)]), (B.shape[0] * KDIM, n))
-    T = D.T.tocsr()
-    data = T.data * volumes[T.indices // KDIM]
-    return (D, _frozen(sp.csr_matrix, data, T.indices, T.indptr, T.shape),
-            _frozen(sp.csr_matrix, np.abs(data), T.indices, T.indptr, T.shape))
+    entries = B.reshape(len(B), -1)[:, _B_PATTERN.ravel()]                # (2, 12)
+    dofs = np.take(element_dofs, np.nonzero(_B_PATTERN)[1], axis=1).ravel()
+    indptr = np.concatenate([[0], np.cumsum(np.tile(_B_PATTERN.sum(axis=1), len(types)))])
+    T = sp.csc_matrix(((entries * volumes[:, None]).take(types, axis=0).ravel(), dofs, indptr),
+                      shape=(n, KDIM * len(types))).tocsr()
+    for a in (T.data, T.indices, T.indptr):
+        a.flags.writeable = False
+    return (_frozen(sp.csr_matrix, entries.take(types, axis=0).ravel(), dofs, indptr,
+                    T.shape[::-1]),
+            T, _frozen(sp.csr_matrix, np.abs(T.data), T.indices, T.indptr, T.shape))
 
 
-@cache
-def _moduli_terms():
-    """The products of B entries that make up the stiffness as a map of the moduli.
-
-    One term for every moduli entry (k, l), k <= l, and element dof pair
-    i <= j (in ``np.triu_indices(6)`` order) whose B[k, i] B[l, j] +
-    B[l, i] B[k, j] does not vanish by the structure of B, in that order: 72
-    terms.  Returned as the term's pair, its flat moduli index 3 k + l, and
-    the four factors' flat indices into B (3 x 6) with a zero appended.  For
-    k = l the sum is twice one product, which the half of a diagonal moduli
-    entry takes back, so the second product's factors are the appended zero.
-    Built on first use, so that importing the module does not run it.
-    """
-    pair_i, pair_j = np.triu_indices(3 * DIM)
-    zero = KDIM * 3 * DIM
-    terms = []
-    for k, l in zip(*np.triu_indices(KDIM)):
-        pairs = np.flatnonzero(_B_PATTERN[k, pair_i] & _B_PATTERN[l, pair_j]
-                               | _B_PATTERN[l, pair_i] & _B_PATTERN[k, pair_j])
-        i, j = pair_i[pairs], pair_j[pairs]
-        second = [np.full(pairs.size, zero)] * 2 if k == l \
-            else [3 * DIM * l + i, 3 * DIM * k + j]
-        terms.append(np.stack([pairs, np.full(pairs.size, KDIM * k + l),
-                               3 * DIM * k + i, 3 * DIM * l + j, *second]))
-    table = np.concatenate(terms, axis=1)
-    table.flags.writeable = False          # one table for every caller
-    pairs, column, *factors = table
-    return pairs, column, factors
+def _stiffness_terms():
+    """The terms of the stiffness as a map of the moduli: a moduli entry k <= l
+    (column 3 k + l) with an element dof pair i <= j, 6 x 21 in that order,
+    and a zero term last that pads lists.  Returns (k, l), (i, j), each
+    term's column, whether each of the 64 patterns of an element (bits 0-2
+    its free vertices, bits 3-5 its vertex pairs (0, 1), (0, 2), (1, 2) that
+    are one vertex) keeps it and counts it twice, (64, 127), and per
+    template its block entry, (2, 127): the square corner (2 i + j) of its
+    first vertex, its components and its stencil slot."""
+    (k, l), (i, j) = np.triu_indices(KDIM), np.triu_indices(3 * DIM)
+    column = np.append(np.repeat(KDIM * k + l, len(i)), 0)
+    dof_i, dof_j = np.append(np.tile(i, len(k)), 0), np.append(np.tile(j, len(k)), 0)
+    first, second = dof_i // DIM, dof_j // DIM
+    bits = (np.arange(64)[:, None] >> np.arange(6) & 1).astype(bool)
+    one_vertex = bits[:, np.array([[0, 3, 4], [3, 0, 5], [4, 5, 0]])[first, second]]
+    twice = (first != second) & (dof_i % DIM == dof_j % DIM) & one_vertex
+    template = np.arange(2)[:, None]
+    block = (TEMPLATES[template, first] @ [DIM, 1] * DIM * DIM
+             + dof_i % DIM * DIM + dof_j % DIM) * len(STENCIL) + SLOTS[template, first, second]
+    return (k, l), (i, j), column, bits[:, first] & bits[:, second], twice, block
 
 
-# Elements per pass of ``_moduli_map``.  Whole-mesh (ne, 72) temporaries
-# made P1Space(mesh_torus(16, 2)) about 1.5 ms slower (one thread, medians).
-_MODULI_CHUNK = 128
+_TERMS = _stiffness_terms()
 
 
-def _moduli_map(B, volumes, upper_of_pair, multiplicity, n_upper):
+def _moduli_map(B, volumes, lattice, ranks, element_ranks, block_partner, n_upper):
     """The stiffness as a linear map of the moduli: a CSC matrix (n_upper, 9 ne).
 
     Its product with moduli (ne, 3, 3) flattened to (9 ne,) gives the upper
     nonzeros (row <= column) of the stiffness.  Column 9 e + 3 k + l, k <= l,
     holds what C_e[k, l] adds to them: vol_e (B_e[k, i] B_e[l, j] +
     B_e[l, i] B_e[k, j]), halved for k = l, for every element dof pair
-    i <= j, at the pair's upper nonzero ``upper_of_pair`` (ne, 21), times
-    the pair's ``multiplicity`` (ne, 21): 2 where the pair is one dof twice
-    (on tori of m <= 2), 0 where it touches a constrained dof, else 1.
-    Columns l < k are empty, so the lower moduli entries are never read.
-    Products that vanish by the structure of B are never formed
-    (``_moduli_terms``), exact zeros are dropped, and no element matrix is
-    built.
+    i <= j, at the pair's upper nonzero, twice where the pair is one dof
+    twice (on the one-vertex torus), and not where it touches a constrained
+    dof; exact zeros are dropped.  Columns l < k are empty, so the lower
+    moduli entries are never read.  The products are formed once per
+    template, B (2, 3, 6) and ``volumes`` (2,), and each element takes them
+    by its pattern (``_TERMS``) of free (``element_ranks`` (ne, 3) >= 0) and
+    coinciding vertices; each square reads its rows, the upper partners
+    ``block_partner`` (2, 2, 7, nf), at its corners' ``ranks``.
     """
-    ne = B.shape[0]
-    pairs, column, (f1, f2, f3, f4) = _moduli_terms()
-    flat = np.concatenate([B.reshape(ne, -1), np.zeros((ne, 1))], axis=1)
-    weighted = flat * volumes[:, None]
-    multiplicity = multiplicity[:, pairs] if (multiplicity != 1.0).any() else None
-    upper_of_pair = upper_of_pair.astype(np.int32 if n_upper < np.iinfo(np.int32).max
-                                         else np.int64)
-    keep = np.empty((ne, pairs.size), dtype=bool)
-    data, rows = [], []
-    for part in (slice(s, s + _MODULI_CHUNK) for s in range(0, ne, _MODULI_CHUNK)):
-        w, f = weighted[part], flat[part]
-        values = w[:, f1] * f[:, f2]
-        values += w[:, f3] * f[:, f4]
-        if multiplicity is not None:
-            values *= multiplicity[part]
-        kept = np.flatnonzero(np.not_equal(values, 0.0, out=keep[part]))
-        data.append(values.take(kept))
-        rows.append(upper_of_pair[part][:, pairs].take(kept))
+    n, places, template = lattice.n, lattice.grid[3], np.arange(2)[:, None]
+    (k, l), (i, j), column, free_pair, twice, block = _TERMS
+    weighted = B * volumes[:, None, None]
+    products = weighted[:, k[:, None], i] * B[:, l[:, None], j]
+    products += np.where((k != l)[:, None], weighted[:, l[:, None], i] * B[:, k[:, None], j], 0.0)
+    products = np.append(products.reshape(2, -1), np.zeros((2, 1)), axis=1)      # (2, 127)
+    # each template's nonzero terms, the shorter list padded with the zero one
+    nonzero = [np.flatnonzero(p) for p in products]
+    terms = np.full((2, max(map(len, nonzero))), products.shape[1] - 1)
+    for t, term in zip(terms, nonzero):
+        t[:len(term)] = term
+    width, products, block = terms.shape[1], products[template, terms], block[template, terms]
+    # each element's pattern keeps and doubles its template's terms
+    kept = free_pair[:, terms] & (products != 0.0)                            # (64, 2, width)
+    values = np.where(twice[:, terms], 2.0 * products, products)
+    pattern = ((element_ranks >= 0) @ [1, 2, 4]
+               + 8 * (element_ranks[:, 0] == element_ranks[:, 1])
+               + 16 * (element_ranks[:, 0] == element_ranks[:, 2])
+               + 32 * (element_ranks[:, 1] == element_ranks[:, 2])) * 2 + places % 2
+    # the entries of each moduli entry, for the patterns that occur
+    counts = np.zeros(kept.shape[:2] + (KDIM * KDIM,), dtype=np.intp)
+    for p, t in zip(*np.divmod(np.flatnonzero(np.bincount(pattern)), 2)):
+        counts[p, t] = np.bincount(column[terms[t]][kept[p, t]], minlength=KDIM * KDIM)
+    values, keep, counts = (a.reshape(len(kept) * 2, -1).take(pattern, axis=0)
+                            for a in (values, kept, counts))
+    # every square's corner ranks (n n, 4) and its rows, from a table by vertex
+    # whose last row a constrained vertex (-1) reads
+    corners = np.stack([ranks[a:a + n, b:b + n].ravel() for a in (0, 1) for b in (0, 1)], axis=1)
+    table = np.zeros((block_partner.shape[-1] + 1, DIM * DIM * len(STENCIL)),
+                     dtype=block_partner.dtype)
+    table[:-1] = block_partner.reshape(table.shape[1], -1).T
+    rows = table.take(corners.astype(np.intp), axis=0).reshape(n * n, -1) \
+        .take(block.ravel(), axis=1).reshape(-1, width)
+    if len(places) < len(rows):
+        rows = rows.take(places, axis=0)
     # the entries run by element, then by moduli entry: the CSC column order
-    starts = np.flatnonzero(np.diff(column, prepend=-1))
-    counts = np.zeros((ne, KDIM * KDIM), dtype=np.int64)
-    counts[:, column[starts]] = np.add.reduceat(keep, starts, axis=1)
-    return _frozen(sp.csc_matrix, np.concatenate(data), np.concatenate(rows),
-                   np.concatenate([[0], np.cumsum(counts.ravel())]), (n_upper, counts.size))
+    if not keep.all():
+        values, rows = values[keep], rows[keep]
+    return _frozen(sp.csc_matrix, values.ravel(), rows.ravel(),
+                   np.concatenate([[0], np.cumsum(counts)]), (n_upper, counts.size))
 
 
 def _apply(op, x):
     """The products op x of vectors x (..., op.shape[1]), shape (..., op.shape[0])."""
     flat = x.reshape(-1, x.shape[-1])
     return (op @ flat.T).T.reshape(x.shape[:-1] + (op.shape[0],))
-
-
-def _lattice(n, name, triangle=False):
-    """Lattice coordinates (i, j) of the vertices of an n x n grid, and its triangles.
-
-    Grid vertex (i, j) has id i (n + 1) + j, and lattice square (i, j) splits
-    into the triangles [v00, v10, v01] and [v10, v11, v01], squares in
-    row-major order.  With ``triangle`` only the part i + j <= n is kept,
-    vertices renumbered in the same order.  ``name`` is the input that sets n.
-    """
-    i, j = np.divmod(np.arange(array_size((n + 1) ** 2, name)), n + 1)
-    si, sj = np.divmod(np.arange(n * n), n)
-    v00 = si * (n + 1) + sj
-    v10, v01 = v00 + (n + 1), v00 + 1
-    tris = np.stack([np.stack([v00, v10, v01], axis=-1),
-                     np.stack([v10, v10 + 1, v01], axis=-1)], axis=1)
-    if not triangle:
-        return i, j, tris.reshape(-1, 3)
-    keep = i + j <= n
-    tris = tris[np.stack([si + sj < n, si + sj < n - 1], axis=-1)]
-    return i[keep], j[keep], (np.cumsum(keep) - 1)[tris]
 
 
 def mesh_simplex(corners, h):
@@ -295,21 +322,16 @@ def mesh_simplex(corners, h):
     if cross < 0:
         corners = corners[[0, 2, 1]]
     n = 1
-    while diam / n >= h and n < INT64_LIMIT:  # _lattice rejects n this large
+    while diam / n >= h and n < INT64_LIMIT:  # _lattice_mesh rejects n this large
         n *= 2
-    i, j, tris = _lattice(n, "mesh size h", triangle=True)
-    verts = corners[0] + (i / n)[:, None] * (corners[1] - corners[0]) \
-        + (j / n)[:, None] * (corners[2] - corners[0])
-    boundary = np.flatnonzero((i == 0) | (j == 0) | (i + j == n))
-    return SimplicialMesh(verts, tris, boundary)
+    # n is a power of 2, so the steps and the vertices' coordinates divide exactly
+    return _lattice_mesh("triangle", n, corners[0], (corners[1:] - corners[0]) / n, "mesh size h")
 
 
 def mesh_unit_square(n):
     """Structured triangulation of [0,1]^2 with n cells per side."""
     positive_int(n, "cells per side n")
-    i, j, tris = _lattice(n, "cells per side n")
-    boundary = np.flatnonzero((i == 0) | (i == n) | (j == 0) | (j == n))
-    return SimplicialMesh(np.stack([i, j], axis=-1) * (1.0 / n), tris, boundary)
+    return _lattice_mesh("square", n, np.zeros(DIM), np.eye(DIM) * (1.0 / n), "cells per side n")
 
 
 def mesh_torus(n_cells, refine):
@@ -318,14 +340,12 @@ def mesh_torus(n_cells, refine):
     Every element lies inside exactly one integer lattice cell.  Opposite
     faces are identified through ``master``: grid vertex (i, j) shares the
     degrees of freedom of vertex (i mod m, j mod m), which is the
-    (i * m + j)-th master, m = N * r being ``grid_size``.  The duplicated
+    (i * m + j)-th master, m = N * r being the lattice's n.  The duplicated
     boundary vertices keep their geometric coordinates.
     """
     m = positive_int(n_cells, "torus cells N") * positive_int(refine, "torus refinements r")
-    i, j, tris = _lattice(m, "torus cells N times refinements r")
-    return SimplicialMesh(np.stack([i, j], axis=-1) * (1.0 / refine), tris,
-                          np.asarray([], dtype=np.int64),
-                          master=(i % m) * (m + 1) + j % m, grid_size=m)
+    return _lattice_mesh("torus", m, np.zeros(DIM), np.eye(DIM) * (1.0 / refine),
+                         "torus cells N times refinements r")
 
 
 class P1Space:
@@ -333,10 +353,14 @@ class P1Space:
 
     The mesh's boundary vertices carry Dirichlet constraints, which never
     appear in solve vectors; periodic slave vertices share their master's
-    degrees of freedom.
+    degrees of freedom.  The mesh must record its ``Lattice``: the space's
+    pattern, strain operators and moduli map follow from it.
     """
 
     def __init__(self, mesh):
+        if mesh.lattice is None:
+            raise ConfigurationError("P1Space needs a mesh that records its lattice; build it "
+                                     "with mesh_unit_square, mesh_torus or mesh_simplex")
         self.mesh = mesh
         master = mesh.master
         constrained = np.zeros(mesh.n_vertices, dtype=bool)
@@ -363,69 +387,38 @@ class P1Space:
 
         # per-element packed dof indices, (ne, 6)
         tri = mesh.simplices
-        slots = self.packed_of_vertex[tri]                       # (ne, 3)
+        slots = self.packed_of_vertex.take(tri)                  # (ne, 3)
         self.element_dofs = (slots[:, :, None] * DIM + np.arange(DIM)).reshape(-1, 3 * DIM)
 
-        # strain-displacement matrices B: (ne, 3, 6), Mandel rows
-        g = mesh.grads                                           # (ne, 3, 2)
-        B = np.zeros((mesh.n_elements, KDIM, 3 * DIM))
-        B[:, 0, 0::2] = g[:, :, 0]
-        B[:, 1, 1::2] = g[:, :, 1]
-        B[:, 2, 0::2] = g[:, :, 1] / SQRT2
-        B[:, 2, 1::2] = g[:, :, 0] / SQRT2
-        self.B = B
-
+        # the free rank of every vertex at its lattice coordinates, -1 where
+        # constrained: the pattern, the moduli map and D follow from it
+        lattice, index = mesh.lattice, index_dtype(self.n_packed)
+        rank = np.full(self.master_ids.size, -1, dtype=index)
+        rank[free] = np.arange(free.sum())
+        i, j = lattice.grid[:2]
+        ranks = np.full((lattice.n + 1, lattice.n + 1), -1, dtype=index)
+        ranks[i, j] = rank = rank.take(self.packed_of_vertex)
+        self._indices, indptr, self._partner, block_partner, self._lattice_offset = \
+            stencil_pattern(lattice, ranks, self.master_ids[free])
+        self._indptr = indptr.astype(index_dtype(indptr[-1]))
+        self._indices.flags.writeable = self._indptr.flags.writeable = False
+        g, B = mesh.template_grads, np.zeros((2, KDIM, 3 * DIM))   # B's templates, Mandel rows
+        B[:, 0, 0::2], B[:, 1, 1::2] = g[..., 0], g[..., 1]
+        B[:, 2, 0::2], B[:, 2, 1::2] = g[..., 1] / SQRT2, g[..., 0] / SQRT2
         self._strain_op, self._force_op, self._force_magnitude = _strain_operators(
-            B, self.element_dofs, mesh.volumes, self.n_packed)
+            B, mesh.template_volumes, mesh.element_types, self.element_dofs, self.n_packed)
+        self._moduli_map = _moduli_map(B, mesh.template_volumes, lattice, ranks, rank.take(tri),
+                                       block_partner, int(self._partner.max(initial=-1)) + 1)
 
-        # CSR pattern of the stiffness on the free dofs, from the element dof
-        # pairs i <= j: the upper nonzeros (row <= column), numbered in sorted
-        # order, and the upper partner of every nonzero.  A pair that touches
-        # a constrained dof takes the key n * n, past every nonzero, and
-        # multiplicity 0, so the map drops its terms as exact zeros.
-        n = self.free_dofs.size
-        free_of_packed = np.full(self.n_packed, -1)
-        free_of_packed[self.free_dofs] = np.arange(n)
-        pair_i, pair_j = np.triu_indices(3 * DIM)
-        dofs = free_of_packed[self.element_dofs]
-        first, second = dofs[:, pair_i], dofs[:, pair_j]
-        low, high = np.minimum(first, second), np.maximum(first, second)
-        kept = low >= 0
-        upper_keys, upper_of_pair = np.unique(np.where(kept, low * n + high, n * n),
-                                              return_inverse=True)
-        upper_keys = upper_keys[upper_keys < n * n]
-        # a pair that is one dof twice (tori of m <= 2) counts twice
-        multiplicity = kept * np.where((low == high) & (pair_i != pair_j), 2.0, 1.0)
-        upper_rows, upper_cols = np.divmod(upper_keys, n)
-        off = np.flatnonzero(upper_rows != upper_cols)
-        keys = np.concatenate([upper_keys, upper_cols[off] * n + upper_rows[off]])
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys = keys[order]    # flat position of each nonzero in a dense matrix
-        self._partner = np.concatenate([np.arange(upper_keys.size), off])[order]
-        key_rows, key_cols = np.divmod(keys, n)
-        idx = np.int32 if keys.size < np.iinfo(np.int32).max else np.int64
-        self._indices = key_cols.astype(idx)
-        self._indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(key_rows, minlength=n))]).astype(idx)
-        self._indices.flags.writeable = False
-        self._indptr.flags.writeable = False
-        self._moduli_map = _moduli_map(B, mesh.volumes, upper_of_pair.reshape(kept.shape),
-                                       multiplicity, upper_keys.size)
-
-        # torus grid: lattice offset and dof components of every nonzero, the
-        # DFT matrix F[k, x] = exp(-2 pi i k x / m), and the real half-spectrum
-        # transforms along the second grid axis, over k = 0 .. m // 2 and per
-        # dof component: forward, rows (x, c) to columns (c, k, [cos, -sin]),
-        # so that a real product viewed as complex is the DFT of each
-        # component; inverse, rows (c, k, [Re, Im]) to columns (x, c), with each
-        # k weighted by the number of wavevectors among k and -k it stands for
-        m = mesh.grid_size
-        if m:
-            gi, gj = np.divmod(np.arange(n) // DIM, m)
-            di = (gi[key_cols] - gi[key_rows]) % m
-            dj = (gj[key_cols] - gj[key_rows]) % m
-            self._lattice_offset = ((di * m + dj) * DIM + key_rows % DIM) * DIM \
-                + key_cols % DIM
+        # torus grid: the DFT matrix F[k, x] = exp(-2 pi i k x / m), and the
+        # real half-spectrum transforms along the second grid axis, over
+        # k = 0 .. m // 2 and per dof component: forward, rows (x, c) to
+        # columns (c, k, [cos, -sin]), so that a real product viewed as complex
+        # is the DFT of each component; inverse, rows (c, k, [Re, Im]) to
+        # columns (x, c), with each k weighted by the number of wavevectors
+        # among k and -k it stands for
+        if mesh.lattice.kind == "torus":
+            m = mesh.lattice.n
             k = np.arange(m)
             self._dft = np.exp(-2j * np.pi * (np.outer(k, k) % m) / m)
             k_half = k[:m // 2 + 1]
@@ -436,6 +429,12 @@ class P1Space:
             self._half_forward = np.einsum("xkp,cd->xcdkp", parts, eye).reshape(m * DIM, -1)
             self._half_inverse = np.einsum("xkp,k,cd->ckpxd", parts, weight, eye) \
                 .reshape(-1, m * DIM)
+
+    @cached_property
+    def _keys(self):
+        """The flat position of every nonzero in a dense matrix on the free dofs."""
+        n = self.free_dofs.size
+        return np.repeat(np.arange(n), np.diff(self._indptr)) * n + self._indices
 
     # -- field packing -------------------------------------------------
 
@@ -562,9 +561,9 @@ def reference_preconditioner(space, A):
     complex m x m DFT products and 126 us with ``numpy.fft.rfft2`` and
     ``irfft2``.
     """
-    m = space.mesh.grid_size
-    if not m:
+    if space.mesh.lattice.kind != "torus":
         raise ConfigurationError("the reference preconditioner needs a mesh_torus grid")
+    m = space.mesh.lattice.n
     F = space._dft
     Fc = F.conj()
 

@@ -325,9 +325,11 @@ def average_stress(traj):
 class ResidualReport:
     """Norms, constitutive residuals and the discrete energy balance.
 
-    ``max_constitutive_residual`` (Hooke's law) reads 0.0 on every trajectory of
-    ``solve_eps``, whose elastic strains are C^-1 sigma by definition; a stress
-    off Hooke's law shows in ``max_decomposition_residual`` instead.
+    ``max_decomposition_residual`` is the largest |eps(u) - e - p| and
+    ``max_constitutive_residual`` (Hooke's law) the largest
+    |C (eps(u) - p) - sigma| of an element, each relative to 1 plus the
+    magnitudes of the terms it compares.  Since ``solve_eps`` defines the
+    elastic strains as C^-1 sigma, a stress off Hooke's law shows in both.
     """
 
     norms: dict
@@ -373,7 +375,9 @@ def residual_report(traj, config):
     scale = 1.0 + np.abs(traj.e).max(axis=-1) + np.abs(traj.p).max(axis=-1)
     max_decomp = float((decomp / scale).max())
 
-    hooke = np.abs(traj.e - mats.apply_compliance(traj.sigma)).max()
+    stress = mats.apply_stiffness(strains - traj.p)
+    hooke = np.abs(stress - traj.sigma).max(axis=-1) \
+        / (1.0 + np.abs(stress).max(axis=-1) + np.abs(traj.sigma).max(axis=-1))
 
     tau = traj.sigma - mats.hardening[None, :, None] * traj.p
     flow = FlowRule(VON_MISES, mats.yield_stress).regularized(config.delta)
@@ -432,7 +436,7 @@ def residual_report(traj, config):
         ratio=float((norms["u"] + norms["e"] + norms["p"] + norms["sigma"])
                     / max(data_norm, 1e-300)),
         max_decomposition_residual=max_decomp,
-        max_constitutive_residual=float(hooke),
+        max_constitutive_residual=float(hooke.max()),
         max_flow_residual=float(flow_res),
         energy_balance_defect=float(abs(defect_tight) / scale_acc),
         energy_increment_gap=float(gap_running / scale_acc),

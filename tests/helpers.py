@@ -5,8 +5,9 @@ equations, without touching the package's return-map or assembly code, so a
 bug in the production path cannot hide in its own oracle.  The exceptions
 are ``elastic_reference``, which runs the package's linear-elastic P1 solve,
 the oracle that the nonlinear plastic solver must reproduce in the elastic
-limit, and the FE2 cell helpers ``converge_cells`` and
-``central_differences``, which run the cells they are given.
+limit, the FE2 cell helpers ``converge_cells`` and ``central_differences``,
+which run the cells they are given, and ``unstructured_space_arrays``, which
+reads a space's dof numbering to build its arrays the unstructured way.
 """
 
 import math
@@ -284,3 +285,104 @@ def cellwise_ergodic_average(omega, g, L):
     params = omega.law.cell_parameters(omega.seed, (cells[:, 0], cells[:, 1]))
     values = np.broadcast_to(np.asarray(g(params), dtype=float), weights.shape)
     return float(np.einsum("...i,...i->...", weights, values) / (2.0 * L) ** 2)
+
+
+def element_geometry(mesh):
+    """Volumes (ne,) and barycentric gradients (ne, 3, 2) of every element from
+    its own vertex coordinates, whatever lattice the mesh records."""
+    coords = mesh.vertices[mesh.simplices]
+    e1, e2 = coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    inv_det = 1.0 / det
+    g1 = np.stack([e2[:, 1] * inv_det, -e2[:, 0] * inv_det], axis=-1)
+    g2 = np.stack([-e1[:, 1] * inv_det, e1[:, 0] * inv_det], axis=-1)
+    return 0.5 * det, np.stack([-g1 - g2, g1, g2], axis=1)
+
+
+def element_B(mesh):
+    """Strain-displacement matrices (ne, 3, 6), Mandel rows, element by element."""
+    g = element_geometry(mesh)[1]
+    B = np.zeros((mesh.n_elements, 3, 6))
+    B[:, 0, 0::2] = g[:, :, 0]
+    B[:, 1, 1::2] = g[:, :, 1]
+    B[:, 2, 0::2] = g[:, :, 1] / SQRT2
+    B[:, 2, 1::2] = g[:, :, 0] / SQRT2
+    return B
+
+
+def unstructured_space_arrays(space):
+    """The construction-time arrays of a ``P1Space`` as a general unstructured mesh
+    builds them, from the element dof pairs and per-element B.
+
+    The CSR pattern on the free dofs comes from ``np.unique`` over the
+    element dof pairs i <= j and a stable argsort of the nonzeros' keys; the
+    moduli map is built element by element from the products of B entries,
+    exact zeros dropped, entries running by element, moduli entry and dof
+    pair; D holds the rows of every B_e at the element's dofs, and (vol D)^T
+    is scipy's transpose of D scaled by the volumes.  A pair that touches a
+    constrained dof takes multiplicity 0 and a pair that is one dof twice
+    (tori of m <= 2) multiplicity 2.  Returns a dict of the arrays named as
+    on the space.
+    """
+    import scipy.sparse as sp
+
+    mesh = space.mesh
+    ne, n = mesh.n_elements, space.free_dofs.size
+    volumes, B = element_geometry(mesh)[0], element_B(mesh)
+    pattern = np.ones((3, 6), dtype=bool)
+    pattern[0, 1::2] = pattern[1, 0::2] = False
+    keep = np.broadcast_to(pattern, B.shape).ravel()
+    dofs = np.repeat(space.element_dofs[:, None, :], 3, axis=1).ravel()[keep]
+    D = sp.csr_matrix((B.ravel()[keep], dofs,
+                       np.concatenate([[0], np.cumsum(np.tile(pattern.sum(axis=1), ne))])),
+                      shape=(3 * ne, space.n_packed))
+    T = D.T.tocsr()
+    weighted = T.data * volumes[T.indices // 3]
+    out = {"strain_op": D,
+           "force_op": sp.csr_matrix((weighted, T.indices, T.indptr), shape=T.shape),
+           "force_magnitude": sp.csr_matrix((np.abs(weighted), T.indices, T.indptr),
+                                            shape=T.shape)}
+
+    free_of_packed = np.full(space.n_packed, -1)
+    free_of_packed[space.free_dofs] = np.arange(n)
+    pair_i, pair_j = np.triu_indices(6)
+    first = free_of_packed[space.element_dofs][:, pair_i]
+    second = free_of_packed[space.element_dofs][:, pair_j]
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    kept = low >= 0
+    upper_keys, upper_of_pair = np.unique(np.where(kept, low * n + high, n * n),
+                                          return_inverse=True)
+    upper_of_pair = upper_of_pair.reshape(kept.shape)
+    upper_keys = upper_keys[upper_keys < n * n]
+    multiplicity = kept * np.where((low == high) & (pair_i != pair_j), 2.0, 1.0)
+    upper_rows, upper_cols = np.divmod(upper_keys, n)
+    off = np.flatnonzero(upper_rows != upper_cols)
+    keys = np.concatenate([upper_keys, upper_cols[off] * n + upper_rows[off]])
+    order = np.argsort(keys, kind="stable")
+    out["keys"] = keys = keys[order]
+    out["partner"] = np.concatenate([np.arange(upper_keys.size), off])[order]
+    key_rows, key_cols = np.divmod(keys, n)
+    out["indices"] = key_cols
+    out["indptr"] = np.concatenate([[0], np.cumsum(np.bincount(key_rows, minlength=n))])
+    if mesh.lattice.kind == "torus":
+        m = mesh.lattice.n
+        gi, gj = np.divmod(np.arange(n) // 2, m)
+        di, dj = (gi[key_cols] - gi[key_rows]) % m, (gj[key_cols] - gj[key_rows]) % m
+        out["lattice_offset"] = ((di * m + dj) * 2 + key_rows % 2) * 2 + key_cols % 2
+
+    # vol (B[k, i] B[l, j] + B[l, i] B[k, j]) for k <= l (halved for k = l)
+    # and dof pairs i <= j, element by element, in the order (k, l), (i, j)
+    k, l = (a[:, None] for a in np.triu_indices(3))
+    i, j = np.triu_indices(6)
+    weighted = B * volumes[:, None, None]
+    values = weighted[:, k, i] * B[:, l, j]
+    values += np.where(k != l, weighted[:, l, i] * B[:, k, j], 0.0)
+    values = (values * multiplicity[:, None, :]).reshape(ne, -1)
+    nonzero = values != 0.0
+    element, term = np.nonzero(nonzero)
+    counts = np.zeros((ne, 9), dtype=np.int64)
+    np.add.at(counts, (element, (3 * k + l).ravel()[term // 21]), 1)
+    out["moduli_map"] = sp.csc_matrix(
+        (values[nonzero], np.tile(upper_of_pair, 6)[nonzero],
+         np.concatenate([[0], np.cumsum(counts.ravel())])), shape=(upper_keys.size, 9 * ne))
+    return out

@@ -253,7 +253,7 @@ def test_c07_cell_problem_invariants():
             ok &= np.abs(closure).max() <= 1e-9 * (1.0 + np.abs(e_of_z).max())
             f_int = space.internal_forces(traj.z[m])
             z_norm = np.sqrt(np.einsum("e,ek,ek->", vol, traj.z[m], traj.z[m]))
-            ok &= np.abs(f_int).max() <= 1e-8 * max(z_norm * np.abs(space.B).max(),
+            ok &= np.abs(f_int).max() <= 1e-8 * max(z_norm * np.abs(space.mesh.grads).max(),
                                                     1e-12)
             ok &= np.abs(traj.mean_corrector_gradient()[m]).max() <= 1e-10
     elapsed = time.monotonic() - start

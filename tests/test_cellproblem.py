@@ -179,7 +179,7 @@ class TestSolveCell:
             # discrete solenoidality against every periodic test field
             f_int = space.internal_forces(traj.z[m])
             z_norm = np.sqrt(np.einsum("e,ek,ek->", vol, traj.z[m], traj.z[m]))
-            grad_scale = np.abs(space.B).max()
+            grad_scale = np.abs(space.mesh.grads).max()
             assert np.abs(f_int).max() <= 1e-8 * max(z_norm * grad_scale, 1e-12)
 
             # zero-mean corrector gradient
